@@ -56,7 +56,7 @@ class CategoryEncoder:
 
     def encode(self, label: str) -> SDR:
         start = self.block_index(label) * self.w
-        return SDR(self.n, tuple(range(start, start + self.w)))
+        return SDR._trusted(self.n, tuple(range(start, start + self.w)))
 
 
 __all__ = ["CategoryEncoder", "UNKNOWN_POLICIES"]

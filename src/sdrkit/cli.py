@@ -6,11 +6,13 @@
     sdrkit selftest-hash
 
 `encode` streams CSV rows (header required, fields bound by name) to one
-output line per row; memory use is independent of row count.  Validation
-warnings go to stderr so stdout stays machine-parseable.  `evaluate` checks
-the configured distance's axioms and the encoder's overlap-vs-distance
-consistency on the input column.  `selftest-hash` prints the deterministic
-hash golden vectors for cross-platform verification.
+output line per row; memory use is independent of row count.  Every column
+the config references must appear exactly once in the header: a missing or
+repeated name is a config error (exit 2) for `encode` and `evaluate` alike.
+Validation warnings go to stderr so stdout stays machine-parseable.
+`evaluate` checks the configured distance's axioms and the encoder's
+overlap-vs-distance consistency on the input column.  `selftest-hash` prints
+the deterministic hash golden vectors for cross-platform verification.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 distance-axiom violation.
 """
@@ -97,6 +99,11 @@ def _header_indices(header, cfg) -> None:
     if missing:
         raise ConfigError(
             f"field(s) {missing} not present in the CSV header {header}"
+        )
+    duplicated = [c for c in dict.fromkeys(cfg.referenced_columns) if header.count(c) > 1]
+    if duplicated:
+        raise ConfigError(
+            f"field(s) {duplicated} appear more than once in the CSV header {header}"
         )
 
 

@@ -19,14 +19,21 @@ DOMINANCE_RATIO = 3.0
 
 def concat(parts: Sequence[SDR]) -> SDR:
     """Concatenate SDRs: total length is the sum of part lengths and each
-    part's bits shift by the combined length of everything before it."""
+    part's bits shift by the combined length of everything before it.
+
+    Parts that are all `SDR` instances are valid already, so the result is
+    too; anything else with ``n`` and ``active`` is validated."""
     if not parts:
         raise InputError("cannot concatenate an empty list of SDRs")
     active: list[int] = []
     offset = 0
+    trusted = True
     for part in parts:
-        active.extend(offset + i for i in part.active)
+        trusted = trusted and isinstance(part, SDR)
+        active.extend([offset + i for i in part.active])
         offset += part.n
+    if trusted:
+        return SDR._trusted(offset, tuple(active))
     return SDR(offset, tuple(active))
 
 

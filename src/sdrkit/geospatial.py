@@ -16,12 +16,19 @@ Two variants:
 
 GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
+
+`neighborhood` and `coordinate_hash` are the reference definition of the
+bits.  The encoders compute the same values in one numpy pass over the
+neighborhood's packed keys, and hash a bit index only for the cells they
+keep.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -32,6 +39,7 @@ from .errors import (
     raise_on_errors,
     warnings_only,
 )
+from .hashing import MASK64, ORDER_STREAM_XOR, mix64_array
 from .hashing import coordinate_hash, mix64  # re-exported: normative hash surface
 from .sdr import SDR
 
@@ -56,19 +64,33 @@ def _check_i32(v: int, what: str) -> None:
         raise RangeError(f"{what} {v} exceeds the signed 32-bit range")
 
 
-def neighborhood(center, radius: int) -> list[GridCoordinate]:
-    """All cells within Chebyshev distance ``radius``, in ascending (x, y)
-    order; raises RangeError if any cell would leave the 32-bit grid."""
-    cx, cy = center
+def _check_neighborhood(cx: int, cy: int, radius: int) -> None:
     _check_i32(cx - radius, "neighborhood x")
     _check_i32(cx + radius, "neighborhood x")
     _check_i32(cy - radius, "neighborhood y")
     _check_i32(cy + radius, "neighborhood y")
+
+
+def neighborhood(center, radius: int) -> list[GridCoordinate]:
+    """All cells within Chebyshev distance ``radius``, in ascending (x, y)
+    order; raises RangeError if any cell would leave the 32-bit grid."""
+    cx, cy = center
+    _check_neighborhood(cx, cy, radius)
     return [
         GridCoordinate(x, y)
         for x in range(cx - radius, cx + radius + 1)
         for y in range(cy - radius, cy + radius + 1)
     ]
+
+
+def _neighborhood_keys(center, radius: int) -> np.ndarray:
+    """`pack_coordinate` of every `neighborhood(center, radius)` cell, in the
+    same order, as uint64; the same RangeError for cells off the grid."""
+    cx, cy = center
+    _check_neighborhood(cx, cy, radius)
+    xs = [(x & 0xFFFFFFFF) << 32 for x in range(cx - radius, cx + radius + 1)]
+    ys = [y & 0xFFFFFFFF for y in range(cy - radius, cy + radius + 1)]
+    return (np.array(xs, dtype=np.uint64)[:, None] | np.array(ys, dtype=np.uint64)).ravel()
 
 
 class GeospatialEncoder:
@@ -149,14 +171,30 @@ class GeospatialEncoder:
         raise_on_errors(findings)
         self.warnings = warnings_only(findings)
 
+    def _encode_keys(self, keys: np.ndarray) -> SDR:
+        """One-bits at the `coordinate_hash` bit index of each packed key."""
+        bits = mix64_array(keys ^ np.uint64(self.seed & MASK64))
+        if self.n <= MASK64:  # a larger n already holds every 64-bit hash
+            bits %= np.uint64(self.n)
+        return SDR._trusted(self.n, tuple(sorted(set(bits.tolist()))))
+
+    def _rank_topw(self, keys: np.ndarray, r: int) -> np.ndarray:
+        """Positions in ``keys`` (a radius-r pool) of its w best cells, best
+        first."""
+        if not 1 <= self.w <= len(keys):
+            raise ConfigError(
+                f"cannot select w={self.w} cells from a radius-{r} "
+                f"neighborhood of {len(keys)}"
+            )
+        order = mix64_array(keys ^ np.uint64((self.seed ^ ORDER_STREAM_XOR) & MASK64))
+        # Ascending ~order is descending order key; the stable sort keeps
+        # ties in enumeration order, which is ascending (x, y).
+        return np.argsort(~order, kind="stable")[: self.w]
+
     def encode_fixed(self, coord) -> SDR:
         """Hash every cell of the radius-R neighborhood into the bit array.
         Collisions may leave slightly fewer than (2R+1)**2 one-bits."""
-        bits = {
-            coordinate_hash(cell, self.seed, self.n)[0]
-            for cell in neighborhood(coord, self.radius)
-        }
-        return SDR(self.n, tuple(sorted(bits)))
+        return self._encode_keys(_neighborhood_keys(coord, self.radius))
 
     def select_topw(self, coord, radius: int | None = None) -> list[GridCoordinate]:
         """The w neighborhood cells with the largest order keys, best first.
@@ -166,24 +204,15 @@ class GeospatialEncoder:
         order.
         """
         r = self.radius if radius is None else radius
-        pool = neighborhood(coord, r)
-        if not 1 <= self.w <= len(pool):
-            raise ConfigError(
-                f"cannot select w={self.w} cells from a radius-{r} "
-                f"neighborhood of {len(pool)}"
-            )
-        ranked = sorted(
-            pool,
-            key=lambda cell: (-coordinate_hash(cell, self.seed, self.n)[1], cell),
-        )
-        return ranked[: self.w]
+        kept = self._rank_topw(_neighborhood_keys(coord, r), r)
+        x0, y0 = coord[0] - r, coord[1] - r
+        side = 2 * r + 1
+        return [GridCoordinate(x0 + i // side, y0 + i % side) for i in kept.tolist()]
 
     def encode_topw(self, coord, radius: int | None = None) -> SDR:
-        bits = {
-            coordinate_hash(cell, self.seed, self.n)[0]
-            for cell in self.select_topw(coord, radius)
-        }
-        return SDR(self.n, tuple(sorted(bits)))
+        r = self.radius if radius is None else radius
+        keys = _neighborhood_keys(coord, r)
+        return self._encode_keys(keys[self._rank_topw(keys, r)])
 
     def radius_from_speed(self, speed: float) -> int:
         """Affine-then-clamp speed-to-radius map: radius grows by

@@ -4,9 +4,14 @@ These are normative: every hash-based encoder in the package derives its bit
 indices from `mix64`, so outputs are bit-identical across platforms and
 process restarts.  All arithmetic is modulo 2**64; signed inputs are
 reinterpreted as two's-complement bit patterns before mixing.
+
+`mix64_array` is the numpy twin of `mix64` for encoders that hash many keys
+per value; `mix64` stays the reference that defines the outputs.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,6 +35,31 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MULT1) & MASK64
     z = ((z ^ (z >> 27)) * _MULT2) & MASK64
     return z ^ (z >> 31)
+
+
+# Every operand is uint64: numpy 1.x promotes uint64 mixed with int64 to float64.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MULT1_U64 = np.uint64(_MULT1)
+_MULT2_U64 = np.uint64(_MULT2)
+_SHIFT30 = np.uint64(30)
+_SHIFT27 = np.uint64(27)
+_SHIFT31 = np.uint64(31)
+
+
+def mix64_array(keys) -> np.ndarray:
+    """`mix64` of every key, as a new uint64 array of the same shape.
+
+    Keys must lie in [0, 2**64).  The steps run in place on the copy, so
+    even a 0-d input stays in wrapping array arithmetic.
+    """
+    z = np.array(keys, dtype=np.uint64)
+    z += _GOLDEN_U64
+    z ^= z >> _SHIFT30
+    z *= _MULT1_U64
+    z ^= z >> _SHIFT27
+    z *= _MULT2_U64
+    z ^= z >> _SHIFT31
+    return z
 
 
 def pack_coordinate(x: int, y: int) -> int:
@@ -75,6 +105,7 @@ __all__ = [
     "MASK64",
     "ORDER_STREAM_XOR",
     "mix64",
+    "mix64_array",
     "pack_coordinate",
     "coordinate_hash",
     "bucket_bit_index",

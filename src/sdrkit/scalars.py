@@ -145,7 +145,7 @@ class ScalarEncoder:
 
     def encode(self, value: float) -> SDR:
         b = self.bucket(value)
-        return SDR(self.n, tuple(range(b, b + self.w)))
+        return SDR._trusted(self.n, tuple(range(b, b + self.w)))
 
 
 class CyclicEncoder:
@@ -177,7 +177,10 @@ class CyclicEncoder:
 
     def encode(self, value: float) -> SDR:
         b = self.bucket(value)
-        return SDR(self.n, tuple(sorted((b + i) % self.n for i in range(self.w))))
+        end = b + self.w  # past n, the window wraps around to bit 0
+        if end <= self.n:
+            return SDR._trusted(self.n, tuple(range(b, end)))
+        return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
 
 
 class DeltaEncoder:
@@ -253,7 +256,7 @@ class UnboundedScalarEncoder:
     def encode(self, value: float) -> SDR:
         b = self.bucket(value)
         bits = {bucket_bit_index(b + i, self.seed, self.n) for i in range(self.w)}
-        return SDR(self.n, tuple(sorted(bits)))
+        return SDR._trusted(self.n, tuple(sorted(bits)))
 
 
 __all__ = [

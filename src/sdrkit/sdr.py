@@ -4,11 +4,22 @@ sorted indices of its one-bits.
 The sparse index form is canonical because every encoder in this package
 produces far fewer one-bits than total bits.  Dense strings ("010010...")
 exist for display and interchange; index 0 is the leftmost character.
+
+Validation happens once, at the boundary.  User construction (`SDR(...)`),
+the parsers (`from_dense_string`, `from_sparse_string`) and `random_sdr`
+validate fully: ``n`` must be a non-negative int, and every index must be
+an integer (Python or numpy, never bool) in [0, n) and occur once.  The
+encoders already produce sorted, in-range, duplicate-free indices, so they
+build their results with the internal `SDR._trusted`, which skips those
+checks; `concat` does too when every part is an `SDR`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionMismatch, InvalidSdr, ParseError
 
@@ -17,10 +28,11 @@ from .errors import DimensionMismatch, InvalidSdr, ParseError
 class SDR:
     """Immutable bit vector of length ``n`` with ``active`` one-bit indices.
 
-    ``active`` is normalized to a strictly increasing tuple; duplicates or
-    out-of-range indices are rejected.  ``n == 0`` is permitted as the
-    degenerate empty vector (it round-trips through the empty dense string)
-    but cannot be used where sparsity is undefined.
+    ``active`` is normalized to a strictly increasing tuple of ints;
+    non-integer (bool included), duplicate or out-of-range indices are
+    rejected.  ``n == 0`` is permitted as the degenerate empty vector (it
+    round-trips through the empty dense string) but cannot be used where
+    sparsity is undefined.
     """
 
     n: int
@@ -29,7 +41,7 @@ class SDR:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise InvalidSdr(f"total bit count must be a non-negative integer, got {self.n!r}")
-        indices = tuple(int(i) for i in self.active)
+        indices = _indices(self.active)
         if any(indices[k] >= indices[k + 1] for k in range(len(indices) - 1)):
             ordered = tuple(sorted(indices))
             if any(ordered[k] == ordered[k + 1] for k in range(len(ordered) - 1)):
@@ -41,6 +53,19 @@ class SDR:
                 f"[{indices[0]}, {indices[-1]}]"
             )
         object.__setattr__(self, "active", indices)
+
+    @classmethod
+    def _trusted(cls, n: int, active: tuple[int, ...]) -> "SDR":
+        """Internal constructor without validation, for encoders.
+
+        The caller guarantees that ``n`` is a non-negative int and ``active``
+        a strictly increasing tuple of Python ints in [0, n).
+        """
+        sdr = object.__new__(cls)
+        fields = sdr.__dict__  # frozen blocks attribute assignment, not this
+        fields["n"] = n
+        fields["active"] = active
+        return sdr
 
     @property
     def active_count(self) -> int:
@@ -58,6 +83,23 @@ class SDR:
 
     def to_sparse_string(self, self_describing: bool = False) -> str:
         return to_sparse_string(self, self_describing=self_describing)
+
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _indices(active) -> tuple[int, ...]:
+    """``active`` as a tuple of Python ints.  Anything but an integer (a bool,
+    float or string) is rejected rather than truncated or parsed."""
+    active = tuple(active)
+    try:
+        if _BOOL_TYPES.isdisjoint(map(type, active)):
+            return tuple(map(operator.index, active))
+    except TypeError:
+        pass
+    bad = next((i for i in active
+                if type(i) in _BOOL_TYPES or not hasattr(type(i), "__index__")), active)
+    raise InvalidSdr(f"active indices must be integers, got {bad!r}")
 
 
 def overlap(a: SDR, b: SDR) -> int:
@@ -132,8 +174,6 @@ def from_sparse_string(s: str, n: int | None = None) -> SDR:
 
 def to_dense_array(a: SDR, dtype=None) -> "object":
     """Dense numpy view (uint8 by default); convenience for array workflows."""
-    import numpy as np
-
     out = np.zeros(a.n, dtype=dtype or np.uint8)
     if a.active:
         out[list(a.active)] = 1

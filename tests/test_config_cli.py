@@ -302,6 +302,17 @@ class TestEncodeCommand:
         assert run_cli(["encode", "--config", cfg, "--input", data]) == 2
         assert "temp" in capsys.readouterr().err
 
+    def test_duplicated_header_column_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", SCALAR_CONFIG)
+        data = write(tmp_path, "in.csv", "temp,other,temp\n10,0,40\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(out)]) == 2
+        error = capsys.readouterr().err.splitlines()[-1]  # after sizing warnings
+        assert error.startswith("config error:")
+        assert "'temp'" in error and "more than once" in error
+        assert out.read_text() == ""
+
     def test_empty_input_exit_3(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", SCALAR_CONFIG)
         data = write(tmp_path, "in.csv", "")
@@ -402,6 +413,19 @@ class TestEvaluateCommand:
             assert rc == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_duplicated_header_column_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v", "distance": "absolute",
+        })
+        data = write(tmp_path, "samples.csv", "v,v\n1,2\n3,4\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 2
+        captured = capsys.readouterr()
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("config error:")
+        assert "'v'" in error and "more than once" in error
+        assert captured.out == ""
 
     def test_requires_distance(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {

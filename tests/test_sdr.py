@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,6 +109,31 @@ def test_constructor_rejects_out_of_range():
 
 def test_constructor_normalizes_order():
     assert SDR(10, (5, 1, 3)) == SDR(10, (1, 3, 5))
+
+
+@pytest.mark.parametrize("index", [1.7, 3.0, "3", True, False, None])
+def test_constructor_rejects_non_integer_indices(index):
+    # no truncation (1.7 -> 1), parsing ("3" -> 3) or bool-as-int
+    with pytest.raises(InvalidSdr, match="integers"):
+        SDR(10, (index,))
+
+
+def test_constructor_rejects_numpy_bool_index():
+    with pytest.raises(InvalidSdr, match="integers"):
+        SDR(10, (np.bool_(True),))
+
+
+def test_constructor_accepts_numpy_integer_indices():
+    a = SDR(10, (np.int64(7), np.uint64(2), np.int32(5)))
+    assert a == SDR(10, (2, 5, 7))
+    assert all(type(i) is int for i in a.active)
+    assert SDR(10, np.array([4, 1], dtype=np.uint64)) == SDR(10, (1, 4))
+
+
+def test_trusted_equals_validated():
+    a = SDR._trusted(10, (1, 3, 5))
+    assert a == SDR(10, (1, 3, 5))
+    assert hash(a) == hash(SDR(10, (1, 3, 5)))
 
 
 def test_constructor_rejects_bad_n():
