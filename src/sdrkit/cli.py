@@ -11,7 +11,8 @@ the config references must appear exactly once in the header: a missing or
 repeated name is a config error (exit 2) for `encode` and `evaluate` alike.
 Validation warnings go to stderr so stdout stays machine-parseable.
 `evaluate` checks the configured distance's axioms and the encoder's
-overlap-vs-distance consistency on the input column.  `selftest-hash` prints
+overlap-vs-distance consistency on the input column; `--quadruples` must be
+a non-negative integer (a usage error, exit 2, otherwise).  `selftest-hash` prints
 the deterministic hash golden vectors for cross-platform verification.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 distance-axiom violation.
@@ -220,6 +221,16 @@ def cmd_selftest_hash(args, stdout=None) -> int:
     return EXIT_OK
 
 
+def _quadruple_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdrkit",
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score an encoder against a distance")
     p_eval.add_argument("--config", required=True, help="pipeline config (JSON)")
     p_eval.add_argument("--input", required=True, help="input CSV of sample values")
-    p_eval.add_argument("--quadruples", type=int, default=10_000,
+    p_eval.add_argument("--quadruples", type=_quadruple_count, default=10_000,
                         help="sampled quadruples for the consistency check")
     p_eval.add_argument("--seed", type=int, default=0, help="quadruple sampling seed")
 

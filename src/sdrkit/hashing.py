@@ -5,8 +5,9 @@ indices from `mix64`, so outputs are bit-identical across platforms and
 process restarts.  All arithmetic is modulo 2**64; signed inputs are
 reinterpreted as two's-complement bit patterns before mixing.
 
-`mix64_array` is the numpy twin of `mix64` for encoders that hash many keys
-per value; `mix64` stays the reference that defines the outputs.
+`mix64_array` and `counter_stream_array` are the numpy twins of `mix64` and
+`counter_stream` for callers that hash many keys at once; the scalar
+functions stay the reference that defines the outputs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def mix64_array(keys) -> np.ndarray:
     Keys must lie in [0, 2**64).  The steps run in place on the copy, so
     even a 0-d input stays in wrapping array arithmetic.
     """
-    z = np.array(keys, dtype=np.uint64)
+    return _mix64_inplace(np.array(keys, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     z += _GOLDEN_U64
     z ^= z >> _SHIFT30
     z *= _MULT1_U64
@@ -101,6 +105,18 @@ def counter_stream(seed: int, k: int) -> int:
     return mix64((seed + k * _GOLDEN) & MASK64)
 
 
+def counter_stream_array(seed: int, ks) -> np.ndarray:
+    """`counter_stream(seed, k)` for every k in ``ks``, as a new uint64 array.
+
+    ``seed`` is any Python int (taken modulo 2**64, as `counter_stream`
+    does); every k must lie in [0, 2**64).
+    """
+    z = np.array(ks, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(seed & MASK64)
+    return _mix64_inplace(z)
+
+
 __all__ = [
     "MASK64",
     "ORDER_STREAM_XOR",
@@ -110,4 +126,5 @@ __all__ = [
     "coordinate_hash",
     "bucket_bit_index",
     "counter_stream",
+    "counter_stream_array",
 ]

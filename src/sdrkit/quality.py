@@ -12,24 +12,33 @@ Only the *strict* violations are counted: overlap is integer-valued, so ties
 against distinct distances are unavoidable for any encoder and are treated
 as neutral.  The discordance rate is a heuristic quality signal, not a hard
 pass/fail -- a perfect ordering is not attainable for most input spaces.
+
+Everything is read off two m x m matrices over the m samples, each built
+once: the distance matrix and the overlap matrix.  Memory is therefore
+O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.  The
+built-in distances (except `discrete_distance`) fill the distance matrix in
+vectorised form; any other distance is called once per ordered pair, m**2
+calls in all.  Distance values are compared as float64; a distance that
+raises, or returns something ``float()`` rejects, raises `EvaluationError`
+naming the pair.  Offending examples in the report show the distance's own
+return values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import DimensionMismatch, EvaluationError, InputError
-from .hashing import counter_stream
+from .hashing import counter_stream_array
 from .sdr import SDR
 
 AXIOM_TOLERANCE = 1e-9
 EXHAUSTIVE_SAMPLE_LIMIT = 40
 _EXAMPLE_CAP = 10  # offending pairs kept per axiom, enough to debug with
+_QUADRUPLE_CHUNK = 1 << 16  # sampled quadruples per numpy pass; bounds memory
 
 AXIOMS = ("non_negativity", "symmetry", "identity")
 
@@ -105,27 +114,84 @@ def _call_distance(distance: Callable, x, y):
         raise EvaluationError(f"distance failed on pair ({x!r}, {y!r}): {exc}") from exc
 
 
+def _float_distance(distance: Callable, x, y) -> float:
+    value = _call_distance(distance, x, y)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EvaluationError(
+            f"distance returned {value!r} on pair ({x!r}, {y!r}), not a number: {exc}"
+        ) from exc
+
+
+def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
+    """``D[i, j] = float(distance(samples[i], samples[j]))`` for every ordered
+    pair.  A built-in distance's exact matrix form is used when it accepts the
+    samples; otherwise the distance is called once per pair in the axiom
+    order (i, i), then (i, j) and (j, i) for j > i, so the first failing pair
+    is the one a pair-by-pair check would hit first."""
+    pairwise = getattr(distance, "_pairwise", None)
+    D = pairwise(samples) if pairwise is not None else None
+    if D is not None:
+        return D
+    m = len(samples)
+    D = np.empty((m, m))
+    for i in range(m):
+        x = samples[i]
+        D[i, i] = _float_distance(distance, x, x)
+        upper, lower = [], []
+        for j in range(i + 1, m):
+            y = samples[j]
+            upper.append(_float_distance(distance, x, y))
+            lower.append(_float_distance(distance, y, x))
+        D[i, i + 1 :] = upper
+        D[i + 1 :, i] = lower
+    return D
+
+
+def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray) -> EvaluationReport:
+    """Axiom violations read off ``D``; the distance is called again only for
+    the kept examples, so they show its own return values."""
+    iu, ju = np.triu_indices(len(samples), 1)
+    d_ij, d_ji = D[iu, ju], D[ju, iu]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
+        identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
+        negative = np.column_stack((d_ij < -AXIOM_TOLERANCE, d_ji < -AXIOM_TOLERANCE))
+        asymmetric = np.abs(d_ij - d_ji) > AXIOM_TOLERANCE
+
+    def check(flags: np.ndarray, example: Callable[[int], tuple]) -> AxiomCheck:
+        hits = np.flatnonzero(flags)
+        return AxiomCheck(int(hits.size), [example(k) for k in hits[:_EXAMPLE_CAP].tolist()])
+
+    def identity_example(i: int) -> tuple:
+        x = samples[i]
+        return (x, x, _call_distance(distance, x, x))
+
+    def negative_example(k: int) -> tuple:
+        # rows of `negative` are the i<j pairs, (i, j) before (j, i)
+        i, j = int(iu[k // 2]), int(ju[k // 2])
+        if k % 2:
+            i, j = j, i
+        return (samples[i], samples[j], _call_distance(distance, samples[i], samples[j]))
+
+    def symmetry_example(k: int) -> tuple:
+        x, y = samples[int(iu[k])], samples[int(ju[k])]
+        return (x, y, _call_distance(distance, x, y), _call_distance(distance, y, x))
+
+    checks = {
+        "non_negativity": check(negative, negative_example),
+        "symmetry": check(asymmetric, symmetry_example),
+        "identity": check(identity, identity_example),
+    }
+    return EvaluationReport(samples_checked=len(samples), axiom_violations=checks)
+
+
 def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationReport:
     """Verify non-negativity, symmetry, and identity-of-zero on all sample
     pairs (tolerance 1e-9 for the float comparisons)."""
     if len(samples) < 2:
         raise InputError("axiom checks need at least 2 samples")
-    checks = {name: AxiomCheck() for name in AXIOMS}
-    m = len(samples)
-    for i in range(m):
-        d_ii = _call_distance(distance, samples[i], samples[i])
-        if abs(d_ii) > AXIOM_TOLERANCE:
-            checks["identity"].record((samples[i], samples[i], d_ii))
-        for j in range(i + 1, m):
-            d_ij = _call_distance(distance, samples[i], samples[j])
-            d_ji = _call_distance(distance, samples[j], samples[i])
-            if d_ij < -AXIOM_TOLERANCE:
-                checks["non_negativity"].record((samples[i], samples[j], d_ij))
-            if d_ji < -AXIOM_TOLERANCE:
-                checks["non_negativity"].record((samples[j], samples[i], d_ji))
-            if abs(d_ij - d_ji) > AXIOM_TOLERANCE:
-                checks["symmetry"].record((samples[i], samples[j], d_ij, d_ji))
-    return EvaluationReport(samples_checked=m, axiom_violations=checks)
+    return _axiom_report(distance, samples, _distance_matrix(distance, samples))
 
 
 def _encode_all(encode: Callable[[object], SDR], samples: Sequence) -> list[SDR]:
@@ -139,30 +205,80 @@ def _encode_all(encode: Callable[[object], SDR], samples: Sequence) -> list[SDR]
     return encodings
 
 
-def _pairwise(encodings: list[SDR], distance: Callable, samples: Sequence):
-    """Overlap and distance for every unordered sample pair."""
-    sets = [frozenset(e.active) for e in encodings]
-    m = len(samples)
-    overlaps, dists = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            overlaps.append(len(sets[i] & sets[j]))
-            dists.append(_call_distance(distance, samples[i], samples[j]))
-    return overlaps, dists
+def _overlap_matrix(encodings: list[SDR]) -> np.ndarray:
+    """``O[i, j]`` = shared one-bits of encodings i and j, from an inverted
+    index: every bit adds 1 to ``O[rows, rows]`` for the encodings holding
+    it, which costs sum(|rows|**2) and never an m x n dense array."""
+    holders: dict[int, list[int]] = {}
+    for row, e in enumerate(encodings):
+        for bit in e.active:
+            holders.setdefault(bit, []).append(row)
+    m = len(encodings)
+    O = np.zeros((m, m), dtype=np.int32)
+    for rows in holders.values():
+        if len(rows) > 1:
+            O[np.ix_(rows, rows)] += 1
+    np.fill_diagonal(O, [len(e.active) for e in encodings])
+    return O
 
 
-def _rank_correlation(overlaps, dists) -> tuple[float, bool]:
-    uninformative = len(set(overlaps)) <= 1
-    if uninformative or len(set(dists)) <= 1:
+def _average_ranks(codes: np.ndarray) -> np.ndarray:
+    """1-based ranks of non-negative integer codes, ties sharing their
+    average rank (``scipy.stats.rankdata``'s default), by counting."""
+    counts = np.bincount(codes)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts + 1))[codes]
+
+
+def _rank_correlation(overlaps: np.ndarray, dists: np.ndarray) -> tuple[float, bool]:
+    """Spearman's rho of the pair overlaps against the pair distances,
+    computed as ``scipy.stats.spearmanr`` does: the Pearson correlation of
+    the average ranks.  0.0 where rho is undefined (a constant side or a NaN
+    distance)."""
+    uninformative = bool(overlaps.min() == overlaps.max())
+    if uninformative or np.isnan(dists).any() or dists.min() == dists.max():
         return 0.0, uninformative
-    rho = stats.spearmanr(overlaps, dists).statistic
-    return (0.0 if math.isnan(rho) else float(rho)), uninformative
+    dist_codes = np.unique(dists, return_inverse=True)[1].reshape(-1)
+    rho = np.corrcoef(_average_ranks(overlaps), _average_ranks(dist_codes))[1, 0]
+    return float(rho), uninformative
 
 
-def _is_discordant(o1: int, o2: int, d1, d2) -> bool:
+def _is_discordant(o1, o2, d1, d2):
     # Strict violation of "more overlap <=> smaller distance"; any tie on
-    # either side is neutral.
-    return (o1 > o2 and d1 > d2) or (o1 < o2 and d1 < d2)
+    # either side is neutral.  Elementwise on arrays.
+    return ((o1 > o2) & (d1 > d2)) | ((o1 < o2) & (d1 < d2))
+
+
+def _check_consistency_arguments(samples: Sequence, quadruple_count: int,
+                                 exhaustive: bool) -> None:
+    if len(samples) < 4:
+        raise InputError("consistency evaluation needs at least 4 samples")
+    if quadruple_count < 0:
+        raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
+    if exhaustive and len(samples) > EXHAUSTIVE_SAMPLE_LIMIT:
+        raise InputError(
+            f"exhaustive mode enumerates len(samples)**4 quadruples and is "
+            f"limited to {EXHAUSTIVE_SAMPLE_LIMIT} samples, got {len(samples)}"
+        )
+
+
+def _consistency_report(encodings: list[SDR], D: np.ndarray, quadruple_count: int,
+                        seed: int, exhaustive: bool) -> EvaluationReport:
+    O = _overlap_matrix(encodings)
+    upper = np.triu(np.ones(O.shape, dtype=bool), 1)  # the i<j pairs, row-major
+    rho, uninformative = _rank_correlation(O[upper], D[upper])
+    if exhaustive:
+        discordant, total = _exhaustive_discordance(O, D), O.size ** 2
+    else:
+        discordant, total = _sampled_discordance(O, D, quadruple_count, seed), quadruple_count
+    return EvaluationReport(
+        samples_checked=len(encodings),
+        quadruples_sampled=total,
+        discordant=discordant,
+        discordance_rate=discordant / total if total else 0.0,
+        rank_correlation=rho,
+        overlap_uninformative=uninformative,
+    )
 
 
 def evaluate_semantic_consistency(
@@ -182,75 +298,35 @@ def evaluate_semantic_consistency(
     ``exhaustive=True`` (at most 40 samples) every ordered quadruple is
     enumerated instead.
     """
-    if len(samples) < 4:
-        raise InputError("consistency evaluation needs at least 4 samples")
+    _check_consistency_arguments(samples, quadruple_count, exhaustive)
     encodings = _encode_all(encode, samples)
-    overlaps, dists = _pairwise(encodings, distance, samples)
-    rho, uninformative = _rank_correlation(overlaps, dists)
-
-    if exhaustive:
-        if len(samples) > EXHAUSTIVE_SAMPLE_LIMIT:
-            raise InputError(
-                f"exhaustive mode enumerates len(samples)**4 quadruples and is "
-                f"limited to {EXHAUSTIVE_SAMPLE_LIMIT} samples, got {len(samples)}"
-            )
-        discordant, total = _exhaustive_discordance(encodings, distance, samples)
-    else:
-        discordant, total = _sampled_discordance(
-            encodings, distance, samples, quadruple_count, seed
-        )
-
-    return EvaluationReport(
-        samples_checked=len(samples),
-        quadruples_sampled=total,
-        discordant=discordant,
-        discordance_rate=discordant / total if total else 0.0,
-        rank_correlation=rho,
-        overlap_uninformative=uninformative,
-    )
+    return _consistency_report(encodings, _distance_matrix(distance, samples),
+                               quadruple_count, seed, exhaustive)
 
 
-def _sampled_discordance(encodings, distance, samples, quadruple_count, seed):
-    m = len(samples)
-    sets = [frozenset(e.active) for e in encodings]
+def _sampled_discordance(O: np.ndarray, D: np.ndarray, quadruple_count: int, seed: int) -> int:
+    """Quadruple q is samples ``counter_stream(seed, 4q + j) % m``, j = 0..3;
+    quadruples are drawn in chunks so memory stays bounded at any count."""
+    m = np.uint64(O.shape[0])
     discordant = 0
-    for q in range(quadruple_count):
-        w_, x_, y_, z_ = (
-            counter_stream(seed, 4 * q + j) % m for j in range(4)
-        )
-        o1 = len(sets[w_] & sets[x_])
-        o2 = len(sets[y_] & sets[z_])
-        if o1 == o2:
-            continue
-        d1 = _call_distance(distance, samples[w_], samples[x_])
-        d2 = _call_distance(distance, samples[y_], samples[z_])
-        if _is_discordant(o1, o2, d1, d2):
-            discordant += 1
-    return discordant, quadruple_count
+    for start in range(0, quadruple_count, _QUADRUPLE_CHUNK):
+        stop = min(start + _QUADRUPLE_CHUNK, quadruple_count)
+        ks = np.arange(4 * start, 4 * stop, dtype=np.uint64)
+        w, x, y, z = (counter_stream_array(seed, ks) % m).astype(np.intp).reshape(-1, 4).T
+        discordant += int(np.count_nonzero(_is_discordant(O[w, x], O[y, z], D[w, x], D[y, z])))
+    return discordant
 
 
-def _exhaustive_discordance(encodings, distance, samples):
-    m = len(samples)
-    sets = [frozenset(e.active) for e in encodings]
-    O = np.empty((m, m), dtype=np.int64)
-    D = np.empty((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(m):
-            O[i, j] = len(sets[i] & sets[j])
-            D[i, j] = _call_distance(distance, samples[i], samples[j])
+def _exhaustive_discordance(O: np.ndarray, D: np.ndarray) -> int:
     o_flat = O.reshape(-1)
     d_flat = D.reshape(-1)
     discordant = 0
     chunk = 4096  # bounds the (chunk, m*m) comparison matrices
     for s in range(0, o_flat.size, chunk):
-        o = o_flat[s : s + chunk, None]
-        d = d_flat[s : s + chunk, None]
-        discordant += int(
-            np.count_nonzero(
-                ((o > o_flat) & (d > d_flat)) | ((o < o_flat) & (d < d_flat))
-            )
-        )
-    return discordant, int(o_flat.size) ** 2
+        discordant += int(np.count_nonzero(_is_discordant(
+            o_flat[s : s + chunk, None], o_flat, d_flat[s : s + chunk, None], d_flat
+        )))
+    return discordant
 
 
 def evaluate_encoder(
@@ -261,22 +337,53 @@ def evaluate_encoder(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> EvaluationReport:
-    """Full report: axiom checks plus semantic consistency in one pass."""
-    axioms = check_distance_axioms(distance, samples)
-    consistency = evaluate_semantic_consistency(
-        encode, distance, samples, quadruple_count=quadruple_count,
-        seed=seed, exhaustive=exhaustive,
+    """Full report: axiom checks plus semantic consistency, sharing one
+    distance matrix."""
+    if len(samples) < 2:
+        raise InputError("axiom checks need at least 2 samples")
+    D = _distance_matrix(distance, samples)
+    axioms = _axiom_report(distance, samples, D)
+    _check_consistency_arguments(samples, quadruple_count, exhaustive)
+    encodings = _encode_all(encode, samples)
+    return axioms.merge(
+        _consistency_report(encodings, D, quadruple_count, seed, exhaustive)
     )
-    return axioms.merge(consistency)
 
 
 # --- Ready-made distance scores -------------------------------------------
 #
 # Conveniences for common input spaces; nothing downstream privileges them,
-# and callers are free to supply their own callables.
+# and callers are free to supply their own callables.  Every one but the
+# discrete distance carries a ``_pairwise(samples)`` matrix form.  It returns
+# None (and the evaluator calls the distance pair by pair) unless every
+# sample is a Python float or an int of magnitude <= 2**52: on those, float64
+# array arithmetic gives exactly ``float()`` of the scalar result, since
+# every difference of two such ints is itself exact in float64.
+
+_EXACT_INT = 1 << 52
+
+
+def _exact_floats(values) -> np.ndarray | None:
+    for v in values:
+        if not (type(v) is float or (type(v) is int and -_EXACT_INT <= v <= _EXACT_INT)):
+            return None
+    return np.array(values, dtype=np.float64)
+
+
+def _abs_differences(values) -> np.ndarray | None:
+    x = _exact_floats(values)
+    if x is None:
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, as in Python
+        diff = x[:, None] - x
+    return np.abs(diff, out=diff)
+
 
 def absolute_difference(a, b) -> float:
     return abs(a - b)
+
+
+absolute_difference._pairwise = _abs_differences
 
 
 def circular_distance(period: float) -> Callable[[float, float], float]:
@@ -288,6 +395,18 @@ def circular_distance(period: float) -> Callable[[float, float], float]:
         d = abs(a - b) % period
         return min(d, period - d)
 
+    def pairwise(samples) -> np.ndarray | None:
+        p = _exact_floats([period])
+        diff = _abs_differences(samples) if p is not None else None
+        if diff is None:
+            return None
+        p = p[0]
+        with np.errstate(invalid="ignore"):  # inf % p is nan, as in Python
+            d = np.remainder(diff, p)  # Python's float % (sign of the divisor)
+            rest = p - d
+            return np.where(rest < d, rest, d)  # min(d, rest) keeps d unless rest < d
+
+    dist._pairwise = pairwise
     return dist
 
 
@@ -295,6 +414,19 @@ def chebyshev_distance(a, b) -> float:
     """Chessboard distance between grid coordinates."""
     (ax, ay), (bx, by) = a, b
     return float(max(abs(ax - bx), abs(ay - by)))
+
+
+def _chebyshev_pairwise(samples) -> np.ndarray | None:
+    if not all(isinstance(s, tuple) and len(s) == 2 for s in samples):
+        return None
+    dx = _abs_differences([s[0] for s in samples])
+    dy = _abs_differences([s[1] for s in samples])
+    if dx is None or dy is None:
+        return None
+    return np.where(dy > dx, dy, dx)  # max(dx, dy) keeps dx unless dy > dx
+
+
+chebyshev_distance._pairwise = _chebyshev_pairwise
 
 
 def discrete_distance(a, b) -> float:

@@ -414,6 +414,32 @@ class TestEvaluateCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("count", ["-5", "-1", "many"])
+    def test_bad_quadruple_count_exit_2(self, tmp_path, capsys, count):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v", "distance": "absolute",
+        })
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["evaluate", "--config", cfg, "--input", self.grid_csv(tmp_path),
+                     "--quadruples", count])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--quadruples" in captured.err
+        assert captured.out == ""
+
+    def test_zero_quadruples_exit_0(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v", "distance": "absolute",
+        })
+        rc = run_cli(["evaluate", "--config", cfg,
+                      "--input", self.grid_csv(tmp_path), "--quadruples", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "identity: 0 violation(s)" in out
+        assert "quadruples_sampled" not in out
+
     def test_duplicated_header_column_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {
             "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},

@@ -1,6 +1,7 @@
 """Fast paths pinned to their scalar references.
 
-* `mix64_array` equals `mix64` key by key.
+* `mix64_array` equals `mix64` key by key, and `counter_stream_array`
+  equals `counter_stream` ordinal by ordinal.
 * The geospatial encoders equal the reference algorithm kept here as the
   oracle: `coordinate_hash` over every `neighborhood` cell, with top-w
   ranked by (-order key, cell).
@@ -18,7 +19,13 @@ from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder, concat
 from sdrkit.errors import ConfigError, InvalidSdr, SdrError
 from sdrkit.geospatial import GeospatialEncoder, GridCoordinate, neighborhood
-from sdrkit.hashing import coordinate_hash, mix64, mix64_array
+from sdrkit.hashing import (
+    coordinate_hash,
+    counter_stream,
+    counter_stream_array,
+    mix64,
+    mix64_array,
+)
 from sdrkit.scalars import (
     CyclicEncoder,
     DeltaEncoder,
@@ -103,6 +110,21 @@ def test_mix64_array_leaves_its_input_alone():
     keys = np.array([1, 2, 3], dtype=np.uint64)
     mix64_array(keys)
     assert keys.tolist() == [1, 2, 3]
+
+
+@given(seeds, st.lists(st.one_of(u64, st.integers(0, 1 << 20)), max_size=64))
+def test_counter_stream_array_matches_counter_stream(seed, ks):
+    ks = [0, 1, U64_MAX] + ks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = counter_stream_array(seed, ks)
+    assert out.dtype == np.uint64
+    assert out.tolist() == [counter_stream(seed, k) for k in ks]
+
+
+def test_counter_stream_array_takes_a_uint64_range():
+    ks = np.arange(4 * 3, 4 * 9, dtype=np.uint64)
+    assert counter_stream_array(-7, ks).tolist() == [counter_stream(-7, k) for k in range(12, 36)]
 
 
 # --- geospatial fast path vs the reference ------------------------------------
