@@ -15,10 +15,10 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
-O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.  The
-built-in distances (except `discrete_distance`) fill the distance matrix in
-vectorised form; any other distance is called once per ordered pair, m**2
-calls in all.  Distance values are compared as float64; a distance that
+O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.
+`absolute_difference` fills the distance matrix in vectorised form; any
+other distance is called once per ordered pair, m**2 calls in all.  Distance
+values are compared as float64; a distance that
 raises, or returns something ``float()`` rejects, raises `EvaluationError`
 naming the pair.  Offending examples in the report show the distance's own
 return values.
@@ -126,12 +126,13 @@ def _float_distance(distance: Callable, x, y) -> float:
 
 def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     """``D[i, j] = float(distance(samples[i], samples[j]))`` for every ordered
-    pair.  A built-in distance's exact matrix form is used when it accepts the
-    samples; otherwise the distance is called once per pair in the axiom
-    order (i, i), then (i, j) and (j, i) for j > i, so the first failing pair
-    is the one a pair-by-pair check would hit first."""
-    pairwise = getattr(distance, "_pairwise", None)
-    D = pairwise(samples) if pairwise is not None else None
+    pair.  `absolute_difference` itself is computed in vectorised form when
+    that is exact for the samples; any other distance is called once per pair
+    in the axiom order (i, i), then (i, j) and (j, i) for j > i, so the first
+    failing pair is the one a pair-by-pair check would hit first."""
+    # Dispatch on identity: a wrapper of the built-in (functools.wraps, say)
+    # may return other values, so it is called like any user distance.
+    D = _abs_differences(samples) if distance is absolute_difference else None
     if D is not None:
         return D
     m = len(samples)
@@ -149,39 +150,51 @@ def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     return D
 
 
-def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray) -> EvaluationReport:
-    """Axiom violations read off ``D``; the distance is called again only for
-    the kept examples, so they show its own return values."""
-    iu, ju = np.triu_indices(len(samples), 1)
-    d_ij, d_ji = D[iu, ju], D[ju, iu]
+def _axiom_distances(distance: Callable, samples: Sequence) -> np.ndarray:
+    """The distance matrix an axiom check reads, after its precondition."""
+    if len(samples) < 2:
+        raise InputError("axiom checks need at least 2 samples")
+    return _distance_matrix(distance, samples)
+
+
+def _upper(m: int) -> np.ndarray:
+    """Mask of the pairs i < j of an m x m matrix; indexing with it reads
+    them in row-major order."""
+    return np.triu(np.ones((m, m), dtype=bool), 1)
+
+
+def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray,
+                  upper: np.ndarray) -> EvaluationReport:
+    """Axiom violations read off ``D``.  The kept examples follow the order of
+    a pair-by-pair check, (i, i), then (i, j) and (j, i) for j > i, and call
+    the distance again, so they show its own return values."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
         identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
-        negative = np.column_stack((d_ij < -AXIOM_TOLERANCE, d_ji < -AXIOM_TOLERANCE))
-        asymmetric = np.abs(d_ij - d_ji) > AXIOM_TOLERANCE
+        negative = D < -AXIOM_TOLERANCE
+        asymmetric = np.abs(D - D.T) > AXIOM_TOLERANCE
+    np.fill_diagonal(negative, False)
+    asymmetric &= upper
 
-    def check(flags: np.ndarray, example: Callable[[int], tuple]) -> AxiomCheck:
-        hits = np.flatnonzero(flags)
-        return AxiomCheck(int(hits.size), [example(k) for k in hits[:_EXAMPLE_CAP].tolist()])
+    def call(i: int, j: int):
+        return _call_distance(distance, samples[i], samples[j])
 
-    def identity_example(i: int) -> tuple:
-        x = samples[i]
-        return (x, x, _call_distance(distance, x, x))
+    def first_pairs(flags: np.ndarray) -> list[list[int]]:
+        return np.argwhere(flags & upper)[:_EXAMPLE_CAP].tolist()
 
-    def negative_example(k: int) -> tuple:
-        # rows of `negative` are the i<j pairs, (i, j) before (j, i)
-        i, j = int(iu[k // 2]), int(ju[k // 2])
-        if k % 2:
-            i, j = j, i
-        return (samples[i], samples[j], _call_distance(distance, samples[i], samples[j]))
-
-    def symmetry_example(k: int) -> tuple:
-        x, y = samples[int(iu[k])], samples[int(ju[k])]
-        return (x, y, _call_distance(distance, x, y), _call_distance(distance, y, x))
-
+    negative_pairs = [(a, b) for i, j in first_pairs(negative | negative.T)
+                      for a, b in ((i, j), (j, i)) if negative[a, b]][:_EXAMPLE_CAP]
     checks = {
-        "non_negativity": check(negative, negative_example),
-        "symmetry": check(asymmetric, symmetry_example),
-        "identity": check(identity, identity_example),
+        "non_negativity": AxiomCheck(
+            int(np.count_nonzero(negative)),
+            [(samples[i], samples[j], call(i, j)) for i, j in negative_pairs]),
+        "symmetry": AxiomCheck(
+            int(np.count_nonzero(asymmetric)),
+            [(samples[i], samples[j], call(i, j), call(j, i))
+             for i, j in first_pairs(asymmetric)]),
+        "identity": AxiomCheck(
+            int(np.count_nonzero(identity)),
+            [(samples[i], samples[i], call(i, i))
+             for i in np.flatnonzero(identity)[:_EXAMPLE_CAP].tolist()]),
     }
     return EvaluationReport(samples_checked=len(samples), axiom_violations=checks)
 
@@ -189,9 +202,8 @@ def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray) -> Evalu
 def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationReport:
     """Verify non-negativity, symmetry, and identity-of-zero on all sample
     pairs (tolerance 1e-9 for the float comparisons)."""
-    if len(samples) < 2:
-        raise InputError("axiom checks need at least 2 samples")
-    return _axiom_report(distance, samples, _distance_matrix(distance, samples))
+    D = _axiom_distances(distance, samples)
+    return _axiom_report(distance, samples, D, _upper(len(samples)))
 
 
 def _encode_all(encode: Callable[[object], SDR], samples: Sequence) -> list[SDR]:
@@ -262,10 +274,10 @@ def _check_consistency_arguments(samples: Sequence, quadruple_count: int,
         )
 
 
-def _consistency_report(encodings: list[SDR], D: np.ndarray, quadruple_count: int,
+def _consistency_report(encodings: list[SDR], D: np.ndarray,
+                        upper: np.ndarray, quadruple_count: int,
                         seed: int, exhaustive: bool) -> EvaluationReport:
     O = _overlap_matrix(encodings)
-    upper = np.triu(np.ones(O.shape, dtype=bool), 1)  # the i<j pairs, row-major
     rho, uninformative = _rank_correlation(O[upper], D[upper])
     if exhaustive:
         discordant, total = _exhaustive_discordance(O, D), O.size ** 2
@@ -301,6 +313,7 @@ def evaluate_semantic_consistency(
     _check_consistency_arguments(samples, quadruple_count, exhaustive)
     encodings = _encode_all(encode, samples)
     return _consistency_report(encodings, _distance_matrix(distance, samples),
+                               _upper(len(samples)),
                                quadruple_count, seed, exhaustive)
 
 
@@ -339,23 +352,21 @@ def evaluate_encoder(
 ) -> EvaluationReport:
     """Full report: axiom checks plus semantic consistency, sharing one
     distance matrix."""
-    if len(samples) < 2:
-        raise InputError("axiom checks need at least 2 samples")
-    D = _distance_matrix(distance, samples)
-    axioms = _axiom_report(distance, samples, D)
+    D = _axiom_distances(distance, samples)
+    upper = _upper(len(samples))
+    axioms = _axiom_report(distance, samples, D, upper)
     _check_consistency_arguments(samples, quadruple_count, exhaustive)
     encodings = _encode_all(encode, samples)
     return axioms.merge(
-        _consistency_report(encodings, D, quadruple_count, seed, exhaustive)
+        _consistency_report(encodings, D, upper, quadruple_count, seed, exhaustive)
     )
 
 
 # --- Ready-made distance scores -------------------------------------------
 #
 # Conveniences for common input spaces; nothing downstream privileges them,
-# and callers are free to supply their own callables.  Every one but the
-# discrete distance carries a ``_pairwise(samples)`` matrix form.  It returns
-# None (and the evaluator calls the distance pair by pair) unless every
+# and callers are free to supply their own callables.  The evaluator computes
+# `absolute_difference` in vectorised form (`_abs_differences`) when every
 # sample is a Python float or an int of magnitude <= 2**52: on those, float64
 # array arithmetic gives exactly ``float()`` of the scalar result, since
 # every difference of two such ints is itself exact in float64.
@@ -363,17 +374,12 @@ def evaluate_encoder(
 _EXACT_INT = 1 << 52
 
 
-def _exact_floats(values) -> np.ndarray | None:
+def _abs_differences(values) -> np.ndarray | None:
+    """``|values[i] - values[j]|`` as float64, or None unless that is exact."""
     for v in values:
         if not (type(v) is float or (type(v) is int and -_EXACT_INT <= v <= _EXACT_INT)):
             return None
-    return np.array(values, dtype=np.float64)
-
-
-def _abs_differences(values) -> np.ndarray | None:
-    x = _exact_floats(values)
-    if x is None:
-        return None
+    x = np.array(values, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, as in Python
         diff = x[:, None] - x
     return np.abs(diff, out=diff)
@@ -381,9 +387,6 @@ def _abs_differences(values) -> np.ndarray | None:
 
 def absolute_difference(a, b) -> float:
     return abs(a - b)
-
-
-absolute_difference._pairwise = _abs_differences
 
 
 def circular_distance(period: float) -> Callable[[float, float], float]:
@@ -395,18 +398,6 @@ def circular_distance(period: float) -> Callable[[float, float], float]:
         d = abs(a - b) % period
         return min(d, period - d)
 
-    def pairwise(samples) -> np.ndarray | None:
-        p = _exact_floats([period])
-        diff = _abs_differences(samples) if p is not None else None
-        if diff is None:
-            return None
-        p = p[0]
-        with np.errstate(invalid="ignore"):  # inf % p is nan, as in Python
-            d = np.remainder(diff, p)  # Python's float % (sign of the divisor)
-            rest = p - d
-            return np.where(rest < d, rest, d)  # min(d, rest) keeps d unless rest < d
-
-    dist._pairwise = pairwise
     return dist
 
 
@@ -414,19 +405,6 @@ def chebyshev_distance(a, b) -> float:
     """Chessboard distance between grid coordinates."""
     (ax, ay), (bx, by) = a, b
     return float(max(abs(ax - bx), abs(ay - by)))
-
-
-def _chebyshev_pairwise(samples) -> np.ndarray | None:
-    if not all(isinstance(s, tuple) and len(s) == 2 for s in samples):
-        return None
-    dx = _abs_differences([s[0] for s in samples])
-    dy = _abs_differences([s[1] for s in samples])
-    if dx is None or dy is None:
-        return None
-    return np.where(dy > dx, dy, dx)  # max(dx, dy) keeps dx unless dy > dx
-
-
-chebyshev_distance._pairwise = _chebyshev_pairwise
 
 
 def discrete_distance(a, b) -> float:

@@ -7,6 +7,7 @@ distances ranked by `scipy.stats.spearmanr`, the sampled quadruple loop over
 `evaluate_encoder` must equal the oracle's, as a dataclass and as text.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -386,15 +387,25 @@ def test_non_numeric_distance_names_the_pair(bad):
 
 
 def test_builtin_matrix_forms_decline_inexact_inputs():
-    assert absolute_difference._pairwise([0, (1 << 52) + 1]) is None
-    assert absolute_difference._pairwise([0.0, True]) is None
-    assert absolute_difference._pairwise([0.0, np.float64(1.0)]) is None
-    assert circular_distance(7.5)._pairwise([1, "a"]) is None
-    assert circular_distance(1 << 60)._pairwise([1, 2]) is None
-    assert chebyshev_distance._pairwise([(0, 0), [1, 1]]) is None
-    assert chebyshev_distance._pairwise([(0, 0), (1, 2, 3)]) is None
+    assert quality._abs_differences([0, (1 << 52) + 1]) is None
+    assert quality._abs_differences([0.0, True]) is None
+    assert quality._abs_differences([0.0, np.float64(1.0)]) is None
+    assert quality._abs_differences([1, "a"]) is None
     big = [0, (1 << 53) + 1, -(1 << 53) - 1, 3]
     assert_same(window_encode, absolute_difference, big, 200, 0)
+
+
+@ORACLE_SETTINGS
+@given(st.lists(plain_floats, min_size=4, max_size=24), encoders, st.integers(0, 300))
+def test_wrapped_builtin_distance_is_called(samples, encode, quadruple_count):
+    # functools.wraps copies the built-in's attributes; the wrapper's own
+    # values must still be the ones evaluated.
+    @functools.wraps(absolute_difference)
+    def capped(a, b):
+        return min(absolute_difference(a, b), 10.0)
+
+    assume(any(capped(a, b) != abs(a - b) for a in samples for b in samples))
+    assert_same(encode, capped, samples, quadruple_count, 0)
 
 
 # --- Spearman without scipy -------------------------------------------------------
