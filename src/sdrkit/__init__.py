@@ -18,14 +18,8 @@ from .errors import (
     SdrError,
     UnknownCategoryError,
 )
-from .geospatial import (
-    GeospatialEncoder,
-    GridCoordinate,
-    coordinate_hash,
-    gps_to_grid,
-    mix64,
-    neighborhood,
-)
+from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid, neighborhood
+from .hashing import coordinate_hash, mix64
 from .quality import (
     EvaluationReport,
     absolute_difference,

@@ -8,7 +8,8 @@
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Every column
 the config references must appear exactly once in the header: a missing or
-repeated name is a config error (exit 2) for `encode` and `evaluate` alike.
+repeated name is a config error (exit 2), and a row whose field count differs
+from the header's is a data error (exit 3), for `encode` and `evaluate` alike.
 Validation warnings go to stderr so stdout stays machine-parseable.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
@@ -28,7 +29,7 @@ import time
 from contextlib import nullcontext
 
 from .config import OUTPUT_FORMATS, parse_pipeline_config, serialize_pipeline
-from .errors import ConfigError, SdrError
+from .errors import ConfigError, InputError, SdrError
 from .hashing import coordinate_hash, mix64
 from .quality import evaluate_encoder
 from .sdr import SDR, to_dense_string, to_sparse_string
@@ -95,17 +96,35 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _header_indices(header, cfg) -> None:
+def _each_row(fin, cfg, per_row, stderr) -> int:
+    """Call ``per_row`` with each CSV data row as a {column: text} mapping,
+    in order; return the exit code.  A missing or repeated column in the
+    header is a config error; an empty input, a row whose field count
+    differs from the header's, or an SdrError from ``per_row`` is a data
+    error naming the row (rows count from 1 after the header)."""
+    reader = csv.reader(fin, delimiter=cfg.delimiter)
+    header = next(reader, None)
+    if header is None:
+        print("data error: input is empty; a header row is required", file=stderr)
+        return EXIT_DATA
     missing = [c for c in cfg.referenced_columns if c not in header]
-    if missing:
-        raise ConfigError(
-            f"field(s) {missing} not present in the CSV header {header}"
-        )
     duplicated = [c for c in dict.fromkeys(cfg.referenced_columns) if header.count(c) > 1]
-    if duplicated:
-        raise ConfigError(
-            f"field(s) {duplicated} appear more than once in the CSV header {header}"
-        )
+    if missing or duplicated:
+        problem = (f"{missing} not present in" if missing
+                   else f"{duplicated} appear more than once in")
+        print(f"config error: field(s) {problem} the CSV header {header}", file=stderr)
+        return EXIT_CONFIG
+    for row_number, row in enumerate(reader, start=1):
+        try:
+            if len(row) != len(header):
+                raise InputError(
+                    f"expected {len(header)} fields per the header, got {len(row)}"
+                )
+            per_row(dict(zip(header, row)))
+        except SdrError as exc:
+            print(f"data error: row {row_number}: {exc}", file=stderr)
+            return EXIT_DATA
+    return EXIT_OK
 
 
 def cmd_encode(args, stderr=None) -> int:
@@ -121,34 +140,13 @@ def cmd_encode(args, stderr=None) -> int:
     _emit_warnings(cfg, stderr)
 
     with _open_input(args.input) as fin, _open_output(args.output) as fout:
-        reader = csv.reader(fin, delimiter=cfg.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            print("data error: input is empty; a header row is required", file=stderr)
-            return EXIT_DATA
-        try:
-            _header_indices(header, cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=stderr)
-            return EXIT_CONFIG
-
-        for row_number, row in enumerate(reader, start=1):
-            row_map = dict(zip(header, row))
-            try:
-                if len(row) != len(header):
-                    raise SdrError(
-                        f"expected {len(header)} fields per the header, got {len(row)}"
-                    )
-                sdr = cfg.encode_row(row_map)
-            except SdrError as exc:
-                fout.flush()  # keep everything encoded so far
-                print(f"data error: row {row_number}: {exc}", file=stderr)
-                return EXIT_DATA
-            fout.write(_format_line(sdr, fmt))
+        def write_line(row):
+            fout.write(_format_line(cfg.encode_row(row), fmt))
             fout.write("\n")
-        fout.flush()
-    return EXIT_OK
+
+        code = _each_row(fin, cfg, write_line, stderr)
+        fout.flush()  # on a data error too: keep everything encoded so far
+    return code
 
 
 def cmd_evaluate(args, stdout=None, stderr=None) -> int:
@@ -156,7 +154,7 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     try:
         cfg = _load_config(args.config)
-        if cfg.encoder_spec.get("type") == "multi":
+        if cfg.spec["encoder"]["type"] == "multi":
             raise ConfigError("evaluate requires a config with exactly one encoder")
         if cfg.distance is None:
             raise ConfigError("evaluate requires a 'distance' in the config")
@@ -169,23 +167,10 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
     samples = []
     started = time.perf_counter()
     with _open_input(args.input) as fin:
-        reader = csv.reader(fin, delimiter=cfg.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            print("data error: input is empty; a header row is required", file=stderr)
-            return EXIT_DATA
-        try:
-            _header_indices(header, cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=stderr)
-            return EXIT_CONFIG
-        for row_number, row in enumerate(reader, start=1):
-            try:
-                samples.append(binding.value_from_row(dict(zip(header, row))))
-            except SdrError as exc:
-                print(f"data error: row {row_number}: {exc}", file=stderr)
-                return EXIT_DATA
+        code = _each_row(fin, cfg, lambda row: samples.append(binding.value_from_row(row)),
+                         stderr)
+    if code != EXIT_OK:
+        return code
 
     try:
         report = evaluate_encoder(

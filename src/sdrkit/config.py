@@ -17,6 +17,11 @@ Top level::
       "distance":      "absolute"        (evaluate only; see below)
     }
 
+Each leaf encoder type is declared once, in `ENCODER_TYPES`: its keys (with
+their parsers and defaults), its builder and its CSV binding.  Parsing
+records the canonical spec -- every key with its default filled in -- and
+`serialize_pipeline` returns it.
+
 Distances: "absolute", "discrete", "chebyshev",
 {"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- the
 expression sees ``a``, ``b``, ``abs``/``min``/``max`` and the ``math``
@@ -28,10 +33,11 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple
 
 from .categories import CategoryEncoder
-from .composite import DatetimeEncoder, MultiEncoder
+from .composite import DATETIME_COMPONENT_ORDER, DatetimeEncoder, MultiEncoder
 from .errors import ConfigError, Finding, InputError
 from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid
 from .quality import (
@@ -80,31 +86,43 @@ def _str(obj: Mapping, key: str, context: str) -> str:
     return v
 
 
+def _str_list(obj: Mapping, key: str, context: str) -> list[str]:
+    v = obj[key]
+    if not isinstance(v, list) or not all(isinstance(c, str) for c in v):
+        raise ConfigError(f"{context}: {key!r} must be a list of strings")
+    return list(v)
+
+
+def _positive_meters(obj: Mapping, key: str, context: str) -> float:
+    v = _num(obj, key, context)
+    if v <= 0:
+        raise ConfigError(f"{context}: {key!r} must be positive meters")
+    return v
+
+
+def _object(**parsers) -> Callable:
+    """Parser for a nested object whose keys are all required."""
+    def parse(obj: Mapping, key: str, context: str) -> dict:
+        sub, sub_ctx = obj[key], f"{context}.{key}"
+        _check_keys(sub, set(parsers), set(), sub_ctx)
+        return {k: p(sub, k, sub_ctx) for k, p in parsers.items()}
+    return parse
+
+
 # --- value converters: CSV text -> encoder input ---------------------------
 
-def _parse_float(text: str, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"column {column!r}: cannot parse {text!r} as a number") from None
+def _converter(parse: Callable[[str], object], what: str) -> Callable[[str, str], object]:
+    def convert(text: str, column: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise InputError(f"column {column!r}: cannot parse {text!r} as {what}") from None
+    return convert
 
 
-def _parse_int(text: str, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(
-            f"column {column!r}: cannot parse {text!r} as an integer grid index"
-        ) from None
-
-
-def _parse_datetime(text: str, column: str) -> _dt.datetime:
-    try:
-        return _dt.datetime.fromisoformat(text)
-    except ValueError:
-        raise InputError(
-            f"column {column!r}: cannot parse {text!r} as an ISO timestamp"
-        ) from None
+_parse_float = _converter(float, "a number")
+_parse_int = _converter(int, "an integer grid index")
+_parse_datetime = _converter(_dt.datetime.fromisoformat, "an ISO timestamp")
 
 
 @dataclass
@@ -114,39 +132,12 @@ class BoundEncoder:
     name: str
     encoder: object
     columns: tuple[str, ...]
-    kind: str  # "number" | "text" | "datetime" | "grid" | "latlon"
-    speed_column: str | None = None
-    cell_size: float | None = None
+    reader: Callable[[Mapping[str, str]], object]
 
     def value_from_row(self, row: Mapping[str, str]):
         """Convert this binding's column(s) of one CSV row into the encoder
         input value (raises InputError naming the column)."""
-        if self.kind == "number":
-            return _parse_float(row[self.columns[0]], self.columns[0])
-        if self.kind == "text":
-            return row[self.columns[0]]
-        if self.kind == "datetime":
-            return _parse_datetime(row[self.columns[0]], self.columns[0])
-        if self.kind == "grid":
-            cx, cy = self.columns
-            coord = GridCoordinate(_parse_int(row[cx], cx), _parse_int(row[cy], cy))
-        else:  # latlon
-            clat, clon = self.columns
-            coord = gps_to_grid(
-                _parse_float(row[clat], clat),
-                _parse_float(row[clon], clon),
-                self.cell_size,
-            )
-        if self.speed_column is not None:
-            speed = _parse_float(row[self.speed_column], self.speed_column)
-            return (coord, speed)
-        return coord
-
-    @property
-    def all_columns(self) -> tuple[str, ...]:
-        if self.speed_column is not None:
-            return self.columns + (self.speed_column,)
-        return self.columns
+        return self.reader(row)
 
 
 class SpeedAdaptiveGeo:
@@ -155,15 +146,7 @@ class SpeedAdaptiveGeo:
 
     def __init__(self, inner: GeospatialEncoder):
         self.inner = inner
-        self.warnings = inner.warnings
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    @property
-    def w(self) -> int:
-        return self.inner.w
+        self.n, self.w, self.warnings = inner.n, inner.w, inner.warnings
 
     def encode(self, value) -> SDR:
         coord, speed = value
@@ -177,16 +160,12 @@ class PipelineConfig:
     output_format: str
     delimiter: str
     distance: Callable | None
-    distance_spec: object
-    encoder_spec: dict
+    spec: dict  # canonical config, as `serialize_pipeline` returns it
     warnings: list[Finding] = field(default_factory=list)
 
     @property
     def referenced_columns(self) -> list[str]:
-        cols: list[str] = []
-        for b in self.bound:
-            cols.extend(b.all_columns)
-        return cols
+        return [c for b in self.bound for c in b.columns]
 
     def record_from_row(self, row: Mapping[str, str]) -> dict:
         return {b.name: b.value_from_row(row) for b in self.bound}
@@ -195,155 +174,178 @@ class PipelineConfig:
         return self.multi.encode(self.record_from_row(row))
 
 
-# --- leaf encoder builders --------------------------------------------------
+# --- CSV bindings: (spec, field, speed_field, context) -> (columns, reader) --
 
-def _build_scalar(spec: Mapping, context: str):
-    _check_keys(spec, {"type", "min", "max", "n", "w"}, set(), context)
-    return ScalarEncoder(
-        _num(spec, "min", context), _num(spec, "max", context),
-        _int(spec, "n", context), _int(spec, "w", context),
-    ), "number"
-
-
-def _build_cyclic(spec: Mapping, context: str):
-    _check_keys(spec, {"type", "period", "n", "w"}, set(), context)
-    return CyclicEncoder(
-        _num(spec, "period", context), _int(spec, "n", context), _int(spec, "w", context)
-    ), "number"
-
-
-def _build_delta(spec: Mapping, context: str):
-    _check_keys(spec, {"type", "min", "max", "n", "w"}, set(), context)
-    inner = ScalarEncoder(
-        _num(spec, "min", context), _num(spec, "max", context),
-        _int(spec, "n", context), _int(spec, "w", context),
-    )
-    return DeltaEncoder(inner), "number"
-
-
-def _build_unbounded(spec: Mapping, context: str):
-    _check_keys(spec, {"type", "resolution", "n", "w"}, {"seed"}, context)
-    seed = _int(spec, "seed", context) if "seed" in spec else 0
-    return UnboundedScalarEncoder(
-        _num(spec, "resolution", context), _int(spec, "n", context),
-        _int(spec, "w", context), seed=seed,
-    ), "number"
-
-
-def _build_category(spec: Mapping, context: str):
-    _check_keys(spec, {"type", "categories", "w"}, {"unknown_policy"}, context)
-    cats = spec["categories"]
-    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
-        raise ConfigError(f"{context}: 'categories' must be a list of strings")
-    policy = _str(spec, "unknown_policy", context) if "unknown_policy" in spec else "error"
-    return CategoryEncoder(cats, _int(spec, "w", context), unknown_policy=policy), "text"
-
-
-def _build_geospatial(spec: Mapping, context: str):
-    _check_keys(
-        spec, {"type", "n"},
-        {"variant", "radius", "w", "seed", "speed_scale",
-         "radius_min", "radius_max", "cell_size"},
-        context,
-    )
-    kwargs = dict(
-        variant=_str(spec, "variant", context) if "variant" in spec else "fixed",
-        seed=_int(spec, "seed", context) if "seed" in spec else 0,
-    )
-    if "w" in spec:
-        kwargs["w"] = _int(spec, "w", context)
-    if "speed_scale" in spec:
-        kwargs["speed_scale"] = _num(spec, "speed_scale", context)
-    for key in ("radius_min", "radius_max"):
-        if key in spec:
-            kwargs[key] = _int(spec, key, context)
-    radius = _int(spec, "radius", context) if "radius" in spec else 2
-    enc = GeospatialEncoder(_int(spec, "n", context), radius, **kwargs)
-    cell_size = None
-    if "cell_size" in spec:
-        cell_size = _num(spec, "cell_size", context)
-        if cell_size <= 0:
-            raise ConfigError(f"{context}: 'cell_size' must be positive meters")
-    kind = "latlon" if cell_size is not None else "grid"
-    return enc, kind, cell_size
-
-
-_DATETIME_COMPONENT_KEYS = {
-    "weekend", "day_of_week", "time_of_day", "month_of_year", "day_of_month"
-}
-
-
-def _build_datetime(spec: Mapping, context: str):
-    _check_keys(spec, {"type"}, _DATETIME_COMPONENT_KEYS, context)
-    kwargs = {}
-    for comp in _DATETIME_COMPONENT_KEYS:
-        if comp not in spec:
-            continue
-        sub = spec[comp]
-        sub_ctx = f"{context}.{comp}"
-        if comp == "weekend":
-            _check_keys(sub, {"w"}, set(), sub_ctx)
-            kwargs[comp] = _int(sub, "w", sub_ctx)
-        else:
-            _check_keys(sub, {"n", "w"}, set(), sub_ctx)
-            kwargs[comp] = (_int(sub, "n", sub_ctx), _int(sub, "w", sub_ctx))
-    return DatetimeEncoder(**kwargs), "datetime"
-
-
-_LEAF_BUILDERS = {
-    "scalar": _build_scalar,
-    "cyclic": _build_cyclic,
-    "delta": _build_delta,
-    "scalar_unbounded": _build_unbounded,
-    "category": _build_category,
-    "datetime": _build_datetime,
-}
-
-
-def _bind_leaf(enc_spec: Mapping, binding: Mapping, context: str) -> BoundEncoder:
-    enc_type = _str(enc_spec, "type", context)
-    field_spec = binding.get("field")
-    speed_field = binding.get("speed_field")
-
-    if enc_type == "geospatial":
-        enc, kind, cell_size = _build_geospatial(enc_spec, context)
-        if (
-            not isinstance(field_spec, list)
-            or len(field_spec) != 2
-            or not all(isinstance(c, str) for c in field_spec)
-        ):
-            raise ConfigError(
-                f"{context}: geospatial 'field' must be a two-column list "
-                "([x, y] grid columns, or [lat, lon] when cell_size is set)"
-            )
+def _column(convert: Callable[[str, str], object] | None) -> Callable:
+    """Binding of one named column, read through ``convert`` (text as is
+    when None)."""
+    def bind(spec: dict, field_spec, speed_field, context: str):
         if speed_field is not None:
-            if not isinstance(speed_field, str):
-                raise ConfigError(f"{context}: 'speed_field' must be a column name")
-            if enc.variant != "topw":
-                raise ConfigError(
-                    f"{context}: 'speed_field' requires the 'topw' variant "
-                    "(the fixed variant has no speed-adaptive radius)"
-                )
-            bound_enc: object = SpeedAdaptiveGeo(enc)
-        else:
-            bound_enc = enc
-        name = ",".join(field_spec)
-        return BoundEncoder(
-            name=name, encoder=bound_enc, columns=tuple(field_spec),
-            kind=kind, speed_column=speed_field, cell_size=cell_size,
-        )
+            raise ConfigError(f"{context}: 'speed_field' only applies to geospatial encoders")
+        if not isinstance(field_spec, str):
+            raise ConfigError(f"{context}: 'field' must name one CSV column")
+        if convert is None:
+            return (field_spec,), itemgetter(field_spec)
+        return (field_spec,), lambda row: convert(row[field_spec], field_spec)
+    return bind
 
-    if enc_type not in _LEAF_BUILDERS:
+
+def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
+    """[x, y] integer grid columns, or [lat, lon] when the spec has a
+    cell_size; a speed column makes the value a (coordinate, speed) pair."""
+    if (
+        not isinstance(field_spec, list)
+        or len(field_spec) != 2
+        or not all(isinstance(c, str) for c in field_spec)
+    ):
+        raise ConfigError(
+            f"{context}: geospatial 'field' must be a two-column list "
+            "([x, y] grid columns, or [lat, lon] when cell_size is set)"
+        )
+    first, second = field_spec
+    if "cell_size" in spec:
+        cell_size = spec["cell_size"]
+
+        def coordinate(row):
+            return gps_to_grid(_parse_float(row[first], first),
+                               _parse_float(row[second], second), cell_size)
+    else:
+        def coordinate(row):
+            return GridCoordinate(_parse_int(row[first], first),
+                                  _parse_int(row[second], second))
+    if speed_field is None:
+        return (first, second), coordinate
+    if not isinstance(speed_field, str):
+        raise ConfigError(f"{context}: 'speed_field' must be a column name")
+    if spec["variant"] != "topw":
+        raise ConfigError(
+            f"{context}: 'speed_field' requires the 'topw' variant "
+            "(the fixed variant has no speed-adaptive radius)"
+        )
+    return (first, second, speed_field), lambda row: (
+        coordinate(row), _parse_float(row[speed_field], speed_field)
+    )
+
+
+# --- the encoder table -------------------------------------------------------
+
+_REQUIRED = object()  # key default: the key must be given
+
+
+class EncoderType(NamedTuple):
+    """One leaf encoder type.  ``keys`` maps each key to (parser, default):
+    the default is _REQUIRED, a value, a function of the keys parsed before
+    it, or None for a key that stays out of the spec when absent."""
+
+    keys: dict[str, tuple[Callable, object]]
+    build: Callable[[dict], object]
+    bind: Callable
+
+
+def _build_geospatial(spec: dict) -> GeospatialEncoder:
+    enc = GeospatialEncoder(
+        spec["n"], spec["radius"], variant=spec["variant"], w=spec.get("w"),
+        seed=spec["seed"], speed_scale=spec["speed_scale"],
+        radius_min=spec["radius_min"], radius_max=spec["radius_max"],
+    )
+    if enc.variant == "fixed":
+        spec.pop("w", None)  # derived from the radius, so not part of the spec
+    return enc
+
+
+def _build_datetime(spec: dict) -> DatetimeEncoder:
+    return DatetimeEncoder(**{
+        name: sub["w"] if name == "weekend" else (sub["n"], sub["w"])
+        for name, sub in spec.items() if name != "type"
+    })
+
+
+_N_W = {"n": (_int, _REQUIRED), "w": (_int, _REQUIRED)}
+_RANGE = {"min": (_num, _REQUIRED), "max": (_num, _REQUIRED), **_N_W}
+
+ENCODER_TYPES: dict[str, EncoderType] = {
+    "scalar": EncoderType(
+        _RANGE,
+        lambda s: ScalarEncoder(s["min"], s["max"], s["n"], s["w"]),
+        _column(_parse_float),
+    ),
+    "delta": EncoderType(
+        _RANGE,
+        lambda s: DeltaEncoder(ScalarEncoder(s["min"], s["max"], s["n"], s["w"])),
+        _column(_parse_float),
+    ),
+    "cyclic": EncoderType(
+        {"period": (_num, _REQUIRED), **_N_W},
+        lambda s: CyclicEncoder(s["period"], s["n"], s["w"]),
+        _column(_parse_float),
+    ),
+    "scalar_unbounded": EncoderType(
+        {"resolution": (_num, _REQUIRED), **_N_W, "seed": (_int, 0)},
+        lambda s: UnboundedScalarEncoder(s["resolution"], s["n"], s["w"], seed=s["seed"]),
+        _column(_parse_float),
+    ),
+    "category": EncoderType(
+        {"categories": (_str_list, _REQUIRED), "w": (_int, _REQUIRED),
+         "unknown_policy": (_str, "error")},
+        lambda s: CategoryEncoder(s["categories"], s["w"], unknown_policy=s["unknown_policy"]),
+        _column(None),
+    ),
+    "datetime": EncoderType(
+        {name: (_object(w=_int) if name == "weekend" else _object(n=_int, w=_int), None)
+         for name in DATETIME_COMPONENT_ORDER},
+        _build_datetime,
+        _column(_parse_datetime),
+    ),
+    "geospatial": EncoderType(
+        {"n": (_int, _REQUIRED), "variant": (_str, "fixed"), "radius": (_int, 2),
+         "seed": (_int, 0), "speed_scale": (_num, 0.0),
+         "radius_min": (_int, lambda s: s["radius"]),
+         "radius_max": (_int, lambda s: s["radius"]),
+         "w": (_int, None), "cell_size": (_positive_meters, None)},
+        _build_geospatial,
+        _bind_geospatial,
+    ),
+}
+
+
+def _parse_spec(enc_type: str, entry: EncoderType, raw: Mapping, context: str) -> dict:
+    """The canonical spec: every given key parsed, every default filled in."""
+    required = {key for key, (_, default) in entry.keys.items() if default is _REQUIRED}
+    _check_keys(raw, {"type", *required}, set(entry.keys) - required, context)
+    spec: dict = {"type": enc_type}
+    for key, (parse, default) in entry.keys.items():
+        if key in raw:
+            spec[key] = parse(raw, key, context)
+        elif callable(default):
+            spec[key] = default(spec)
+        elif default is not None:
+            spec[key] = default
+    return spec
+
+
+def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundEncoder, dict]:
+    """The bound leaf encoder and its canonical part: field, encoder spec
+    and, if given, speed_field."""
+    enc_type = _str(enc_raw, "type", context)
+    entry = ENCODER_TYPES.get(enc_type)
+    if entry is None:
         raise ConfigError(
             f"{context}: unknown encoder type {enc_type!r}; expected one of "
-            f"{sorted([*_LEAF_BUILDERS, 'geospatial', 'multi'])}"
+            f"{sorted([*ENCODER_TYPES, 'multi'])}"
         )
+    spec = _parse_spec(enc_type, entry, enc_raw, context)
+    field_spec = binding.get("field")
+    speed_field = binding.get("speed_field")
+    columns, reader = entry.bind(spec, field_spec, speed_field, context)
+    encoder = entry.build(spec)
+    if speed_field is not None:  # the reader yields (coordinate, speed)
+        encoder = SpeedAdaptiveGeo(encoder)
+    one_column = isinstance(field_spec, str)
+    name = field_spec if one_column else ",".join(field_spec)
+    part: dict = {"field": field_spec if one_column else list(field_spec), "encoder": spec}
     if speed_field is not None:
-        raise ConfigError(f"{context}: 'speed_field' only applies to geospatial encoders")
-    if not isinstance(field_spec, str):
-        raise ConfigError(f"{context}: 'field' must name one CSV column")
-    enc, kind = _LEAF_BUILDERS[enc_type](enc_spec, context)
-    return BoundEncoder(name=field_spec, encoder=enc, columns=(field_spec,), kind=kind)
+        part["speed_field"] = speed_field
+    return BoundEncoder(name=name, encoder=encoder, columns=columns, reader=reader), part
 
 
 def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
@@ -353,20 +355,21 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
         {"field", "speed_field", "output_format", "csv", "distance"},
         "config",
     )
-    enc_spec = raw["encoder"]
-    if not isinstance(enc_spec, Mapping) or "type" not in enc_spec:
+    enc_raw = raw["encoder"]
+    if not isinstance(enc_raw, Mapping) or "type" not in enc_raw:
         raise ConfigError("config.encoder: must be an object with a 'type' key")
 
     bound: list[BoundEncoder] = []
-    if enc_spec["type"] == "multi":
+    if enc_raw["type"] == "multi":
         if "field" in raw or "speed_field" in raw:
             raise ConfigError(
                 "config: 'field'/'speed_field' belong on the parts of a multi encoder"
             )
-        _check_keys(enc_spec, {"type", "parts"}, set(), "config.encoder")
-        parts = enc_spec["parts"]
+        _check_keys(enc_raw, {"type", "parts"}, set(), "config.encoder")
+        parts = enc_raw["parts"]
         if not isinstance(parts, list) or not parts:
             raise ConfigError("config.encoder.parts: must be a non-empty list")
+        canonical_parts = []
         for i, part in enumerate(parts):
             ctx = f"config.encoder.parts[{i}]"
             _check_keys(part, {"field", "encoder"}, {"speed_field"}, ctx)
@@ -375,12 +378,16 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
                 raise ConfigError(f"{ctx}.encoder: must be an object with a 'type' key")
             if sub["type"] == "multi":
                 raise ConfigError(f"{ctx}: multi encoders cannot nest")
-            bound.append(_bind_leaf(sub, part, ctx))
+            b, canonical = _bind_leaf(sub, part, ctx)
+            bound.append(b)
+            canonical_parts.append(canonical)
+        spec: dict = {"encoder": {"type": "multi", "parts": canonical_parts}}
     else:
-        bound.append(_bind_leaf(enc_spec, raw, "config.encoder"))
+        b, canonical = _bind_leaf(enc_raw, raw, "config.encoder")
+        bound.append(b)
+        spec = {"encoder": canonical.pop("encoder"), **canonical}
 
     multi = MultiEncoder([(b.name, b.encoder) for b in bound])
-    warnings = list(multi.warnings)
 
     fmt = "dense"
     if "output_format" in raw:
@@ -390,6 +397,7 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
             raise ConfigError(
                 f"config: output_format must be one of {OUTPUT_FORMATS}, got {raw['output_format']!r}"
             )
+    spec["output_format"] = fmt
 
     delimiter = ","
     if "csv" in raw:
@@ -398,11 +406,11 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
             delimiter = _str(raw["csv"], "delimiter", "config.csv")
             if len(delimiter) != 1:
                 raise ConfigError("config.csv: delimiter must be a single character")
+    spec["csv"] = {"delimiter": delimiter}
 
     distance = None
-    distance_spec = None
     if "distance" in raw:
-        distance, distance_spec = build_distance(raw["distance"])
+        distance, spec["distance"] = build_distance(raw["distance"])
 
     return PipelineConfig(
         bound=bound,
@@ -410,9 +418,8 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
         output_format=fmt,
         delimiter=delimiter,
         distance=distance,
-        distance_spec=distance_spec,
-        encoder_spec=serialize_encoder_spec(bound, enc_spec["type"] == "multi"),
-        warnings=warnings,
+        spec=spec,
+        warnings=list(multi.warnings),
     )
 
 
@@ -441,6 +448,10 @@ def build_distance(spec) -> tuple[Callable, object]:
             if "period" not in spec:
                 raise ConfigError("config.distance: circular distance requires 'period'")
             period = _num(spec, "period", "config.distance")
+            if period <= 0:
+                raise ConfigError(
+                    f"config.distance: circular 'period' must be positive, got {period!r}"
+                )
             return circular_distance(period), {"name": "circular", "period": period}
         if name in named:
             return named[name], name
@@ -461,78 +472,15 @@ def _expression_distance(expr: str) -> Callable:
     return dist
 
 
-# --- canonical serialization -----------------------------------------------
-
-def _leaf_spec(b: BoundEncoder) -> dict:
-    enc = b.encoder
-    if isinstance(enc, SpeedAdaptiveGeo):
-        enc = enc.inner
-    if isinstance(enc, DeltaEncoder):
-        inner = enc.inner
-        return {"type": "delta", "min": inner.min_value, "max": inner.max_value,
-                "n": inner.n, "w": inner.w}
-    if isinstance(enc, ScalarEncoder):
-        return {"type": "scalar", "min": enc.min_value, "max": enc.max_value,
-                "n": enc.n, "w": enc.w}
-    if isinstance(enc, CyclicEncoder):
-        return {"type": "cyclic", "period": enc.period, "n": enc.n, "w": enc.w}
-    if isinstance(enc, UnboundedScalarEncoder):
-        return {"type": "scalar_unbounded", "resolution": enc.resolution,
-                "n": enc.n, "w": enc.w, "seed": enc.seed}
-    if isinstance(enc, CategoryEncoder):
-        return {"type": "category", "categories": list(enc.categories),
-                "w": enc.w, "unknown_policy": enc.unknown_policy}
-    if isinstance(enc, GeospatialEncoder):
-        spec = {"type": "geospatial", "n": enc.n, "variant": enc.variant,
-                "radius": enc.radius, "seed": enc.seed,
-                "speed_scale": enc.speed_scale,
-                "radius_min": enc.radius_min, "radius_max": enc.radius_max}
-        if enc.variant == "topw":
-            spec["w"] = enc.w
-        if b.cell_size is not None:
-            spec["cell_size"] = b.cell_size
-        return spec
-    if isinstance(enc, DatetimeEncoder):
-        spec = {"type": "datetime"}
-        for name, comp in enc.components:
-            if isinstance(comp, CategoryEncoder):
-                spec[name] = {"w": comp.w}
-            else:
-                spec[name] = {"n": comp.n, "w": comp.w}
-        return spec
-    raise ConfigError(f"cannot serialize encoder of type {type(enc).__name__}")
-
-
-def serialize_encoder_spec(bound: list[BoundEncoder], is_multi: bool) -> dict:
-    if not is_multi:
-        return _leaf_spec(bound[0])
-    parts = []
-    for b in bound:
-        part = {"field": b.name if len(b.columns) == 1 else list(b.columns),
-                "encoder": _leaf_spec(b)}
-        if b.speed_column is not None:
-            part["speed_field"] = b.speed_column
-        parts.append(part)
-    return {"type": "multi", "parts": parts}
-
-
 def serialize_pipeline(cfg: PipelineConfig) -> dict:
-    """Canonical config dict: parsing it again reproduces the same pipeline."""
-    out: dict = {"encoder": cfg.encoder_spec}
-    if len(cfg.bound) == 1 and cfg.encoder_spec.get("type") != "multi":
-        b = cfg.bound[0]
-        out["field"] = b.name if len(b.columns) == 1 else list(b.columns)
-        if b.speed_column is not None:
-            out["speed_field"] = b.speed_column
-    out["output_format"] = cfg.output_format
-    out["csv"] = {"delimiter": cfg.delimiter}
-    if cfg.distance_spec is not None:
-        out["distance"] = cfg.distance_spec
-    return out
+    """Canonical config dict: parsing it again reproduces the same pipeline.
+    It is the spec recorded at parse time, defaults filled in."""
+    return cfg.spec
 
 
 __all__ = [
     "OUTPUT_FORMATS",
+    "ENCODER_TYPES",
     "BoundEncoder",
     "SpeedAdaptiveGeo",
     "PipelineConfig",

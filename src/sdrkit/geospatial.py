@@ -17,8 +17,8 @@ Two variants:
 GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
 
-`neighborhood` and `coordinate_hash` are the reference definition of the
-bits.  The encoders compute the same values in one numpy pass over the
+`neighborhood` and `hashing.coordinate_hash` are the reference definition
+of the bits.  The encoders compute the same values in one numpy pass over the
 neighborhood's packed keys, and hash a bit index only for the cells they
 keep.
 """
@@ -37,10 +37,8 @@ from .errors import (
     ProjectionError,
     RangeError,
     raise_on_errors,
-    warnings_only,
 )
 from .hashing import MASK64, ORDER_STREAM_XOR, mix64_array
-from .hashing import coordinate_hash, mix64  # re-exported: normative hash surface
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -99,7 +97,8 @@ class GeospatialEncoder:
     Parameters
     ----------
     n : total bits.
-    radius : base neighborhood radius R (cells).
+    radius : base neighborhood radius R (cells); no radius above 2**31 - 1
+        fits a neighborhood on the signed 32-bit grid.
     variant : "fixed" or "topw".
     w : bits to select (topw only; fixed derives w = (2R+1)**2).
     seed : 64-bit hash seed.
@@ -142,6 +141,12 @@ class GeospatialEncoder:
                 Finding("error", f"need 0 <= radius_min <= radius_max, got "
                                  f"[{self.radius_min}, {self.radius_max}]")
             )
+        if max(radius, self.radius_max) > _I32_MAX:
+            findings.append(
+                Finding("error", f"radius {radius} and radius_max {self.radius_max} must be "
+                                 f"at most {_I32_MAX}: no wider neighborhood fits on the "
+                                 "signed 32-bit grid")
+            )
 
         full = (2 * radius + 1) ** 2
         if variant == "fixed":
@@ -150,26 +155,24 @@ class GeospatialEncoder:
                     Finding("error", f"fixed variant at radius {radius} has w = {full}, got w={w}")
                 )
             self.w = full
+        elif w is None:
+            findings.append(Finding("error", "topw variant requires w"))
         else:
-            if w is None:
-                findings.append(Finding("error", "topw variant requires w"))
-                self.w = 0
-            else:
-                self.w = w
-                min_pool = (2 * self.radius_min + 1) ** 2
-                if not (1 <= w <= min_pool):
-                    findings.append(
-                        Finding("error", f"topw requires 1 <= w <= (2*radius_min+1)**2 "
-                                         f"= {min_pool}, got w={w}")
-                    )
-        if self.w and self.w ** 2 / self.n > 1:
+            self.w = w
+            min_pool = (2 * self.radius_min + 1) ** 2
+            if not (1 <= w <= min_pool):
+                findings.append(
+                    Finding("error", f"topw requires 1 <= w <= (2*radius_min+1)**2 "
+                                     f"= {min_pool}, got w={w}")
+                )
+        raise_on_errors(findings)  # so w is at most (2**32 - 1)**2 below
+        if self.w ** 2 / self.n > 1:
             findings.append(
                 Finding("warning",
                         f"w**2/n = {self.w ** 2 / self.n:.2f} > 1: expect noticeable "
                         "bit-index collisions; increase n")
             )
-        raise_on_errors(findings)
-        self.warnings = warnings_only(findings)
+        self.warnings = findings
 
     def _encode_keys(self, keys: np.ndarray) -> SDR:
         """One-bits at the `coordinate_hash` bit index of each packed key."""
@@ -271,8 +274,6 @@ __all__ = [
     "GeospatialEncoder",
     "neighborhood",
     "gps_to_grid",
-    "coordinate_hash",
-    "mix64",
     "EARTH_RADIUS_M",
     "MAX_MERCATOR_LAT",
 ]

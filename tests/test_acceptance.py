@@ -24,7 +24,8 @@ import pytest
 from sdrkit import cli
 from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
-from sdrkit.geospatial import GeospatialEncoder, coordinate_hash, mix64, neighborhood
+from sdrkit.geospatial import GeospatialEncoder, neighborhood
+from sdrkit.hashing import coordinate_hash, mix64
 from sdrkit.quality import (
     absolute_difference,
     check_distance_axioms,

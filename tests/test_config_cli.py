@@ -10,6 +10,7 @@ import pytest
 from sdrkit import cli
 from sdrkit.config import parse_pipeline_config, serialize_pipeline
 from sdrkit.errors import ConfigError
+from sdrkit.geospatial import GridCoordinate, gps_to_grid
 from sdrkit.scalars import DeltaEncoder, ScalarEncoder
 
 GOLDEN_FIXTURE = Path(__file__).parent / "data" / "golden_hash_vectors.txt"
@@ -109,8 +110,8 @@ class TestConfigParsing:
             "encoder": {"type": "geospatial", "n": 1000, "radius": 2},
             "field": ["x", "y"],
         })
-        assert cfg.bound[0].kind == "grid"
         assert cfg.bound[0].columns == ("x", "y")
+        assert cfg.bound[0].value_from_row({"x": "-3", "y": "7"}) == GridCoordinate(-3, 7)
 
     def test_geospatial_latlon_binding(self):
         cfg = parse_pipeline_config({
@@ -118,7 +119,8 @@ class TestConfigParsing:
                         "cell_size": 3.048},
             "field": ["lat", "lon"],
         })
-        assert cfg.bound[0].kind == "latlon"
+        row = {"lat": "37.7749", "lon": "-122.4194"}
+        assert cfg.bound[0].value_from_row(row) == gps_to_grid(37.7749, -122.4194, 3.048)
 
     def test_geospatial_needs_two_columns(self):
         with pytest.raises(ConfigError, match="two-column"):
@@ -183,6 +185,11 @@ class TestConfigParsing:
             parse_pipeline_config({**SCALAR_CONFIG, "distance": "euclidean"})
         with pytest.raises(ConfigError, match="period"):
             parse_pipeline_config({**SCALAR_CONFIG, "distance": {"name": "circular"}})
+        for period in (0, -1, -0.5):
+            with pytest.raises(ConfigError, match="period"):
+                parse_pipeline_config(
+                    {**SCALAR_CONFIG, "distance": {"name": "circular", "period": period}}
+                )
 
     def test_expression_distance_evaluates(self):
         cfg = parse_pipeline_config(
@@ -452,6 +459,28 @@ class TestEvaluateCommand:
         assert error.startswith("config error:")
         assert "'v'" in error and "more than once" in error
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rows", ["1,2\n3\n4,5\n", "1,2\n3,4,5\n4,5\n"],
+                             ids=["short", "long"])
+    def test_row_field_count_exit_3(self, tmp_path, capsys, rows):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v", "distance": "absolute",
+        })
+        data = write(tmp_path, "samples.csv", "a,v\n" + rows)
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 3
+        captured = capsys.readouterr()
+        assert "data error: row 2: expected 2 fields per the header" in captured.err
+        assert captured.out == ""
+
+    def test_circular_period_not_positive_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "cyclic", "period": 24, "n": 100, "w": 21},
+            "field": "v", "distance": {"name": "circular", "period": -1},
+        })
+        data = write(tmp_path, "samples.csv", "v\n1\n2\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_requires_distance(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {

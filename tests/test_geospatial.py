@@ -9,11 +9,10 @@ from sdrkit.geospatial import (
     EARTH_RADIUS_M,
     GeospatialEncoder,
     GridCoordinate,
-    coordinate_hash,
     gps_to_grid,
-    mix64,
     neighborhood,
 )
+from sdrkit.hashing import coordinate_hash, mix64
 
 # Golden vectors frozen from the normative formulas (64-bit wrapping
 # arithmetic), cross-checked against an independent numpy-uint64 evaluation.
@@ -144,6 +143,18 @@ class TestFixedEncoder:
     def test_mismatched_fixed_w_rejected(self):
         with pytest.raises(ConfigError):
             GeospatialEncoder(1000, 2, w=15)
+
+    @pytest.mark.parametrize("radius", [2**31, 2**600], ids=["2**31", "2**600"])
+    def test_radius_beyond_the_grid_rejected(self, radius):
+        # Construction only: no neighborhood is ever enumerated.
+        with pytest.raises(ConfigError, match="32-bit grid"):
+            GeospatialEncoder(1000, radius)
+        with pytest.raises(ConfigError, match="32-bit grid"):
+            GeospatialEncoder(1000, 2, variant="topw", w=15, radius_max=radius)
+
+    def test_largest_radius_accepted(self):
+        enc = GeospatialEncoder(2**70, 2**31 - 1)
+        assert enc.w == (2**32 - 1) ** 2
 
     def test_collision_warning_for_small_n(self):
         enc = GeospatialEncoder(100, 2)
