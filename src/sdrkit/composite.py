@@ -118,8 +118,9 @@ DEFAULT_COMPONENT_W = 21
 DEFAULT_WEEKEND_W = 50
 
 
-class DatetimeEncoder:
-    """Calendar-instant encoder built from optional components.
+class DatetimeEncoder(MultiEncoder):
+    """Calendar-instant encoder: a `MultiEncoder` whose parts are the enabled
+    components, in `DATETIME_COMPONENT_ORDER`.
 
     * weekend        -- two-block category (weekday / weekend); give w,
                         n is 2*w.
@@ -132,9 +133,9 @@ class DatetimeEncoder:
 
     Cyclic components take an (n, w) pair or True for the defaults
     (n=100, w=21); weekend takes w or True (w=50).  Calendar fields are read
-    from the timestamp exactly as given: resolve time zones before encoding,
-    because identical wall-clock fields must encode identically on every
-    machine.
+    from the timestamp exactly as given, ignoring any UTC offset: resolve time
+    zones before encoding, because identical wall-clock fields must encode
+    identically on every machine.
     """
 
     def __init__(
@@ -146,16 +147,9 @@ class DatetimeEncoder:
         month_of_year=None,
         day_of_month=None,
     ):
-        requested = {
-            "weekend": weekend,
-            "day_of_week": day_of_week,
-            "time_of_day": time_of_day,
-            "month_of_year": month_of_year,
-            "day_of_month": day_of_month,
-        }
-        self.components: list[tuple[str, object]] = []
-        for name in DATETIME_COMPONENT_ORDER:
-            spec = requested[name]
+        specs = (weekend, day_of_week, time_of_day, month_of_year, day_of_month)
+        parts: list[tuple[str, object]] = []
+        for name, spec in zip(DATETIME_COMPONENT_ORDER, specs):
             if spec is None:
                 continue
             if name == "weekend":
@@ -174,22 +168,11 @@ class DatetimeEncoder:
                             f"{name} component takes an (n, w) pair, got {spec!r}"
                         ) from None
                 enc = CyclicEncoder(_CYCLIC_PERIODS[name], n=n, w=w)
-            self.components.append((name, enc))
-        if not self.components:
+            parts.append((name, enc))
+        if not parts:
             raise ConfigError("enable at least one datetime component")
-        self.warnings = [
-            Finding(f.severity, f"{name}: {f.message}")
-            for name, enc in self.components
-            for f in getattr(enc, "warnings", [])
-        ]
-
-    @property
-    def n(self) -> int:
-        return sum(enc.n for _, enc in self.components)
-
-    @property
-    def w(self) -> int:
-        return sum(enc.w for _, enc in self.components)
+        super().__init__(parts)
+        self.components = self.parts
 
     def component_values(self, t: _dt.datetime) -> dict[str, object]:
         """The derived per-component value for each enabled component."""
@@ -207,11 +190,10 @@ class DatetimeEncoder:
             "month_of_year": (t.month - 1) + (t.day - 1 + day_fraction) / days_in_month,
             "day_of_month": (t.day - 1) + day_fraction,
         }
-        return {name: values[name] for name, _ in self.components}
+        return {name: values[name] for name, _ in self.parts}
 
     def encode(self, t: _dt.datetime) -> SDR:
-        values = self.component_values(t)
-        return concat([enc.encode(values[name]) for name, enc in self.components])
+        return super().encode(self.component_values(t))
 
 
 __all__ = [

@@ -464,6 +464,10 @@ def _expression_distance(expr: str) -> Callable:
         code = compile(expr, "<distance expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"config.distance: invalid expression: {exc}") from exc
+    except (RecursionError, MemoryError):  # the compiler's depth limits
+        raise ConfigError(
+            "config.distance: invalid expression: nested too deeply to compile"
+        ) from None
     env = {"abs": abs, "min": min, "max": max, "math": math}
 
     def dist(a, b):

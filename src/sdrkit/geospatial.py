@@ -38,7 +38,7 @@ from .errors import (
     RangeError,
     raise_on_errors,
 )
-from .hashing import MASK64, ORDER_STREAM_XOR, mix64_array
+from .hashing import bit_indices, order_keys_array
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -126,12 +126,21 @@ class GeospatialEncoder:
             findings.append(Finding("error", f"radius must be a non-negative integer, got {radius!r}"))
         if variant not in ("fixed", "topw"):
             findings.append(Finding("error", f"variant must be 'fixed' or 'topw', got {variant!r}"))
+        for name, v in (("seed", seed), ("w", w), ("radius_min", radius_min),
+                        ("radius_max", radius_max)):
+            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+                findings.append(Finding("error", f"{name} must be an integer, got {v!r}"))
+        if (not isinstance(speed_scale, (int, float)) or isinstance(speed_scale, bool)
+                or not math.isfinite(speed_scale)):
+            findings.append(
+                Finding("error", f"speed_scale must be a finite number, got {speed_scale!r}")
+            )
         raise_on_errors(findings)
 
         self.n = n
         self.radius = radius
         self.variant = variant
-        self.seed = int(seed)
+        self.seed = seed
         self.speed_scale = float(speed_scale)
         self.radius_min = radius if radius_min is None else radius_min
         self.radius_max = radius if radius_max is None else radius_max
@@ -174,13 +183,6 @@ class GeospatialEncoder:
             )
         self.warnings = findings
 
-    def _encode_keys(self, keys: np.ndarray) -> SDR:
-        """One-bits at the `coordinate_hash` bit index of each packed key."""
-        bits = mix64_array(keys ^ np.uint64(self.seed & MASK64))
-        if self.n <= MASK64:  # a larger n already holds every 64-bit hash
-            bits %= np.uint64(self.n)
-        return SDR._trusted(self.n, tuple(sorted(set(bits.tolist()))))
-
     def _rank_topw(self, keys: np.ndarray, r: int) -> np.ndarray:
         """Positions in ``keys`` (a radius-r pool) of its w best cells, best
         first."""
@@ -189,7 +191,7 @@ class GeospatialEncoder:
                 f"cannot select w={self.w} cells from a radius-{r} "
                 f"neighborhood of {len(keys)}"
             )
-        order = mix64_array(keys ^ np.uint64((self.seed ^ ORDER_STREAM_XOR) & MASK64))
+        order = order_keys_array(keys, self.seed)
         # Ascending ~order is descending order key; the stable sort keeps
         # ties in enumeration order, which is ascending (x, y).
         return np.argsort(~order, kind="stable")[: self.w]
@@ -197,7 +199,8 @@ class GeospatialEncoder:
     def encode_fixed(self, coord) -> SDR:
         """Hash every cell of the radius-R neighborhood into the bit array.
         Collisions may leave slightly fewer than (2R+1)**2 one-bits."""
-        return self._encode_keys(_neighborhood_keys(coord, self.radius))
+        keys = _neighborhood_keys(coord, self.radius)
+        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
     def select_topw(self, coord, radius: int | None = None) -> list[GridCoordinate]:
         """The w neighborhood cells with the largest order keys, best first.
@@ -215,7 +218,8 @@ class GeospatialEncoder:
     def encode_topw(self, coord, radius: int | None = None) -> SDR:
         r = self.radius if radius is None else radius
         keys = _neighborhood_keys(coord, r)
-        return self._encode_keys(keys[self._rank_topw(keys, r)])
+        kept = keys[self._rank_topw(keys, r)]
+        return SDR._trusted(self.n, bit_indices(kept, self.seed, self.n))
 
     def radius_from_speed(self, speed: float) -> int:
         """Affine-then-clamp speed-to-radius map: radius grows by
@@ -227,8 +231,11 @@ class GeospatialEncoder:
             raise InputError(f"expected a number for speed, got {speed!r}") from None
         if math.isnan(s) or s < 0:
             raise InputError(f"speed must be non-negative, got {speed!r}")
-        grown = self.radius_min + math.floor(s * self.speed_scale)
-        return min(max(grown, self.radius_min), self.radius_max)
+        if s == math.inf:
+            raise InputError(f"speed must be finite, got {speed!r}")
+        # Clamp before flooring: a product past the float range is inf.
+        extra = min(max(s * self.speed_scale, 0), self.radius_max - self.radius_min)
+        return self.radius_min + math.floor(extra)
 
     def encode(self, coord, speed: float | None = None) -> SDR:
         """Variant dispatch; a speed (topw only) adapts the radius."""

@@ -5,9 +5,10 @@ indices from `mix64`, so outputs are bit-identical across platforms and
 process restarts.  All arithmetic is modulo 2**64; signed inputs are
 reinterpreted as two's-complement bit patterns before mixing.
 
-`mix64_array` and `counter_stream_array` are the numpy twins of `mix64` and
-`counter_stream` for callers that hash many keys at once; the scalar
-functions stay the reference that defines the outputs.
+`mix64_array`, `order_keys_array`, `bit_indices` and `counter_stream_array`
+are numpy twins, each next to its scalar reference, for callers that hash
+many keys at once.  The scalar functions define the outputs, and no other
+module applies a seed, `ORDER_STREAM_XOR` or the modulo by n.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ def coordinate_hash(coord, seed: int, n: int) -> tuple[int, int]:
     return bit_index, order_key
 
 
+def order_keys_array(keys: np.ndarray, seed: int) -> np.ndarray:
+    """`coordinate_hash` order keys of packed uint64 cell keys, as a new array."""
+    return _mix64_inplace(keys ^ np.uint64((seed ^ ORDER_STREAM_XOR) & MASK64))
+
+
 def bucket_bit_index(bucket: int, seed: int, n: int) -> int:
     """Bit index for an unbounded signed 64-bit bucket.
 
@@ -94,6 +100,15 @@ def bucket_bit_index(bucket: int, seed: int, n: int) -> int:
     bucket in the signed 64-bit range keys distinctly.
     """
     return mix64(((bucket & MASK64) ^ seed) & MASK64) % n
+
+
+def bit_indices(keys: np.ndarray, seed: int, n: int) -> tuple[int, ...]:
+    """Sorted distinct `bucket_bit_index` of uint64 keys; for packed cell keys,
+    the `coordinate_hash` bit indices."""
+    bits = _mix64_inplace(keys ^ np.uint64(seed & MASK64))
+    if n <= MASK64:  # a larger n already holds every 64-bit hash
+        bits %= np.uint64(n)
+    return tuple(sorted(set(bits.tolist())))
 
 
 def counter_stream(seed: int, k: int) -> int:
@@ -124,7 +139,9 @@ __all__ = [
     "mix64_array",
     "pack_coordinate",
     "coordinate_hash",
+    "order_keys_array",
     "bucket_bit_index",
+    "bit_indices",
     "counter_stream",
     "counter_stream_array",
 ]

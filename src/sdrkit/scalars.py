@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigError, Finding, InputError, RangeError, raise_on_errors, warnings_only
-from .hashing import bucket_bit_index
+from .hashing import MASK64, bit_indices
 from .sdr import SDR
 
 # Advisory sizing guidance: enough one-bits to tolerate noise and
@@ -231,12 +233,14 @@ class UnboundedScalarEncoder:
 
     def __init__(self, resolution: float, n: int, w: int, seed: int = 0):
         findings = validate_scalar_config(n=n, w=w, resolution=resolution)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            findings.append(Finding("error", f"seed must be an integer, got {seed!r}"))
         raise_on_errors(findings)
         self.warnings = warnings_only(findings)
         self.resolution = float(resolution)
         self.n = n
         self.w = w
-        self.seed = int(seed)
+        self.seed = seed
 
     def bucket(self, value: float) -> int:
         v = _require_finite(value)
@@ -255,8 +259,9 @@ class UnboundedScalarEncoder:
 
     def encode(self, value: float) -> SDR:
         b = self.bucket(value)
-        bits = {bucket_bit_index(b + i, self.seed, self.n) for i in range(self.w)}
-        return SDR._trusted(self.n, tuple(sorted(bits)))
+        keys = np.arange(self.w, dtype=np.uint64)
+        keys += np.uint64(b & MASK64)  # wraps, as (b + i) & MASK64 does
+        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
 
 __all__ = [

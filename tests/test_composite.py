@@ -175,6 +175,31 @@ class TestDatetimeEncoder:
         with pytest.raises(InputError):
             enc.encode("2023-01-07")
 
+    def test_is_a_multi_encoder_over_its_components(self):
+        enc = DatetimeEncoder(weekend=21, time_of_day=(100, 21))
+        assert isinstance(enc, MultiEncoder)
+        assert enc.components is enc.parts
+        assert enc.encode(SATURDAY_NOON) == MultiEncoder(enc.parts).encode(
+            enc.component_values(SATURDAY_NOON))
+
+    def test_warnings_follow_the_multi_encoder_rule(self):
+        enc = DatetimeEncoder(weekend=50, time_of_day=(100, 10))
+        assert [f.message for f in enc.warnings] == [
+            "field 'weekend' (w=50) has more than 3x the one-bits of 'time_of_day' "
+            "(w=10) and may dominate the combined encoding",
+            "field 'time_of_day': w=10 is below the recommended minimum of 20 "
+            "one-bits; small codes are fragile under noise and subsampling",
+        ]
+
+    def test_utc_offset_is_ignored(self):
+        # Wall-clock fields are encoded as written; the offset plays no part.
+        enc = DatetimeEncoder(weekend=True, day_of_week=True, time_of_day=True,
+                              month_of_year=True, day_of_month=True)
+        naive = dt.datetime(2024, 1, 6, 23, 30)
+        for hours in (5, -8, 0, 14):
+            aware = naive.replace(tzinfo=dt.timezone(dt.timedelta(hours=hours)))
+            assert enc.encode(aware) == enc.encode(naive)
+
     def test_bad_component_specs(self):
         with pytest.raises(ConfigError):
             DatetimeEncoder(weekend="big")

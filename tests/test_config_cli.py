@@ -377,6 +377,65 @@ class TestEncodeCommand:
         assert sat.split(",")[0] == "50"
         assert mon.split(",")[0] == "0"
 
+    def test_datetime_warnings_name_field_and_component(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "multi", "parts": [
+                {"field": "ts", "encoder": {"type": "datetime", "weekend": {"w": 50},
+                                            "time_of_day": {"n": 100, "w": 10}}},
+            ]},
+        })
+        data = write(tmp_path, "in.csv", "ts\n2023-01-07T12:00:00\n")
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(tmp_path / "out.txt")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: field 'ts': field 'weekend' (w=50) has more than 3x the one-bits "
+            "of 'time_of_day' (w=10) and may dominate the combined encoding",
+            "warning: field 'ts': field 'time_of_day': w=10 is below the recommended "
+            "minimum of 20 one-bits; small codes are fragile under noise and subsampling",
+        ]
+
+    def test_datetime_utc_offset_is_ignored(self, tmp_path):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "datetime", "weekend": {"w": 21},
+                        "time_of_day": {"n": 100, "w": 21}},
+            "field": "ts", "output_format": "sparse",
+        })
+        data = write(tmp_path, "in.csv", "ts\n2024-01-06T12:00:00\n2024-01-06T12:00:00+05:00\n"
+                                         "2024-01-06T12:00:00-08:00\n2024-01-06T12:00:00+00:00\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4 and len(set(lines)) == 1
+
+    def test_infinite_speed_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "geospatial", "n": 1000, "variant": "topw",
+                        "w": 15, "radius": 2, "radius_min": 2, "radius_max": 10,
+                        "speed_scale": 0.1, "seed": 3},
+            "field": ["x", "y"], "speed_field": "speed", "output_format": "sparse",
+        })
+        data = write(tmp_path, "in.csv", "x,y,speed\n5,10,1\n5,10,inf\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: row 2: ")
+        assert len(out.read_text().splitlines()) == 1
+
+    def test_speed_product_past_the_float_range_clamps(self, tmp_path):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "geospatial", "n": 1000, "variant": "topw",
+                        "w": 15, "radius": 2, "radius_min": 2, "radius_max": 10,
+                        "speed_scale": 1e300, "seed": 3},
+            "field": ["x", "y"], "speed_field": "speed", "output_format": "sparse",
+        })
+        data = write(tmp_path, "in.csv", "x,y,speed\n5,10,1e308\n5,10,1\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(out)]) == 0
+        overflowed, at_radius_max = out.read_text().splitlines()
+        assert overflowed == at_radius_max
+
 
 class TestEvaluateCommand:
     def grid_csv(self, tmp_path):
@@ -481,6 +540,19 @@ class TestEvaluateCommand:
         data = write(tmp_path, "samples.csv", "v\n1\n2\n")
         assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("expression", ["a" + "+a" * 200000, "-" * 100000 + "1"],
+                             ids=["long-sum", "deep-unary"])
+    def test_expression_too_deep_to_compile_exit_2(self, tmp_path, capsys, expression):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v", "distance": {"expression": expression},
+        })
+        data = write(tmp_path, "samples.csv", "v\n1\n2\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config.distance: invalid expression")
+        assert captured.out == ""
 
     def test_requires_distance(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {

@@ -124,6 +124,8 @@ def test_valid_configs_parse():
           "field": "v", "distance": {"name": "circular", "period": -1}})
 @example({"encoder": {"type": "geospatial", "n": 1000, "radius": 2**600},
           "field": ["x", "y"]})
+@example({**VALID[0], "distance": {"expression": "a" + "+a" * 200000}})
+@example({**VALID[0], "distance": {"expression": "-" * 100000 + "1"}})
 def test_arbitrary_json_parses_or_raises_config_error(raw):
     _parses_or_config_error(raw)
 

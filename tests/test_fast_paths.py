@@ -5,6 +5,7 @@
 * The geospatial encoders equal the reference algorithm kept here as the
   oracle: `coordinate_hash` over every `neighborhood` cell, with top-w
   ranked by (-order key, cell).
+* The unbounded scalar encoder equals `bucket_bit_index` over its w buckets.
 * Every encoder's output, built without validation, passes the validating
   `SDR` constructor unchanged and holds plain Python ints.
 """
@@ -20,6 +21,7 @@ from sdrkit.composite import DatetimeEncoder, MultiEncoder, concat
 from sdrkit.errors import ConfigError, InvalidSdr, SdrError
 from sdrkit.geospatial import GeospatialEncoder, GridCoordinate, neighborhood
 from sdrkit.hashing import (
+    bucket_bit_index,
     coordinate_hash,
     counter_stream,
     counter_stream_array,
@@ -175,6 +177,38 @@ def test_edge_of_grid_still_raises(variant):
         assert got == want
         assert "exceeds the signed 32-bit range" in got[1]
     assert enc.encode((I32_MAX - 2, I32_MIN + 2)).n == 1000
+
+
+# --- unbounded scalar fast path vs bucket_bit_index ---------------------------
+
+@st.composite
+def unbounded_cases(draw):
+    """An encoder and a value whose buckets sit at a signed 64-bit edge (at
+    resolution 1, where floats there are 1024 apart), straddle 0, or are
+    ordinary."""
+    n = draw(st.one_of(st.integers(1, 5000), st.sampled_from([U64_MAX, U64_MAX + 1,
+                                                              U64_MAX + 7])))
+    w = draw(st.integers(1, min(n, 1024)))
+    step = 1024.0 * draw(st.integers(0, 64))
+    value, resolution = draw(st.one_of(
+        st.tuples(st.just(-(2.0 ** 63) + step), st.just(1.0)),
+        st.tuples(st.just(2.0 ** 63 - 1024 - step), st.just(1.0)),  # b + w - 1 < 2**63
+        st.tuples(st.floats(-w, 0), st.just(1.0)),
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0.01, 100)),
+    ))
+    return UnboundedScalarEncoder(resolution, n, w, seed=draw(seeds)), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(unbounded_cases())
+def test_unbounded_encode_matches_bucket_bit_index(case):
+    enc, value = case
+    b = enc.bucket(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = enc.encode(value)
+    bits = {bucket_bit_index(b + i, enc.seed, enc.n) for i in range(enc.w)}
+    assert out == SDR(enc.n, tuple(sorted(bits)))
 
 
 # --- every trusted output is a valid SDR ----------------------------------------

@@ -1,8 +1,10 @@
 """Grid-position encoders, the deterministic hash, and the GPS adapter."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sdrkit.errors import ConfigError, InputError, ProjectionError, RangeError
 from sdrkit.geospatial import (
@@ -156,6 +158,18 @@ class TestFixedEncoder:
         enc = GeospatialEncoder(2**70, 2**31 - 1)
         assert enc.w == (2**32 - 1) ** 2
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": "7"}, {"seed": 1.9}, {"seed": True},
+        {"variant": "topw", "w": 2.0}, {"variant": "topw", "w": True},
+        {"radius_min": 1.5}, {"radius_max": 3.0}, {"radius_min": False},
+        {"speed_scale": math.nan}, {"speed_scale": math.inf}, {"speed_scale": "0.1"},
+    ], ids=repr)
+    def test_parameters_of_the_wrong_type_rejected(self, kwargs):
+        # Construction only: each of these used to be accepted (or coerced)
+        # and failed, if at all, at encode time.
+        with pytest.raises(ConfigError):
+            GeospatialEncoder(1000, 2, **kwargs)
+
     def test_collision_warning_for_small_n(self):
         enc = GeospatialEncoder(100, 2)
         assert any("collision" in f.message for f in enc.warnings)
@@ -243,6 +257,26 @@ class TestRadiusFromSpeed:
     def test_negative_speed_rejected(self):
         with pytest.raises(InputError):
             self.make().radius_from_speed(-1)
+
+    @pytest.mark.parametrize("speed", [math.inf, "inf"], ids=repr)
+    def test_infinite_speed_rejected(self, speed):
+        with pytest.raises(InputError, match="speed must be finite"):
+            self.make().radius_from_speed(speed)
+
+    def test_product_past_the_float_range_clamps(self):
+        def make(scale):
+            return GeospatialEncoder(1000, 2, variant="topw", w=15, speed_scale=scale,
+                                     radius_min=2, radius_max=10)
+        assert make(1e300).radius_from_speed(1e308) == 10
+        assert make(-1e300).radius_from_speed(1e308) == 2
+
+    @given(st.floats(0, 1e12), st.floats(-1e3, 1e3), st.integers(0, 50),
+           st.integers(0, 2**31 - 60))
+    def test_affine_then_clamp(self, speed, scale, spread, radius_min):
+        enc = GeospatialEncoder(1000, radius_min, variant="topw", w=1, speed_scale=scale,
+                                radius_min=radius_min, radius_max=radius_min + spread)
+        grown = radius_min + math.floor(speed * scale)
+        assert enc.radius_from_speed(speed) == min(max(grown, radius_min), radius_min + spread)
 
     def test_speed_adapts_encoding(self):
         enc = self.make()

@@ -213,6 +213,11 @@ class TestUnboundedScalarEncoder:
         assert enc.bucket(-3.5) == -4
         assert enc.encode(-3.5).active_count <= 25
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            UnboundedScalarEncoder(resolution=1, n=1000, w=25, seed=seed)
+
 
 class TestValidateScalarConfig:
     def test_recommended_sizes_pass_clean(self):
