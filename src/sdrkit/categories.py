@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigError, UnknownCategoryError
+from .errors import ConfigError, UnknownCategoryError, is_integer
 from .sdr import SDR
 
 UNKNOWN_POLICIES = ("error", "catch_all")
@@ -25,12 +25,16 @@ class CategoryEncoder:
     """
 
     def __init__(self, categories: Sequence[str], w: int, unknown_policy: str = "error"):
+        if not isinstance(categories, (list, tuple)) or not all(
+            isinstance(c, str) for c in categories
+        ):
+            raise ConfigError(f"categories must be a list of strings, got {categories!r}")
         labels = list(categories)
         if not labels:
             raise ConfigError("at least one category is required")
         if len(set(labels)) != len(labels):
             raise ConfigError("category labels must be unique")
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+        if not is_integer(w) or w < 1:
             raise ConfigError(f"w must be a positive integer, got {w!r}")
         if unknown_policy not in UNKNOWN_POLICIES:
             raise ConfigError(
@@ -43,6 +47,11 @@ class CategoryEncoder:
         blocks = len(labels) + (1 if unknown_policy == "catch_all" else 0)
         self.n = blocks * w
         self.warnings: list = []
+
+    def params(self) -> dict:
+        """The encoder's config keys."""
+        return {"categories": list(self.categories), "w": self.w,
+                "unknown_policy": self.unknown_policy}
 
     def block_index(self, label: str) -> int:
         idx = self._index.get(label)

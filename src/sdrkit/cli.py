@@ -66,7 +66,7 @@ def _load_config(path: str):
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8, and integers past int()'s digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return parse_pipeline_config(raw)
 

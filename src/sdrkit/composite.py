@@ -14,7 +14,7 @@ from .sdr import SDR
 
 # One child's code should not drown out another's: flag when some child has
 # more than three times the one-bits of its smallest sibling.
-DOMINANCE_RATIO = 3.0
+DOMINANCE_RATIO = 3  # an int, so huge widths compare without a float
 
 
 def concat(parts: Sequence[SDR]) -> SDR:
@@ -118,6 +118,24 @@ DEFAULT_COMPONENT_W = 21
 DEFAULT_WEEKEND_W = 50
 
 
+def _component(name: str, spec):
+    """The encoder of one datetime component from its spec."""
+    keys = ["w"] if name == "weekend" else ["n", "w"]
+    if isinstance(spec, Mapping):  # the form `DatetimeEncoder.params` gives
+        if sorted(spec, key=str) != keys:
+            raise ConfigError(f"takes the keys {keys}, got {spec!r}")
+        spec = spec["w"] if name == "weekend" else (spec["n"], spec["w"])
+    if name == "weekend":
+        return CategoryEncoder(["weekday", "weekend"], w=DEFAULT_WEEKEND_W if spec is True else spec)
+    if spec is True:
+        spec = (DEFAULT_COMPONENT_N, DEFAULT_COMPONENT_W)
+    try:
+        n, w = spec
+    except (TypeError, ValueError):
+        raise ConfigError(f"takes an (n, w) pair, got {spec!r}") from None
+    return CyclicEncoder(_CYCLIC_PERIODS[name], n=n, w=w)
+
+
 class DatetimeEncoder(MultiEncoder):
     """Calendar-instant encoder: a `MultiEncoder` whose parts are the enabled
     components, in `DATETIME_COMPONENT_ORDER`.
@@ -132,10 +150,11 @@ class DatetimeEncoder(MultiEncoder):
     * day_of_month   -- cyclic, period 31, day plus fractional day.
 
     Cyclic components take an (n, w) pair or True for the defaults
-    (n=100, w=21); weekend takes w or True (w=50).  Calendar fields are read
-    from the timestamp exactly as given, ignoring any UTC offset: resolve time
-    zones before encoding, because identical wall-clock fields must encode
-    identically on every machine.
+    (n=100, w=21); weekend takes w or True (w=50).  Each also takes the
+    object that `params` gives: ``{"n": n, "w": w}``, or ``{"w": w}`` for
+    weekend.  Calendar fields are read from the timestamp exactly as given,
+    ignoring any UTC offset: resolve time zones before encoding, because
+    identical wall-clock fields must encode identically on every machine.
     """
 
     def __init__(
@@ -152,27 +171,19 @@ class DatetimeEncoder(MultiEncoder):
         for name, spec in zip(DATETIME_COMPONENT_ORDER, specs):
             if spec is None:
                 continue
-            if name == "weekend":
-                w = DEFAULT_WEEKEND_W if spec is True else spec
-                if not isinstance(w, int) or isinstance(w, bool):
-                    raise ConfigError(f"weekend component takes w as an integer, got {spec!r}")
-                enc: object = CategoryEncoder(["weekday", "weekend"], w=w)
-            else:
-                if spec is True:
-                    n, w = DEFAULT_COMPONENT_N, DEFAULT_COMPONENT_W
-                else:
-                    try:
-                        n, w = spec
-                    except (TypeError, ValueError):
-                        raise ConfigError(
-                            f"{name} component takes an (n, w) pair, got {spec!r}"
-                        ) from None
-                enc = CyclicEncoder(_CYCLIC_PERIODS[name], n=n, w=w)
-            parts.append((name, enc))
+            try:
+                parts.append((name, _component(name, spec)))
+            except ConfigError as exc:
+                raise ConfigError(f"{name} component: {exc}") from None
         if not parts:
             raise ConfigError("enable at least one datetime component")
         super().__init__(parts)
         self.components = self.parts
+
+    def params(self) -> dict:
+        """The encoder's config keys: one object per enabled component."""
+        return {name: {"w": enc.w} if name == "weekend" else {"n": enc.n, "w": enc.w}
+                for name, enc in self.parts}
 
     def component_values(self, t: _dt.datetime) -> dict[str, object]:
         """The derived per-component value for each enabled component."""

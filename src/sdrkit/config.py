@@ -17,10 +17,11 @@ Top level::
       "distance":      "absolute"        (evaluate only; see below)
     }
 
-Each leaf encoder type is declared once, in `ENCODER_TYPES`: its keys (with
-their parsers and defaults), its builder and its CSV binding.  Parsing
-records the canonical spec -- every key with its default filled in -- and
-`serialize_pipeline` returns it.
+Each leaf encoder type is one entry in `ENCODER_TYPES`: the encoder class
+(or a one-line builder), whose signature names the type's keys, and its CSV
+binding.  The constructor types, defaults and checks every key, and the
+encoder's `params()` -- every key with its default filled in -- is the
+canonical spec that `serialize_pipeline` returns.
 
 Distances: "absolute", "discrete", "chebyshev",
 {"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- the
@@ -31,14 +32,15 @@ module, and runs with Python semantics, so treat config files as code.
 from __future__ import annotations
 
 import datetime as _dt
+import inspect
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 from .categories import CategoryEncoder
-from .composite import DATETIME_COMPONENT_ORDER, DatetimeEncoder, MultiEncoder
-from .errors import ConfigError, Finding, InputError
+from .composite import DatetimeEncoder, MultiEncoder
+from .errors import ConfigError, Finding, InputError, is_finite_number
 from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid
 from .quality import (
     absolute_difference,
@@ -65,16 +67,9 @@ def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: s
         raise ConfigError(f"{context}: missing required key(s) {sorted(missing)}")
 
 
-def _int(obj: Mapping, key: str, context: str) -> int:
-    v = obj[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{context}: key {key!r} must be an integer, got {v!r}")
-    return v
-
-
 def _num(obj: Mapping, key: str, context: str) -> float:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not is_finite_number(v):
         raise ConfigError(f"{context}: key {key!r} must be a finite number, got {v!r}")
     return float(v)
 
@@ -84,29 +79,6 @@ def _str(obj: Mapping, key: str, context: str) -> str:
     if not isinstance(v, str):
         raise ConfigError(f"{context}: key {key!r} must be a string, got {v!r}")
     return v
-
-
-def _str_list(obj: Mapping, key: str, context: str) -> list[str]:
-    v = obj[key]
-    if not isinstance(v, list) or not all(isinstance(c, str) for c in v):
-        raise ConfigError(f"{context}: {key!r} must be a list of strings")
-    return list(v)
-
-
-def _positive_meters(obj: Mapping, key: str, context: str) -> float:
-    v = _num(obj, key, context)
-    if v <= 0:
-        raise ConfigError(f"{context}: {key!r} must be positive meters")
-    return v
-
-
-def _object(**parsers) -> Callable:
-    """Parser for a nested object whose keys are all required."""
-    def parse(obj: Mapping, key: str, context: str) -> dict:
-        sub, sub_ctx = obj[key], f"{context}.{key}"
-        _check_keys(sub, set(parsers), set(), sub_ctx)
-        return {k: p(sub, k, sub_ctx) for k, p in parsers.items()}
-    return parse
 
 
 # --- value converters: CSV text -> encoder input ---------------------------
@@ -204,7 +176,9 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
         )
     first, second = field_spec
     if "cell_size" in spec:
-        cell_size = spec["cell_size"]
+        cell_size = spec["cell_size"] = _num(spec, "cell_size", context)
+        if cell_size <= 0:
+            raise ConfigError(f"{context}: 'cell_size' must be positive meters")
 
         def coordinate(row):
             return gps_to_grid(_parse_float(row[first], first),
@@ -229,98 +203,38 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
 
 # --- the encoder table -------------------------------------------------------
 
-_REQUIRED = object()  # key default: the key must be given
-
-
 class EncoderType(NamedTuple):
-    """One leaf encoder type.  ``keys`` maps each key to (parser, default):
-    the default is _REQUIRED, a value, a function of the keys parsed before
-    it, or None for a key that stays out of the spec when absent."""
+    """One leaf encoder type: ``build``, the encoder class or a one-line
+    builder, and ``bind``, its CSV binding.  The parameters of ``build`` are
+    the type's config keys, and those without a default are required;
+    ``bind_keys`` names the optional keys that the binding reads instead."""
 
-    keys: dict[str, tuple[Callable, object]]
-    build: Callable[[dict], object]
+    build: Callable
     bind: Callable
+    bind_keys: tuple[str, ...] = ()
 
+    @property
+    def keys(self) -> dict[str, bool]:
+        """Every config key of the type, mapped to whether it is required."""
+        params = inspect.signature(self.build).parameters.values()
+        return {**{p.name: p.default is p.empty for p in params},
+                **dict.fromkeys(self.bind_keys, False)}
 
-def _build_geospatial(spec: dict) -> GeospatialEncoder:
-    enc = GeospatialEncoder(
-        spec["n"], spec["radius"], variant=spec["variant"], w=spec.get("w"),
-        seed=spec["seed"], speed_scale=spec["speed_scale"],
-        radius_min=spec["radius_min"], radius_max=spec["radius_max"],
-    )
-    if enc.variant == "fixed":
-        spec.pop("w", None)  # derived from the radius, so not part of the spec
-    return enc
-
-
-def _build_datetime(spec: dict) -> DatetimeEncoder:
-    return DatetimeEncoder(**{
-        name: sub["w"] if name == "weekend" else (sub["n"], sub["w"])
-        for name, sub in spec.items() if name != "type"
-    })
-
-
-_N_W = {"n": (_int, _REQUIRED), "w": (_int, _REQUIRED)}
-_RANGE = {"min": (_num, _REQUIRED), "max": (_num, _REQUIRED), **_N_W}
 
 ENCODER_TYPES: dict[str, EncoderType] = {
     "scalar": EncoderType(
-        _RANGE,
-        lambda s: ScalarEncoder(s["min"], s["max"], s["n"], s["w"]),
-        _column(_parse_float),
+        lambda min, max, n, w: ScalarEncoder(min, max, n, w), _column(_parse_float)
     ),
     "delta": EncoderType(
-        _RANGE,
-        lambda s: DeltaEncoder(ScalarEncoder(s["min"], s["max"], s["n"], s["w"])),
+        lambda min, max, n, w: DeltaEncoder(ScalarEncoder(min, max, n, w)),
         _column(_parse_float),
     ),
-    "cyclic": EncoderType(
-        {"period": (_num, _REQUIRED), **_N_W},
-        lambda s: CyclicEncoder(s["period"], s["n"], s["w"]),
-        _column(_parse_float),
-    ),
-    "scalar_unbounded": EncoderType(
-        {"resolution": (_num, _REQUIRED), **_N_W, "seed": (_int, 0)},
-        lambda s: UnboundedScalarEncoder(s["resolution"], s["n"], s["w"], seed=s["seed"]),
-        _column(_parse_float),
-    ),
-    "category": EncoderType(
-        {"categories": (_str_list, _REQUIRED), "w": (_int, _REQUIRED),
-         "unknown_policy": (_str, "error")},
-        lambda s: CategoryEncoder(s["categories"], s["w"], unknown_policy=s["unknown_policy"]),
-        _column(None),
-    ),
-    "datetime": EncoderType(
-        {name: (_object(w=_int) if name == "weekend" else _object(n=_int, w=_int), None)
-         for name in DATETIME_COMPONENT_ORDER},
-        _build_datetime,
-        _column(_parse_datetime),
-    ),
-    "geospatial": EncoderType(
-        {"n": (_int, _REQUIRED), "variant": (_str, "fixed"), "radius": (_int, 2),
-         "seed": (_int, 0), "speed_scale": (_num, 0.0),
-         "radius_min": (_int, lambda s: s["radius"]),
-         "radius_max": (_int, lambda s: s["radius"]),
-         "w": (_int, None), "cell_size": (_positive_meters, None)},
-        _build_geospatial,
-        _bind_geospatial,
-    ),
+    "cyclic": EncoderType(CyclicEncoder, _column(_parse_float)),
+    "scalar_unbounded": EncoderType(UnboundedScalarEncoder, _column(_parse_float)),
+    "category": EncoderType(CategoryEncoder, _column(None)),
+    "datetime": EncoderType(DatetimeEncoder, _column(_parse_datetime)),
+    "geospatial": EncoderType(GeospatialEncoder, _bind_geospatial, ("cell_size",)),
 }
-
-
-def _parse_spec(enc_type: str, entry: EncoderType, raw: Mapping, context: str) -> dict:
-    """The canonical spec: every given key parsed, every default filled in."""
-    required = {key for key, (_, default) in entry.keys.items() if default is _REQUIRED}
-    _check_keys(raw, {"type", *required}, set(entry.keys) - required, context)
-    spec: dict = {"type": enc_type}
-    for key, (parse, default) in entry.keys.items():
-        if key in raw:
-            spec[key] = parse(raw, key, context)
-        elif callable(default):
-            spec[key] = default(spec)
-        elif default is not None:
-            spec[key] = default
-    return spec
 
 
 def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundEncoder, dict]:
@@ -333,11 +247,24 @@ def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundE
             f"{context}: unknown encoder type {enc_type!r}; expected one of "
             f"{sorted([*ENCODER_TYPES, 'multi'])}"
         )
-    spec = _parse_spec(enc_type, entry, enc_raw, context)
+    keys = entry.keys
+    _check_keys(enc_raw, {"type", *(k for k, required in keys.items() if required)},
+                set(keys), context)
+    args = {k: v for k, v in enc_raw.items() if k != "type"}
+    for key, value in args.items():
+        if value is None:  # a constructor reads None as "use the default"
+            raise ConfigError(f"{context}: key {key!r} must not be null")
+        if enc_type == "datetime" and not isinstance(value, Mapping):  # no True or pair
+            raise ConfigError(f"{context}: datetime component {key!r} must be an object")
+    bind_args = {k: args.pop(k) for k in entry.bind_keys if k in args}
+    try:
+        encoder = entry.build(**args)
+    except ConfigError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+    spec = {"type": enc_type, **encoder.params(), **bind_args}
     field_spec = binding.get("field")
     speed_field = binding.get("speed_field")
     columns, reader = entry.bind(spec, field_spec, speed_field, context)
-    encoder = entry.build(spec)
     if speed_field is not None:  # the reader yields (coordinate, speed)
         encoder = SpeedAdaptiveGeo(encoder)
     one_column = isinstance(field_spec, str)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -64,12 +66,25 @@ class Finding:
         return f"{self.severity}: {self.message}"
 
 
+def is_integer(value) -> bool:
+    """An int, never a bool: the check for every integer parameter."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number, never a bool: the check for every real
+    parameter.  An int past the float range counts as not finite."""
+    # float and int first: they pass without the slower abstract-class check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def raise_on_errors(findings: list[Finding]) -> None:
     """Raise ConfigError summarizing every error-severity finding."""
     errors = [f.message for f in findings if f.is_error]
     if errors:
         raise ConfigError("; ".join(errors))
-
-
-def warnings_only(findings: list[Finding]) -> list[Finding]:
-    return [f for f in findings if not f.is_error]

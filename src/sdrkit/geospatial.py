@@ -36,6 +36,8 @@ from .errors import (
     InputError,
     ProjectionError,
     RangeError,
+    is_finite_number,
+    is_integer,
     raise_on_errors,
 )
 from .hashing import bit_indices, order_keys_array
@@ -120,18 +122,18 @@ class GeospatialEncoder:
         radius_max: int | None = None,
     ):
         findings: list[Finding] = []
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not is_integer(n) or n < 1:
             findings.append(Finding("error", f"n must be a positive integer, got {n!r}"))
-        if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+        if not is_integer(radius) or radius < 0:
             findings.append(Finding("error", f"radius must be a non-negative integer, got {radius!r}"))
         if variant not in ("fixed", "topw"):
             findings.append(Finding("error", f"variant must be 'fixed' or 'topw', got {variant!r}"))
-        for name, v in (("seed", seed), ("w", w), ("radius_min", radius_min),
-                        ("radius_max", radius_max)):
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+        if not is_integer(seed):
+            findings.append(Finding("error", f"seed must be an integer, got {seed!r}"))
+        for name, v in (("w", w), ("radius_min", radius_min), ("radius_max", radius_max)):
+            if v is not None and not is_integer(v):
                 findings.append(Finding("error", f"{name} must be an integer, got {v!r}"))
-        if (not isinstance(speed_scale, (int, float)) or isinstance(speed_scale, bool)
-                or not math.isfinite(speed_scale)):
+        if not is_finite_number(speed_scale):
             findings.append(
                 Finding("error", f"speed_scale must be a finite number, got {speed_scale!r}")
             )
@@ -182,6 +184,15 @@ class GeospatialEncoder:
                         "bit-index collisions; increase n")
             )
         self.warnings = findings
+
+    def params(self) -> dict:
+        """The encoder's config keys; w only for topw, as the radius fixes it."""
+        params = {"n": self.n, "variant": self.variant, "radius": self.radius,
+                  "seed": self.seed, "speed_scale": self.speed_scale,
+                  "radius_min": self.radius_min, "radius_max": self.radius_max}
+        if self.variant == "topw":
+            params["w"] = self.w
+        return params
 
     def _rank_topw(self, keys: np.ndarray, r: int) -> np.ndarray:
         """Positions in ``keys`` (a radius-r pool) of its w best cells, best
@@ -256,9 +267,9 @@ def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:
     +-85.05113 degrees fall outside the projection.
     """
     for name, v in (("lat", lat), ("lon", lon)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not is_finite_number(v):
             raise InputError(f"{name} must be a finite number, got {v!r}")
-    if not (isinstance(cell_size, (int, float)) and math.isfinite(cell_size) and cell_size > 0):
+    if not (is_finite_number(cell_size) and cell_size > 0):
         raise InputError(f"cell_size must be a positive number of meters, got {cell_size!r}")
     if abs(lat) >= MAX_MERCATOR_LAT:
         raise ProjectionError(

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, Finding, InputError, RangeError, raise_on_errors, warnings_only
+from .errors import (ConfigError, Finding, InputError, RangeError, is_finite_number,
+                     is_integer, raise_on_errors)
 from .hashing import MASK64, bit_indices
 from .sdr import SDR
 
@@ -47,8 +48,18 @@ def validate_scalar_config(
 
     Structural violations come back as error findings; advisory sizing
     guidance (w >= 20, n >= 100, sparsity between 1% and 35%) as warnings.
+    A number left as None is not checked; min and max are checked together.
     Never raises -- callers decide what to do with the findings.
     """
+    numbers = {k: v for k, v in (("period", period), ("resolution", resolution)) if v is not None}
+    if min_value is not None or max_value is not None:
+        numbers.update(min=min_value, max=max_value)
+    return _scalar_findings(n, w, numbers)
+
+
+def _scalar_findings(n, w, numbers: dict) -> list[Finding]:
+    """`validate_scalar_config` for an encoder, which checks every number it
+    takes (keyed min and max, period, or resolution), None included."""
     findings: list[Finding] = []
 
     def err(msg: str) -> None:
@@ -79,27 +90,24 @@ def validate_scalar_config(
                     f"[{lo:.0%}, {hi:.0%}] band"
                 )
 
-    if min_value is not None or max_value is not None:
-        if min_value is None or max_value is None:
-            err("min and max must be given together")
-        elif not (math.isfinite(min_value) and math.isfinite(max_value)):
-            err("min and max must be finite")
+    if "min" in numbers:
+        min_value, max_value = numbers["min"], numbers["max"]
+        if not (is_finite_number(min_value) and is_finite_number(max_value)):
+            err(f"min and max must be finite numbers, got {min_value!r} and {max_value!r}")
         elif min_value >= max_value:
             err(f"empty range: min ({min_value}) must be below max ({max_value})")
         elif _is_positive_int(n) and _is_positive_int(w) and n - w < 1:
             err(f"n - w must be at least 1 to span a bounded range (n={n}, w={w})")
 
-    if period is not None and (not math.isfinite(period) or period <= 0):
-        err(f"period must be positive and finite, got {period!r}")
-
-    if resolution is not None and (not math.isfinite(resolution) or resolution <= 0):
-        err(f"resolution must be positive and finite, got {resolution!r}")
+    for name in ("period", "resolution"):
+        if name in numbers and not (is_finite_number(numbers[name]) and numbers[name] > 0):
+            err(f"{name} must be positive and finite, got {numbers[name]!r}")
 
     return findings
 
 
 def _is_positive_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    return is_integer(v) and v >= 1
 
 
 def _require_finite(value) -> float:
@@ -124,11 +132,9 @@ class ScalarEncoder:
     """
 
     def __init__(self, min_value: float, max_value: float, n: int, w: int):
-        findings = validate_scalar_config(
-            n=n, w=w, min_value=min_value, max_value=max_value
-        )
+        findings = _scalar_findings(n, w, {"min": min_value, "max": max_value})
         raise_on_errors(findings)
-        self.warnings = warnings_only(findings)
+        self.warnings = findings  # warnings only, once errors have raised
         self.min_value = float(min_value)
         self.max_value = float(max_value)
         self.n = n
@@ -137,6 +143,10 @@ class ScalarEncoder:
     @property
     def resolution(self) -> float:
         return (self.max_value - self.min_value) / (self.n - self.w)
+
+    def params(self) -> dict:
+        """The encoder's config keys."""
+        return {"min": self.min_value, "max": self.max_value, "n": self.n, "w": self.w}
 
     def bucket(self, value: float) -> int:
         """Clamped bucket index in [0, n - w]."""
@@ -159,9 +169,9 @@ class CyclicEncoder:
     """
 
     def __init__(self, period: float, n: int, w: int):
-        findings = validate_scalar_config(n=n, w=w, period=period)
+        findings = _scalar_findings(n, w, {"period": period})
         raise_on_errors(findings)
-        self.warnings = warnings_only(findings)
+        self.warnings = findings  # warnings only, once errors have raised
         self.period = float(period)
         self.n = n
         self.w = w
@@ -169,6 +179,10 @@ class CyclicEncoder:
     @property
     def resolution(self) -> float:
         return self.period / self.n
+
+    def params(self) -> dict:
+        """The encoder's config keys."""
+        return {"period": self.period, "n": self.n, "w": self.w}
 
     def bucket(self, value: float) -> int:
         v = _require_finite(value)
@@ -209,6 +223,10 @@ class DeltaEncoder:
     def w(self) -> int:
         return self.inner.w
 
+    def params(self) -> dict:
+        """The encoder's config keys: its delta range's."""
+        return self.inner.params()
+
     def encode(self, value: float) -> SDR:
         v = _require_finite(value)
         delta = 0.0 if self.previous is None else v - self.previous
@@ -232,15 +250,19 @@ class UnboundedScalarEncoder:
     """
 
     def __init__(self, resolution: float, n: int, w: int, seed: int = 0):
-        findings = validate_scalar_config(n=n, w=w, resolution=resolution)
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        findings = _scalar_findings(n, w, {"resolution": resolution})
+        if not is_integer(seed):
             findings.append(Finding("error", f"seed must be an integer, got {seed!r}"))
         raise_on_errors(findings)
-        self.warnings = warnings_only(findings)
+        self.warnings = findings  # warnings only, once errors have raised
         self.resolution = float(resolution)
         self.n = n
         self.w = w
         self.seed = seed
+
+    def params(self) -> dict:
+        """The encoder's config keys."""
+        return {"resolution": self.resolution, "n": self.n, "w": self.w, "seed": self.seed}
 
     def bucket(self, value: float) -> int:
         v = _require_finite(value)

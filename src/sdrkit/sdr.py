@@ -17,6 +17,7 @@ checks; `concat` does too when every part is an `SDR`.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,28 +148,27 @@ def to_sparse_string(a: SDR, self_describing: bool = False) -> str:
     return body
 
 
+_NUMBER = "(?:0|[1-9][0-9]*)"
+_SPARSE_TEXT = re.compile(f"(?:n=({_NUMBER});)?({_NUMBER}(?:,{_NUMBER})*)?")
+
+
 def from_sparse_string(s: str, n: int | None = None) -> SDR:
-    """Parse the sparse text form.  ``n`` is required unless the string is
-    self-describing ("n=<N>;...")."""
-    text = s.strip()
-    if text.startswith("n="):
-        head, sep, body = text.partition(";")
-        if not sep:
-            raise ParseError("self-describing form requires 'n=<N>;' prefix")
-        try:
-            n = int(head[2:])
-        except ValueError:
-            raise ParseError(f"invalid bit count {head[2:]!r}") from None
-    else:
-        body = text
-        if n is None:
-            raise ParseError("total bit count required for non-self-describing form")
-    if body == "":
-        return SDR(n, ())
-    try:
-        indices = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ParseError(f"invalid index list {body!r}") from None
+    """Parse the sparse text form exactly as `to_sparse_string` writes it
+    (ASCII decimals without sign or leading zero), surrounding whitespace
+    aside.  ``n`` is required unless the string is self-describing
+    ("n=<N>;...")."""
+    match = _SPARSE_TEXT.fullmatch(s.strip())
+    if match is None:
+        raise ParseError(f"invalid sparse SDR text {s!r}")
+    count, body = match.groups()
+    if count is None and n is None:
+        raise ParseError("total bit count required for non-self-describing form")
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        if count is not None:
+            n = int(count)
+        indices = tuple(map(int, body.split(","))) if body else ()
+    except ValueError as exc:
+        raise ParseError(f"invalid sparse SDR text: {exc}") from None
     return SDR(n, indices)
 
 

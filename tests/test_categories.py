@@ -56,6 +56,13 @@ def test_encoding_is_pure():
     assert enc.encode("y") == enc.encode("y")
 
 
+@pytest.mark.parametrize("categories", ["abc", [1, 2], 0, ["a", None]], ids=repr)
+def test_categories_must_be_a_list_of_strings(categories):
+    # "abc" used to become three labels, and 0 a TypeError.
+    with pytest.raises(ConfigError, match="categories must be a list of strings"):
+        CategoryEncoder(categories, w=21)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         CategoryEncoder([], w=5)

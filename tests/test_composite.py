@@ -200,6 +200,13 @@ class TestDatetimeEncoder:
             aware = naive.replace(tzinfo=dt.timezone(dt.timedelta(hours=hours)))
             assert enc.encode(aware) == enc.encode(naive)
 
+    def test_params_rebuild_the_same_encoder(self):
+        enc = DatetimeEncoder(weekend=True, time_of_day=(96, 21))
+        assert enc.params() == {"weekend": {"w": 50}, "time_of_day": {"n": 96, "w": 21}}
+        again = DatetimeEncoder(**enc.params())
+        assert again.params() == enc.params()
+        assert again.encode(SATURDAY_NOON) == enc.encode(SATURDAY_NOON)
+
     def test_bad_component_specs(self):
         with pytest.raises(ConfigError):
             DatetimeEncoder(weekend="big")

@@ -62,14 +62,14 @@ class TestConfigParsing:
             parse_pipeline_config({"encoder": SCALAR_CONFIG["encoder"]})
 
     def test_non_integer_n_rejected(self):
-        with pytest.raises(ConfigError, match="'n'"):
+        with pytest.raises(ConfigError, match="n must be a positive integer, got 100.5"):
             parse_pipeline_config(
                 {"encoder": {"type": "scalar", "min": 0, "max": 1, "n": 100.5, "w": 10},
                  "field": "x"}
             )
 
     def test_bool_is_not_an_integer(self):
-        with pytest.raises(ConfigError, match="'w'"):
+        with pytest.raises(ConfigError, match="w must be a positive integer, got True"):
             parse_pipeline_config(
                 {"encoder": {"type": "scalar", "min": 0, "max": 1, "n": 100, "w": True},
                  "field": "x"}
@@ -155,6 +155,19 @@ class TestConfigParsing:
             parse_pipeline_config({
                 "encoder": {"type": "datetime", "hour_of_day": {"n": 10, "w": 3}},
                 "field": "ts",
+            })
+
+    @pytest.mark.parametrize("component, message", [
+        (True, "must be an object"), ([96, 21], "must be an object"),
+        ({"n": 96, "w": 21, "x": 1}, "takes the keys"), ({"n": 96}, "takes the keys"),
+        ({"n": 96, "w": 1.5}, "time_of_day component: w must be a positive integer"),
+    ], ids=["true", "pair", "unknown-key", "missing-key", "float-w"])
+    def test_datetime_component_is_an_n_w_object(self, component, message):
+        # The library also takes True and (n, w) pairs; a config takes only
+        # the object form that its echo shows.
+        with pytest.raises(ConfigError, match=message):
+            parse_pipeline_config({
+                "encoder": {"type": "datetime", "time_of_day": component}, "field": "ts",
             })
 
     def test_output_format_alias(self):
@@ -291,6 +304,23 @@ class TestEncodeCommand:
         data = write(tmp_path, "in.csv", "temp\n10\n")
         assert run_cli(["encode", "--config", cfg, "--input", data]) == 2
         assert "surprise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        (b'{"encoder": {"type": "scalar", "min": 0, "max": 1' + b"0" * 400
+         + b', "n": 134, "w": 21}, "field": "temp"}',
+         "config.encoder: min and max must be finite numbers"),
+        (b'{"encoder": {"type": "scalar", "min": 0, "max": 1' + b"0" * 5000
+         + b', "n": 134, "w": 21}, "field": "temp"}', "is not valid JSON"),
+        (b'\xff{}', "is not valid JSON"),
+    ], ids=["401-digit-max", "5001-digit-max", "not-utf-8"])
+    def test_unreadable_numbers_exit_2(self, tmp_path, capsys, config, message):
+        # Each of these used to end in a traceback and exit 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(config)
+        data = write(tmp_path, "in.csv", "temp\n10\n")
+        assert run_cli(["encode", "--config", str(cfg), "--input", data]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_data_error_exit_3_names_row_and_column(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "output_format": "sparse"})

@@ -126,6 +126,9 @@ def test_valid_configs_parse():
           "field": ["x", "y"]})
 @example({**VALID[0], "distance": {"expression": "a" + "+a" * 200000}})
 @example({**VALID[0], "distance": {"expression": "-" * 100000 + "1"}})
+@example({"encoder": {"type": "scalar", "min": 0, "max": 10**400, "n": 134, "w": 21},
+          "field": "v"})
+@example({**VALID[0], "distance": {"name": "circular", "period": 10**400}})
 def test_arbitrary_json_parses_or_raises_config_error(raw):
     _parses_or_config_error(raw)
 

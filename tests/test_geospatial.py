@@ -163,12 +163,17 @@ class TestFixedEncoder:
         {"variant": "topw", "w": 2.0}, {"variant": "topw", "w": True},
         {"radius_min": 1.5}, {"radius_max": 3.0}, {"radius_min": False},
         {"speed_scale": math.nan}, {"speed_scale": math.inf}, {"speed_scale": "0.1"},
+        {"seed": None},
     ], ids=repr)
     def test_parameters_of_the_wrong_type_rejected(self, kwargs):
         # Construction only: each of these used to be accepted (or coerced)
         # and failed, if at all, at encode time.
         with pytest.raises(ConfigError):
             GeospatialEncoder(1000, 2, **kwargs)
+
+    def test_speed_scale_past_the_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="speed_scale must be a finite number"):
+            GeospatialEncoder(1000, speed_scale=10**400)
 
     def test_collision_warning_for_small_n(self):
         enc = GeospatialEncoder(100, 2)

@@ -253,5 +253,22 @@ class TestValidateScalarConfig:
             ScalarEncoder(5, 5, 100, 21)
         with pytest.raises(ConfigError):
             CyclicEncoder(-7, 7, 3)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ScalarEncoder("0", 1, 100, 21),
+        lambda: ScalarEncoder(True, 5, 100, 21),
+        lambda: ScalarEncoder(None, None, 100, 21),
+        lambda: ScalarEncoder(0, 10**400, 134, 21),
+        lambda: CyclicEncoder("7", 100, 21),
+        lambda: CyclicEncoder(None, 100, 21),
+        lambda: UnboundedScalarEncoder(None, 100, 21),
+        lambda: UnboundedScalarEncoder(10**400, 100, 21),
+    ], ids=["str-min", "bool-min", "none-range", "huge-max", "str-period",
+            "none-period", "none-resolution", "huge-resolution"])
+    def test_numbers_of_the_wrong_type_rejected_at_construction(self, make):
+        # Each of these used to raise TypeError or OverflowError, or (a bool
+        # min) was read as 1.0.
+        with pytest.raises(ConfigError, match="finite"):
+            make()
         with pytest.raises(ConfigError):
             UnboundedScalarEncoder(0, 100, 21)

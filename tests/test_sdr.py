@@ -4,9 +4,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sdrkit.errors import DimensionMismatch, InvalidSdr, ParseError
+from sdrkit.errors import DimensionMismatch, InvalidSdr, ParseError, SdrError
 from sdrkit.sdr import (
     SDR,
     from_dense_string,
@@ -93,6 +93,35 @@ def test_sparse_string_round_trip():
 def test_sparse_string_requires_n():
     with pytest.raises(ParseError):
         from_sparse_string("1,4")
+
+
+@pytest.mark.parametrize("text", [
+    "n= 5;1", "n=+5;+1", "n=05;01", "n=5;-0", "n=5;\u0661", "n=5; 1 , 2",
+    "n=5;1,", "n=5;,1", "n=5", "n=;1", "N=5;1",
+])
+def test_sparse_string_accepts_only_canonical_text(text):
+    # The first six used to parse, through int().
+    with pytest.raises(ParseError):
+        from_sparse_string(text)
+
+
+def test_sparse_string_strips_surrounding_whitespace():
+    assert from_sparse_string(" n=5;1,3\n") == SDR(5, (1, 3))
+    assert from_sparse_string("1,3\r\n", n=5) == SDR(5, (1, 3))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text() | st.text(alphabet="n=;,0123456789 +-\n\u0661", max_size=24),
+       st.none() | st.integers(min_value=0, max_value=40))
+@example("n=" + "1" * 5000 + ";", None)
+def test_sparse_text_parses_or_raises_sdr_error(text, n):
+    """Any text parses to an SDR that round-trips, or raises SdrError."""
+    try:
+        sdr = from_sparse_string(text, n)
+    except SdrError:
+        return
+    assert from_sparse_string(to_sparse_string(sdr, self_describing=True)) == sdr
+    assert from_sparse_string(to_sparse_string(sdr), n=sdr.n) == sdr
 
 
 def test_constructor_rejects_duplicates():
