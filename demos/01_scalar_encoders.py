@@ -41,7 +41,7 @@ print(f"Sunday-Monday overlap:   {overlap(sun, mon)}")
 
 print()
 print("=== delta: encode the change, not the level ===")
-rates = DeltaEncoder(ScalarEncoder(min_value=-5, max_value=5, n=40, w=8))
+rates = DeltaEncoder(min_value=-5, max_value=5, n=40, w=8)
 for v in (100, 102, 104, 104, 90):
     show(f"v={v}", rates.encode(v))
 print("rows 2 and 3 match (same +2 step); row 4 is the zero-change code")

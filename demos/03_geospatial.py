@@ -44,9 +44,9 @@ print()
 print("=== speed grows the radius, so 'near' scales with velocity ===")
 for speed in (0, 10, 20, 40, 100):
     print(f"speed {speed:>4}: radius {topw.radius_from_speed(speed)}")
-slow = topw.encode((0, 0), speed=0)
-fast = topw.encode((0, -4), speed=20)     # 4 cells away but moving fast
-crawl = topw.encode((0, -4), speed=0)     # same move while slow
+slow = topw.encode(((0, 0), 0))
+fast = topw.encode(((0, -4), 20))     # 4 cells away but moving fast
+crawl = topw.encode(((0, -4), 0))      # same move while slow
 print(f"4-cell move at speed 20: overlap {overlap(slow, fast)} (still related)")
 print(f"4-cell move at speed  0: overlap {overlap(slow, crawl)}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ConfigError, UnknownCategoryError, is_integer
+from .scalars import MAX_W
 from .sdr import SDR
 
 UNKNOWN_POLICIES = ("error", "catch_all")
@@ -36,6 +37,8 @@ class CategoryEncoder:
             raise ConfigError("category labels must be unique")
         if not is_integer(w) or w < 1:
             raise ConfigError(f"w must be a positive integer, got {w!r}")
+        if w > MAX_W:
+            raise ConfigError(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
         if unknown_policy not in UNKNOWN_POLICIES:
             raise ConfigError(
                 f"unknown_policy must be one of {UNKNOWN_POLICIES}, got {unknown_policy!r}"

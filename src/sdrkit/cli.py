@@ -131,13 +131,11 @@ def cmd_encode(args, stderr=None) -> int:
     stderr = stderr or sys.stderr
     try:
         cfg = _load_config(args.config)
-        fmt = args.format or cfg.output_format
-        if fmt not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
     _emit_warnings(cfg, stderr)
+    fmt = args.format or cfg.output_format  # argparse and the config check each
 
     with _open_input(args.input) as fin, _open_output(args.output) as fout:
         def write_line(row):

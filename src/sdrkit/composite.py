@@ -178,7 +178,6 @@ class DatetimeEncoder(MultiEncoder):
         if not parts:
             raise ConfigError("enable at least one datetime component")
         super().__init__(parts)
-        self.components = self.parts
 
     def params(self) -> dict:
         """The encoder's config keys: one object per enabled component."""

@@ -11,7 +11,8 @@ Top level::
       "encoder":       { ... encoder spec ... },
       "field":         "temp"            (leaf encoders; geospatial takes
                                           ["x","y"] or ["lat","lon"])
-      "speed_field":   "speed",          (optional; geospatial topw)
+      "speed_field":   "speed",          (optional; geospatial topw, which
+                                          then encodes (cell, speed) pairs)
       "output_format": "dense",          (dense | sparse | sparse-n)
       "csv":           {"delimiter": ","},
       "distance":      "absolute"        (evaluate only; see below)
@@ -24,13 +25,20 @@ encoder's `params()` -- every key with its default filled in -- is the
 canonical spec that `serialize_pipeline` returns.
 
 Distances: "absolute", "discrete", "chebyshev",
-{"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- the
-expression sees ``a``, ``b``, ``abs``/``min``/``max`` and the ``math``
-module, and runs with Python semantics, so treat config files as code.
+{"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- an
+expression over the two values ``a`` and ``b`` (``a[k]`` and ``a[k][j]``
+reach into cells and (cell, speed) pairs), checked against a whitelist when
+the config is parsed: number literals, ``abs``/``min``/``max``, a fixed set
+of ``math`` functions and constants, arithmetic, comparisons,
+``and``/``or``/``not`` and ``x if c else y``, at most 256 nodes, and ``**``
+only with a number literal as its exponent, the exponents along any path
+multiplying to at most 64.  Anything else, any other name or attribute
+included, is a config error, so a config file never runs arbitrary code.
 """
 
 from __future__ import annotations
 
+import ast
 import datetime as _dt
 import inspect
 import math
@@ -110,19 +118,6 @@ class BoundEncoder:
         """Convert this binding's column(s) of one CSV row into the encoder
         input value (raises InputError naming the column)."""
         return self.reader(row)
-
-
-class SpeedAdaptiveGeo:
-    """Record-value adapter: encodes (coordinate, speed) pairs through a
-    top-w geospatial encoder with the speed-adapted radius."""
-
-    def __init__(self, inner: GeospatialEncoder):
-        self.inner = inner
-        self.n, self.w, self.warnings = inner.n, inner.w, inner.warnings
-
-    def encode(self, value) -> SDR:
-        coord, speed = value
-        return self.inner.encode(coord, speed)
 
 
 @dataclass
@@ -226,8 +221,7 @@ ENCODER_TYPES: dict[str, EncoderType] = {
         lambda min, max, n, w: ScalarEncoder(min, max, n, w), _column(_parse_float)
     ),
     "delta": EncoderType(
-        lambda min, max, n, w: DeltaEncoder(ScalarEncoder(min, max, n, w)),
-        _column(_parse_float),
+        lambda min, max, n, w: DeltaEncoder(min, max, n, w), _column(_parse_float)
     ),
     "cyclic": EncoderType(CyclicEncoder, _column(_parse_float)),
     "scalar_unbounded": EncoderType(UnboundedScalarEncoder, _column(_parse_float)),
@@ -264,9 +258,9 @@ def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundE
     spec = {"type": enc_type, **encoder.params(), **bind_args}
     field_spec = binding.get("field")
     speed_field = binding.get("speed_field")
+    if speed_field is None and "speed_field" in binding:
+        raise ConfigError(f"{context}: key 'speed_field' must not be null")
     columns, reader = entry.bind(spec, field_spec, speed_field, context)
-    if speed_field is not None:  # the reader yields (coordinate, speed)
-        encoder = SpeedAdaptiveGeo(encoder)
     one_column = isinstance(field_spec, str)
     name = field_spec if one_column else ",".join(field_spec)
     part: dict = {"field": field_spec if one_column else list(field_spec), "encoder": spec}
@@ -386,15 +380,94 @@ def build_distance(spec) -> tuple[Callable, object]:
     raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
 
 
+# --- expression distances: the whitelist of the module docstring ------------
+#
+# Exponents along any path multiply to at most MAX_EXPONENT_PRODUCT, each
+# counted as at least 1, so that `(a ** 1000000) ** 0` cannot hide a huge power.
+
+MAX_EXPRESSION_NODES = 256
+MAX_EXPONENT_PRODUCT = 64
+_VARIABLES = ("a", "b")
+_FUNCTIONS = ("abs", "min", "max")
+_MATH_NAMES = frozenset(
+    "fabs sqrt exp log log2 log10 sin cos tan asin acos atan atan2 hypot "
+    "floor ceil trunc copysign fmod pi e tau inf".split()
+)
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+              ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or)
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _invalid_expression(reason: str) -> ConfigError:
+    return ConfigError(f"config.distance: invalid expression: {reason}")
+
+
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _is_math_name(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr in _MATH_NAMES)
+
+
+def _check_expression(node: ast.AST, power: float = 1) -> None:
+    """Raise unless ``node`` and everything under it is on the whitelist;
+    ``power`` is the product of the exponents above it."""
+    children = [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
+    bad = node
+    if isinstance(node, ast.Name):
+        ok = node.id in _VARIABLES
+    elif isinstance(node, ast.Constant):
+        ok = _is_number(node)
+    elif isinstance(node, ast.Subscript):  # a[k], or a[k][j] for a (cell, speed) pair
+        ok = (isinstance(node.value, (ast.Name, ast.Subscript))
+              and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
+              and node.slice.value >= 0)
+        children = [node.value]
+    elif isinstance(node, ast.Attribute):
+        ok, children = _is_math_name(node), []
+    elif isinstance(node, ast.Call):
+        if node.keywords:
+            raise _invalid_expression("keyword arguments are not allowed")
+        ok = _is_math_name(node.func) or (isinstance(node.func, ast.Name)
+                                          and node.func.id in _FUNCTIONS)
+        bad, children = node.func, node.args
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exponent = node.right
+        if isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, (ast.UAdd, ast.USub)):
+            exponent = exponent.operand
+        ok = _is_number(exponent)
+        if ok:
+            power *= max(abs(exponent.value), 1)
+            if power > MAX_EXPONENT_PRODUCT:
+                raise _invalid_expression(
+                    f"the exponents of {ast.unparse(node)!r} multiply to more than "
+                    f"{MAX_EXPONENT_PRODUCT}")
+        children = [node.left]
+    elif isinstance(node, (ast.BinOp, ast.UnaryOp, ast.BoolOp)):
+        ok = isinstance(node.op, _OPERATORS)
+    elif isinstance(node, ast.Compare):
+        ok = all(isinstance(op, _COMPARISONS) for op in node.ops)
+    else:
+        ok = isinstance(node, ast.IfExp)
+    if not ok:
+        raise _invalid_expression(f"{ast.unparse(bad)!r} is not allowed")
+    for child in children:
+        _check_expression(child, power)
+
+
 def _expression_distance(expr: str) -> Callable:
     try:
-        code = compile(expr, "<distance expression>", "eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"config.distance: invalid expression: {exc}") from exc
-    except (RecursionError, MemoryError):  # the compiler's depth limits
-        raise ConfigError(
-            "config.distance: invalid expression: nested too deeply to compile"
-        ) from None
+        tree = ast.parse(expr, "<distance expression>", "eval")
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte, before 3.12
+        raise _invalid_expression(str(exc)) from exc
+    except (RecursionError, MemoryError):  # the parser's depth limits
+        raise _invalid_expression("nested too deeply to parse") from None
+    if sum(isinstance(n, ast.expr) for n in ast.walk(tree)) > MAX_EXPRESSION_NODES:
+        raise _invalid_expression(f"more than {MAX_EXPRESSION_NODES} nodes")
+    _check_expression(tree.body)
+    code = compile(tree, "<distance expression>", "eval")
     env = {"abs": abs, "min": min, "max": max, "math": math}
 
     def dist(a, b):
@@ -413,7 +486,6 @@ __all__ = [
     "OUTPUT_FORMATS",
     "ENCODER_TYPES",
     "BoundEncoder",
-    "SpeedAdaptiveGeo",
     "PipelineConfig",
     "parse_pipeline_config",
     "build_distance",

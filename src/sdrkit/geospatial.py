@@ -248,14 +248,15 @@ class GeospatialEncoder:
         extra = min(max(s * self.speed_scale, 0), self.radius_max - self.radius_min)
         return self.radius_min + math.floor(extra)
 
-    def encode(self, coord, speed: float | None = None) -> SDR:
-        """Variant dispatch; a speed (topw only) adapts the radius."""
+    def encode(self, value) -> SDR:
+        """Encode an (x, y) cell; topw also takes a (cell, speed) pair, as a
+        ``speed_field`` binding yields it, whose speed adapts the radius."""
+        if not isinstance(value[0], (tuple, list)):
+            return self.encode_fixed(value) if self.variant == "fixed" else self.encode_topw(value)
         if self.variant == "fixed":
-            if speed is not None:
-                raise InputError("the fixed variant does not take a speed")
-            return self.encode_fixed(coord)
-        radius = None if speed is None else self.radius_from_speed(speed)
-        return self.encode_topw(coord, radius)
+            raise InputError("the fixed variant does not take a speed")
+        cell, speed = value
+        return self.encode_topw(cell, self.radius_from_speed(speed))
 
 
 def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:

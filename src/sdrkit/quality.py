@@ -72,21 +72,6 @@ class EvaluationReport:
     def total_axiom_violations(self) -> int:
         return sum(c.violations for c in self.axiom_violations.values())
 
-    def merge(self, other: "EvaluationReport") -> "EvaluationReport":
-        merged = EvaluationReport(
-            samples_checked=max(self.samples_checked, other.samples_checked),
-            axiom_violations={**self.axiom_violations, **other.axiom_violations},
-            quadruples_sampled=self.quadruples_sampled + other.quadruples_sampled,
-            discordant=self.discordant + other.discordant,
-            rank_correlation=(
-                other.rank_correlation if other.quadruples_sampled else self.rank_correlation
-            ),
-            overlap_uninformative=self.overlap_uninformative or other.overlap_uninformative,
-        )
-        if merged.quadruples_sampled:
-            merged.discordance_rate = merged.discordant / merged.quadruples_sampled
-        return merged
-
     def to_text(self) -> str:
         lines = [f"samples_checked: {self.samples_checked}"]
         if self.axiom_violations:
@@ -350,16 +335,17 @@ def evaluate_encoder(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> EvaluationReport:
-    """Full report: axiom checks plus semantic consistency, sharing one
-    distance matrix."""
+    """Full report: `evaluate_semantic_consistency`'s, with the axiom
+    violations of `check_distance_axioms`; the two share one distance
+    matrix."""
     D = _axiom_distances(distance, samples)
     upper = _upper(len(samples))
     axioms = _axiom_report(distance, samples, D, upper)
     _check_consistency_arguments(samples, quadruple_count, exhaustive)
     encodings = _encode_all(encode, samples)
-    return axioms.merge(
-        _consistency_report(encodings, D, upper, quadruple_count, seed, exhaustive)
-    )
+    report = _consistency_report(encodings, D, upper, quadruple_count, seed, exhaustive)
+    report.axiom_violations = axioms.axiom_violations
+    return report
 
 
 # --- Ready-made distance scores -------------------------------------------

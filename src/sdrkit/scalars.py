@@ -31,6 +31,11 @@ MIN_RECOMMENDED_W = 20
 MIN_RECOMMENDED_N = 100
 SPARSITY_BAND = (0.01, 0.35)
 
+# Largest w an encoder accepts.  Each encode builds a w-element tuple, so a
+# huge w costs memory on every input; useful codes have tens to hundreds of
+# one-bits.
+MAX_W = 1 << 16
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
@@ -75,6 +80,8 @@ def _scalar_findings(n, w, numbers: dict) -> list[Finding]:
     if _is_positive_int(n) and _is_positive_int(w):
         if w > n:
             err(f"w ({w}) cannot exceed n ({n})")
+        elif w > MAX_W:
+            err(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
         else:
             if w < MIN_RECOMMENDED_W:
                 warn(
@@ -110,6 +117,19 @@ def _is_positive_int(v) -> bool:
     return is_integer(v) and v >= 1
 
 
+def _resolution(span: float, n: int, w: int = 0) -> float:
+    """The bucket width ``span / (n - w)``; a ConfigError unless it is a
+    positive finite float, since no encode could use it otherwise."""
+    try:
+        width = span / (n - w)
+    except OverflowError:  # n past the float range
+        width = 0.0
+    if not 0 < width < math.inf:
+        raise ConfigError(f"n={n} leaves no positive finite bucket width for a range "
+                          f"of {span!r}")
+    return width
+
+
 def _require_finite(value) -> float:
     try:
         v = float(value)
@@ -139,10 +159,7 @@ class ScalarEncoder:
         self.max_value = float(max_value)
         self.n = n
         self.w = w
-
-    @property
-    def resolution(self) -> float:
-        return (self.max_value - self.min_value) / (self.n - self.w)
+        self.resolution = _resolution(self.max_value - self.min_value, n, w)
 
     def params(self) -> dict:
         """The encoder's config keys."""
@@ -175,10 +192,7 @@ class CyclicEncoder:
         self.period = float(period)
         self.n = n
         self.w = w
-
-    @property
-    def resolution(self) -> float:
-        return self.period / self.n
+        self.resolution = _resolution(self.period, n)
 
     def params(self) -> dict:
         """The encoder's config keys."""
@@ -199,38 +213,21 @@ class CyclicEncoder:
         return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
 
 
-class DeltaEncoder:
-    """Encodes the change between consecutive inputs through a bounded
-    scalar encoder configured over the expected delta range.
+class DeltaEncoder(ScalarEncoder):
+    """A `ScalarEncoder` over the expected delta range, fed the change
+    between consecutive inputs.
 
     The first input has no predecessor and encodes a delta of zero, so the
     output dimensionality and sparsity are constant from the first record.
     One instance serves one input stream; it is stateful and single-writer.
     """
 
-    def __init__(self, inner: ScalarEncoder):
-        if not isinstance(inner, ScalarEncoder):
-            raise ConfigError("delta encoder requires a bounded ScalarEncoder inner")
-        self.inner = inner
-        self.warnings = list(inner.warnings)
-        self.previous: float | None = None
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    @property
-    def w(self) -> int:
-        return self.inner.w
-
-    def params(self) -> dict:
-        """The encoder's config keys: its delta range's."""
-        return self.inner.params()
+    previous: float | None = None  # the last input encoded
 
     def encode(self, value: float) -> SDR:
         v = _require_finite(value)
         delta = 0.0 if self.previous is None else v - self.previous
-        out = self.inner.encode(delta)  # may raise; state untouched on error
+        out = super().encode(delta)  # may raise; state untouched on error
         self.previous = v
         return out
 
@@ -295,4 +292,5 @@ __all__ = [
     "MIN_RECOMMENDED_W",
     "MIN_RECOMMENDED_N",
     "SPARSITY_BAND",
+    "MAX_W",
 ]

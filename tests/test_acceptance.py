@@ -160,7 +160,7 @@ def test_criterion_3_encoder_ground_rules():
         _check_rule_suite(name, encoder, exact_w, first)
 
     # delta is stateful: determinism means replaying the stream from a reset
-    delta = DeltaEncoder(ScalarEncoder(-10, 10, 134, 21))
+    delta = DeltaEncoder(-10, 10, 134, 21)
     stream = [rng.uniform(-100, 100) for _ in range(count)]
     first = [delta.encode(v) for v in stream]
     delta.reset()

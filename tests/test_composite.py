@@ -133,7 +133,7 @@ class TestDatetimeEncoder:
 
     def test_component_order_and_total_n(self):
         enc = DatetimeEncoder(weekend=50, day_of_week=(70, 21), time_of_day=(96, 21))
-        assert [name for name, _ in enc.components] == [
+        assert [name for name, _ in enc.parts] == [
             "weekend", "day_of_week", "time_of_day"
         ]
         assert enc.n == 100 + 70 + 96
@@ -178,7 +178,6 @@ class TestDatetimeEncoder:
     def test_is_a_multi_encoder_over_its_components(self):
         enc = DatetimeEncoder(weekend=21, time_of_day=(100, 21))
         assert isinstance(enc, MultiEncoder)
-        assert enc.components is enc.parts
         assert enc.encode(SATURDAY_NOON) == MultiEncoder(enc.parts).encode(
             enc.component_values(SATURDAY_NOON))
 

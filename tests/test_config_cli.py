@@ -1,6 +1,8 @@
 """JSON pipeline configs and the command-line surface."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from sdrkit.errors import ConfigError
 from sdrkit.geospatial import GridCoordinate, gps_to_grid
 from sdrkit.scalars import DeltaEncoder, ScalarEncoder
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FIXTURE = Path(__file__).parent / "data" / "golden_hash_vectors.txt"
 
 SCALAR_CONFIG = {
@@ -141,6 +144,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="speed_field"):
             parse_pipeline_config({**SCALAR_CONFIG, "speed_field": "v"})
 
+    @pytest.mark.parametrize("config", [
+        {"encoder": {"type": "geospatial", "n": 1000, "variant": "topw", "w": 9},
+         "field": ["x", "y"], "speed_field": None},
+        {**SCALAR_CONFIG, "speed_field": None},
+        {"encoder": {"type": "multi", "parts": [
+            {**SCALAR_CONFIG, "speed_field": None}]}},
+    ], ids=["topw", "scalar", "multi-part"])
+    def test_null_speed_field_rejected(self, config):
+        # It used to parse as "no speed column" and drop out of the echo.
+        with pytest.raises(ConfigError, match="key 'speed_field' must not be null"):
+            parse_pipeline_config(config)
+
     def test_datetime_components(self):
         cfg = parse_pipeline_config({
             "encoder": {"type": "datetime",
@@ -210,6 +225,108 @@ class TestConfigParsing:
         )
         assert cfg.distance(0, 10) == 3
         assert cfg.distance(1, 2) == 1
+
+    def test_expressions_in_use_parse_and_keep_their_values(self):
+        """Every expression in the README, the benchmark workloads and the
+        tests passes the whitelist and evaluates as plain Python does."""
+        sources = [ROOT / "README.md", ROOT / "bench" / "workloads.py",
+                   *sorted((ROOT / "tests").glob("*.py"))]
+        found = {e for path in sources if path.name != Path(__file__).name
+                 for e in re.findall(r'"expression": "([^"]*)"}',
+                                     path.read_text(encoding="utf-8"))}
+        assert {"a - b", "abs(a - b)", "max(abs(a[0] - b[0]), abs(a[1] - b[1]))"} <= found
+        found.add("min(abs(a-b), 3)")  # this file's own
+        numbers = [0, 1, -2.5, 10, 1e300, -1e300]
+        cells = [(0, 0), (3, -4), (-(2 ** 31), 2 ** 31 - 1)]
+        env = {"abs": abs, "min": min, "max": max, "math": math}
+        for expr in found:
+            distance = parse_pipeline_config(
+                {**SCALAR_CONFIG, "distance": {"expression": expr}}).distance
+            values = cells if "[" in expr else numbers
+            for a in values:
+                for b in values:
+                    want = eval(expr, {"__builtins__": {}}, {**env, "a": a, "b": b})
+                    assert distance(a, b) == want
+
+    @pytest.mark.parametrize("expr", [
+        "a ** 64", "(a ** 8) ** 8", "a ** -2", "a ** 0.5 + b ** +3",
+        "math.sqrt(a * a + b * b)", "math.pi * a", "-a if a < b else not b",
+        "a and b or 1", "a // 2 % 3 / 4", "1 <= a != b", "min(a, b, 0.5)",
+        "+".join(["a"] * 128),
+        " + ".join(f"math.{f}(a)" for f in ("fabs", "sqrt", "exp", "log", "log2", "log10",
+                                              "sin", "cos", "tan", "asin", "acos", "atan",
+                                              "floor", "ceil", "trunc")),
+        "math.atan2(a, b) + math.hypot(a, b) + math.copysign(a, b) + math.fmod(a, b)",
+        "math.e + math.tau + math.inf",
+        "max(abs(a[0][0] - b[0][0]), abs(a[0][1] - b[0][1]))",
+    ])
+    def test_expression_whitelist_accepts(self, expr):
+        parse_pipeline_config({**SCALAR_CONFIG, "distance": {"expression": expr}})
+
+    @pytest.mark.parametrize("expr, message", [
+        ("().__class__.__base__.__subclasses__().__len__()", "is not allowed"),
+        ("__import__('os').system('true')", "is not allowed"),
+        ("__import__('os')", "'__import__' is not allowed"),
+        ("a.__class__", "'a.__class__' is not allowed"),
+        ("math.__loader__", "is not allowed"),
+        ("math.factorial(10 ** 6)", "'math.factorial' is not allowed"),
+        ("math.comb(a, b)", "'math.comb' is not allowed"),
+        ("math.perm(a, b)", "'math.perm' is not allowed"),
+        ("math.pow(a, 2)", "'math.pow' is not allowed"),
+        ("math", "'math' is not allowed"),
+        ("abs", "'abs' is not allowed"),
+        ("sum([a, b])", "'sum' is not allowed"),
+        ("eval('1')", "'eval' is not allowed"),
+        ("c", "'c' is not allowed"),
+        ("'x' * 10", "\"'x'\" is not allowed"),
+        ("b'x'", "is not allowed"),
+        ("1j", "'1j' is not allowed"),
+        ("True", "'True' is not allowed"),
+        ("None", "'None' is not allowed"),
+        ("...", "'...' is not allowed"),
+        ("a << 1000", "'a << 1000' is not allowed"),
+        ("a >> 1", "is not allowed"),
+        ("a & b", "is not allowed"),
+        ("a | b", "is not allowed"),
+        ("a ^ b", "is not allowed"),
+        ("~a", "'~a' is not allowed"),
+        ("a @ b", "is not allowed"),
+        ("a in b", "is not allowed"),
+        ("a is b", "is not allowed"),
+        ("lambda: 1", "is not allowed"),
+        ("[x for x in (1, 2)]", "is not allowed"),
+        ("{x: 1 for x in (1, 2)}", "is not allowed"),
+        ("(x := 1)", "is not allowed"),
+        ("max(*a)", "'*a' is not allowed"),
+        ("max(a, key=abs)", "keyword arguments are not allowed"),
+        ("(a, b)", "'(a, b)' is not allowed"),
+        ("[a]", "is not allowed"),
+        ("{a}", "is not allowed"),
+        ("{1: a}", "is not allowed"),
+        ("f'{a}'", "is not allowed"),
+        ("a[0:1]", "'a[0:1]' is not allowed"),
+        ("a[b]", "'a[b]' is not allowed"),
+        ("a[-1]", "'a[-1]' is not allowed"),
+        ("a[True]", "is not allowed"),
+        ("(a + b)[0]", "is not allowed"),
+        ("abs[0]", "'abs' is not allowed"),
+        ("a[0][b]", "'a[0][b]' is not allowed"),
+        ("a ** b", "'a ** b' is not allowed"),
+        ("a ** 65", "multiply to more than 64"),
+        ("(a ** 8) ** 9", "multiply to more than 64"),
+        ("(a ** 1000000) ** 0", "multiply to more than 64"),
+        ("(a ** 1000) ** 0.01", "multiply to more than 64"),
+        ("a ** 1e999", "multiply to more than 64"),
+        ("10**10**10", "'10 ** 10 ** 10' is not allowed"),
+        ("+".join(["a"] * 129), "more than 256 nodes"),
+        ("a +", "invalid syntax"),
+        ("a\x00", "null bytes"),
+    ])
+    def test_expression_whitelist_rejects(self, expr, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline_config({**SCALAR_CONFIG, "distance": {"expression": expr}})
+        assert str(exc.value).startswith("config.distance: invalid expression: ")
+        assert message in str(exc.value)
 
     def test_warnings_surface(self):
         cfg = parse_pipeline_config(SCALAR_CONFIG)  # w=10 < 20
@@ -321,6 +438,37 @@ class TestEncodeCommand:
         assert run_cli(["encode", "--config", str(cfg), "--input", data]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("encoder, message", [
+        ({"type": "scalar", "min": 0, "max": 45, "n": 2 ** 1100, "w": 21},
+         "leaves no positive finite bucket width"),
+        ({"type": "delta", "min": -1, "max": 1, "n": 2 ** 1100, "w": 21},
+         "leaves no positive finite bucket width"),
+        ({"type": "cyclic", "period": 7, "n": 2 ** 1100, "w": 21},
+         "leaves no positive finite bucket width"),
+        ({"type": "scalar", "min": 0, "max": 1e-300, "n": 2 ** 1000, "w": 21},
+         "leaves no positive finite bucket width"),
+        ({"type": "scalar", "min": -1e308, "max": 1e308, "n": 134, "w": 21},
+         "leaves no positive finite bucket width"),
+        ({"type": "scalar", "min": 0, "max": 45, "n": 2 ** 20, "w": 2 ** 16 + 1},
+         "w (65537) cannot exceed MAX_W (65536)"),
+        ({"type": "scalar_unbounded", "resolution": 1, "n": 2 ** 20, "w": 2 ** 16 + 1},
+         "w (65537) cannot exceed MAX_W (65536)"),
+        ({"type": "category", "categories": ["a"], "w": 10 ** 400},
+         "cannot exceed MAX_W (65536)"),
+        ({"type": "datetime", "weekend": {"w": 2 ** 16 + 1}},
+         "cannot exceed MAX_W (65536)"),
+    ], ids=["scalar-n", "delta-n", "cyclic-n", "scalar-width-underflow",
+            "scalar-span-overflow", "scalar-w", "unbounded-w", "category-w", "weekend-w"])
+    def test_sizes_no_encode_can_use_exit_2(self, tmp_path, capsys, encoder, message):
+        # Each of these used to pass, then fail on encode with a traceback.
+        cfg = write(tmp_path, "cfg.json", {"encoder": encoder, "field": "v"})
+        data = write(tmp_path, "in.csv", "v\n1\n")
+        assert run_cli(["encode", "--config", cfg, "--input", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config.encoder: ")
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_data_error_exit_3_names_row_and_column(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "output_format": "sparse"})
@@ -583,6 +731,35 @@ class TestEvaluateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: config.distance: invalid expression")
         assert captured.out == ""
+
+    def test_expression_escape_exit_2(self, tmp_path, capsys):
+        # Without the whitelist this evaluates to the interpreter's subclass
+        # count: arbitrary code from a config file.
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 221, "w": 21},
+            "field": "v",
+            "distance": {"expression": "().__class__.__base__.__subclasses__().__len__()"},
+        })
+        data = write(tmp_path, "samples.csv", "v\n1\n2\n3\n4\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: config.distance: invalid expression: ")
+        assert captured.out == ""
+
+    def test_speed_pairs_evaluate_with_a_cell_expression(self, tmp_path, capsys):
+        # A speed column makes each sample a ((x, y), speed) pair.
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "geospatial", "n": 1000, "variant": "topw", "w": 15,
+                        "radius_max": 6, "speed_scale": 0.1},
+            "field": ["x", "y"], "speed_field": "speed",
+            "distance": {"expression": "max(abs(a[0][0] - b[0][0]), abs(a[0][1] - b[0][1]))"},
+        })
+        data = write(tmp_path, "samples.csv",
+                     "x,y,speed\n0,0,0\n1,0,5\n3,4,20\n-2,7,40\n9,9,1\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data,
+                        "--quadruples", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "samples_checked: 5" in out and "  symmetry: 0 violation(s)" in out
 
     def test_requires_distance(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {

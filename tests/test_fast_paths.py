@@ -272,7 +272,7 @@ def test_cyclic_output_valid(enc, value):
 @settings(deadline=None)
 @given(scalar_encoders(), st.lists(finite, min_size=1, max_size=5))
 def test_delta_output_valid(inner, stream):
-    enc = DeltaEncoder(inner)
+    enc = DeltaEncoder(inner.min_value, inner.max_value, inner.n, inner.w)
     for value in stream:
         assert_valid(enc.encode(value))
 

@@ -182,7 +182,7 @@ class TestFixedEncoder:
     def test_speed_rejected(self):
         enc = GeospatialEncoder(1000, 2)
         with pytest.raises(InputError):
-            enc.encode((0, 0), speed=3.0)
+            enc.encode(((0, 0), 3.0))
 
 
 class TestTopWEncoder:
@@ -285,10 +285,30 @@ class TestRadiusFromSpeed:
 
     def test_speed_adapts_encoding(self):
         enc = self.make()
-        slow = enc.encode((0, 0), speed=0)
+        slow = enc.encode(((0, 0), 0))
         assert slow == enc.encode_topw((0, 0), radius=2)
-        fast = enc.encode((0, 0), speed=20)
+        fast = enc.encode(((0, 0), 20))
         assert fast == enc.encode_topw((0, 0), radius=4)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.floats(-10, 10), st.data(),
+       st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+       st.one_of(st.floats(0, 100), st.floats()))
+def test_a_cell_speed_pair_is_encoded_at_the_speed_radius(radius_min, spread, scale, data,
+                                                           cell, speed):
+    enc = GeospatialEncoder(1000, radius_min, variant="topw", speed_scale=scale,
+                            w=data.draw(st.integers(1, (2 * radius_min + 1) ** 2)),
+                            radius_min=radius_min, radius_max=radius_min + spread)
+    cell = data.draw(st.sampled_from([cell, GridCoordinate(*cell), list(cell)]))
+
+    def outcome(fn):
+        try:
+            return fn()
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(lambda: enc.encode((cell, speed))) == \
+        outcome(lambda: enc.encode_topw(cell, enc.radius_from_speed(speed)))
 
 
 class TestGpsToGrid:

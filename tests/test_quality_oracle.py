@@ -148,9 +148,9 @@ def oracle_consistency(encode, distance, samples, quadruple_count, seed, exhaust
 
 def oracle_evaluate(encode, distance, samples, quadruple_count, seed, exhaustive):
     axioms = oracle_axioms(distance, samples)
-    return axioms.merge(
-        oracle_consistency(encode, distance, samples, quadruple_count, seed, exhaustive)
-    )
+    report = oracle_consistency(encode, distance, samples, quadruple_count, seed, exhaustive)
+    report.axiom_violations = axioms.axiom_violations
+    return report
 
 
 def outcome(fn, *args):
@@ -296,6 +296,29 @@ def test_builtin_distances_match_the_oracle(case, encode, quadruple_count, seed)
 @given(user_distances, user_samples, encoders, st.integers(0, 300), st.integers(0, 1 << 64))
 def test_user_distances_match_the_oracle(distance, samples, encode, quadruple_count, seed):
     assert_same(encode, distance, samples, quadruple_count, seed)
+
+
+@ORACLE_SETTINGS
+@given(st.one_of(builtin_cases(), st.tuples(user_distances, user_samples)), encoders,
+       st.one_of(st.just(0), st.integers(0, 300)), st.integers(0, 1 << 64))
+def test_evaluate_encoder_is_the_axiom_and_consistency_reports(case, encode,
+                                                              quadruple_count, seed):
+    """The axiom fields are `check_distance_axioms`', the rest, rank
+    correlation included when no quadruple is sampled, are
+    `evaluate_semantic_consistency`'s."""
+    distance, samples = case
+    got = outcome(evaluate_encoder, encode, distance, samples, quadruple_count, seed)
+    axioms = outcome(check_distance_axioms, distance, samples)
+    consistency = outcome(evaluate_semantic_consistency, encode, distance, samples,
+                          quadruple_count, seed)
+    if not isinstance(axioms, EvaluationReport):
+        assert got == axioms
+    elif not isinstance(consistency, EvaluationReport):
+        assert got == consistency
+    else:
+        assert got.axiom_violations == axioms.axiom_violations
+        got.axiom_violations = {}
+        assert got == consistency
 
 
 @settings(max_examples=40, deadline=None)

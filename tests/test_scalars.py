@@ -12,6 +12,7 @@ from sdrkit.hashing import bucket_bit_index
 from sdrkit.scalars import (
     CyclicEncoder,
     DeltaEncoder,
+    MAX_W,
     ScalarEncoder,
     UnboundedScalarEncoder,
     validate_scalar_config,
@@ -135,37 +136,61 @@ class TestCyclicEncoder:
 class TestDeltaEncoder:
     def test_first_value_encodes_zero_delta(self):
         inner = ScalarEncoder(-10, 10, 100, 21)
-        delta = DeltaEncoder(ScalarEncoder(-10, 10, 100, 21))
+        delta = DeltaEncoder(-10, 10, 100, 21)
         assert delta.encode(10) == inner.encode(0)
 
     def test_second_value_encodes_difference(self):
         inner = ScalarEncoder(-10, 10, 100, 21)
-        delta = DeltaEncoder(ScalarEncoder(-10, 10, 100, 21))
+        delta = DeltaEncoder(-10, 10, 100, 21)
         delta.encode(10)
         assert delta.encode(12) == inner.encode(2)
 
     def test_constant_input_repeats(self):
-        delta = DeltaEncoder(ScalarEncoder(-10, 10, 100, 21))
+        delta = DeltaEncoder(-10, 10, 100, 21)
         outs = [delta.encode(5), delta.encode(5), delta.encode(5)]
         assert outs[1] == outs[2]
 
     def test_error_leaves_state_unchanged(self):
-        delta = DeltaEncoder(ScalarEncoder(-10, 10, 100, 21))
+        delta = DeltaEncoder(-10, 10, 100, 21)
         delta.encode(3)
         with pytest.raises(InputError):
             delta.encode(float("nan"))
         assert delta.previous == 3
 
     def test_reset(self):
-        delta = DeltaEncoder(ScalarEncoder(-10, 10, 100, 21))
+        delta = DeltaEncoder(-10, 10, 100, 21)
         first = delta.encode(7)
         delta.encode(9)
         delta.reset()
         assert delta.encode(7) == first
 
-    def test_requires_bounded_inner(self):
-        with pytest.raises(ConfigError):
-            DeltaEncoder(CyclicEncoder(7, 7, 3))
+    @given(st.floats(-1e3, 1e3), st.floats(0.5, 1e3), st.integers(2, 300), st.data(),
+           st.lists(st.one_of(st.floats(-30, 30), st.floats()), max_size=20))
+    def test_equals_a_scalar_encoder_of_the_deltas(self, lo, span, n, data, stream):
+        w = data.draw(st.integers(1, n - 1))
+        delta, scalar = DeltaEncoder(lo, lo + span, n, w), ScalarEncoder(lo, lo + span, n, w)
+
+        def outcome(encode, value):
+            try:
+                return encode(value)
+            except InputError:
+                return InputError
+
+        previous = None
+        for v in stream:
+            change = 0.0 if previous is None else v - previous
+            expected = outcome(scalar.encode, change if math.isfinite(v) else v)
+            assert outcome(delta.encode, v) == expected
+            if expected is not InputError:
+                previous = v
+            assert delta.previous == previous  # untouched on error
+
+    def test_is_a_scalar_encoder_over_the_delta_range(self):
+        delta = DeltaEncoder(-10, 10, 100, 21)
+        assert isinstance(delta, ScalarEncoder)
+        assert delta.params() == ScalarEncoder(-10, 10, 100, 21).params()
+        with pytest.raises(ConfigError, match="empty range"):
+            DeltaEncoder(10, -10, 100, 21)
 
 
 class TestUnboundedScalarEncoder:
@@ -235,6 +260,12 @@ class TestValidateScalarConfig:
     def test_w_exceeding_n_is_error(self):
         findings = validate_scalar_config(n=10, w=11)
         assert any(f.is_error for f in findings)
+
+    def test_w_above_max_w_is_error(self):
+        assert not any(f.is_error for f in validate_scalar_config(n=2 * MAX_W, w=MAX_W))
+        findings = validate_scalar_config(n=2 * MAX_W, w=MAX_W + 1)
+        assert [f.message for f in findings if f.is_error] == [
+            f"w ({MAX_W + 1}) cannot exceed MAX_W ({MAX_W})"]
 
     def test_sparsity_band_warning(self):
         findings = validate_scalar_config(n=100, w=50)
