@@ -27,7 +27,7 @@ print(f"catch-all block: {to_dense_string(lenient.encode('adverb'))}")
 
 print()
 print("=== datetime: weekend block + cyclic day-of-week ===")
-enc = DatetimeEncoder(weekend=10, day_of_week=(21, 6))
+enc = DatetimeEncoder(weekend={"w": 10}, day_of_week={"n": 21, "w": 6})
 print(f"total bits: {enc.n} (weekend 20 + day-of-week 21)")
 week = [dt.datetime(2023, 1, d, 19, 30) for d in range(2, 9)]  # Mon..Sun
 for t in week:

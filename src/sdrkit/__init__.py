@@ -8,7 +8,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EvaluationError,
-    Finding,
     InputError,
     InvalidSdr,
     MissingFieldError,
@@ -35,7 +34,6 @@ from .scalars import (
     DeltaEncoder,
     ScalarEncoder,
     UnboundedScalarEncoder,
-    validate_scalar_config,
 )
 from .sdr import (
     SDR,
@@ -63,7 +61,6 @@ __all__ = [
     "CyclicEncoder",
     "DeltaEncoder",
     "UnboundedScalarEncoder",
-    "validate_scalar_config",
     "CategoryEncoder",
     "GeospatialEncoder",
     "GridCoordinate",
@@ -82,7 +79,6 @@ __all__ = [
     "circular_distance",
     "chebyshev_distance",
     "discrete_distance",
-    "Finding",
     "SdrError",
     "DimensionMismatch",
     "InvalidSdr",

@@ -49,7 +49,7 @@ class CategoryEncoder:
         self._index = {label: i for i, label in enumerate(labels)}
         blocks = len(labels) + (1 if unknown_policy == "catch_all" else 0)
         self.n = blocks * w
-        self.warnings: list = []
+        self.warnings: list[str] = []
 
     def params(self) -> dict:
         """The encoder's config keys."""

@@ -6,10 +6,12 @@
     sdrkit selftest-hash
 
 `encode` streams CSV rows (header required, fields bound by name) to one
-output line per row; memory use is independent of row count.  Every column
-the config references must appear exactly once in the header: a missing or
-repeated name is a config error (exit 2), and a row whose field count differs
-from the header's is a data error (exit 3), for `encode` and `evaluate` alike.
+output line per row; memory use is independent of row count.  Dense output
+of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
+Every column the config references must appear exactly once in the header:
+a missing or repeated name is a config error (exit 2), and a row whose field
+count differs from the header's is a data error (exit 3), for `encode` and
+`evaluate` alike.
 Validation warnings go to stderr so stdout stays machine-parseable.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
@@ -32,7 +34,7 @@ from .config import OUTPUT_FORMATS, parse_pipeline_config, serialize_pipeline
 from .errors import ConfigError, InputError, SdrError
 from .hashing import coordinate_hash, mix64
 from .quality import evaluate_encoder
-from .sdr import SDR, to_dense_string, to_sparse_string
+from .sdr import MAX_DENSE_N, SDR, to_dense_string, to_sparse_string
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +74,8 @@ def _load_config(path: str):
 
 
 def _emit_warnings(cfg, stderr) -> None:
-    for finding in cfg.warnings:
-        print(f"warning: {finding.message}", file=stderr)
+    for message in cfg.warnings:
+        print(f"warning: {message}", file=stderr)
 
 
 def _format_line(sdr: SDR, fmt: str) -> str:
@@ -131,11 +133,14 @@ def cmd_encode(args, stderr=None) -> int:
     stderr = stderr or sys.stderr
     try:
         cfg = _load_config(args.config)
+        fmt = args.format or cfg.output_format  # argparse and the config check each
+        if fmt == "dense" and cfg.multi.n > MAX_DENSE_N:
+            raise ConfigError(f"dense output takes n <= MAX_DENSE_N ({MAX_DENSE_N}), "
+                              f"got n={cfg.multi.n}; use a sparse format")
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
     _emit_warnings(cfg, stderr)
-    fmt = args.format or cfg.output_format  # argparse and the config check each
 
     with _open_input(args.input) as fin, _open_output(args.output) as fout:
         def write_line(row):

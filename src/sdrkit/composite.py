@@ -8,7 +8,7 @@ import datetime as _dt
 from typing import Mapping, Sequence
 
 from .categories import CategoryEncoder
-from .errors import ConfigError, Finding, InputError, MissingFieldError, SdrError
+from .errors import ConfigError, InputError, MissingFieldError, SdrError
 from .scalars import CyclicEncoder
 from .sdr import SDR
 
@@ -54,22 +54,18 @@ class MultiEncoder:
         if len(set(names)) != len(names):
             raise ConfigError(f"field names must be unique, got {names}")
         self.parts = parts
-        self.warnings: list[Finding] = []
+        self.warnings: list[str] = []
         ws = [(name, enc.w) for name, enc in parts]
         w_lo = min(ws, key=lambda p: p[1])
         w_hi = max(ws, key=lambda p: p[1])
         if w_hi[1] > DOMINANCE_RATIO * w_lo[1]:
             self.warnings.append(
-                Finding(
-                    "warning",
-                    f"field {w_hi[0]!r} (w={w_hi[1]}) has more than "
-                    f"{DOMINANCE_RATIO:.0f}x the one-bits of {w_lo[0]!r} "
-                    f"(w={w_lo[1]}) and may dominate the combined encoding",
-                )
+                f"field {w_hi[0]!r} (w={w_hi[1]}) has more than "
+                f"{DOMINANCE_RATIO:.0f}x the one-bits of {w_lo[0]!r} "
+                f"(w={w_lo[1]}) and may dominate the combined encoding"
             )
         for name, enc in parts:
-            for f in getattr(enc, "warnings", []):
-                self.warnings.append(Finding(f.severity, f"field {name!r}: {f.message}"))
+            self.warnings.extend(f"field {name!r}: {message}" for message in enc.warnings)
 
     @property
     def n(self) -> int:
@@ -113,27 +109,16 @@ _CYCLIC_PERIODS = {
     "day_of_month": 31.0,
 }
 
-DEFAULT_COMPONENT_N = 100
-DEFAULT_COMPONENT_W = 21
-DEFAULT_WEEKEND_W = 50
-
 
 def _component(name: str, spec):
-    """The encoder of one datetime component from its spec."""
+    """The encoder of one datetime component from its spec, the object that
+    `DatetimeEncoder.params` gives."""
     keys = ["w"] if name == "weekend" else ["n", "w"]
-    if isinstance(spec, Mapping):  # the form `DatetimeEncoder.params` gives
-        if sorted(spec, key=str) != keys:
-            raise ConfigError(f"takes the keys {keys}, got {spec!r}")
-        spec = spec["w"] if name == "weekend" else (spec["n"], spec["w"])
+    if not isinstance(spec, Mapping) or sorted(spec, key=str) != keys:
+        raise ConfigError(f"takes the keys {keys}, got {spec!r}")
     if name == "weekend":
-        return CategoryEncoder(["weekday", "weekend"], w=DEFAULT_WEEKEND_W if spec is True else spec)
-    if spec is True:
-        spec = (DEFAULT_COMPONENT_N, DEFAULT_COMPONENT_W)
-    try:
-        n, w = spec
-    except (TypeError, ValueError):
-        raise ConfigError(f"takes an (n, w) pair, got {spec!r}") from None
-    return CyclicEncoder(_CYCLIC_PERIODS[name], n=n, w=w)
+        return CategoryEncoder(["weekday", "weekend"], w=spec["w"])
+    return CyclicEncoder(_CYCLIC_PERIODS[name], n=spec["n"], w=spec["w"])
 
 
 class DatetimeEncoder(MultiEncoder):
@@ -149,12 +134,12 @@ class DatetimeEncoder(MultiEncoder):
     * month_of_year  -- cyclic, period 12, month plus fractional month.
     * day_of_month   -- cyclic, period 31, day plus fractional day.
 
-    Cyclic components take an (n, w) pair or True for the defaults
-    (n=100, w=21); weekend takes w or True (w=50).  Each also takes the
-    object that `params` gives: ``{"n": n, "w": w}``, or ``{"w": w}`` for
-    weekend.  Calendar fields are read from the timestamp exactly as given,
-    ignoring any UTC offset: resolve time zones before encoding, because
-    identical wall-clock fields must encode identically on every machine.
+    Each component takes the object that `params` gives and a config holds:
+    ``{"n": n, "w": w}``, or ``{"w": w}`` for weekend; None (the default)
+    leaves it out.  Calendar fields are read from the timestamp exactly as
+    given, ignoring any UTC offset: resolve time zones before encoding,
+    because identical wall-clock fields must encode identically on every
+    machine.
     """
 
     def __init__(

@@ -48,7 +48,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .categories import CategoryEncoder
 from .composite import DatetimeEncoder, MultiEncoder
-from .errors import ConfigError, Finding, InputError, is_finite_number
+from .errors import ConfigError, InputError, is_finite_number
 from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid
 from .quality import (
     absolute_difference,
@@ -128,7 +128,7 @@ class PipelineConfig:
     delimiter: str
     distance: Callable | None
     spec: dict  # canonical config, as `serialize_pipeline` returns it
-    warnings: list[Finding] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def referenced_columns(self) -> list[str]:
@@ -248,8 +248,6 @@ def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundE
     for key, value in args.items():
         if value is None:  # a constructor reads None as "use the default"
             raise ConfigError(f"{context}: key {key!r} must not be null")
-        if enc_type == "datetime" and not isinstance(value, Mapping):  # no True or pair
-            raise ConfigError(f"{context}: datetime component {key!r} must be an object")
     bind_args = {k: args.pop(k) for k in entry.bind_keys if k in args}
     try:
         encoder = entry.build(**args)
@@ -460,7 +458,7 @@ def _check_expression(node: ast.AST, power: float = 1) -> None:
 def _expression_distance(expr: str) -> Callable:
     try:
         tree = ast.parse(expr, "<distance expression>", "eval")
-    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte, before 3.12
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte, on 3.10
         raise _invalid_expression(str(exc)) from exc
     except (RecursionError, MemoryError):  # the parser's depth limits
         raise _invalid_expression("nested too deeply to parse") from None

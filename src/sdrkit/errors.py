@@ -1,10 +1,13 @@
-"""Exception types and validation findings shared across the package."""
+"""Exception types and the parameter checks shared across the package.
+
+An encoder's constructor raises `ConfigError` at the first parameter that
+fails its check, and keeps its advisory warnings as plain strings on
+``.warnings``."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 
 class SdrError(Exception):
@@ -51,21 +54,6 @@ class ProjectionError(SdrError):
     """A geographic coordinate lies outside the projection's validity."""
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One validation finding: a hard error or an advisory warning."""
-
-    severity: str  # "error" | "warning"
-    message: str
-
-    @property
-    def is_error(self) -> bool:
-        return self.severity == "error"
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.message}"
-
-
 def is_integer(value) -> bool:
     """An int, never a bool: the check for every integer parameter."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -81,10 +69,3 @@ def is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def raise_on_errors(findings: list[Finding]) -> None:
-    """Raise ConfigError summarizing every error-severity finding."""
-    errors = [f.message for f in findings if f.is_error]
-    if errors:
-        raise ConfigError("; ".join(errors))

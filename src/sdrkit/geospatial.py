@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    Finding,
     InputError,
     ProjectionError,
     RangeError,
     is_finite_number,
     is_integer,
-    raise_on_errors,
 )
 from .hashing import bit_indices, order_keys_array
 from .sdr import SDR
@@ -121,23 +119,19 @@ class GeospatialEncoder:
         radius_min: int | None = None,
         radius_max: int | None = None,
     ):
-        findings: list[Finding] = []
         if not is_integer(n) or n < 1:
-            findings.append(Finding("error", f"n must be a positive integer, got {n!r}"))
+            raise ConfigError(f"n must be a positive integer, got {n!r}")
         if not is_integer(radius) or radius < 0:
-            findings.append(Finding("error", f"radius must be a non-negative integer, got {radius!r}"))
+            raise ConfigError(f"radius must be a non-negative integer, got {radius!r}")
         if variant not in ("fixed", "topw"):
-            findings.append(Finding("error", f"variant must be 'fixed' or 'topw', got {variant!r}"))
+            raise ConfigError(f"variant must be 'fixed' or 'topw', got {variant!r}")
         if not is_integer(seed):
-            findings.append(Finding("error", f"seed must be an integer, got {seed!r}"))
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         for name, v in (("w", w), ("radius_min", radius_min), ("radius_max", radius_max)):
             if v is not None and not is_integer(v):
-                findings.append(Finding("error", f"{name} must be an integer, got {v!r}"))
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not is_finite_number(speed_scale):
-            findings.append(
-                Finding("error", f"speed_scale must be a finite number, got {speed_scale!r}")
-            )
-        raise_on_errors(findings)
+            raise ConfigError(f"speed_scale must be a finite number, got {speed_scale!r}")
 
         self.n = n
         self.radius = radius
@@ -148,42 +142,30 @@ class GeospatialEncoder:
         self.radius_max = radius if radius_max is None else radius_max
 
         if self.radius_min < 0 or self.radius_min > self.radius_max:
-            findings.append(
-                Finding("error", f"need 0 <= radius_min <= radius_max, got "
-                                 f"[{self.radius_min}, {self.radius_max}]")
-            )
+            raise ConfigError(f"need 0 <= radius_min <= radius_max, got "
+                              f"[{self.radius_min}, {self.radius_max}]")
         if max(radius, self.radius_max) > _I32_MAX:
-            findings.append(
-                Finding("error", f"radius {radius} and radius_max {self.radius_max} must be "
-                                 f"at most {_I32_MAX}: no wider neighborhood fits on the "
-                                 "signed 32-bit grid")
-            )
+            raise ConfigError(f"radius {radius} and radius_max {self.radius_max} must be "
+                              f"at most {_I32_MAX}: no wider neighborhood fits on the "
+                              "signed 32-bit grid")
 
         full = (2 * radius + 1) ** 2
         if variant == "fixed":
             if w is not None and w != full:
-                findings.append(
-                    Finding("error", f"fixed variant at radius {radius} has w = {full}, got w={w}")
-                )
+                raise ConfigError(f"fixed variant at radius {radius} has w = {full}, got w={w}")
             self.w = full
         elif w is None:
-            findings.append(Finding("error", "topw variant requires w"))
+            raise ConfigError("topw variant requires w")
         else:
             self.w = w
             min_pool = (2 * self.radius_min + 1) ** 2
             if not (1 <= w <= min_pool):
-                findings.append(
-                    Finding("error", f"topw requires 1 <= w <= (2*radius_min+1)**2 "
-                                     f"= {min_pool}, got w={w}")
-                )
-        raise_on_errors(findings)  # so w is at most (2**32 - 1)**2 below
+                raise ConfigError(f"topw requires 1 <= w <= (2*radius_min+1)**2 "
+                                  f"= {min_pool}, got w={w}")
+        self.warnings = []  # w is at most (2**32 - 1)**2 here
         if self.w ** 2 / self.n > 1:
-            findings.append(
-                Finding("warning",
-                        f"w**2/n = {self.w ** 2 / self.n:.2f} > 1: expect noticeable "
-                        "bit-index collisions; increase n")
-            )
-        self.warnings = findings
+            self.warnings.append(f"w**2/n = {self.w ** 2 / self.n:.2f} > 1: expect "
+                                 "noticeable bit-index collisions; increase n")
 
     def params(self) -> dict:
         """The encoder's config keys; w only for topw, as the radius fixes it."""

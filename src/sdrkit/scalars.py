@@ -10,7 +10,10 @@ Four variants:
                             with a fixed number of bits
 
 All of them emit SDRs of constant length, encode deterministically, and clamp
-rather than reject out-of-range input.
+rather than reject out-of-range input.  Each constructor checks n and w
+(`_sizing_warnings`) and then its own numbers, raises ConfigError at the
+first failed check, and keeps the advisory sizing warnings as strings on
+``.warnings``.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import (ConfigError, Finding, InputError, RangeError, is_finite_number,
-                     is_integer, raise_on_errors)
+from .errors import ConfigError, InputError, RangeError, is_finite_number, is_integer
 from .hashing import MASK64, bit_indices
 from .sdr import SDR
 
@@ -40,81 +42,34 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def validate_scalar_config(
-    *,
-    n: int,
-    w: int,
-    min_value: float | None = None,
-    max_value: float | None = None,
-    period: float | None = None,
-    resolution: float | None = None,
-) -> list[Finding]:
-    """Check any scalar-family parameter set.
-
-    Structural violations come back as error findings; advisory sizing
-    guidance (w >= 20, n >= 100, sparsity between 1% and 35%) as warnings.
-    A number left as None is not checked; min and max are checked together.
-    Never raises -- callers decide what to do with the findings.
-    """
-    numbers = {k: v for k, v in (("period", period), ("resolution", resolution)) if v is not None}
-    if min_value is not None or max_value is not None:
-        numbers.update(min=min_value, max=max_value)
-    return _scalar_findings(n, w, numbers)
-
-
-def _scalar_findings(n, w, numbers: dict) -> list[Finding]:
-    """`validate_scalar_config` for an encoder, which checks every number it
-    takes (keyed min and max, period, or resolution), None included."""
-    findings: list[Finding] = []
-
-    def err(msg: str) -> None:
-        findings.append(Finding("error", msg))
-
-    def warn(msg: str) -> None:
-        findings.append(Finding("warning", msg))
-
-    if not _is_positive_int(n):
-        err(f"n must be a positive integer, got {n!r}")
-    if not _is_positive_int(w):
-        err(f"w must be a positive integer, got {w!r}")
-    if _is_positive_int(n) and _is_positive_int(w):
-        if w > n:
-            err(f"w ({w}) cannot exceed n ({n})")
-        elif w > MAX_W:
-            err(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
-        else:
-            if w < MIN_RECOMMENDED_W:
-                warn(
-                    f"w={w} is below the recommended minimum of {MIN_RECOMMENDED_W} "
-                    "one-bits; small codes are fragile under noise and subsampling"
-                )
-            if n < MIN_RECOMMENDED_N:
-                warn(f"n={n} is below the recommended minimum of {MIN_RECOMMENDED_N} bits")
-            lo, hi = SPARSITY_BAND
-            if not (lo <= w / n <= hi):
-                warn(
-                    f"sparsity w/n = {w / n:.4f} is outside the usual "
-                    f"[{lo:.0%}, {hi:.0%}] band"
-                )
-
-    if "min" in numbers:
-        min_value, max_value = numbers["min"], numbers["max"]
-        if not (is_finite_number(min_value) and is_finite_number(max_value)):
-            err(f"min and max must be finite numbers, got {min_value!r} and {max_value!r}")
-        elif min_value >= max_value:
-            err(f"empty range: min ({min_value}) must be below max ({max_value})")
-        elif _is_positive_int(n) and _is_positive_int(w) and n - w < 1:
-            err(f"n - w must be at least 1 to span a bounded range (n={n}, w={w})")
-
-    for name in ("period", "resolution"):
-        if name in numbers and not (is_finite_number(numbers[name]) and numbers[name] > 0):
-            err(f"{name} must be positive and finite, got {numbers[name]!r}")
-
-    return findings
+def _sizing_warnings(n, w) -> list[str]:
+    """Raise ConfigError unless n and w are positive ints with w <= n and
+    w <= MAX_W; return the advisory sizing warnings (w >= 20, n >= 100,
+    sparsity between 1% and 35%)."""
+    if not is_integer(n) or n < 1:
+        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    if not is_integer(w) or w < 1:
+        raise ConfigError(f"w must be a positive integer, got {w!r}")
+    if w > n:
+        raise ConfigError(f"w ({w}) cannot exceed n ({n})")
+    if w > MAX_W:
+        raise ConfigError(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
+    warnings = []
+    if w < MIN_RECOMMENDED_W:
+        warnings.append(f"w={w} is below the recommended minimum of {MIN_RECOMMENDED_W} "
+                        "one-bits; small codes are fragile under noise and subsampling")
+    if n < MIN_RECOMMENDED_N:
+        warnings.append(f"n={n} is below the recommended minimum of {MIN_RECOMMENDED_N} bits")
+    lo, hi = SPARSITY_BAND
+    if not (lo <= w / n <= hi):
+        warnings.append(f"sparsity w/n = {w / n:.4f} is outside the usual "
+                        f"[{lo:.0%}, {hi:.0%}] band")
+    return warnings
 
 
-def _is_positive_int(v) -> bool:
-    return is_integer(v) and v >= 1
+def _check_positive(name: str, value) -> None:
+    if not (is_finite_number(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _resolution(span: float, n: int, w: int = 0) -> float:
@@ -152,9 +107,14 @@ class ScalarEncoder:
     """
 
     def __init__(self, min_value: float, max_value: float, n: int, w: int):
-        findings = _scalar_findings(n, w, {"min": min_value, "max": max_value})
-        raise_on_errors(findings)
-        self.warnings = findings  # warnings only, once errors have raised
+        self.warnings = _sizing_warnings(n, w)
+        if not (is_finite_number(min_value) and is_finite_number(max_value)):
+            raise ConfigError(f"min and max must be finite numbers, got {min_value!r} "
+                              f"and {max_value!r}")
+        if min_value >= max_value:
+            raise ConfigError(f"empty range: min ({min_value}) must be below max ({max_value})")
+        if n - w < 1:
+            raise ConfigError(f"n - w must be at least 1 to span a bounded range (n={n}, w={w})")
         self.min_value = float(min_value)
         self.max_value = float(max_value)
         self.n = n
@@ -186,9 +146,8 @@ class CyclicEncoder:
     """
 
     def __init__(self, period: float, n: int, w: int):
-        findings = _scalar_findings(n, w, {"period": period})
-        raise_on_errors(findings)
-        self.warnings = findings  # warnings only, once errors have raised
+        self.warnings = _sizing_warnings(n, w)
+        _check_positive("period", period)
         self.period = float(period)
         self.n = n
         self.w = w
@@ -247,11 +206,10 @@ class UnboundedScalarEncoder:
     """
 
     def __init__(self, resolution: float, n: int, w: int, seed: int = 0):
-        findings = _scalar_findings(n, w, {"resolution": resolution})
+        self.warnings = _sizing_warnings(n, w)
+        _check_positive("resolution", resolution)
         if not is_integer(seed):
-            findings.append(Finding("error", f"seed must be an integer, got {seed!r}"))
-        raise_on_errors(findings)
-        self.warnings = findings  # warnings only, once errors have raised
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         self.resolution = float(resolution)
         self.n = n
         self.w = w
@@ -288,7 +246,6 @@ __all__ = [
     "CyclicEncoder",
     "DeltaEncoder",
     "UnboundedScalarEncoder",
-    "validate_scalar_config",
     "MIN_RECOMMENDED_W",
     "MIN_RECOMMENDED_N",
     "SPARSITY_BAND",

@@ -120,6 +120,11 @@ def sparsity(a: SDR) -> float:
     return len(a.active) / a.n
 
 
+# Largest n that `sdrkit encode` writes as dense lines: each line holds n
+# characters and is built for every row.
+MAX_DENSE_N = 1 << 24
+
+
 def to_dense_string(a: SDR) -> str:
     """Render as '0'/'1' characters, index 0 leftmost."""
     chars = ["0"] * a.n
@@ -197,4 +202,5 @@ __all__ = [
     "from_sparse_string",
     "to_dense_array",
     "random_sdr",
+    "MAX_DENSE_N",
 ]

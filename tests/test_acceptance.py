@@ -125,7 +125,8 @@ def _stateless_cases(rng, count):
         ("geo_topw",
          GeospatialEncoder(1000, 2, variant="topw", w=15, seed=2), False, coords),
         ("datetime",
-         DatetimeEncoder(weekend=50, day_of_week=(100, 21), time_of_day=(100, 21)),
+         DatetimeEncoder(weekend={"w": 50}, day_of_week={"n": 100, "w": 21},
+                         time_of_day={"n": 100, "w": 21}),
          True, _random_timestamps(rng, count)),
         ("multi", multi, True,
          [{"temp": rng.uniform(-5, 50), "kind": rng.choice(labels)}
@@ -420,13 +421,13 @@ def test_criterion_10_concatenation():
         ("big", ScalarEncoder(0, 1, 300, 64)),
         ("small", ScalarEncoder(0, 1, 100, 21)),
     ])
-    assert any("dominate" in f.message for f in dominated.warnings)
+    assert any("dominate" in message for message in dominated.warnings)
 
     at_exactly_3x = MultiEncoder([
         ("a", ScalarEncoder(0, 1, 300, 63)),
         ("b", ScalarEncoder(0, 1, 100, 21)),
     ])
-    assert not any("dominate" in f.message for f in at_exactly_3x.warnings)
+    assert not any("dominate" in message for message in at_exactly_3x.warnings)
 
     report("10", f"multi output n={out.n} and w={out.active_count} equal the "
                  "sums of the children; dominance warning fires only above 3x")

@@ -93,16 +93,16 @@ class TestMultiEncoder:
             ("a", ScalarEncoder(0, 1, 300, 64)),
             ("b", ScalarEncoder(0, 1, 100, 21)),
         ])
-        assert any("dominate" in f.message for f in noisy.warnings)
+        assert any("dominate" in message for message in noisy.warnings)
         balanced = MultiEncoder([
             ("a", ScalarEncoder(0, 1, 300, 42)),
             ("b", ScalarEncoder(0, 1, 100, 21)),
         ])
-        assert not any("dominate" in f.message for f in balanced.warnings)
+        assert not any("dominate" in message for message in balanced.warnings)
 
     def test_child_warnings_surface_with_field_name(self):
         multi = MultiEncoder([("t", ScalarEncoder(0, 1, 100, 5))])
-        assert any("'t'" in f.message for f in multi.warnings)
+        assert any("'t'" in message for message in multi.warnings)
 
 
 SATURDAY_NOON = dt.datetime(2023, 1, 7, 12, 0)  # a Saturday
@@ -112,7 +112,7 @@ MONDAY = dt.datetime(2023, 1, 9)
 
 class TestDatetimeEncoder:
     def test_weekend_only_block(self):
-        enc = DatetimeEncoder(weekend=50)
+        enc = DatetimeEncoder(weekend={"w": 50})
         out = enc.encode(SATURDAY_NOON)
         assert out.n == 100
         assert out.active == tuple(range(50, 100))
@@ -120,19 +120,20 @@ class TestDatetimeEncoder:
         assert weekday_out.active == tuple(range(0, 50))
 
     def test_day_of_week_wraps_at_week_boundary(self):
-        enc = DatetimeEncoder(day_of_week=(7, 3))
+        enc = DatetimeEncoder(day_of_week={"n": 7, "w": 3})
         sat = enc.encode(dt.datetime(2023, 1, 7))
         sun = enc.encode(SUNDAY)
         mon = enc.encode(MONDAY)
         assert overlap(sat, sun) == overlap(sun, mon) == 2
 
     def test_deterministic(self):
-        enc = DatetimeEncoder(weekend=50, time_of_day=(100, 21))
+        enc = DatetimeEncoder(weekend={"w": 50}, time_of_day={"n": 100, "w": 21})
         t = dt.datetime(2021, 6, 1, 8, 30, 15)
         assert enc.encode(t) == enc.encode(t)
 
     def test_component_order_and_total_n(self):
-        enc = DatetimeEncoder(weekend=50, day_of_week=(70, 21), time_of_day=(96, 21))
+        enc = DatetimeEncoder(weekend={"w": 50}, day_of_week={"n": 70, "w": 21},
+                              time_of_day={"n": 96, "w": 21})
         assert [name for name, _ in enc.parts] == [
             "weekend", "day_of_week", "time_of_day"
         ]
@@ -143,8 +144,9 @@ class TestDatetimeEncoder:
 
     def test_component_values(self):
         enc = DatetimeEncoder(
-            weekend=50, day_of_week=(70, 21), time_of_day=(96, 21),
-            month_of_year=(100, 21), day_of_month=(100, 21),
+            weekend={"w": 50}, day_of_week={"n": 70, "w": 21},
+            time_of_day={"n": 96, "w": 21}, month_of_year={"n": 100, "w": 21},
+            day_of_month={"n": 100, "w": 21},
         )
         values = enc.component_values(dt.datetime(2023, 2, 15, 6, 0))
         assert values["weekend"] == "weekday"
@@ -153,14 +155,9 @@ class TestDatetimeEncoder:
         assert values["day_of_week"] == pytest.approx(3 + 0.25)  # Wed, Sun=0
         assert values["month_of_year"] == pytest.approx(1 + 14.25 / 28)
 
-    def test_defaults(self):
-        enc = DatetimeEncoder(weekend=True, day_of_week=True)
-        assert enc.n == 2 * 50 + 100
-        assert enc.w == 50 + 21
-
     def test_evening_continuity_across_week_wrap(self):
         # Sunday evening should resemble Saturday evening more than Wednesday
-        enc = DatetimeEncoder(day_of_week=(140, 21))
+        enc = DatetimeEncoder(day_of_week={"n": 140, "w": 21})
         sat_eve = enc.encode(dt.datetime(2023, 1, 7, 22, 0))
         sun_eve = enc.encode(dt.datetime(2023, 1, 8, 22, 0))
         wed_eve = enc.encode(dt.datetime(2023, 1, 11, 22, 0))
@@ -171,19 +168,19 @@ class TestDatetimeEncoder:
             DatetimeEncoder()
 
     def test_rejects_non_datetime(self):
-        enc = DatetimeEncoder(weekend=50)
+        enc = DatetimeEncoder(weekend={"w": 50})
         with pytest.raises(InputError):
             enc.encode("2023-01-07")
 
     def test_is_a_multi_encoder_over_its_components(self):
-        enc = DatetimeEncoder(weekend=21, time_of_day=(100, 21))
+        enc = DatetimeEncoder(weekend={"w": 21}, time_of_day={"n": 100, "w": 21})
         assert isinstance(enc, MultiEncoder)
         assert enc.encode(SATURDAY_NOON) == MultiEncoder(enc.parts).encode(
             enc.component_values(SATURDAY_NOON))
 
     def test_warnings_follow_the_multi_encoder_rule(self):
-        enc = DatetimeEncoder(weekend=50, time_of_day=(100, 10))
-        assert [f.message for f in enc.warnings] == [
+        enc = DatetimeEncoder(weekend={"w": 50}, time_of_day={"n": 100, "w": 10})
+        assert enc.warnings == [
             "field 'weekend' (w=50) has more than 3x the one-bits of 'time_of_day' "
             "(w=10) and may dominate the combined encoding",
             "field 'time_of_day': w=10 is below the recommended minimum of 20 "
@@ -192,24 +189,25 @@ class TestDatetimeEncoder:
 
     def test_utc_offset_is_ignored(self):
         # Wall-clock fields are encoded as written; the offset plays no part.
-        enc = DatetimeEncoder(weekend=True, day_of_week=True, time_of_day=True,
-                              month_of_year=True, day_of_month=True)
+        cyclic = {"n": 100, "w": 21}
+        enc = DatetimeEncoder(weekend={"w": 50}, day_of_week=cyclic, time_of_day=cyclic,
+                              month_of_year=cyclic, day_of_month=cyclic)
         naive = dt.datetime(2024, 1, 6, 23, 30)
         for hours in (5, -8, 0, 14):
             aware = naive.replace(tzinfo=dt.timezone(dt.timedelta(hours=hours)))
             assert enc.encode(aware) == enc.encode(naive)
 
     def test_params_rebuild_the_same_encoder(self):
-        enc = DatetimeEncoder(weekend=True, time_of_day=(96, 21))
+        enc = DatetimeEncoder(weekend={"w": 50}, time_of_day={"n": 96, "w": 21})
         assert enc.params() == {"weekend": {"w": 50}, "time_of_day": {"n": 96, "w": 21}}
         again = DatetimeEncoder(**enc.params())
         assert again.params() == enc.params()
         assert again.encode(SATURDAY_NOON) == enc.encode(SATURDAY_NOON)
 
     def test_bad_component_specs(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^weekend component: takes the keys \['w'\]"):
             DatetimeEncoder(weekend="big")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^day_of_week component: takes the keys"):
             DatetimeEncoder(day_of_week=7)
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from sdrkit import cli
+from sdrkit.composite import DatetimeEncoder
 from sdrkit.config import parse_pipeline_config, serialize_pipeline
 from sdrkit.errors import ConfigError
 from sdrkit.geospatial import GridCoordinate, gps_to_grid
 from sdrkit.scalars import DeltaEncoder, ScalarEncoder
+from sdrkit.sdr import MAX_DENSE_N
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FIXTURE = Path(__file__).parent / "data" / "golden_hash_vectors.txt"
@@ -173,17 +175,24 @@ class TestConfigParsing:
             })
 
     @pytest.mark.parametrize("component, message", [
-        (True, "must be an object"), ([96, 21], "must be an object"),
-        ({"n": 96, "w": 21, "x": 1}, "takes the keys"), ({"n": 96}, "takes the keys"),
-        ({"n": 96, "w": 1.5}, "time_of_day component: w must be a positive integer"),
+        (True, "takes the keys ['n', 'w'], got True"),
+        ([96, 21], "takes the keys ['n', 'w'], got [96, 21]"),
+        ({"n": 96, "w": 21, "x": 1},
+         "takes the keys ['n', 'w'], got {'n': 96, 'w': 21, 'x': 1}"),
+        ({"n": 96}, "takes the keys ['n', 'w'], got {'n': 96}"),
+        ({"n": 96, "w": 1.5}, "w must be a positive integer, got 1.5"),
     ], ids=["true", "pair", "unknown-key", "missing-key", "float-w"])
     def test_datetime_component_is_an_n_w_object(self, component, message):
-        # The library also takes True and (n, w) pairs; a config takes only
-        # the object form that its echo shows.
-        with pytest.raises(ConfigError, match=message):
+        # The library and a config take only the object form that the echo
+        # shows, and reject anything else with the same message.
+        with pytest.raises(ConfigError) as library:
+            DatetimeEncoder(time_of_day=component)
+        assert str(library.value) == f"time_of_day component: {message}"
+        with pytest.raises(ConfigError) as config:
             parse_pipeline_config({
                 "encoder": {"type": "datetime", "time_of_day": component}, "field": "ts",
             })
+        assert str(config.value) == f"config.encoder: {library.value}"
 
     def test_output_format_alias(self):
         cfg = parse_pipeline_config(
@@ -330,7 +339,7 @@ class TestConfigParsing:
 
     def test_warnings_surface(self):
         cfg = parse_pipeline_config(SCALAR_CONFIG)  # w=10 < 20
-        assert any("20" in f.message for f in cfg.warnings)
+        assert any("20" in message for message in cfg.warnings)
 
     @pytest.mark.parametrize("raw", [
         SCALAR_CONFIG,
@@ -389,6 +398,47 @@ class TestEncodeCommand:
         assert run_cli(["encode", "--config", cfg, "--input", data,
                         "--output", str(out), "--format", "sparse-n"]) == 0
         assert out.read_text().startswith("n=100;20,")
+
+    @pytest.mark.parametrize("output_format, flag", [
+        ("dense", []), ("sparse", ["--format", "dense"]),
+    ], ids=["config-format", "format-flag"])
+    def test_dense_output_beyond_max_dense_n_is_a_config_error(self, tmp_path, capsys,
+                                                               output_format, flag):
+        # A dense line holds n characters, so the size is refused up front.
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar_unbounded", "resolution": 1, "n": 2 ** 1100,
+                        "w": 21},
+            "field": "v", "output_format": output_format,
+        })
+        out = tmp_path / "out.txt"
+        rc = run_cli(["encode", "--config", cfg, "--input", str(tmp_path / "absent.csv"),
+                      "--output", str(out), *flag])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: dense output takes n <= MAX_DENSE_N ({MAX_DENSE_N}), "
+            f"got n={2 ** 1100}; use a sparse format\n")
+        assert not out.exists()  # refused before any input is read
+
+    def test_sparse_output_takes_any_n(self, tmp_path):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar_unbounded", "resolution": 1, "n": 2 ** 1100,
+                        "w": 21},
+            "field": "v", "output_format": "dense",
+        })
+        data = write(tmp_path, "in.csv", "v\n1\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(["encode", "--config", cfg, "--input", data,
+                        "--output", str(out), "--format", "sparse-n"]) == 0
+        assert out.read_text().startswith(f"n={2 ** 1100};")
+
+    def test_dense_output_of_max_dense_n_is_allowed(self, tmp_path):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "scalar_unbounded", "resolution": 1, "n": MAX_DENSE_N,
+                        "w": 21},
+            "field": "v",
+        })
+        data = write(tmp_path, "in.csv", "v\n")  # no rows: no line is built
+        assert run_cli(["encode", "--config", cfg, "--input", data]) == 0
 
     def test_one_line_per_row_in_order(self, tmp_path):
         cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "output_format": "sparse"})

@@ -299,8 +299,9 @@ def test_geospatial_output_valid(enc, coord):
 @settings(deadline=None)
 @given(st.datetimes())
 def test_datetime_output_valid(t):
-    enc = DatetimeEncoder(weekend=True, day_of_week=True, time_of_day=(60, 21),
-                          month_of_year=(48, 7), day_of_month=True)
+    enc = DatetimeEncoder(weekend={"w": 50}, day_of_week={"n": 100, "w": 21},
+                          time_of_day={"n": 60, "w": 21}, month_of_year={"n": 48, "w": 7},
+                          day_of_month={"n": 100, "w": 21})
     assert_valid(enc.encode(t))
 
 

@@ -175,9 +175,20 @@ class TestFixedEncoder:
         with pytest.raises(ConfigError, match="speed_scale must be a finite number"):
             GeospatialEncoder(1000, speed_scale=10**400)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GeospatialEncoder(0, -1, variant="ring"), "n must be a positive integer, got 0"),
+        (lambda: GeospatialEncoder(1000, 2, radius_min=3, w=26),
+         "need 0 <= radius_min <= radius_max, got [3, 2]"),
+    ], ids=["n-before-radius-and-variant", "radius-range-before-w"])
+    def test_two_bad_parameters_raise_for_the_first(self, make, message):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_collision_warning_for_small_n(self):
-        enc = GeospatialEncoder(100, 2)
-        assert any("collision" in f.message for f in enc.warnings)
+        assert GeospatialEncoder(100, 2).warnings == [
+            "w**2/n = 6.25 > 1: expect noticeable bit-index collisions; increase n"]
+        assert GeospatialEncoder(625, 2).warnings == []
 
     def test_speed_rejected(self):
         enc = GeospatialEncoder(1000, 2)

@@ -15,7 +15,6 @@ from sdrkit.scalars import (
     MAX_W,
     ScalarEncoder,
     UnboundedScalarEncoder,
-    validate_scalar_config,
 )
 from sdrkit.sdr import overlap
 
@@ -244,40 +243,65 @@ class TestUnboundedScalarEncoder:
             UnboundedScalarEncoder(resolution=1, n=1000, w=25, seed=seed)
 
 
+def _config_error(make) -> str:
+    with pytest.raises(ConfigError) as exc:
+        make()
+    return str(exc.value)
+
+
 class TestValidateScalarConfig:
+    """Each constructor raises ConfigError at the first failed check and
+    keeps its advisory sizing warnings as strings on ``.warnings``."""
+
     def test_recommended_sizes_pass_clean(self):
-        assert validate_scalar_config(n=134, w=21, min_value=0, max_value=45) == []
+        assert ScalarEncoder(0, 45, 134, 21).warnings == []
+        assert CyclicEncoder(7, 100, 21).warnings == []
+        assert UnboundedScalarEncoder(1, 134, 21).warnings == []
 
     def test_small_w_warns(self):
-        findings = validate_scalar_config(n=100, w=10, min_value=0, max_value=45)
-        assert any("below the recommended minimum of 20" in f.message for f in findings)
-        assert all(not f.is_error for f in findings)
+        assert ScalarEncoder(0, 45, 100, 10).warnings == [
+            "w=10 is below the recommended minimum of 20 one-bits; small codes are "
+            "fragile under noise and subsampling"]
 
     def test_empty_range_is_error(self):
-        findings = validate_scalar_config(n=100, w=21, min_value=5, max_value=5)
-        assert any(f.is_error and "empty range" in f.message for f in findings)
+        assert _config_error(lambda: ScalarEncoder(5, 5, 100, 21)) == (
+            "empty range: min (5) must be below max (5)")
 
     def test_w_exceeding_n_is_error(self):
-        findings = validate_scalar_config(n=10, w=11)
-        assert any(f.is_error for f in findings)
+        for make in (lambda: ScalarEncoder(0, 1, 10, 11), lambda: CyclicEncoder(7, 10, 11),
+                     lambda: UnboundedScalarEncoder(1, 10, 11)):
+            assert _config_error(make) == "w (11) cannot exceed n (10)"
 
     def test_w_above_max_w_is_error(self):
-        assert not any(f.is_error for f in validate_scalar_config(n=2 * MAX_W, w=MAX_W))
-        findings = validate_scalar_config(n=2 * MAX_W, w=MAX_W + 1)
-        assert [f.message for f in findings if f.is_error] == [
-            f"w ({MAX_W + 1}) cannot exceed MAX_W ({MAX_W})"]
+        CyclicEncoder(7, 2 * MAX_W, MAX_W)
+        assert _config_error(lambda: CyclicEncoder(7, 2 * MAX_W, MAX_W + 1)) == (
+            f"w ({MAX_W + 1}) cannot exceed MAX_W ({MAX_W})")
 
     def test_sparsity_band_warning(self):
-        findings = validate_scalar_config(n=100, w=50)
-        assert any("sparsity" in f.message and not f.is_error for f in findings)
+        assert CyclicEncoder(7, 100, 50).warnings == [
+            "sparsity w/n = 0.5000 is outside the usual [1%, 35%] band"]
 
     def test_small_n_warns(self):
-        findings = validate_scalar_config(n=64, w=21)
-        assert any("n=64 is below" in f.message for f in findings)
+        assert UnboundedScalarEncoder(1, 64, 21).warnings == [
+            "n=64 is below the recommended minimum of 100 bits"]
 
     def test_bad_period_and_resolution(self):
-        assert any(f.is_error for f in validate_scalar_config(n=100, w=21, period=0))
-        assert any(f.is_error for f in validate_scalar_config(n=100, w=21, resolution=-1))
+        assert _config_error(lambda: CyclicEncoder(0, 100, 21)) == (
+            "period must be positive and finite, got 0")
+        assert _config_error(lambda: UnboundedScalarEncoder(-1, 100, 21)) == (
+            "resolution must be positive and finite, got -1")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ScalarEncoder(5, 5, 100.5, 0), "n must be a positive integer, got 100.5"),
+        (lambda: ScalarEncoder(5, 5, 100, 0), "w must be a positive integer, got 0"),
+        (lambda: ScalarEncoder(5, 5, 21, 21), "empty range: min (5) must be below max (5)"),
+        (lambda: CyclicEncoder(0, 10, 11), "w (11) cannot exceed n (10)"),
+        (lambda: UnboundedScalarEncoder(0, 100, 21, seed=1.5),
+         "resolution must be positive and finite, got 0"),
+    ], ids=["n-before-w", "w-before-range", "range-before-n-w", "w-before-period",
+            "resolution-before-seed"])
+    def test_two_bad_parameters_raise_for_the_first(self, make, message):
+        assert _config_error(make) == message
 
     def test_constructor_raises_on_errors(self):
         with pytest.raises(ConfigError):
