@@ -34,14 +34,14 @@ of ``math`` functions and constants, arithmetic, comparisons,
 only with a number literal as its exponent, the exponents along any path
 multiplying to at most 64.  Anything else, any other name or attribute
 included, is a config error, so a config file never runs arbitrary code.
+`sdrkit.expressions` holds the whitelist and compiles each expression once,
+to a function of one pair and a numpy form the evaluator uses where exact.
 """
 
 from __future__ import annotations
 
-import ast
 import datetime as _dt
 import inspect
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
@@ -49,6 +49,7 @@ from typing import Callable, Mapping, NamedTuple
 from .categories import CategoryEncoder
 from .composite import DatetimeEncoder, MultiEncoder
 from .errors import ConfigError, InputError, is_finite_number
+from .expressions import ExpressionDistance
 from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid
 from .quality import (
     absolute_difference,
@@ -360,7 +361,7 @@ def build_distance(spec) -> tuple[Callable, object]:
         if "expression" in spec:
             _check_keys(spec, {"expression"}, set(), "config.distance")
             expr = _str(spec, "expression", "config.distance")
-            return _expression_distance(expr), {"expression": expr}
+            return ExpressionDistance(expr), {"expression": expr}
         _check_keys(spec, {"name"}, {"period"}, "config.distance")
         name = _str(spec, "name", "config.distance")
         if name == "circular":
@@ -376,102 +377,6 @@ def build_distance(spec) -> tuple[Callable, object]:
             return named[name], name
         raise ConfigError(f"config.distance: unknown distance name {name!r}")
     raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
-
-
-# --- expression distances: the whitelist of the module docstring ------------
-#
-# Exponents along any path multiply to at most MAX_EXPONENT_PRODUCT, each
-# counted as at least 1, so that `(a ** 1000000) ** 0` cannot hide a huge power.
-
-MAX_EXPRESSION_NODES = 256
-MAX_EXPONENT_PRODUCT = 64
-_VARIABLES = ("a", "b")
-_FUNCTIONS = ("abs", "min", "max")
-_MATH_NAMES = frozenset(
-    "fabs sqrt exp log log2 log10 sin cos tan asin acos atan atan2 hypot "
-    "floor ceil trunc copysign fmod pi e tau inf".split()
-)
-_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
-              ast.UAdd, ast.USub, ast.Not, ast.And, ast.Or)
-_COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
-
-
-def _invalid_expression(reason: str) -> ConfigError:
-    return ConfigError(f"config.distance: invalid expression: {reason}")
-
-
-def _is_number(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
-
-
-def _is_math_name(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "math" and node.attr in _MATH_NAMES)
-
-
-def _check_expression(node: ast.AST, power: float = 1) -> None:
-    """Raise unless ``node`` and everything under it is on the whitelist;
-    ``power`` is the product of the exponents above it."""
-    children = [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
-    bad = node
-    if isinstance(node, ast.Name):
-        ok = node.id in _VARIABLES
-    elif isinstance(node, ast.Constant):
-        ok = _is_number(node)
-    elif isinstance(node, ast.Subscript):  # a[k], or a[k][j] for a (cell, speed) pair
-        ok = (isinstance(node.value, (ast.Name, ast.Subscript))
-              and isinstance(node.slice, ast.Constant) and type(node.slice.value) is int
-              and node.slice.value >= 0)
-        children = [node.value]
-    elif isinstance(node, ast.Attribute):
-        ok, children = _is_math_name(node), []
-    elif isinstance(node, ast.Call):
-        if node.keywords:
-            raise _invalid_expression("keyword arguments are not allowed")
-        ok = _is_math_name(node.func) or (isinstance(node.func, ast.Name)
-                                          and node.func.id in _FUNCTIONS)
-        bad, children = node.func, node.args
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        exponent = node.right
-        if isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, (ast.UAdd, ast.USub)):
-            exponent = exponent.operand
-        ok = _is_number(exponent)
-        if ok:
-            power *= max(abs(exponent.value), 1)
-            if power > MAX_EXPONENT_PRODUCT:
-                raise _invalid_expression(
-                    f"the exponents of {ast.unparse(node)!r} multiply to more than "
-                    f"{MAX_EXPONENT_PRODUCT}")
-        children = [node.left]
-    elif isinstance(node, (ast.BinOp, ast.UnaryOp, ast.BoolOp)):
-        ok = isinstance(node.op, _OPERATORS)
-    elif isinstance(node, ast.Compare):
-        ok = all(isinstance(op, _COMPARISONS) for op in node.ops)
-    else:
-        ok = isinstance(node, ast.IfExp)
-    if not ok:
-        raise _invalid_expression(f"{ast.unparse(bad)!r} is not allowed")
-    for child in children:
-        _check_expression(child, power)
-
-
-def _expression_distance(expr: str) -> Callable:
-    try:
-        tree = ast.parse(expr, "<distance expression>", "eval")
-    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte, on 3.10
-        raise _invalid_expression(str(exc)) from exc
-    except (RecursionError, MemoryError):  # the parser's depth limits
-        raise _invalid_expression("nested too deeply to parse") from None
-    if sum(isinstance(n, ast.expr) for n in ast.walk(tree)) > MAX_EXPRESSION_NODES:
-        raise _invalid_expression(f"more than {MAX_EXPRESSION_NODES} nodes")
-    _check_expression(tree.body)
-    code = compile(tree, "<distance expression>", "eval")
-    env = {"abs": abs, "min": min, "max": max, "math": math}
-
-    def dist(a, b):
-        return eval(code, {"__builtins__": {}}, {**env, "a": a, "b": b})
-
-    return dist
 
 
 def serialize_pipeline(cfg: PipelineConfig) -> dict:

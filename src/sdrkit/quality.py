@@ -16,12 +16,13 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
 O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.
-`absolute_difference` fills the distance matrix in vectorised form; any
-other distance is called once per ordered pair, m**2 calls in all.  Distance
-values are compared as float64; a distance that
-raises, or returns something ``float()`` rejects, raises `EvaluationError`
-naming the pair.  Offending examples in the report show the distance's own
-return values.
+A distance expression (`ExpressionDistance`; `absolute_difference` is
+``abs(a - b)``) fills the distance matrix with numpy where that is exact;
+any other distance is called once per ordered pair, m**2 calls in all.
+Distance values are compared as float64; a distance that raises, or
+returns something ``float()`` rejects, raises `EvaluationError` naming the
+pair.  Offending examples in the report show the distance's own return
+values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EvaluationError, InputError
+from .errors import DimensionMismatch, EvaluationError, InputError, is_finite_number
+from .expressions import ExpressionDistance
 from .hashing import counter_stream_array
 from .sdr import SDR
 
@@ -111,13 +113,13 @@ def _float_distance(distance: Callable, x, y) -> float:
 
 def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     """``D[i, j] = float(distance(samples[i], samples[j]))`` for every ordered
-    pair.  `absolute_difference` itself is computed in vectorised form when
-    that is exact for the samples; any other distance is called once per pair
-    in the axiom order (i, i), then (i, j) and (j, i) for j > i, so the first
-    failing pair is the one a pair-by-pair check would hit first."""
-    # Dispatch on identity: a wrapper of the built-in (functools.wraps, say)
-    # may return other values, so it is called like any user distance.
-    D = _abs_differences(samples) if distance is absolute_difference else None
+    pair.  An `ExpressionDistance` fills it with numpy where that is exact;
+    otherwise the distance is called once per pair in the axiom order (i, i),
+    then (i, j) and (j, i) for j > i, so the first failing pair is the one a
+    pair-by-pair check would hit first."""
+    # Identity and class, never an attribute: functools.wraps copies those.
+    compiled = _ABSOLUTE if distance is absolute_difference else distance
+    D = compiled.matrix(samples) if isinstance(compiled, ExpressionDistance) else None
     if D is not None:
         return D
     m = len(samples)
@@ -351,34 +353,21 @@ def evaluate_encoder(
 # --- Ready-made distance scores -------------------------------------------
 #
 # Conveniences for common input spaces; nothing downstream privileges them,
-# and callers are free to supply their own callables.  The evaluator computes
-# `absolute_difference` in vectorised form (`_abs_differences`) when every
-# sample is a Python float or an int of magnitude <= 2**52: on those, float64
-# array arithmetic gives exactly ``float()`` of the scalar result, since
-# every difference of two such ints is itself exact in float64.
-
-_EXACT_INT = 1 << 52
-
-
-def _abs_differences(values) -> np.ndarray | None:
-    """``|values[i] - values[j]|`` as float64, or None unless that is exact."""
-    for v in values:
-        if not (type(v) is float or (type(v) is int and -_EXACT_INT <= v <= _EXACT_INT)):
-            return None
-    x = np.array(values, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, as in Python
-        diff = x[:, None] - x
-    return np.abs(diff, out=diff)
+# and callers are free to supply their own callables.  The evaluator fills
+# `absolute_difference`'s matrix as the expression ``abs(a - b)``.
 
 
 def absolute_difference(a, b) -> float:
     return abs(a - b)
 
 
+_ABSOLUTE = ExpressionDistance("abs(a - b)")
+
+
 def circular_distance(period: float) -> Callable[[float, float], float]:
     """Shortest way around a cycle of the given period."""
-    if period <= 0:
-        raise InputError(f"period must be positive, got {period!r}")
+    if not (is_finite_number(period) and period > 0):
+        raise InputError(f"period must be positive and finite, got {period!r}")
 
     def dist(a: float, b: float) -> float:
         d = abs(a - b) % period

@@ -230,6 +230,13 @@ class TestBuiltinDistances:
         with pytest.raises(InputError):
             circular_distance(0)
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), float("-inf"), 0, -0.5,
+                                        2 ** 1100, True, "7", None])
+    def test_circular_period_must_be_positive_and_finite(self, period):
+        # the rule the config path applies: is_finite_number and > 0
+        with pytest.raises(InputError, match="period must be positive and finite"):
+            circular_distance(period)
+
     def test_chebyshev(self):
         assert chebyshev_distance((0, 0), (3, -4)) == 4
 

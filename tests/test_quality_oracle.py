@@ -8,6 +8,9 @@ distances ranked by `scipy.stats.spearmanr`, the sampled quadruple loop over
 """
 
 import functools
+import hashlib
+import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -21,8 +24,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy import stats
 
 import sdrkit
-from sdrkit import quality
+from sdrkit import cli, quality
 from sdrkit.errors import EvaluationError, InputError
+from sdrkit.expressions import ExpressionDistance
+from sdrkit.geospatial import GridCoordinate
 from sdrkit.hashing import counter_stream, mix64
 from sdrkit.quality import (
     AXIOM_TOLERANCE,
@@ -410,10 +415,13 @@ def test_non_numeric_distance_names_the_pair(bad):
 
 
 def test_builtin_matrix_forms_decline_inexact_inputs():
-    assert quality._abs_differences([0, (1 << 52) + 1]) is None
-    assert quality._abs_differences([0.0, True]) is None
-    assert quality._abs_differences([0.0, np.float64(1.0)]) is None
-    assert quality._abs_differences([1, "a"]) is None
+    # absolute_difference's matrix is the compiled expression abs(a - b)
+    absolute = quality._ABSOLUTE
+    assert absolute.matrix([0, (1 << 52) + 1]) is None
+    assert absolute.matrix([0.0, True]) is None
+    assert absolute.matrix([0.0, np.float64(1.0)]) is None
+    assert absolute.matrix([1, "a"]) is None
+    assert absolute.matrix([0, 1 << 52]) is not None
     big = [0, (1 << 53) + 1, -(1 << 53) - 1, 3]
     assert_same(window_encode, absolute_difference, big, 200, 0)
 
@@ -429,6 +437,257 @@ def test_wrapped_builtin_distance_is_called(samples, encode, quadruple_count):
 
     assume(any(capped(a, b) != abs(a - b) for a in samples for b in samples))
     assert_same(encode, capped, samples, quadruple_count, 0)
+
+
+# --- the compiled expression's matrix form ----------------------------------------
+#
+# `ExpressionDistance.matrix` must give exactly the per-pair values, NaN
+# positions and signs of zero included, or decline so the pairs are called.
+
+
+def oracle_float(distance, x, y):
+    value = oracle_call(distance, x, y)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EvaluationError(
+            f"distance returned {value!r} on pair ({x!r}, {y!r}), not a number: {exc}"
+        ) from exc
+
+
+def oracle_matrix(distance, samples):
+    """Every ordered pair called in the axiom order: (i, i), (i, j), (j, i)."""
+    m = len(samples)
+    D = np.empty((m, m))
+    for i in range(m):
+        D[i, i] = oracle_float(distance, samples[i], samples[i])
+        for j in range(i + 1, m):
+            D[i, j] = oracle_float(distance, samples[i], samples[j])
+            D[j, i] = oracle_float(distance, samples[j], samples[i])
+    return D
+
+
+def assert_same_matrix(distance, samples):
+    got = outcome(quality._distance_matrix, distance, samples)
+    want = outcome(oracle_matrix, distance, samples)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+EDGE_INTS = [0, 1, -1, 2 ** 31, -(2 ** 31), 2 ** 31 - 1, 2 ** 53, -(2 ** 53), 2 ** 53 + 1,
+             -(2 ** 53) - 1, 2 ** 63, -(2 ** 63) - 1, 2 ** 64]
+EDGE_FLOATS = [0.0, -0.0, 0.5, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+LEAVES = ["a", "b", "a[0]", "b[0]", "a[1]", "b[1]", "a[0][1]", "b[0][0]", "a[2]"]
+LITERALS = ["0", "3", "0.5", "0.0", "2147483648", "9007199254740992", "9007199254740993",
+            "1e308", "0.1"]
+
+edge_ints = st.one_of(st.integers(-20, 20), st.sampled_from(EDGE_INTS))
+edge_floats = st.one_of(st.floats(-30, 30).map(lambda v: round(v, 1)),
+                        st.sampled_from(EDGE_FLOATS))
+
+
+def _samples(values):
+    return st.lists(values, min_size=2, max_size=8)
+
+
+# Each sample shape with the leaves that fit it; other leaves raise per pair.
+CELL_LEAVES = ["a[0]", "b[0]", "a[1]", "b[1]"]
+SHAPES = [
+    (_samples(small_ints), ["a", "b"]),
+    (_samples(edge_ints), ["a", "b"]),
+    (_samples(edge_floats), ["a", "b"]),
+    (_samples(st.one_of(edge_ints, edge_floats)), ["a", "b"]),
+    (_samples(st.builds(GridCoordinate, small_ints, small_ints)), CELL_LEAVES),
+    (_samples(st.builds(GridCoordinate, edge_ints, edge_ints)), CELL_LEAVES),
+    (_samples(st.tuples(st.tuples(edge_ints, edge_ints), edge_floats)),
+     ["a[0][0]", "b[0][0]", "a[0][1]", "b[0][1]", "a[1]", "b[1]"]),
+    (_samples(st.one_of(st.booleans(), st.integers(-9, 9).map(np.int64),
+                        edge_floats.map(np.float64), edge_floats)), ["a", "b"]),
+]
+
+
+def _wrap(template, inner):
+    return st.builds(template.format, inner)
+
+
+def _pair(template, ops, inner):
+    return st.builds(lambda x, op, y: template.format(x, op, y),
+                     inner, st.sampled_from(ops), inner)
+
+
+def expressions(leaves, per_pair_only=True):
+    """Expressions over ``leaves``: the vectorised subset's operations, and
+    unless ``per_pair_only`` is False, those that only run per pair."""
+    def extend(inner):
+        subset = [
+            _wrap("-({})", inner), _wrap("+({})", inner), _wrap("abs({})", inner),
+            _pair("({}) {} ({})", ("+", "-", "*", "/") if per_pair_only else ("+", "-", "*"),
+                  inner),
+            _pair("{1}({0}, {2})", ("min", "max"), inner),
+            st.builds("{}({}, {}, {})".format, st.sampled_from(["min", "max"]),
+                      inner, inner, inner),
+        ]
+        if not per_pair_only:
+            return st.one_of(*subset)
+        return st.one_of(*subset, st.one_of(
+            _pair("({}) {} ({})", ("//", "%", "<", "==", "and", "or"), inner),
+            _wrap("({}) ** 2", inner), _wrap("math.fabs({})", inner),
+            _wrap("min({})", inner),
+            st.builds("({}) if ({}) else ({})".format, inner, inner, inner),
+        ))
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=6)
+
+
+@st.composite
+def matrix_cases(draw):
+    samples, fitting = draw(st.sampled_from(SHAPES))
+    leaves = 4 * fitting + LITERALS if draw(st.booleans()) else fitting + LITERALS + LEAVES
+    return draw(expressions(leaves)), draw(samples)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_cases())
+def test_expression_matrix_equals_the_pair_loop(case):
+    expr, samples = case
+    with np.errstate(all="ignore"):  # numpy scalars warn where Python floats do not
+        assert_same_matrix(ExpressionDistance(expr), samples)
+
+
+# Samples of one kind, with literals of the same kind and no division: every
+# pair evaluates, so the matrix form must not decline.
+TYPED_SHAPES = [
+    (_samples(small_ints), ["a", "b", "0", "3"]),
+    (_samples(edge_floats), ["a", "b", "0.5", "-0.0", "1e308"]),
+    (_samples(st.builds(GridCoordinate, small_ints, small_ints)), CELL_LEAVES + ["0", "3"]),
+    (_samples(st.tuples(st.tuples(small_ints, small_ints), edge_floats)),
+     ["a[1]", "b[1]", "0.5"]),
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(TYPED_SHAPES).flatmap(
+    lambda shape: st.tuples(expressions(shape[1], per_pair_only=False), shape[0])))
+def test_subset_expressions_vectorise(case):
+    expr, samples = case
+    distance = ExpressionDistance(expr)
+    assert distance.matrix(samples) is not None
+    with mock.patch.object(quality, "_call_distance", side_effect=AssertionError):
+        assert_same_matrix(distance, samples)
+
+
+VECTORISED = [
+    ("max(abs(a[0] - b[0]), abs(a[1] - b[1]))",
+     [GridCoordinate(x, y) for x, y in [(0, 0), (3, -4), (-(2 ** 31), 2 ** 31 - 1), (7, 7)]]),
+    ("abs(a - b) / (1 + a * b)", [0.0, -0.0, 1.5, math.inf, math.nan, -2.0]),
+    ("-(a - b) * 0", [0, 3, -5, 2 ** 26]),
+    ("min(a, b, 0.5) - max(-a, b)", [0.0, -0.0, 0.5, math.nan, -math.inf]),
+    ("a / b - b / a", [1, -3, 2 ** 53, 7]),
+    ("abs(a[0][0] - b[0][0]) + abs(a[0][1] - b[0][1]) + abs(a[1] - b[1])",
+     [((0, 1), 2.5), ((-3, 4), 0.0), ((2 ** 20, 5), -0.0)]),
+    # ints and floats mixed, in the samples or through a literal
+    ("abs(a - b)", [0, 0.5, -3, 2 ** 52, -0.0, math.inf, 7, -(2 ** 52)]),
+    ("min(abs(a - b), 3)", [0.0, 1.5, 10.0, -2.5, math.nan]),
+    ("max(a, b) - min(a, b, 0.5) + a / 4 - (a - b) * 2.0", [0, 1, -2.5, 3.0, -0.0, 0]),
+]
+
+
+@pytest.mark.parametrize("expr, samples", VECTORISED)
+def test_vectorised_expressions_call_no_distance(expr, samples):
+    distance = ExpressionDistance(expr)
+    assert distance.matrix(samples) is not None
+    with mock.patch.object(quality, "_call_distance", side_effect=AssertionError):
+        assert_same_matrix(distance, samples)
+
+
+@pytest.mark.parametrize("expr, samples", [
+    ("-(a - b)", [0, 1.5, 2]),          # int 0 negated is 0; in float64 it is -0.0
+    ("(a - b) * -1", [0, 1.5, 2]),
+    ("a - b", [True, 1.0]),
+    ("a - b", [np.float64(1.0), 2.0]),
+    ("a - b", [np.int64(1), 2]),
+    ("a * b * a", [2 ** 18, 3]),        # 2**54 may not be exact in float64
+    ("a + b", [2 ** 53, 1]),
+    ("a / 3", [2 ** 53 + 1, 3]),        # Python rounds int / int once, float64 twice
+    ("a - b", [2 ** 64, 1]),
+    ("a ** 2 - b", [1.5, 2.0]),
+    ("math.fabs(a - b)", [1.0, 2.0]),
+    ("a % 2 + b", [1, 2]),
+    ("a if a < b else b", [1, 2]),
+])
+def test_matrix_declines_where_numpy_may_differ(expr, samples):
+    distance = ExpressionDistance(expr)
+    assert distance.matrix(samples) is None
+    assert_same_matrix(distance, samples)
+
+
+@pytest.mark.parametrize("expr, samples", [
+    ("a / (a - b)", [1.0, 2.0, 3.0]),                  # zero divisor on the diagonal
+    ("a - 1 / (b - 7)", list(range(10))),              # zero divisors in one column
+    ("1 / (a - 150) + b", list(range(200))),           # in one row, blocks past the first
+    ("(a - b) / -0.0", [1.0, 2.0]),                    # a literal negative zero
+    ("a[2] - b[2]", [GridCoordinate(0, 0), GridCoordinate(1, 2)]),   # out of range
+    ("a[0][2] - b[1]", [((0, 1), 2.0), ((3, 4), 5.0)]),
+    ("a[0] + b[0]", [((0, 1), 2.0), ((3, 4), 5.0)]),   # tuple + tuple is a tuple
+    ("a", [GridCoordinate(0, 0), GridCoordinate(1, 2)]),
+    ("min(a)", [1.0, 2.0]),
+    ("a * b", [10 ** 200, 10 ** 200]),                 # an int past the float range
+])
+def test_matrix_declines_where_a_pair_raises(expr, samples):
+    distance = ExpressionDistance(expr)
+    assert distance.matrix(samples) is None
+    with pytest.raises(EvaluationError) as got:
+        quality._distance_matrix(distance, samples)
+    with pytest.raises(EvaluationError) as want:
+        oracle_matrix(distance, samples)
+    assert str(got.value) == str(want.value)
+
+
+def test_fallback_calls_every_pair_through_call_distance():
+    samples = [GridCoordinate(x, 2 * x - 5) for x in range(9)]
+    calls = []
+
+    def counted(distance, x, y):
+        calls.append((x, y))
+        return distance(x, y)
+
+    with mock.patch.object(quality, "_call_distance", counted):
+        quality._distance_matrix(ExpressionDistance("max(abs(a[0] - b[0]), 1)"), samples)
+        assert calls == []
+        quality._distance_matrix(ExpressionDistance("max(abs(a[0] - b[0]), 1) ** 1"), samples)
+    assert len(calls) == len(samples) ** 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_geo_report_is_byte_identical(seed, tmp_path, capsys):
+    """The evaluate-geo-expr report, taken from the expression's matrix
+    form, is the one pinned in bench/digests.json, which the per-pair
+    evaluator printed before the matrix form existed."""
+    wl = _bench_workloads()
+    workload = wl.WORKLOADS["evaluate-geo-expr"]
+    inputs = wl.generate(workload, seed, str(tmp_path))
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_bytes(inputs.data)
+    with mock.patch.object(quality, "_call_distance", side_effect=AssertionError):
+        code = cli.main(wl.cli_args(workload, inputs.config_path, str(csv_path), "", seed))
+    out = capsys.readouterr().out
+    assert code == 0
+    digests = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["evaluate-geo-expr"][str(seed)]
 
 
 # --- Spearman without scipy -------------------------------------------------------
