@@ -30,7 +30,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from .config import OUTPUT_FORMATS, parse_pipeline_config, serialize_pipeline
+from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
 from .hashing import coordinate_hash, mix64
 from .quality import evaluate_encoder
@@ -186,7 +186,7 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
     elapsed = time.perf_counter() - started
 
     print("# encoder evaluation", file=stdout)
-    print(f"config: {json.dumps(serialize_pipeline(cfg), sort_keys=True)}", file=stdout)
+    print(f"config: {json.dumps(cfg.spec, sort_keys=True)}", file=stdout)
     print(f"quadruple_seed: {args.seed}", file=stdout)
     print(report.to_text(), file=stdout)
     # timing is run-dependent; keep it out of the reproducible report stream

@@ -21,8 +21,8 @@ Top level::
 Each leaf encoder type is one entry in `ENCODER_TYPES`: the encoder class
 (or a one-line builder), whose signature names the type's keys, and its CSV
 binding.  The constructor types, defaults and checks every key, and the
-encoder's `params()` -- every key with its default filled in -- is the
-canonical spec that `serialize_pipeline` returns.
+encoder's `params()` -- every key with its default filled in -- goes into
+the canonical spec, `PipelineConfig.spec`.
 
 Distances: "absolute", "discrete", "chebyshev",
 {"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- an
@@ -128,7 +128,7 @@ class PipelineConfig:
     output_format: str
     delimiter: str
     distance: Callable | None
-    spec: dict  # canonical config, as `serialize_pipeline` returns it
+    spec: dict  # canonical config, defaults filled in; parses to the same pipeline
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -160,7 +160,8 @@ def _column(convert: Callable[[str, str], object] | None) -> Callable:
 
 def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
     """[x, y] integer grid columns, or [lat, lon] when the spec has a
-    cell_size; a speed column makes the value a (coordinate, speed) pair."""
+    cell_size; a speed column makes the value a (coordinate, speed) pair.
+    Without one, topw encodes at ``radius``, whose pool must hold w cells."""
     if (
         not isinstance(field_spec, list)
         or len(field_spec) != 2
@@ -184,6 +185,13 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
             return GridCoordinate(_parse_int(row[first], first),
                                   _parse_int(row[second], second))
     if speed_field is None:
+        pool = (2 * spec["radius"] + 1) ** 2
+        if spec["variant"] == "topw" and spec["w"] > pool:
+            raise ConfigError(
+                f"{context}: without a 'speed_field', topw encodes at 'radius': cannot "
+                f"select w={spec['w']} cells from a radius-{spec['radius']} neighborhood "
+                f"of {pool}"
+            )
         return (first, second), coordinate
     if not isinstance(speed_field, str):
         raise ConfigError(f"{context}: 'speed_field' must be a column name")
@@ -367,22 +375,15 @@ def build_distance(spec) -> tuple[Callable, object]:
         if name == "circular":
             if "period" not in spec:
                 raise ConfigError("config.distance: circular distance requires 'period'")
-            period = _num(spec, "period", "config.distance")
-            if period <= 0:
-                raise ConfigError(
-                    f"config.distance: circular 'period' must be positive, got {period!r}"
-                )
-            return circular_distance(period), {"name": "circular", "period": period}
+            try:
+                distance = circular_distance(spec["period"])
+            except InputError as exc:
+                raise ConfigError(f"config.distance: {exc}") from exc
+            return distance, {"name": "circular", "period": float(spec["period"])}
         if name in named:
             return named[name], name
         raise ConfigError(f"config.distance: unknown distance name {name!r}")
     raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
-
-
-def serialize_pipeline(cfg: PipelineConfig) -> dict:
-    """Canonical config dict: parsing it again reproduces the same pipeline.
-    It is the spec recorded at parse time, defaults filled in."""
-    return cfg.spec
 
 
 __all__ = [
@@ -392,5 +393,4 @@ __all__ = [
     "PipelineConfig",
     "parse_pipeline_config",
     "build_distance",
-    "serialize_pipeline",
 ]

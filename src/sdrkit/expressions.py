@@ -180,6 +180,7 @@ class ExpressionDistance:
     the expression on one pair; `matrix` evaluates it on every pair."""
 
     def __init__(self, expr: str):
+        self._expr = expr
         self._body = _checked_body(expr)
         params = ast.arguments(posonlyargs=[], args=[ast.arg("a"), ast.arg("b")],
                                kwonlyargs=[], kw_defaults=[], defaults=[])
@@ -189,6 +190,9 @@ class ExpressionDistance:
 
     def __call__(self, a, b):
         return self._pair(a, b)
+
+    def __reduce__(self):  # the compiled lambda does not pickle; the source does
+        return ExpressionDistance, (self._expr,)
 
     def matrix(self, samples: Sequence) -> np.ndarray | None:
         """``D[i, j] = float(self(samples[i], samples[j]))`` for every ordered

@@ -16,9 +16,9 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
 O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.
-A distance expression (`ExpressionDistance`; `absolute_difference` is
-``abs(a - b)``) fills the distance matrix with numpy where that is exact;
-any other distance is called once per ordered pair, m**2 calls in all.
+A distance expression (`ExpressionDistance`, `absolute_difference` among
+them) fills the distance matrix with numpy where that is exact; otherwise
+the distance is called once per ordered pair, m**2 calls in all.
 Distance values are compared as float64; a distance that raises, or
 returns something ``float()`` rejects, raises `EvaluationError` naming the
 pair.  Offending examples in the report show the distance's own return
@@ -117,11 +117,12 @@ def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     otherwise the distance is called once per pair in the axiom order (i, i),
     then (i, j) and (j, i) for j > i, so the first failing pair is the one a
     pair-by-pair check would hit first."""
-    # Identity and class, never an attribute: functools.wraps copies those.
-    compiled = _ABSOLUTE if distance is absolute_difference else distance
-    D = compiled.matrix(samples) if isinstance(compiled, ExpressionDistance) else None
-    if D is not None:
-        return D
+    # The class, never an attribute: functools.wraps copies those.
+    if isinstance(distance, ExpressionDistance):
+        D = distance.matrix(samples)
+        if D is not None:
+            return D
+        distance = distance._pair  # the compiled function, without __call__'s frame
     m = len(samples)
     D = np.empty((m, m))
     for i in range(m):
@@ -353,15 +354,10 @@ def evaluate_encoder(
 # --- Ready-made distance scores -------------------------------------------
 #
 # Conveniences for common input spaces; nothing downstream privileges them,
-# and callers are free to supply their own callables.  The evaluator fills
-# `absolute_difference`'s matrix as the expression ``abs(a - b)``.
+# and callers are free to supply their own callables.  `absolute_difference`
+# is a compiled expression, so the evaluator fills its matrix with numpy.
 
-
-def absolute_difference(a, b) -> float:
-    return abs(a - b)
-
-
-_ABSOLUTE = ExpressionDistance("abs(a - b)")
+absolute_difference = ExpressionDistance("abs(a - b)")
 
 
 def circular_distance(period: float) -> Callable[[float, float], float]:

@@ -72,19 +72,6 @@ class SDR:
     def active_count(self) -> int:
         return len(self.active)
 
-    @property
-    def sparsity(self) -> float:
-        return sparsity(self)
-
-    def overlap(self, other: "SDR") -> int:
-        return overlap(self, other)
-
-    def to_dense_string(self) -> str:
-        return to_dense_string(self)
-
-    def to_sparse_string(self, self_describing: bool = False) -> str:
-        return to_sparse_string(self, self_describing=self_describing)
-
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 

@@ -1,5 +1,6 @@
 """JSON pipeline configs and the command-line surface."""
 
+import io
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from sdrkit import cli
 from sdrkit.composite import DatetimeEncoder
-from sdrkit.config import parse_pipeline_config, serialize_pipeline
+from sdrkit.config import parse_pipeline_config
 from sdrkit.errors import ConfigError
 from sdrkit.geospatial import GridCoordinate, gps_to_grid
 from sdrkit.scalars import DeltaEncoder, ScalarEncoder
@@ -157,6 +158,32 @@ class TestConfigParsing:
         # It used to parse as "no speed column" and drop out of the echo.
         with pytest.raises(ConfigError, match="key 'speed_field' must not be null"):
             parse_pipeline_config(config)
+
+    def test_empty_multi_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline_config({"encoder": {"type": "multi", "parts": []}})
+        assert str(exc.value) == "config.encoder.parts: must be a non-empty list"
+
+    def test_unknown_distance_name_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline_config({**SCALAR_CONFIG, "distance": {"name": "euclid"}})
+        assert str(exc.value) == "config.distance: unknown distance name 'euclid'"
+
+    @pytest.mark.parametrize("period, shown", [(0, "0"), (-1, "-1"), (-0.5, "-0.5"),
+                                               ("7", "'7'"), (True, "True"),
+                                               (math.inf, "inf")])
+    def test_circular_period_checked_by_circular_distance(self, period, shown):
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline_config(
+                {**SCALAR_CONFIG, "distance": {"name": "circular", "period": period}})
+        assert str(exc.value) == (
+            f"config.distance: period must be positive and finite, got {shown}")
+
+    def test_circular_distance_keeps_the_period_as_given(self):
+        cfg = parse_pipeline_config(
+            {**SCALAR_CONFIG, "distance": {"name": "circular", "period": 24}})
+        assert cfg.spec["distance"] == {"name": "circular", "period": 24.0}
+        assert cfg.distance(1, 23) == 2 and cfg.distance(0.5, 23.0) == 1.5
 
     def test_datetime_components(self):
         cfg = parse_pipeline_config({
@@ -364,8 +391,8 @@ class TestConfigParsing:
         ]}, "distance": "absolute"},
     ])
     def test_round_trip_is_stable(self, raw):
-        first = serialize_pipeline(parse_pipeline_config(raw))
-        second = serialize_pipeline(parse_pipeline_config(first))
+        first = parse_pipeline_config(raw).spec
+        second = parse_pipeline_config(first).spec
         assert first == second
 
 
@@ -831,6 +858,74 @@ class TestEvaluateCommand:
         assert run_cli(["evaluate", "--config", cfg,
                         "--input", self.grid_csv(tmp_path)]) == 2
         assert "exactly one encoder" in capsys.readouterr().err
+
+
+class TestCommandEdges:
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert run_cli(["encode", "--config", missing, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot read config {missing!r}: ")
+        assert captured.out == ""
+
+    def test_encode_reads_stdin(self, tmp_path, capsys, monkeypatch):
+        cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "output_format": "sparse"})
+        monkeypatch.setattr(sys, "stdin", io.StringIO("temp\n10\n-5\n"))
+        assert run_cli(["encode", "--config", cfg, "--input", "-"]) == 0
+        assert capsys.readouterr().out == (
+            "20,21,22,23,24,25,26,27,28,29\n0,1,2,3,4,5,6,7,8,9\n")
+
+    def test_evaluate_one_row_exit_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "distance": "absolute"})
+        data = write(tmp_path, "samples.csv", "temp\n10\n")
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "data error: axiom checks need at least 2 samples")
+        assert captured.out == ""
+
+
+# A topw encoder without a speed column encodes every row at `radius`; the
+# constructor checks w only against the radius_min pool.
+TOPW_BEYOND_RADIUS = {"type": "geospatial", "n": 1000, "variant": "topw", "w": 20,
+                      "radius": 1, "radius_min": 3, "radius_max": 5}
+GRID_DISTANCE = {"expression": "max(abs(a[0] - b[0]), abs(a[1] - b[1]))"}
+
+
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+@pytest.mark.parametrize("config, context", [
+    ({"encoder": TOPW_BEYOND_RADIUS, "field": ["x", "y"], "distance": GRID_DISTANCE},
+     "config.encoder"),
+    ({"encoder": {"type": "multi", "parts": [
+        {"field": ["x", "y"], "encoder": TOPW_BEYOND_RADIUS}]}},
+     "config.encoder.parts[0]"),
+], ids=["leaf", "multi-part"])
+def test_topw_w_beyond_the_radius_pool_exit_2(tmp_path, capsys, command, config, context):
+    cfg = write(tmp_path, "cfg.json", config)
+    data = write(tmp_path, "in.csv", "x,y\n0,0\n3,4\n")
+    assert run_cli([command, "--config", cfg, "--input", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: {context}: without a 'speed_field', topw encodes at 'radius': "
+        "cannot select w=20 cells from a radius-1 neighborhood of 9\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+@pytest.mark.parametrize("config, rows", [
+    ({"encoder": TOPW_BEYOND_RADIUS, "field": ["x", "y"], "speed_field": "speed"},
+     "x,y,speed\n0,0,0\n3,4,20\n-2,7,40\n9,9,1\n"),
+    ({"encoder": {**TOPW_BEYOND_RADIUS, "w": 9}, "field": ["x", "y"]},
+     "x,y\n0,0\n3,4\n-2,7\n9,9\n"),
+], ids=["speed-field", "w-fits-radius"])
+def test_topw_configs_that_encode_every_row_are_accepted(tmp_path, capsys, command, config,
+                                                         rows):
+    distance = ({"expression": "max(abs(a[0][0] - b[0][0]), abs(a[0][1] - b[0][1]))"}
+                if "speed_field" in config else GRID_DISTANCE)
+    cfg = write(tmp_path, "cfg.json", {**config, "distance": distance})
+    data = write(tmp_path, "in.csv", rows)
+    assert run_cli([command, "--config", cfg, "--input", data]) == 0
+    assert len(capsys.readouterr().out.splitlines()) >= 4  # four encodings, or the report
 
 
 class TestSelftestHash:

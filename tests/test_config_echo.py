@@ -1,6 +1,6 @@
 """The canonical config echo, pinned byte for byte.
 
-`serialize_pipeline` is what `sdrkit evaluate` prints on its `config:` line
+`PipelineConfig.spec` is what `sdrkit evaluate` prints on its `config:` line
 (as `json.dumps(..., sort_keys=True)`): every key with its default filled
 in, numbers in the type the encoder uses, and nothing the encoder ignores.
 `test_round_trip_is_stable` only checks that the echo parses back to
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from sdrkit.config import parse_pipeline_config, serialize_pipeline
+from sdrkit.config import parse_pipeline_config
 
 CASES = [
     pytest.param(
@@ -104,5 +104,5 @@ CASES = [
 
 @pytest.mark.parametrize("raw, expected", CASES)
 def test_canonical_echo(raw, expected):
-    echo = serialize_pipeline(parse_pipeline_config(raw))
+    echo = parse_pipeline_config(raw).spec
     assert json.dumps(echo, sort_keys=True) == expected

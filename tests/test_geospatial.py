@@ -233,6 +233,15 @@ class TestTopWEncoder:
         with pytest.raises(ConfigError):
             enc.select_topw((0, 0), radius=1)
 
+    def test_w_beyond_the_radius_pool_fails_only_without_a_speed(self):
+        # The constructor checks w against the radius_min pool (49 cells); a
+        # bare cell encodes at radius 1, whose pool has 9.
+        enc = GeospatialEncoder(1000, 1, variant="topw", w=20, radius_min=3, radius_max=5)
+        with pytest.raises(ConfigError, match="cannot select w=20 cells from a radius-1 "
+                                              "neighborhood of 9"):
+            enc.encode((0, 0))
+        assert enc.encode(((0, 0), 0.0)).active_count <= 20
+
     def test_nearby_positions_share_selected_cells(self):
         shared = []
         for seed in range(100):
@@ -273,6 +282,10 @@ class TestRadiusFromSpeed:
     def test_negative_speed_rejected(self):
         with pytest.raises(InputError):
             self.make().radius_from_speed(-1)
+
+    def test_non_numeric_speed_rejected(self):
+        with pytest.raises(InputError, match="expected a number for speed, got 'fast'"):
+            self.make().radius_from_speed("fast")
 
     @pytest.mark.parametrize("speed", [math.inf, "inf"], ids=repr)
     def test_infinite_speed_rejected(self, speed):

@@ -1,10 +1,12 @@
 """Distance-axiom checks and encoder consistency evaluation."""
 
+import pickle
 import random
 
 import pytest
 
 from sdrkit.errors import DimensionMismatch, EvaluationError, InputError
+from sdrkit.expressions import ExpressionDistance
 from sdrkit.quality import (
     absolute_difference,
     check_distance_axioms,
@@ -221,6 +223,13 @@ def test_evaluate_encoder_combines_sections():
 class TestBuiltinDistances:
     def test_absolute(self):
         assert absolute_difference(3, 7.5) == 4.5
+        assert absolute_difference(3, 5) == 2
+
+    def test_absolute_is_the_compiled_expression_and_pickles(self):
+        assert isinstance(absolute_difference, ExpressionDistance)
+        copy = pickle.loads(pickle.dumps(absolute_difference))
+        assert isinstance(copy, ExpressionDistance) and copy(3, 7.5) == 4.5
+        assert copy.matrix([0, 2.5]).tolist() == [[0.0, 2.5], [2.5, 0.0]]
 
     def test_circular(self):
         week = circular_distance(7)
@@ -233,7 +242,7 @@ class TestBuiltinDistances:
     @pytest.mark.parametrize("period", [float("nan"), float("inf"), float("-inf"), 0, -0.5,
                                         2 ** 1100, True, "7", None])
     def test_circular_period_must_be_positive_and_finite(self, period):
-        # the rule the config path applies: is_finite_number and > 0
+        # the only check of the period; a config reports it as a config error
         with pytest.raises(InputError, match="period must be positive and finite"):
             circular_distance(period)
 
@@ -247,7 +256,9 @@ class TestBuiltinDistances:
     @pytest.mark.parametrize(
         "distance,samples",
         [
-            (absolute_difference, [0.0, 1.5, -2.0, 10.0]),
+            # an ExpressionDistance has no __name__ for pytest to take
+            pytest.param(absolute_difference, [0.0, 1.5, -2.0, 10.0],
+                         id="absolute_difference-samples0"),
             (circular_distance(24), [0.0, 6.0, 12.0, 23.5]),
             (chebyshev_distance, [(0, 0), (1, 2), (-3, 4), (10, 10)]),
             (discrete_distance, ["a", "b", "c", "a"]),

@@ -415,8 +415,8 @@ def test_non_numeric_distance_names_the_pair(bad):
 
 
 def test_builtin_matrix_forms_decline_inexact_inputs():
-    # absolute_difference's matrix is the compiled expression abs(a - b)
-    absolute = quality._ABSOLUTE
+    # absolute_difference is the compiled expression abs(a - b)
+    absolute = absolute_difference
     assert absolute.matrix([0, (1 << 52) + 1]) is None
     assert absolute.matrix([0.0, True]) is None
     assert absolute.matrix([0.0, np.float64(1.0)]) is None
@@ -659,6 +659,56 @@ def test_fallback_calls_every_pair_through_call_distance():
         assert calls == []
         quality._distance_matrix(ExpressionDistance("max(abs(a[0] - b[0]), 1) ** 1"), samples)
     assert len(calls) == len(samples) ** 2
+
+
+DECLINED_SAMPLES = [GridCoordinate(x, 2 * x - 5) for x in range(9)]
+
+
+def _no_method_call(*args):
+    raise AssertionError("ExpressionDistance.__call__ was called")
+
+
+def test_declined_expression_runs_its_compiled_function_per_pair():
+    """Outside the matrix subset, the evaluator calls the compiled function
+    through `_call_distance`, once per ordered pair in the oracle's order,
+    and never the object's `__call__`."""
+    distance = ExpressionDistance("math.hypot(a[0] - b[0], a[1] - b[1])")
+    samples = DECLINED_SAMPLES
+    assert distance.matrix(samples) is None
+    want_calls = []
+
+    def recorded(x, y):
+        want_calls.append((x, y))
+        return distance(x, y)
+
+    oracle_matrix(recorded, samples)
+    want = oracle_evaluate(window_encode, distance, samples, 300, 0, False)
+    got_calls = []
+    real_call = quality._call_distance
+
+    def counted(fn, x, y):
+        got_calls.append((x, y))
+        return real_call(fn, x, y)
+
+    with mock.patch.object(ExpressionDistance, "__call__", _no_method_call), \
+            mock.patch.object(quality, "_call_distance", counted):
+        got = evaluate_encoder(window_encode, distance, samples, 300, 0)
+    assert got_calls == want_calls and len(got_calls) == len(samples) ** 2
+    assert got == want and got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("expr", [
+    "math.sqrt(a[0] - b[0])",                                # raises on the pair (0, 1)
+    "math.hypot(a[0] - b[0], 0) if a[0] != 3 else a",        # returns `a` where a[0] == 3
+], ids=["raises", "not-a-number"])
+def test_declined_expression_errors_keep_their_text(expr):
+    distance = ExpressionDistance(expr)
+    assert distance.matrix(DECLINED_SAMPLES) is None
+    want = outcome(oracle_matrix, distance, DECLINED_SAMPLES)
+    assert want[0] is EvaluationError
+    with mock.patch.object(ExpressionDistance, "__call__", _no_method_call):
+        got = outcome(evaluate_encoder, window_encode, distance, DECLINED_SAMPLES, 300, 0)
+    assert got == want
 
 
 ROOT = Path(__file__).resolve().parents[1]

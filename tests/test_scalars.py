@@ -232,6 +232,12 @@ class TestUnboundedScalarEncoder:
         with pytest.raises(RangeError):
             enc.encode(1e300)
 
+    def test_finite_bucket_past_int64_raises(self):
+        # value / resolution is finite here; its floor leaves the int64 range
+        enc = UnboundedScalarEncoder(resolution=1.0, n=1000, w=21)
+        with pytest.raises(RangeError, match="bucket index .* overflows the signed 64-bit range"):
+            enc.encode(1e300)
+
     def test_negative_values_fine(self):
         enc = UnboundedScalarEncoder(resolution=1, n=1000, w=25)
         assert enc.bucket(-3.5) == -4
@@ -271,6 +277,10 @@ class TestValidateScalarConfig:
         for make in (lambda: ScalarEncoder(0, 1, 10, 11), lambda: CyclicEncoder(7, 10, 11),
                      lambda: UnboundedScalarEncoder(1, 10, 11)):
             assert _config_error(make) == "w (11) cannot exceed n (10)"
+
+    def test_n_must_leave_room_for_the_window(self):
+        assert _config_error(lambda: ScalarEncoder(0, 1, 21, 21)) == (
+            "n - w must be at least 1 to span a bounded range (n=21, w=21)")
 
     def test_w_above_max_w_is_error(self):
         CyclicEncoder(7, 2 * MAX_W, MAX_W)

@@ -14,6 +14,7 @@ from sdrkit.sdr import (
     overlap,
     random_sdr,
     sparsity,
+    to_dense_array,
     to_dense_string,
     to_sparse_string,
 )
@@ -55,6 +56,17 @@ def test_sparsity_zero_length():
 def test_dense_string():
     assert to_dense_string(SDR(8, (1, 4))) == "01001000"
     assert to_dense_string(SDR(5, ())) == "00000"
+
+
+def test_dense_array():
+    out = to_dense_array(SDR(6, (1, 4)))
+    assert out.dtype == np.uint8
+    assert out.tolist() == [0, 1, 0, 0, 1, 0]
+    wide = to_dense_array(SDR(3, (0, 2)), dtype=np.float32)
+    assert wide.dtype == np.float32 and wide.tolist() == [1.0, 0.0, 1.0]
+    empty = to_dense_array(SDR(4, ()))
+    assert empty.dtype == np.uint8 and empty.tolist() == [0, 0, 0, 0]
+    assert to_dense_array(SDR(0)).shape == (0,)
 
 
 def test_from_dense_string():
