@@ -34,10 +34,10 @@ print()
 print("=== top-w subsample: 15 highest-order-key cells of the 25 ===")
 topw = GeospatialEncoder(n=1000, radius=2, variant="topw", w=15, seed=0,
                          radius_min=2, radius_max=6, speed_scale=0.1)
-sel = topw.select_topw((5, 10))
-print(f"selected cells: {sel[:5]} ... ({len(sel)} total)")
-moved = topw.select_topw((7, 10))
-print(f"shared with the selection 2 cells away: {len(set(sel) & set(moved))} of 15"
+here = topw.encode((5, 10))
+moved = topw.encode((7, 10))
+print(f"one-bits here: {here.active_count} of {topw.w}")
+print(f"overlap with the encoding 2 cells away: {overlap(here, moved)} of 15"
       " (order keys are fixed per cell, so selections agree where they overlap)")
 
 print()

@@ -27,7 +27,6 @@ from .quality import (
     circular_distance,
     discrete_distance,
     evaluate_encoder,
-    evaluate_semantic_consistency,
 )
 from .scalars import (
     CyclicEncoder,
@@ -72,7 +71,6 @@ __all__ = [
     "MultiEncoder",
     "DatetimeEncoder",
     "check_distance_axioms",
-    "evaluate_semantic_consistency",
     "evaluate_encoder",
     "EvaluationReport",
     "absolute_difference",

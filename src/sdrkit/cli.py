@@ -16,7 +16,8 @@ Validation warnings go to stderr so stdout stays machine-parseable.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
 a non-negative integer (a usage error, exit 2, otherwise).  `selftest-hash` prints
-the deterministic hash golden vectors for cross-platform verification.
+the deterministic hash golden vectors for cross-platform verification,
+computed by the numpy hash path the encoders run.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 distance-axiom violation.
 """
@@ -32,7 +33,8 @@ from contextlib import nullcontext
 
 from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
-from .hashing import coordinate_hash, mix64
+from .geospatial import _neighborhood_keys
+from .hashing import bit_indices, mix64_array, order_keys_array
 from .quality import evaluate_encoder
 from .sdr import MAX_DENSE_N, SDR, to_dense_string, to_sparse_string
 
@@ -200,11 +202,13 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
 def cmd_selftest_hash(args, stdout=None) -> int:
     stdout = stdout or sys.stdout
     print("# mix64 input,output", file=stdout)
-    for k in SELFTEST_MIX64_INPUTS:
-        print(f"{k},{mix64(k)}", file=stdout)
+    for k, out in zip(SELFTEST_MIX64_INPUTS, mix64_array(SELFTEST_MIX64_INPUTS).tolist()):
+        print(f"{k},{out}", file=stdout)
     print("# coordinate_hash x,y,seed,n,bit_index,order_key", file=stdout)
     for x, y, seed, n in SELFTEST_COORD_CASES:
-        bit_index, order_key = coordinate_hash((x, y), seed, n)
+        keys = _neighborhood_keys((x, y), 0)  # the cell's own packed key
+        (bit_index,) = bit_indices(keys, seed, n)
+        order_key = int(order_keys_array(keys, seed)[0])
         print(f"{x},{y},{seed},{n},{bit_index},{order_key}", file=stdout)
     return EXIT_OK
 

@@ -194,6 +194,9 @@ class ExpressionDistance:
     def __reduce__(self):  # the compiled lambda does not pickle; the source does
         return ExpressionDistance, (self._expr,)
 
+    def __repr__(self) -> str:
+        return f"ExpressionDistance({self._expr!r})"
+
     def matrix(self, samples: Sequence) -> np.ndarray | None:
         """``D[i, j] = float(self(samples[i], samples[j]))`` for every ordered
         pair, or None unless numpy gives exactly that and no pair raises."""

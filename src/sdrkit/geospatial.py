@@ -18,9 +18,9 @@ GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
 
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
-of the bits.  The encoders compute the same values in one numpy pass over the
-neighborhood's packed keys, and hash a bit index only for the cells they
-keep.
+of the bits.  `GeospatialEncoder.encode`, the one encode path of both
+variants, computes the same values in one numpy pass over the neighborhood's
+packed keys, and hashes a bit index only for the cells it keeps.
 """
 
 from __future__ import annotations
@@ -176,44 +176,6 @@ class GeospatialEncoder:
             params["w"] = self.w
         return params
 
-    def _rank_topw(self, keys: np.ndarray, r: int) -> np.ndarray:
-        """Positions in ``keys`` (a radius-r pool) of its w best cells, best
-        first."""
-        if not 1 <= self.w <= len(keys):
-            raise ConfigError(
-                f"cannot select w={self.w} cells from a radius-{r} "
-                f"neighborhood of {len(keys)}"
-            )
-        order = order_keys_array(keys, self.seed)
-        # Ascending ~order is descending order key; the stable sort keeps
-        # ties in enumeration order, which is ascending (x, y).
-        return np.argsort(~order, kind="stable")[: self.w]
-
-    def encode_fixed(self, coord) -> SDR:
-        """Hash every cell of the radius-R neighborhood into the bit array.
-        Collisions may leave slightly fewer than (2R+1)**2 one-bits."""
-        keys = _neighborhood_keys(coord, self.radius)
-        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
-
-    def select_topw(self, coord, radius: int | None = None) -> list[GridCoordinate]:
-        """The w neighborhood cells with the largest order keys, best first.
-
-        The order is strict and total: descending order key, ties broken by
-        ascending (x, y) -- so the selection is independent of enumeration
-        order.
-        """
-        r = self.radius if radius is None else radius
-        kept = self._rank_topw(_neighborhood_keys(coord, r), r)
-        x0, y0 = coord[0] - r, coord[1] - r
-        side = 2 * r + 1
-        return [GridCoordinate(x0 + i // side, y0 + i % side) for i in kept.tolist()]
-
-    def encode_topw(self, coord, radius: int | None = None) -> SDR:
-        r = self.radius if radius is None else radius
-        keys = _neighborhood_keys(coord, r)
-        kept = keys[self._rank_topw(keys, r)]
-        return SDR._trusted(self.n, bit_indices(kept, self.seed, self.n))
-
     def radius_from_speed(self, speed: float) -> int:
         """Affine-then-clamp speed-to-radius map: radius grows by
         ``speed_scale`` cells per speed unit from ``radius_min`` and is
@@ -231,14 +193,28 @@ class GeospatialEncoder:
         return self.radius_min + math.floor(extra)
 
     def encode(self, value) -> SDR:
-        """Encode an (x, y) cell; topw also takes a (cell, speed) pair, as a
-        ``speed_field`` binding yields it, whose speed adapts the radius."""
+        """Hash every cell of an (x, y) cell's radius-R neighborhood, or topw's
+        w cells with the largest order keys; topw also takes a (cell, speed)
+        pair, as a ``speed_field`` binding yields it, at the speed's radius."""
         if not isinstance(value[0], (tuple, list)):
-            return self.encode_fixed(value) if self.variant == "fixed" else self.encode_topw(value)
-        if self.variant == "fixed":
+            cell, r = value, self.radius
+        elif self.variant == "fixed":
             raise InputError("the fixed variant does not take a speed")
-        cell, speed = value
-        return self.encode_topw(cell, self.radius_from_speed(speed))
+        else:
+            cell, speed = value
+            r = self.radius_from_speed(speed)
+        keys = _neighborhood_keys(cell, r)
+        if self.variant == "topw":
+            # Only a bare cell can fall short: a speed's radius is at least
+            # radius_min, whose pool the constructor checked against w.
+            if len(keys) < self.w:
+                raise InputError(f"w={self.w} needs a speed: a bare cell encodes at "
+                                 f"radius {r}, whose neighborhood has only {len(keys)} "
+                                 "cells; encode a (cell, speed) pair")
+            # Ascending ~order is descending order key; the stable sort keeps
+            # ties in enumeration order, which is ascending (x, y).
+            keys = keys[np.argsort(~order_keys_array(keys, self.seed), kind="stable")[: self.w]]
+        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
 
 def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:

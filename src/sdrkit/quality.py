@@ -3,9 +3,9 @@
 A *distance score* over an input space must be non-negative, symmetric, and
 zero between identical values; `check_distance_axioms` verifies those three
 properties on sampled inputs.  A good encoder then maps smaller distances to
-larger bit overlaps; `evaluate_semantic_consistency` measures how often an
-encoder strictly violates that ordering over sampled quadruples of inputs,
-and reports the rank correlation between overlap and distance over all
+larger bit overlaps; `evaluate_encoder` adds to the axiom report how often
+an encoder strictly violates that ordering over sampled quadruples of
+inputs, and the rank correlation between overlap and distance over all
 sample pairs.
 
 Only the *strict* violations are counted: overlap is integer-valued, so ties
@@ -249,62 +249,6 @@ def _is_discordant(o1, o2, d1, d2):
     return ((o1 > o2) & (d1 > d2)) | ((o1 < o2) & (d1 < d2))
 
 
-def _check_consistency_arguments(samples: Sequence, quadruple_count: int,
-                                 exhaustive: bool) -> None:
-    if len(samples) < 4:
-        raise InputError("consistency evaluation needs at least 4 samples")
-    if quadruple_count < 0:
-        raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
-    if exhaustive and len(samples) > EXHAUSTIVE_SAMPLE_LIMIT:
-        raise InputError(
-            f"exhaustive mode enumerates len(samples)**4 quadruples and is "
-            f"limited to {EXHAUSTIVE_SAMPLE_LIMIT} samples, got {len(samples)}"
-        )
-
-
-def _consistency_report(encodings: list[SDR], D: np.ndarray,
-                        upper: np.ndarray, quadruple_count: int,
-                        seed: int, exhaustive: bool) -> EvaluationReport:
-    O = _overlap_matrix(encodings)
-    rho, uninformative = _rank_correlation(O[upper], D[upper])
-    if exhaustive:
-        discordant, total = _exhaustive_discordance(O, D), O.size ** 2
-    else:
-        discordant, total = _sampled_discordance(O, D, quadruple_count, seed), quadruple_count
-    return EvaluationReport(
-        samples_checked=len(encodings),
-        quadruples_sampled=total,
-        discordant=discordant,
-        discordance_rate=discordant / total if total else 0.0,
-        rank_correlation=rho,
-        overlap_uninformative=uninformative,
-    )
-
-
-def evaluate_semantic_consistency(
-    encode: Callable[[object], SDR],
-    distance: Callable,
-    samples: Sequence,
-    quadruple_count: int = 10_000,
-    seed: int = 0,
-    exhaustive: bool = False,
-) -> EvaluationReport:
-    """Count strict overlap-vs-distance discordances over quadruples.
-
-    A quadruple (w, x, y, z) is discordant when pair (w, x) overlaps strictly
-    more than (y, z) yet is strictly farther, or vice versa.  Sampling uses a
-    counter-based generator keyed by (seed, ordinal), so reports are
-    reproducible and independent of any partitioning of the loop.  With
-    ``exhaustive=True`` (at most 40 samples) every ordered quadruple is
-    enumerated instead.
-    """
-    _check_consistency_arguments(samples, quadruple_count, exhaustive)
-    encodings = _encode_all(encode, samples)
-    return _consistency_report(encodings, _distance_matrix(distance, samples),
-                               _upper(len(samples)),
-                               quadruple_count, seed, exhaustive)
-
-
 def _sampled_discordance(O: np.ndarray, D: np.ndarray, quadruple_count: int, seed: int) -> int:
     """Quadruple q is samples ``counter_stream(seed, 4q + j) % m``, j = 0..3;
     quadruples are drawn in chunks so memory stays bounded at any count."""
@@ -338,17 +282,44 @@ def evaluate_encoder(
     seed: int = 0,
     exhaustive: bool = False,
 ) -> EvaluationReport:
-    """Full report: `evaluate_semantic_consistency`'s, with the axiom
-    violations of `check_distance_axioms`; the two share one distance
-    matrix."""
+    """Full report: the axiom violations of `check_distance_axioms`, then
+    the strict overlap-vs-distance discordances over quadruples and the rank
+    correlation over all sample pairs.
+
+    A quadruple (w, x, y, z) is discordant when pair (w, x) overlaps strictly
+    more than (y, z) yet is strictly farther, or vice versa.  Sampling uses a
+    counter-based generator keyed by (seed, ordinal), so reports are
+    reproducible and independent of any partitioning of the loop.  With
+    ``exhaustive=True`` (at most 40 samples) every ordered quadruple is
+    enumerated instead.
+    """
     D = _axiom_distances(distance, samples)
     upper = _upper(len(samples))
     axioms = _axiom_report(distance, samples, D, upper)
-    _check_consistency_arguments(samples, quadruple_count, exhaustive)
-    encodings = _encode_all(encode, samples)
-    report = _consistency_report(encodings, D, upper, quadruple_count, seed, exhaustive)
-    report.axiom_violations = axioms.axiom_violations
-    return report
+    if len(samples) < 4:
+        raise InputError("consistency evaluation needs at least 4 samples")
+    if quadruple_count < 0:
+        raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
+    if exhaustive and len(samples) > EXHAUSTIVE_SAMPLE_LIMIT:
+        raise InputError(
+            f"exhaustive mode enumerates len(samples)**4 quadruples and is "
+            f"limited to {EXHAUSTIVE_SAMPLE_LIMIT} samples, got {len(samples)}"
+        )
+    O = _overlap_matrix(_encode_all(encode, samples))
+    rho, uninformative = _rank_correlation(O[upper], D[upper])
+    if exhaustive:
+        discordant, total = _exhaustive_discordance(O, D), O.size ** 2
+    else:
+        discordant, total = _sampled_discordance(O, D, quadruple_count, seed), quadruple_count
+    return EvaluationReport(
+        samples_checked=len(samples),
+        axiom_violations=axioms.axiom_violations,
+        quadruples_sampled=total,
+        discordant=discordant,
+        discordance_rate=discordant / total if total else 0.0,
+        rank_correlation=rho,
+        overlap_uninformative=uninformative,
+    )
 
 
 # --- Ready-made distance scores -------------------------------------------
@@ -389,7 +360,6 @@ __all__ = [
     "AxiomCheck",
     "EvaluationReport",
     "check_distance_axioms",
-    "evaluate_semantic_consistency",
     "evaluate_encoder",
     "absolute_difference",
     "circular_distance",

@@ -26,11 +26,7 @@ from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
 from sdrkit.geospatial import GeospatialEncoder, neighborhood
 from sdrkit.hashing import coordinate_hash, mix64
-from sdrkit.quality import (
-    absolute_difference,
-    check_distance_axioms,
-    evaluate_semantic_consistency,
-)
+from sdrkit.quality import absolute_difference, check_distance_axioms, evaluate_encoder
 from sdrkit.scalars import (
     CyclicEncoder,
     DeltaEncoder,
@@ -57,7 +53,7 @@ def test_criterion_1_neighborhood_reproduction():
     cells = neighborhood((5, 10), 2)
     shifted = neighborhood((6, 10), 2)
     shared = len(set(cells) & set(shifted))
-    enc.encode_fixed((5, 10))
+    enc.encode((5, 10))
     elapsed = time.perf_counter() - start
 
     assert set(cells) == {(x, y) for x in range(3, 8) for y in range(8, 13)}
@@ -234,20 +230,20 @@ def test_criterion_5_semantic_consistency(capsys):
     start = time.perf_counter()
     subset = samples[::5]
     assert len(subset) == 40
-    exhaustive = evaluate_semantic_consistency(
+    exhaustive = evaluate_encoder(
         enc.encode, absolute_difference, subset, exhaustive=True
     )
     assert exhaustive.quadruples_sampled == 40 ** 4
     assert exhaustive.discordant == 0
 
-    sampled = evaluate_semantic_consistency(
+    sampled = evaluate_encoder(
         enc.encode, absolute_difference, samples, quadruple_count=10_000, seed=0
     )
     assert sampled.discordant == 0
     assert sampled.discordance_rate == 0.0
 
     adversary = _PermutedBuckets(ScalarEncoder(0, 45, 221, 21), seed=0)
-    attacked = evaluate_semantic_consistency(
+    attacked = evaluate_encoder(
         adversary.encode, absolute_difference, samples, quadruple_count=10_000, seed=0
     )
     assert attacked.discordance_rate > ADVERSARIAL_RATE_FLOOR
@@ -296,7 +292,7 @@ def _collision_free_fraction(n, trials, rng):
     hits = 0
     for _ in range(trials):
         c = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-        if enc.encode_fixed(c).active_count == 25:
+        if enc.encode(c).active_count == 25:
             hits += 1
     return hits / trials
 
@@ -354,23 +350,28 @@ def test_criterion_8_adaptive_subsampling():
     start = time.perf_counter()
 
     def encoder(seed):
+        # Past 64 bits no hash is reduced modulo n, so each selected cell
+        # keeps a bit of its own: shared bits count shared cells.
         return GeospatialEncoder(
-            100, 2, variant="topw", w=15, seed=seed,
+            1 << 64, 2, variant="topw", w=15, seed=seed,
             radius_min=2, radius_max=4, speed_scale=0.1,
         )
 
-    sel = encoder(0).select_topw((0, 0))
+    def selected(enc, value):
+        return set(enc.encode(value).active)
+
+    sel = selected(encoder(0), (0, 0))
     assert len(sel) == 15 and len(neighborhood((0, 0), 2)) == 25
 
     shared_slow = []
     shared_fast_ge1 = 0
     for seed in range(100):
         enc = encoder(seed)
-        at_origin = set(enc.select_topw((0, 0)))
-        after_small_move = set(enc.select_topw((2, 0)))
+        at_origin = selected(enc, (0, 0))
+        after_small_move = selected(enc, (2, 0))
         shared_slow.append(len(at_origin & after_small_move))
 
-        far = set(enc.select_topw((0, -4), radius=4))
+        far = selected(enc, ((0, -4), 20))  # radius 2 + floor(20 * 0.1)
         assert len(far) == 15 and len(neighborhood((0, -4), 4)) == 81
         if at_origin & far:
             shared_fast_ge1 += 1

@@ -933,6 +933,20 @@ class TestSelftestHash:
         assert run_cli(["selftest-hash"]) == 0
         assert capsys.readouterr().out == GOLDEN_FIXTURE.read_text()
 
+    def test_prints_through_the_array_path(self, capsys, monkeypatch):
+        """The scalar references are out of reach wherever a module binds
+        them, so the golden vectors come from the path the encoders run."""
+        def scalar_reference(*args):
+            raise AssertionError("selftest-hash called a scalar hash reference")
+
+        for name, module in list(sys.modules.items()):
+            if name == "sdrkit" or name.startswith("sdrkit."):
+                for attr in ("mix64", "coordinate_hash"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, scalar_reference)
+        assert run_cli(["selftest-hash"]) == 0
+        assert capsys.readouterr().out == GOLDEN_FIXTURE.read_text()
+
 
 def test_console_script_end_to_end(tmp_path):
     """The installed entry point works over stdin/stdout pipes."""

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder, concat
-from sdrkit.errors import ConfigError, InvalidSdr, SdrError
-from sdrkit.geospatial import GeospatialEncoder, GridCoordinate, neighborhood
+from sdrkit.errors import InputError, InvalidSdr, SdrError
+from sdrkit.geospatial import GeospatialEncoder, neighborhood
 from sdrkit.hashing import (
     bucket_bit_index,
     coordinate_hash,
@@ -55,6 +55,8 @@ ordinates = st.one_of(
 )
 coords = st.tuples(ordinates, ordinates)
 bit_counts = st.one_of(st.integers(1, 5000), st.just(U64_MAX + 7))
+# Past 64 bits no hash is reduced modulo n, so each cell keeps a bit of its own.
+WIDE = U64_MAX + 7
 
 
 # --- reference algorithm ----------------------------------------------------
@@ -69,10 +71,9 @@ def reference_select_topw(enc, coord, radius=None):
     r = enc.radius if radius is None else radius
     pool = neighborhood(coord, r)
     if not 1 <= enc.w <= len(pool):
-        raise ConfigError(
-            f"cannot select w={enc.w} cells from a radius-{r} "
-            f"neighborhood of {len(pool)}"
-        )
+        raise InputError(f"w={enc.w} needs a speed: a bare cell encodes at radius {r}, "
+                         f"whose neighborhood has only {len(pool)} cells; encode a "
+                         "(cell, speed) pair")
     ranked = sorted(pool, key=lambda cell: (-coordinate_hash(cell, enc.seed, enc.n)[1], cell))
     return ranked[: enc.w]
 
@@ -135,7 +136,7 @@ def test_counter_stream_array_takes_a_uint64_range():
 @given(bit_counts, st.integers(0, 7), seeds, coords)
 def test_encode_fixed_matches_reference(n, radius, seed, coord):
     enc = GeospatialEncoder(n, radius, seed=seed)
-    assert outcome(enc.encode_fixed, coord) == outcome(reference_encode_fixed, enc, coord)
+    assert outcome(enc.encode, coord) == outcome(reference_encode_fixed, enc, coord)
 
 
 @st.composite
@@ -148,22 +149,34 @@ def topw_cases(draw):
     return enc, draw(coords), override
 
 
+def at_radius(enc, radius):
+    """``enc``, or its twin whose bare cells encode at ``radius``; radius_min
+    stays at ``enc.radius``, whose pool the constructor accepts for w."""
+    if radius is None:
+        return enc
+    return GeospatialEncoder(enc.n, radius, variant="topw", w=enc.w, seed=enc.seed,
+                             radius_min=enc.radius, radius_max=enc.radius)
+
+
 @settings(max_examples=150, deadline=None)
 @given(topw_cases())
 def test_select_topw_matches_reference(case):
     enc, coord, radius = case
-    got = outcome(enc.select_topw, coord, radius)
-    assert got == outcome(reference_select_topw, enc, coord, radius)
-    if isinstance(got, list):
-        assert all(type(c) is GridCoordinate and type(c.x) is int and type(c.y) is int
-                   for c in got)
+    wide = GeospatialEncoder(WIDE, enc.radius, variant="topw", w=enc.w, seed=enc.seed)
+    got = outcome(at_radius(wide, radius).encode, coord)
+    want = outcome(reference_select_topw, wide, coord, radius)
+    if isinstance(want, list):  # the selected cells, each as its own bit
+        want = SDR(WIDE, tuple(sorted(coordinate_hash(cell, wide.seed, WIDE)[0]
+                                      for cell in want)))
+        assert got.active_count == enc.w
+    assert got == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(topw_cases())
 def test_encode_topw_matches_reference(case):
     enc, coord, radius = case
-    assert outcome(enc.encode_topw, coord, radius) == \
+    assert outcome(at_radius(enc, radius).encode, coord) == \
         outcome(reference_encode_topw, enc, coord, radius)
 
 

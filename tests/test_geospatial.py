@@ -196,58 +196,69 @@ class TestFixedEncoder:
             enc.encode(((0, 0), 3.0))
 
 
+# Past 64 bits no hash is reduced modulo n, so each cell keeps a bit of its
+# own and an encoding's bits name the cells it selected.
+WIDE = 1 << 64
+
+
+def cell_bits(enc, cells) -> set:
+    return {coordinate_hash(cell, enc.seed, enc.n)[0] for cell in cells}
+
+
 class TestTopWEncoder:
-    def make(self, **kw):
+    def make(self, n=100, **kw):
         args = dict(variant="topw", w=15, seed=0)
         args.update(kw)
-        return GeospatialEncoder(100, 2, **args)
+        return GeospatialEncoder(n, 2, **args)
 
     def test_selects_15_of_25(self):
-        sel = self.make().select_topw((0, 0))
+        enc = self.make(WIDE)
+        sel = set(enc.encode((0, 0)).active)
         assert len(sel) == 15
-        assert len(set(sel)) == 15
-        assert set(sel) <= set(neighborhood((0, 0), 2))
+        assert sel <= cell_bits(enc, neighborhood((0, 0), 2))
 
     def test_selects_15_of_81_at_radius_4(self):
-        enc = self.make(radius_min=2, radius_max=4)
-        sel = enc.select_topw((0, 0), radius=4)
+        enc = self.make(WIDE, radius_min=2, radius_max=4, speed_scale=1)
+        sel = set(enc.encode(((0, 0), 2)).active)  # radius 2 + 2 * 1
         assert len(sel) == 15
-        assert set(sel) <= set(neighborhood((0, 0), 4))
+        assert sel <= cell_bits(enc, neighborhood((0, 0), 4))
 
     def test_at_most_w_bits(self):
         out = self.make().encode((3, 4))
         assert out.active_count <= 15
 
     def test_selection_independent_of_enumeration_order(self):
-        enc = self.make(seed=11)
+        enc = self.make(WIDE, seed=11)
         pool = neighborhood((7, -2), 2)
         shuffled = list(pool)
         random.Random(0).shuffle(shuffled)
         rank = lambda cell: (-coordinate_hash(cell, enc.seed, enc.n)[1], cell)
-        assert sorted(shuffled, key=rank)[:15] == enc.select_topw((7, -2))
+        assert cell_bits(enc, sorted(shuffled, key=rank)[:15]) == set(enc.encode((7, -2)).active)
 
     def test_w_exceeding_pool_rejected(self):
         with pytest.raises(ConfigError):
             GeospatialEncoder(100, 1, variant="topw", w=15)  # pool is 9
-        enc = self.make()
-        with pytest.raises(ConfigError):
-            enc.select_topw((0, 0), radius=1)
+        enc = GeospatialEncoder(100, 1, variant="topw", w=15, radius_min=2, radius_max=2)
+        with pytest.raises(InputError):
+            enc.encode((0, 0))
 
     def test_w_beyond_the_radius_pool_fails_only_without_a_speed(self):
         # The constructor checks w against the radius_min pool (49 cells); a
-        # bare cell encodes at radius 1, whose pool has 9.
+        # bare cell encodes at radius 1, whose pool has 9: an input error,
+        # as the encoder is valid once a speed comes with the cell.
         enc = GeospatialEncoder(1000, 1, variant="topw", w=20, radius_min=3, radius_max=5)
-        with pytest.raises(ConfigError, match="cannot select w=20 cells from a radius-1 "
-                                              "neighborhood of 9"):
+        with pytest.raises(InputError, match="w=20 needs a speed: a bare cell encodes at "
+                                             "radius 1, whose neighborhood has only 9 cells"):
             enc.encode((0, 0))
+        assert enc.encode(((0, 0), 0)).active_count <= 20
         assert enc.encode(((0, 0), 0.0)).active_count <= 20
 
     def test_nearby_positions_share_selected_cells(self):
         shared = []
         for seed in range(100):
-            enc = self.make(seed=seed)
-            s1 = set(enc.select_topw((0, 0)))
-            s2 = set(enc.select_topw((2, 0)))
+            enc = self.make(WIDE, seed=seed)
+            s1 = set(enc.encode((0, 0)).active)
+            s2 = set(enc.encode((2, 0)).active)
             shared.append(len(s1 & s2))
         assert sum(shared) / len(shared) >= 8.0
 
@@ -310,9 +321,9 @@ class TestRadiusFromSpeed:
     def test_speed_adapts_encoding(self):
         enc = self.make()
         slow = enc.encode(((0, 0), 0))
-        assert slow == enc.encode_topw((0, 0), radius=2)
+        assert slow == GeospatialEncoder(1000, 2, variant="topw", w=15).encode((0, 0))
         fast = enc.encode(((0, 0), 20))
-        assert fast == enc.encode_topw((0, 0), radius=4)
+        assert fast == GeospatialEncoder(1000, 4, variant="topw", w=15).encode((0, 0))
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.floats(-10, 10), st.data(),
@@ -331,8 +342,11 @@ def test_a_cell_speed_pair_is_encoded_at_the_speed_radius(radius_min, spread, sc
         except InputError as exc:
             return str(exc)
 
-    assert outcome(lambda: enc.encode((cell, speed))) == \
-        outcome(lambda: enc.encode_topw(cell, enc.radius_from_speed(speed)))
+    def at_speed_radius():  # a bare cell encodes at the encoder's radius
+        return GeospatialEncoder(1000, enc.radius_from_speed(speed), variant="topw",
+                                 w=enc.w, seed=enc.seed).encode(cell)
+
+    assert outcome(lambda: enc.encode((cell, speed))) == outcome(at_speed_radius)
 
 
 class TestGpsToGrid:

@@ -14,7 +14,6 @@ from sdrkit.quality import (
     circular_distance,
     discrete_distance,
     evaluate_encoder,
-    evaluate_semantic_consistency,
     _is_discordant,
 )
 from sdrkit.scalars import ScalarEncoder
@@ -95,7 +94,7 @@ class TestSemanticConsistency:
 
     def test_aligned_scalar_has_zero_discordance_sampled(self):
         enc, samples = self.make_aligned()
-        report = evaluate_semantic_consistency(
+        report = evaluate_encoder(
             enc.encode, absolute_difference, samples, quadruple_count=10_000, seed=0
         )
         assert report.quadruples_sampled == 10_000
@@ -105,7 +104,7 @@ class TestSemanticConsistency:
     def test_aligned_scalar_exhaustive_subset(self):
         enc, samples = self.make_aligned()
         subset = samples[::10][:20]
-        report = evaluate_semantic_consistency(
+        report = evaluate_encoder(
             enc.encode, absolute_difference, subset, exhaustive=True
         )
         assert report.quadruples_sampled == 20 ** 4
@@ -113,7 +112,7 @@ class TestSemanticConsistency:
 
     def test_rank_correlation_strongly_negative_for_good_encoder(self):
         enc, samples = self.make_aligned()
-        report = evaluate_semantic_consistency(
+        report = evaluate_encoder(
             enc.encode, absolute_difference, samples[:80], quadruple_count=100
         )
         assert report.rank_correlation <= -0.5
@@ -121,7 +120,7 @@ class TestSemanticConsistency:
 
     def test_constant_encoder_flagged_uninformative(self):
         fixed = SDR(64, tuple(range(8)))
-        report = evaluate_semantic_consistency(
+        report = evaluate_encoder(
             lambda v: fixed, absolute_difference, [1.0, 2.0, 3.0, 4.0, 5.0]
         )
         assert report.discordance_rate == 0.0
@@ -133,7 +132,7 @@ class TestSemanticConsistency:
         inner = ScalarEncoder(0, 45, 100, 21)
         adversary = PermutedBucketEncoder(inner, seed=0)
         samples = [i * 45 / 199 for i in range(200)]
-        report = evaluate_semantic_consistency(
+        report = evaluate_encoder(
             adversary.encode, absolute_difference, samples, quadruple_count=10_000
         )
         assert report.discordance_rate > 0.2
@@ -142,7 +141,7 @@ class TestSemanticConsistency:
     def test_reports_reproducible(self):
         enc, samples = self.make_aligned()
         runs = [
-            evaluate_semantic_consistency(
+            evaluate_encoder(
                 enc.encode, absolute_difference, samples[:50],
                 quadruple_count=2000, seed=99,
             )
@@ -154,10 +153,10 @@ class TestSemanticConsistency:
         inner = ScalarEncoder(0, 45, 100, 21)
         adversary = PermutedBucketEncoder(inner, seed=0)
         samples = [i * 45 / 199 for i in range(200)]
-        r1 = evaluate_semantic_consistency(
+        r1 = evaluate_encoder(
             adversary.encode, absolute_difference, samples, 3000, seed=1
         )
-        r2 = evaluate_semantic_consistency(
+        r2 = evaluate_encoder(
             adversary.encode, absolute_difference, samples, 3000, seed=2
         )
         assert r1.discordant != r2.discordant  # different streams, same regime
@@ -166,10 +165,10 @@ class TestSemanticConsistency:
     def test_rank_correlation_invariant_under_monotone_transform(self):
         enc, samples = self.make_aligned()
         subset = samples[:60]
-        base = evaluate_semantic_consistency(
+        base = evaluate_encoder(
             enc.encode, absolute_difference, subset, quadruple_count=500
         )
-        squared = evaluate_semantic_consistency(
+        squared = evaluate_encoder(
             enc.encode, lambda a, b: abs(a - b) ** 2, subset, quadruple_count=500
         )
         assert squared.rank_correlation == base.rank_correlation
@@ -179,21 +178,21 @@ class TestSemanticConsistency:
             return SDR(10 if v < 2 else 11, (0,))
 
         with pytest.raises(DimensionMismatch):
-            evaluate_semantic_consistency(
+            evaluate_encoder(
                 broken, absolute_difference, [0.0, 1.0, 2.0, 3.0]
             )
 
     def test_exhaustive_limit(self):
         enc, samples = self.make_aligned()
         with pytest.raises(InputError):
-            evaluate_semantic_consistency(
+            evaluate_encoder(
                 enc.encode, absolute_difference, samples[:41], exhaustive=True
             )
 
     def test_needs_four_samples(self):
         enc, _ = self.make_aligned()
         with pytest.raises(InputError):
-            evaluate_semantic_consistency(enc.encode, absolute_difference, [1, 2, 3])
+            evaluate_encoder(enc.encode, absolute_difference, [1, 2, 3])
 
 
 def test_discordance_symmetric_under_pair_swap():
@@ -230,6 +229,9 @@ class TestBuiltinDistances:
         copy = pickle.loads(pickle.dumps(absolute_difference))
         assert isinstance(copy, ExpressionDistance) and copy(3, 7.5) == 4.5
         assert copy.matrix([0, 2.5]).tolist() == [[0.0, 2.5], [2.5, 0.0]]
+
+    def test_expression_repr_shows_its_source(self):
+        assert repr(absolute_difference) == "ExpressionDistance('abs(a - b)')"
 
     def test_circular(self):
         week = circular_distance(7)

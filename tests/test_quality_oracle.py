@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy import stats
 
 import sdrkit
@@ -40,7 +40,6 @@ from sdrkit.quality import (
     circular_distance,
     discrete_distance,
     evaluate_encoder,
-    evaluate_semantic_consistency,
 )
 from sdrkit.sdr import SDR
 
@@ -309,13 +308,13 @@ def test_user_distances_match_the_oracle(distance, samples, encode, quadruple_co
 def test_evaluate_encoder_is_the_axiom_and_consistency_reports(case, encode,
                                                               quadruple_count, seed):
     """The axiom fields are `check_distance_axioms`', the rest, rank
-    correlation included when no quadruple is sampled, are
-    `evaluate_semantic_consistency`'s."""
+    correlation included when no quadruple is sampled, are the oracle's
+    consistency report."""
     distance, samples = case
     got = outcome(evaluate_encoder, encode, distance, samples, quadruple_count, seed)
     axioms = outcome(check_distance_axioms, distance, samples)
-    consistency = outcome(evaluate_semantic_consistency, encode, distance, samples,
-                          quadruple_count, seed)
+    consistency = outcome(oracle_consistency, encode, distance, samples,
+                          quadruple_count, seed, False)
     if not isinstance(axioms, EvaluationReport):
         assert got == axioms
     elif not isinstance(consistency, EvaluationReport):
@@ -391,7 +390,10 @@ def test_axiom_check_matches_the_oracle(case):
 def test_consistency_matches_the_oracle(case, encode, quadruple_count, seed):
     distance, samples = case
     args = (encode, distance, samples, quadruple_count, seed, False)
-    assert outcome(evaluate_semantic_consistency, *args) == outcome(oracle_consistency, *args)
+    got = outcome(evaluate_encoder, *args)
+    if isinstance(got, EvaluationReport):
+        got.axiom_violations = {}  # the axiom sections have their own oracle test
+    assert got == outcome(oracle_consistency, *args)
 
 
 def test_offending_examples_keep_the_distance_return_type():
@@ -475,7 +477,11 @@ def assert_same_matrix(distance, samples):
         return
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # Python itself does not fix the sign of a NaN made from NaN operands
+    # (it can change once the interpreter specialises the bytecode), and no
+    # output shows it: compare the signs of numbers only.
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
 
 
 EDGE_INTS = [0, 1, -1, 2 ** 31, -(2 ** 31), 2 ** 31 - 1, 2 ** 53, -(2 ** 53), 2 ** 53 + 1,
@@ -571,6 +577,7 @@ TYPED_SHAPES = [
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(TYPED_SHAPES).flatmap(
     lambda shape: st.tuples(expressions(shape[1], per_pair_only=False), shape[0])))
+@example(("(a[1]) + (-(a[1]))", [((0, 0), 0.0), ((0, 0), math.nan)]))
 def test_subset_expressions_vectorise(case):
     expr, samples = case
     distance = ExpressionDistance(expr)
@@ -766,18 +773,14 @@ def test_rank_correlation_constant_and_nan_sides_are_zero():
 def test_negative_quadruple_count_is_rejected():
     samples = [0.0, 1.0, 2.0, 3.0]
     with pytest.raises(InputError, match="quadruple_count"):
-        evaluate_semantic_consistency(window_encode, absolute_difference, samples,
-                                      quadruple_count=-1)
-    with pytest.raises(InputError, match="quadruple_count"):
         evaluate_encoder(window_encode, absolute_difference, samples, quadruple_count=-1)
 
 
 def test_zero_quadruples_is_allowed():
     samples = [0.0, 1.0, 2.0, 3.0]
-    report = evaluate_semantic_consistency(window_encode, absolute_difference, samples,
-                                           quadruple_count=0)
+    report = evaluate_encoder(window_encode, absolute_difference, samples, quadruple_count=0)
     assert report.quadruples_sampled == 0 and report.discordance_rate == 0.0
-    assert report == oracle_consistency(window_encode, absolute_difference, samples, 0, 0, False)
+    assert report == oracle_evaluate(window_encode, absolute_difference, samples, 0, 0, False)
 
 
 # --- scipy stays out of the runtime -------------------------------------------------
