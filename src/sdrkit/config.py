@@ -35,7 +35,8 @@ only with a number literal as its exponent, the exponents along any path
 multiplying to at most 64.  Anything else, any other name or attribute
 included, is a config error, so a config file never runs arbitrary code.
 `sdrkit.expressions` holds the whitelist and compiles each expression once,
-to a function of one pair and a numpy form the evaluator uses where exact.
+to a function of one pair and a numpy form the evaluator uses where exact;
+each named distance is a built-in of `sdrkit.quality` compiled the same way.
 """
 
 from __future__ import annotations

@@ -110,13 +110,15 @@ def _checked_body(expr: str) -> ast.expr:
 # or a mix), and carries a bound on its ints' magnitude (None without ints).
 # Up to 2**53 float64 holds each int exactly, so int/float operations convert
 # as Python does, and int arithmetic in float64 differs only in making -0.0:
-# a float64 node with ints declines negation and products with ints.  `np.where`
-# keeps min's and max's running value unless a later one compares strictly
-# below/above, as Python does, NaN included.
+# a float64 node with ints declines negation, and products and remainders
+# with ints.  numpy's float remainder is Python's: fmod, then the divisor's
+# sign.  `np.where` keeps min's and max's running value unless a later one
+# compares strictly below/above, as Python does, NaN included.
 
 _BLOCK_CELLS = 1 << 13  # per numpy pass: 64 kB temporaries stay in cache, off mmap
 _EXACT_INT = 1 << 53
-_ARITHMETIC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
+_ARITHMETIC = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+               ast.Mod: np.remainder}
 
 
 class _Inexact(Exception):
@@ -160,8 +162,9 @@ def _vectorise(node: ast.expr, samples: Sequence, columns: dict,
         ints = op is not ast.Div and bx is not None and by is not None
         bound = (bx * by if op is ast.Mult else bx + by) if ints else None
         z = _ARITHMETIC[op](x, y)
-        if ((bound or 0) > _EXACT_INT or (op is ast.Div and not np.all(y))  # 1/0 raises
-                or (op is ast.Mult and ints and z.dtype != np.int64)):  # 0 * -1 is 0
+        if ((bound or 0) > _EXACT_INT
+                or (op in (ast.Div, ast.Mod) and not np.all(y))  # 1/0 and 1 % 0 raise
+                or (op in (ast.Mult, ast.Mod) and ints and z.dtype != np.int64)):  # 4 % -2 is 0
             raise _Inexact
         return z, bound
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):

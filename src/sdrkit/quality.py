@@ -16,9 +16,9 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
 O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.
-A distance expression (`ExpressionDistance`, `absolute_difference` among
-them) fills the distance matrix with numpy where that is exact; otherwise
-the distance is called once per ordered pair, m**2 calls in all.
+A distance expression (`ExpressionDistance`, every built-in among them)
+fills the distance matrix with numpy where that is exact; otherwise the
+distance is called once per ordered pair, m**2 calls in all.
 Distance values are compared as float64; a distance that raises, or
 returns something ``float()`` rejects, raises `EvaluationError` naming the
 pair.  Offending examples in the report show the distance's own return
@@ -325,33 +325,25 @@ def evaluate_encoder(
 # --- Ready-made distance scores -------------------------------------------
 #
 # Conveniences for common input spaces; nothing downstream privileges them,
-# and callers are free to supply their own callables.  `absolute_difference`
-# is a compiled expression, so the evaluator fills its matrix with numpy.
+# and callers are free to supply their own callables.  Each is a compiled
+# expression, so the evaluator fills its matrix with numpy where that is exact.
 
 absolute_difference = ExpressionDistance("abs(a - b)")
 
 
-def circular_distance(period: float) -> Callable[[float, float], float]:
-    """Shortest way around a cycle of the given period."""
+def circular_distance(period: float) -> ExpressionDistance:
+    """Shortest way around a cycle of the given period; in ints for an int period."""
     if not (is_finite_number(period) and period > 0):
         raise InputError(f"period must be positive and finite, got {period!r}")
-
-    def dist(a: float, b: float) -> float:
-        d = abs(a - b) % period
-        return min(d, period - d)
-
-    return dist
+    p = repr(period if type(period) is int else float(period))
+    return ExpressionDistance(f"min(abs(a - b) % {p}, {p} - abs(a - b) % {p})")
 
 
-def chebyshev_distance(a, b) -> float:
-    """Chessboard distance between grid coordinates."""
-    (ax, ay), (bx, by) = a, b
-    return float(max(abs(ax - bx), abs(ay - by)))
+# Chessboard distance between grid coordinates ``a[0]``/``a[1]``, as a float.
+chebyshev_distance = ExpressionDistance("max(abs(a[0] - b[0]), abs(a[1] - b[1])) + 0.0")
 
-
-def discrete_distance(a, b) -> float:
-    """0 for equal values, 1 otherwise (categorical inputs)."""
-    return 0.0 if a == b else 1.0
+# 0 for equal values, 1 otherwise (categorical inputs); runs per pair.
+discrete_distance = ExpressionDistance("0.0 if a == b else 1.0")
 
 
 __all__ = [

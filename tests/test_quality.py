@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -225,10 +226,17 @@ class TestBuiltinDistances:
         assert absolute_difference(3, 5) == 2
 
     def test_absolute_is_the_compiled_expression_and_pickles(self):
-        assert isinstance(absolute_difference, ExpressionDistance)
+        # every built-in is a compiled expression, and pickles by its source
+        for distance in (absolute_difference, circular_distance(7), chebyshev_distance,
+                         discrete_distance):
+            assert isinstance(distance, ExpressionDistance)
+            copy = pickle.loads(pickle.dumps(distance))
+            assert isinstance(copy, ExpressionDistance) and repr(copy) == repr(distance)
         copy = pickle.loads(pickle.dumps(absolute_difference))
-        assert isinstance(copy, ExpressionDistance) and copy(3, 7.5) == 4.5
+        assert copy(3, 7.5) == 4.5
         assert copy.matrix([0, 2.5]).tolist() == [[0.0, 2.5], [2.5, 0.0]]
+        week = pickle.loads(pickle.dumps(circular_distance(7)))
+        assert week.matrix([0, 6, 1]).tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
 
     def test_expression_repr_shows_its_source(self):
         assert repr(absolute_difference) == "ExpressionDistance('abs(a - b)')"
@@ -238,6 +246,9 @@ class TestBuiltinDistances:
         assert week(0, 6) == 1
         assert week(0, 1) == 1
         assert week(1.5, 6.0) == pytest.approx(2.5)
+        # an int period computes in ints, any other period in float
+        assert type(week(0, 6)) is int
+        assert type(circular_distance(Fraction(15, 2))(0, 7)) is float
         with pytest.raises(InputError):
             circular_distance(0)
 
@@ -250,6 +261,9 @@ class TestBuiltinDistances:
 
     def test_chebyshev(self):
         assert chebyshev_distance((0, 0), (3, -4)) == 4
+        assert type(chebyshev_distance((0, 0), (3, -4))) is float
+        # it reads a[0] and a[1] only, so longer tuples are accepted
+        assert chebyshev_distance((0, 0, 9), (3, -4, 1)) == 4.0
 
     def test_discrete(self):
         assert discrete_distance("a", "a") == 0.0
@@ -258,13 +272,14 @@ class TestBuiltinDistances:
     @pytest.mark.parametrize(
         "distance,samples",
         [
-            # an ExpressionDistance has no __name__ for pytest to take
-            pytest.param(absolute_difference, [0.0, 1.5, -2.0, 10.0],
-                         id="absolute_difference-samples0"),
+            (absolute_difference, [0.0, 1.5, -2.0, 10.0]),
             (circular_distance(24), [0.0, 6.0, 12.0, 23.5]),
             (chebyshev_distance, [(0, 0), (1, 2), (-3, 4), (10, 10)]),
             (discrete_distance, ["a", "b", "c", "a"]),
         ],
+        # explicit: an ExpressionDistance has no __name__ for pytest to take
+        ids=["absolute_difference-samples0", "circular_distance-samples1",
+             "chebyshev_distance-samples2", "discrete_distance-samples3"],
     )
     def test_all_builtins_satisfy_the_axioms(self, distance, samples):
         report = check_distance_axioms(distance, samples)

@@ -475,6 +475,10 @@ def assert_same_matrix(distance, samples):
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return
+    assert_equal_matrices(got, want)
+
+
+def assert_equal_matrices(got, want):
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(got, want, equal_nan=True)
     # Python itself does not fix the sign of a NaN made from NaN operands
@@ -599,6 +603,9 @@ VECTORISED = [
     ("abs(a - b)", [0, 0.5, -3, 2 ** 52, -0.0, math.inf, 7, -(2 ** 52)]),
     ("min(abs(a - b), 3)", [0.0, 1.5, 10.0, -2.5, math.nan]),
     ("max(a, b) - min(a, b, 0.5) + a / 4 - (a - b) * 2.0", [0, 1, -2.5, 3.0, -0.0, 0]),
+    ("a % 2 + b", [1, 2]),
+    ("min(abs(a - b) % 7.5, 7.5 - abs(a - b) % 7.5)",
+     [0.0, -0.0, 6.5, 30.25, -3.5, math.inf, math.nan, 5e-324]),
 ]
 
 
@@ -622,7 +629,7 @@ def test_vectorised_expressions_call_no_distance(expr, samples):
     ("a - b", [2 ** 64, 1]),
     ("a ** 2 - b", [1.5, 2.0]),
     ("math.fabs(a - b)", [1.0, 2.0]),
-    ("a % 2 + b", [1, 2]),
+    ("a % -2", [4, 1.5]),               # Python's 4 % -2 is 0; in float64 it is -0.0
     ("a if a < b else b", [1, 2]),
 ])
 def test_matrix_declines_where_numpy_may_differ(expr, samples):
@@ -642,6 +649,7 @@ def test_matrix_declines_where_numpy_may_differ(expr, samples):
     ("a", [GridCoordinate(0, 0), GridCoordinate(1, 2)]),
     ("min(a)", [1.0, 2.0]),
     ("a * b", [10 ** 200, 10 ** 200]),                 # an int past the float range
+    ("a % (a - b)", [1.0, 2.0]),                       # a zero remainder divisor
 ])
 def test_matrix_declines_where_a_pair_raises(expr, samples):
     distance = ExpressionDistance(expr)
@@ -651,6 +659,32 @@ def test_matrix_declines_where_a_pair_raises(expr, samples):
     with pytest.raises(EvaluationError) as want:
         oracle_matrix(distance, samples)
     assert str(got.value) == str(want.value)
+
+
+remainder_samples = st.one_of(
+    _samples(st.integers(-20, 20)),
+    _samples(st.one_of(
+        st.floats(allow_subnormal=True),
+        st.floats(-30, 30).map(lambda v: round(v, 1)),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         2.2250738585072014e-308, 1e308]),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["(a - b) % b", "-(a - b) % b"]), remainder_samples)
+@example("(a - b) % b", [4.0, -2.0, 5e-324, -math.inf, math.nan])
+@example("-(a - b) % b", [1.5, -1.5, math.inf])
+@example("(a - b) % b", [-0.0, 3.0])
+def test_remainder_matrix_equals_the_pair_loop(expr, samples):
+    # numpy's float remainder must be Python's, sign of zero included; a zero
+    # divisor (any zero sample) declines, and the pairs raise as Python does.
+    distance = ExpressionDistance(expr)
+    if all(samples):
+        assert distance.matrix(samples) is not None
+    with np.errstate(all="ignore"):
+        assert_same_matrix(distance, samples)
 
 
 def test_fallback_calls_every_pair_through_call_distance():
@@ -716,6 +750,73 @@ def test_declined_expression_errors_keep_their_text(expr):
     with mock.patch.object(ExpressionDistance, "__call__", _no_method_call):
         got = outcome(evaluate_encoder, window_encode, distance, DECLINED_SAMPLES, 300, 0)
     assert got == want
+
+
+# --- the built-ins equal the function bodies they replaced -----------------------
+
+
+def reference_circular(period):
+    def dist(a, b):
+        d = abs(a - b) % period
+        return min(d, period - d)
+
+    return dist
+
+
+def reference_chebyshev(a, b):
+    (ax, ay), (bx, by) = a, b
+    return float(max(abs(ax - bx), abs(ay - by)))
+
+
+def reference_discrete(a, b):
+    return 0.0 if a == b else 1.0
+
+
+def _value_or_raises(distance, x, y):
+    try:
+        return distance(x, y)
+    except Exception:
+        return EvaluationError
+
+
+def _same_value(got, want):
+    """Same type and bits; any NaN matches any NaN."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, float):
+        return math.isnan(got) and math.isnan(want) or got.hex() == want.hex()
+    return got == want
+
+
+def _with_period(periods, kind):
+    return periods.filter(lambda p: type(p) is kind).map(
+        lambda p: (circular_distance(p), reference_circular(p)))
+
+
+@pytest.mark.parametrize("pairs", [
+    _with_period(periods, int),
+    _with_period(periods, float),
+    st.just((chebyshev_distance, reference_chebyshev)),
+    st.just((discrete_distance, reference_discrete)),
+], ids=["circular-int", "circular-float", "chebyshev", "discrete"])
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_builtins_equal_their_reference(pairs, data):
+    """Every pair's value, and the evaluator's matrix, equal the function
+    body each built-in replaced; where the reference raises, so does it."""
+    distance, reference = data.draw(pairs)
+    samples = data.draw(st.one_of(numbers, coordinates, labels))
+    for x in samples:
+        for y in samples:
+            got = _value_or_raises(distance, x, y)
+            want = _value_or_raises(reference, x, y)
+            assert _same_value(got, want), (x, y, got, want)
+    got = outcome(quality._distance_matrix, distance, samples)
+    want = outcome(oracle_matrix, reference, samples)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got[0] is want[0] is EvaluationError  # the messages name different errors
+    else:
+        assert_equal_matrices(got, want)
 
 
 ROOT = Path(__file__).resolve().parents[1]
