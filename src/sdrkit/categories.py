@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, UnknownCategoryError, is_integer
 from .scalars import MAX_W
 from .sdr import SDR
@@ -66,9 +68,14 @@ class CategoryEncoder:
             )
         return idx
 
+    _key = block_index
+
     def encode(self, label: str) -> SDR:
-        start = self.block_index(label) * self.w
+        start = self._key(label) * self.w
         return SDR._trusted(self.n, tuple(range(start, start + self.w)))
+
+    def _bits(self, blocks) -> np.ndarray:
+        return np.array(blocks, dtype=np.int64)[:, None] * self.w + np.arange(self.w)
 
 
 __all__ = ["CategoryEncoder", "UNKNOWN_POLICIES"]

@@ -8,6 +8,10 @@
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
+Dense lines are written in blocks of at most 256 KiB, so a reader of a live
+pipe sees rows arrive a block at a time; sparse lines are written one by
+one.  Either way, a data error leaves every row before the failing one
+written.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -31,17 +35,23 @@ import sys
 import time
 from contextlib import nullcontext
 
+import numpy as np
+
 from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
 from .geospatial import _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
 from .quality import evaluate_encoder
-from .sdr import MAX_DENSE_N, SDR, to_dense_string, to_sparse_string
+from .sdr import MAX_DENSE_N, to_sparse_string
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_AXIOM = 4
+
+# Largest dense block `encode` writes at once: it holds
+# max(1, _DENSE_CHUNK_BYTES // (n + 1)) lines.
+_DENSE_CHUNK_BYTES = 1 << 18
 
 # Inputs for the printed hash vectors; arbitrary but frozen, spanning the
 # signed 32-bit corners and both hash output streams.
@@ -80,12 +90,14 @@ def _emit_warnings(cfg, stderr) -> None:
         print(f"warning: {message}", file=stderr)
 
 
-def _format_line(sdr: SDR, fmt: str) -> str:
-    if fmt == "dense":
-        return to_dense_string(sdr)
-    if fmt == "sparse":
-        return to_sparse_string(sdr)
-    return to_sparse_string(sdr, self_describing=True)
+def _dense_lines(multi, keys) -> str:
+    """The dense lines, newlines included, of the `MultiEncoder._key` keys of
+    one or more rows: the same text as `to_dense_string` of each encoding."""
+    n = multi.n
+    lines = np.full((len(keys), n + 1), ord("0"), dtype=np.uint8)
+    lines[:, n] = ord("\n")
+    np.put_along_axis(lines, multi._bits(keys), ord("1"), axis=1)
+    return lines.tobytes().decode("ascii")
 
 
 def _open_input(path):
@@ -100,9 +112,10 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _each_row(fin, cfg, per_row, stderr) -> int:
+def _each_row(fin, cfg, per_row, stderr, finish=lambda: None) -> int:
     """Call ``per_row`` with each CSV data row as a {column: text} mapping,
-    in order; return the exit code.  A missing or repeated column in the
+    in order, then ``finish`` (also when a row fails, before the error is
+    printed); return the exit code.  A missing or repeated column in the
     header is a config error; an empty input, a row whose field count
     differs from the header's, or an SdrError from ``per_row`` is a data
     error naming the row (rows count from 1 after the header)."""
@@ -118,16 +131,23 @@ def _each_row(fin, cfg, per_row, stderr) -> int:
                    else f"{duplicated} appear more than once in")
         print(f"config error: field(s) {problem} the CSV header {header}", file=stderr)
         return EXIT_CONFIG
-    for row_number, row in enumerate(reader, start=1):
-        try:
-            if len(row) != len(header):
-                raise InputError(
-                    f"expected {len(header)} fields per the header, got {len(row)}"
-                )
-            per_row(dict(zip(header, row)))
-        except SdrError as exc:
-            print(f"data error: row {row_number}: {exc}", file=stderr)
-            return EXIT_DATA
+    error = None
+    try:
+        for row_number, row in enumerate(reader, start=1):
+            try:
+                if len(row) != len(header):
+                    raise InputError(
+                        f"expected {len(header)} fields per the header, got {len(row)}"
+                    )
+                per_row(dict(zip(header, row)))
+            except SdrError as exc:
+                error = f"data error: row {row_number}: {exc}"
+                break
+    finally:
+        finish()
+    if error is not None:
+        print(error, file=stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -145,11 +165,30 @@ def cmd_encode(args, stderr=None) -> int:
     _emit_warnings(cfg, stderr)
 
     with _open_input(args.input) as fin, _open_output(args.output) as fout:
-        def write_line(row):
-            fout.write(_format_line(cfg.encode_row(row), fmt))
-            fout.write("\n")
+        if fmt == "dense":
+            # Each row is checked as it is read; its key waits for the chunk.
+            multi, pending = cfg.multi, []
+            chunk_rows = max(1, _DENSE_CHUNK_BYTES // (multi.n + 1))
 
-        code = _each_row(fin, cfg, write_line, stderr)
+            def write_pending():
+                if pending:
+                    fout.write(_dense_lines(multi, pending))
+                    pending.clear()
+
+            def add_row(row):
+                pending.append(multi._key(cfg.record_from_row(row)))
+                if len(pending) == chunk_rows:
+                    write_pending()
+
+            code = _each_row(fin, cfg, add_row, stderr, write_pending)
+        else:
+            self_describing = fmt == "sparse-n"
+
+            def write_line(row):
+                fout.write(to_sparse_string(cfg.encode_row(row), self_describing))
+                fout.write("\n")
+
+            code = _each_row(fin, cfg, write_line, stderr)
         fout.flush()  # on a data error too: keep everything encoded so far
     return code
 
@@ -206,7 +245,7 @@ def cmd_selftest_hash(args, stdout=None) -> int:
         print(f"{k},{out}", file=stdout)
     print("# coordinate_hash x,y,seed,n,bit_index,order_key", file=stdout)
     for x, y, seed, n in SELFTEST_COORD_CASES:
-        keys = _neighborhood_keys((x, y), 0)  # the cell's own packed key
+        keys = _neighborhood_keys(x, y, 0)  # the cell's own packed key
         (bit_index,) = bit_indices(keys, seed, n)
         order_key = int(order_keys_array(keys, seed)[0])
         print(f"{x},{y},{seed},{n},{bit_index},{order_key}", file=stdout)

@@ -7,6 +7,8 @@ import calendar
 import datetime as _dt
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .categories import CategoryEncoder
 from .errors import ConfigError, InputError, MissingFieldError, SdrError
 from .scalars import CyclicEncoder
@@ -44,6 +46,15 @@ class MultiEncoder:
     Bit positions are a stable function of the declared order; nothing is
     re-sorted.  A delta child makes the whole encoder stateful with the same
     single-writer-per-stream rule.
+
+    Every encoder splits its work in two private steps, so that a chunk of
+    records is turned into bits at once: ``_key(value)`` runs every check of
+    ``encode``, in order, and returns a small key (a bucket, a block index,
+    a geospatial ``(cx, cy, r)``, or here the tuple of the parts' keys);
+    ``_bits(keys)`` gives, for one or more keys, the (rows, w) int64 matrix
+    of each key's bit indices.  A hash collision repeats an index there, so
+    rows may hold fewer distinct bits than w.  The matrix holds n < 2**63,
+    as dense output does.
     """
 
     def __init__(self, parts: Sequence[tuple[str, object]]):
@@ -81,15 +92,30 @@ class MultiEncoder:
         A missing field raises MissingFieldError; child failures propagate
         with the field name prepended.
         """
-        encoded = []
+        return concat(self._each_part(record, "encode"))
+
+    def _key(self, record: Mapping[str, object]) -> tuple:
+        return tuple(self._each_part(record, "_key"))
+
+    def _each_part(self, record: Mapping[str, object], step: str) -> list:
+        """Each part's ``step`` method on its field of ``record``, in order."""
+        out = []
         for name, enc in self.parts:
             if name not in record:
                 raise MissingFieldError(f"record is missing field {name!r}")
             try:
-                encoded.append(enc.encode(record[name]))
+                out.append(getattr(enc, step)(record[name]))
             except SdrError as exc:
                 raise type(exc)(f"field {name!r}: {exc}") from exc
-        return concat(encoded)
+        return out
+
+    def _bits(self, keys) -> np.ndarray:
+        blocks = []
+        offset = 0
+        for (_, enc), part_keys in zip(self.parts, zip(*keys)):
+            blocks.append(enc._bits(part_keys) + offset)
+            offset += enc.n
+        return np.hstack(blocks)
 
 
 # Component order is fixed and documented: changing it would silently move
@@ -189,6 +215,9 @@ class DatetimeEncoder(MultiEncoder):
 
     def encode(self, t: _dt.datetime) -> SDR:
         return super().encode(self.component_values(t))
+
+    def _key(self, t: _dt.datetime) -> tuple:
+        return super()._key(self.component_values(t))
 
 
 __all__ = [

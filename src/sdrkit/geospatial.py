@@ -20,12 +20,16 @@ encoders themselves only ever see integer cells, so any planar data works.
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
 of the bits.  `GeospatialEncoder.encode`, the one encode path of both
 variants, computes the same values in one numpy pass over the neighborhood's
-packed keys, and hashes a bit index only for the cells it keeps.
+packed keys, and hashes a bit index only for the cells it keeps.  Its
+``_bits`` does the same for a chunk of ``(cx, cy, r)`` keys at once, one
+pass per radius.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +42,7 @@ from .errors import (
     is_finite_number,
     is_integer,
 )
-from .hashing import bit_indices, order_keys_array
+from .hashing import _bit_indices_array, bit_indices, order_keys_array
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -81,14 +85,25 @@ def neighborhood(center, radius: int) -> list[GridCoordinate]:
     ]
 
 
-def _neighborhood_keys(center, radius: int) -> np.ndarray:
-    """`pack_coordinate` of every `neighborhood(center, radius)` cell, in the
-    same order, as uint64; the same RangeError for cells off the grid."""
-    cx, cy = center
-    _check_neighborhood(cx, cy, radius)
-    xs = [(x & 0xFFFFFFFF) << 32 for x in range(cx - radius, cx + radius + 1)]
-    ys = [y & 0xFFFFFFFF for y in range(cy - radius, cy + radius + 1)]
-    return (np.array(xs, dtype=np.uint64)[:, None] | np.array(ys, dtype=np.uint64)).ravel()
+@lru_cache(maxsize=64)
+def _offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets -radius..radius as int64, and each shifted left 32 bits."""
+    offsets = np.arange(-radius, radius + 1, dtype=np.int64)
+    return offsets, offsets << 32
+
+
+def _neighborhood_keys(cx, cy, radius: int) -> np.ndarray:
+    """`pack_coordinate` of every `neighborhood((cx, cy), radius)` cell, in
+    the same order, as uint64.  ``cx`` and ``cy`` are ints, giving one row of
+    (2*radius + 1)**2 keys, or (rows, 1) int64 arrays, giving one row per
+    centre.  Every neighborhood must pass `_check_neighborhood`."""
+    offsets, high_offsets = _offsets(radius)
+    # On the grid, x << 32 fits int64 and has the bit pattern of
+    # (x & 0xFFFFFFFF) << 32, so the uint64 view of the OR is the packed key.
+    xs = (cx << 32) + high_offsets
+    ys = (cy + offsets) & 0xFFFFFFFF
+    keys = xs[..., :, None] | ys[..., None, :]
+    return keys.reshape(keys.shape[:-2] + (-1,)).view(np.uint64)
 
 
 class GeospatialEncoder:
@@ -196,6 +211,14 @@ class GeospatialEncoder:
         """Hash every cell of an (x, y) cell's radius-R neighborhood, or topw's
         w cells with the largest order keys; topw also takes a (cell, speed)
         pair, as a ``speed_field`` binding yields it, at the speed's radius."""
+        cx, cy, r = self._key(value)
+        keys = _neighborhood_keys(cx, cy, r)
+        if self.variant == "topw":
+            keys = self._top_w(keys)
+        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
+
+    def _key(self, value) -> tuple[int, int, int]:
+        """The cell and its neighborhood radius, after every check of `encode`."""
         if not isinstance(value[0], (tuple, list)):
             cell, r = value, self.radius
         elif self.variant == "fixed":
@@ -203,18 +226,33 @@ class GeospatialEncoder:
         else:
             cell, speed = value
             r = self.radius_from_speed(speed)
-        keys = _neighborhood_keys(cell, r)
-        if self.variant == "topw":
-            # Only a bare cell can fall short: a speed's radius is at least
-            # radius_min, whose pool the constructor checked against w.
-            if len(keys) < self.w:
-                raise InputError(f"w={self.w} needs a speed: a bare cell encodes at "
-                                 f"radius {r}, whose neighborhood has only {len(keys)} "
-                                 "cells; encode a (cell, speed) pair")
-            # Ascending ~order is descending order key; the stable sort keeps
-            # ties in enumeration order, which is ascending (x, y).
-            keys = keys[np.argsort(~order_keys_array(keys, self.seed), kind="stable")[: self.w]]
-        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
+        cx, cy = map(operator.index, cell)
+        _check_neighborhood(cx, cy, r)
+        # Only a bare cell can fall short: a speed's radius is at least
+        # radius_min, whose pool the constructor checked against w.
+        if self.variant == "topw" and (2 * r + 1) ** 2 < self.w:
+            raise InputError(f"w={self.w} needs a speed: a bare cell encodes at "
+                             f"radius {r}, whose neighborhood has only {(2 * r + 1) ** 2} "
+                             "cells; encode a (cell, speed) pair")
+        return cx, cy, r
+
+    def _top_w(self, keys: np.ndarray) -> np.ndarray:
+        """The w packed cell keys of largest order key along the last axis."""
+        # Ascending ~order is descending order key; the stable sort keeps
+        # ties in enumeration order, which is ascending (x, y).
+        top = np.argsort(~order_keys_array(keys, self.seed), kind="stable")[..., : self.w]
+        return keys[top] if keys.ndim == 1 else np.take_along_axis(keys, top, axis=1)
+
+    def _bits(self, keys) -> np.ndarray:
+        cells = np.array(keys, dtype=np.int64)  # one (cx, cy, r) row per key
+        out = np.empty((len(cells), self.w), dtype=np.int64)
+        for r in np.unique(cells[:, 2]).tolist():
+            rows = cells[:, 2] == r
+            packed = _neighborhood_keys(cells[rows, 0:1], cells[rows, 1:2], r)
+            if self.variant == "topw":
+                packed = self._top_w(packed)
+            out[rows] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
+        return out
 
 
 def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:

@@ -7,8 +7,9 @@ reinterpreted as two's-complement bit patterns before mixing.
 
 `mix64_array`, `order_keys_array`, `bit_indices` and `counter_stream_array`
 are numpy twins, each next to its scalar reference, for callers that hash
-many keys at once.  The scalar functions define the outputs, and no other
-module applies a seed, `ORDER_STREAM_XOR` or the modulo by n.
+many keys at once; `_bit_indices_array` keeps the keys' shape, so a chunk of
+rows hashes in one pass.  The scalar functions define the outputs, and no
+other module applies a seed, `ORDER_STREAM_XOR` or the modulo by n.
 """
 
 from __future__ import annotations
@@ -102,13 +103,19 @@ def bucket_bit_index(bucket: int, seed: int, n: int) -> int:
     return mix64(((bucket & MASK64) ^ seed) & MASK64) % n
 
 
-def bit_indices(keys: np.ndarray, seed: int, n: int) -> tuple[int, ...]:
-    """Sorted distinct `bucket_bit_index` of uint64 keys; for packed cell keys,
-    the `coordinate_hash` bit indices."""
+def _bit_indices_array(keys: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """`bucket_bit_index` of every uint64 key, as a new uint64 array of the
+    same shape, unsorted and with repeats; for packed cell keys, the
+    `coordinate_hash` bit indices."""
     bits = _mix64_inplace(keys ^ np.uint64(seed & MASK64))
     if n <= MASK64:  # a larger n already holds every 64-bit hash
         bits %= np.uint64(n)
-    return tuple(sorted(set(bits.tolist())))
+    return bits
+
+
+def bit_indices(keys: np.ndarray, seed: int, n: int) -> tuple[int, ...]:
+    """Sorted distinct `_bit_indices_array` of uint64 keys."""
+    return tuple(sorted(set(_bit_indices_array(keys, seed, n).tolist())))
 
 
 def counter_stream(seed: int, k: int) -> int:

@@ -10,7 +10,10 @@ Four variants:
                             with a fixed number of bits
 
 All of them emit SDRs of constant length, encode deterministically, and clamp
-rather than reject out-of-range input.  Each constructor checks n and w
+rather than reject out-of-range input.  Each encoder's key is its bucket:
+``_key(value)`` runs every check of `encode` and returns the bucket, and
+``_bits(buckets)`` turns a chunk of buckets into a (rows, w) int64 matrix of
+bit indices, the form `MultiEncoder._bits` stacks.  Each constructor checks n and w
 (`_sizing_warnings`) and then its own numbers, raises ConfigError at the
 first failed check, and keeps the advisory sizing warnings as strings on
 ``.warnings``.
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InputError, RangeError, is_finite_number, is_integer
-from .hashing import MASK64, bit_indices
+from .hashing import MASK64, _bit_indices_array, bit_indices
 from .sdr import SDR
 
 # Advisory sizing guidance: enough one-bits to tolerate noise and
@@ -132,9 +135,14 @@ class ScalarEncoder:
         b = math.floor((v - self.min_value) / self.resolution)
         return min(max(b, 0), self.n - self.w)
 
+    _key = bucket
+
     def encode(self, value: float) -> SDR:
-        b = self.bucket(value)
+        b = self._key(value)
         return SDR._trusted(self.n, tuple(range(b, b + self.w)))
+
+    def _bits(self, buckets) -> np.ndarray:
+        return np.array(buckets, dtype=np.int64)[:, None] + np.arange(self.w)
 
 
 class CyclicEncoder:
@@ -164,12 +172,17 @@ class CyclicEncoder:
         phase = ((v % self.period) + self.period) % self.period
         return math.floor(phase / self.resolution) % self.n
 
+    _key = bucket
+
     def encode(self, value: float) -> SDR:
-        b = self.bucket(value)
+        b = self._key(value)
         end = b + self.w  # past n, the window wraps around to bit 0
         if end <= self.n:
             return SDR._trusted(self.n, tuple(range(b, end)))
         return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
+
+    def _bits(self, buckets) -> np.ndarray:
+        return (np.array(buckets, dtype=np.int64)[:, None] + np.arange(self.w)) % self.n
 
 
 class DeltaEncoder(ScalarEncoder):
@@ -183,12 +196,13 @@ class DeltaEncoder(ScalarEncoder):
 
     previous: float | None = None  # the last input encoded
 
-    def encode(self, value: float) -> SDR:
+    def _key(self, value: float) -> int:
+        """The bucket of the change since the previous input, which becomes
+        ``value``; on an error the state is untouched."""
         v = _require_finite(value)
-        delta = 0.0 if self.previous is None else v - self.previous
-        out = super().encode(delta)  # may raise; state untouched on error
+        b = self.bucket(0.0 if self.previous is None else v - self.previous)
         self.previous = v
-        return out
+        return b
 
     def reset(self) -> None:
         self.previous = None
@@ -234,11 +248,19 @@ class UnboundedScalarEncoder:
             )
         return b
 
+    _key = bucket
+
     def encode(self, value: float) -> SDR:
-        b = self.bucket(value)
+        b = self._key(value)
         keys = np.arange(self.w, dtype=np.uint64)
         keys += np.uint64(b & MASK64)  # wraps, as (b + i) & MASK64 does
         return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
+
+    def _bits(self, buckets) -> np.ndarray:
+        # The int64 view is the two's-complement pattern b & MASK64.
+        keys = np.array(buckets, dtype=np.int64).view(np.uint64)[:, None]
+        keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in encode
+        return _bit_indices_array(keys, self.seed, self.n).view(np.int64)
 
 
 __all__ = [

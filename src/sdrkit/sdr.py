@@ -114,10 +114,10 @@ MAX_DENSE_N = 1 << 24
 
 def to_dense_string(a: SDR) -> str:
     """Render as '0'/'1' characters, index 0 leftmost."""
-    chars = ["0"] * a.n
+    chars = bytearray(b"0") * a.n
     for i in a.active:
-        chars[i] = "1"
-    return "".join(chars)
+        chars[i] = 0x31  # "1"
+    return chars.decode("ascii")
 
 
 def from_dense_string(s: str) -> SDR:

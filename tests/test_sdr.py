@@ -58,6 +58,34 @@ def test_dense_string():
     assert to_dense_string(SDR(5, ())) == "00000"
 
 
+def reference_to_dense_string(a):
+    """The list-join body `to_dense_string` had before it wrote a bytearray."""
+    chars = ["0"] * a.n
+    for i in a.active:
+        chars[i] = "1"
+    return "".join(chars)
+
+
+@st.composite
+def dense_cases(draw):
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["subset", "empty", "all"]))
+    if kind == "all":
+        return SDR(n, tuple(range(n)))
+    if kind == "empty" or n == 0:
+        return SDR(n, ())
+    return SDR(n, tuple(draw(st.sets(st.integers(0, n - 1)))))
+
+
+@given(dense_cases())
+@example(SDR(0, ()))
+@example(SDR(5, (0, 1, 2, 3, 4)))
+def test_dense_string_equals_the_list_join_reference(a):
+    text = to_dense_string(a)
+    assert type(text) is str
+    assert text == reference_to_dense_string(a)
+
+
 def test_dense_array():
     out = to_dense_array(SDR(6, (1, 4)))
     assert out.dtype == np.uint8
