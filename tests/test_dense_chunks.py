@@ -41,7 +41,7 @@ finite = st.floats(-1e9, 1e9, allow_nan=False).map(repr)
 seeds = st.integers(-(1 << 70), 1 << 70)
 
 
-# --- leaf parts: (encoder spec, field, speed_field, {column: text strategy}) ----
+# --- leaf parts: (encoder spec, speed column or None, {column: text strategy}) ---
 
 @st.composite
 def scalar_part(draw, kind):
