@@ -8,10 +8,10 @@
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
-Dense lines are written in blocks of at most 256 KiB, so a reader of a live
-pipe sees rows arrive a block at a time; sparse lines are written one by
-one.  Either way, a data error leaves every row before the failing one
-written.
+Dense lines are written in blocks of as many lines as fit in 256 KiB (one
+line when it is longer), so a reader of a live pipe sees rows arrive a block
+at a time; sparse lines are written one by one.  Either way, a data error
+leaves every row before the failing one written.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
