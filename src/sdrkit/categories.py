@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConfigError, UnknownCategoryError, is_integer
-from .scalars import MAX_W
-from .sdr import SDR
+from .scalars import MAX_W, _WindowEncoder
 
 UNKNOWN_POLICIES = ("error", "catch_all")
 
 
-class CategoryEncoder:
+class CategoryEncoder(_WindowEncoder):
     """Maps each label to its own disjoint block of w contiguous bits.
 
     Blocks follow the declared category order -- no hashing -- so a config is
@@ -68,14 +65,8 @@ class CategoryEncoder:
             )
         return idx
 
-    _key = block_index
-
-    def encode(self, label: str) -> SDR:
-        start = self._key(label) * self.w
-        return SDR._trusted(self.n, tuple(range(start, start + self.w)))
-
-    def _bits(self, blocks) -> np.ndarray:
-        return np.array(blocks, dtype=np.int64)[:, None] * self.w + np.arange(self.w)
+    def _key(self, label: str) -> int:
+        return self.block_index(label) * self.w
 
 
 __all__ = ["CategoryEncoder", "UNKNOWN_POLICIES"]

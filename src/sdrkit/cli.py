@@ -23,7 +23,11 @@ a non-negative integer (a usage error, exit 2, otherwise).  `selftest-hash` prin
 the deterministic hash golden vectors for cross-platform verification,
 computed by the numpy hash path the encoders run.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 distance-axiom violation.
+Exit codes: 0 ok; 2 config error, also a config file that cannot be read,
+is not JSON or repeats a key in an object; 3 data error, also an input that
+cannot be opened, is not UTF-8 or holds a field longer than
+`csv.field_size_limit()`, each named by row (or header) where it has one,
+with every row before it written; 4 distance-axiom violation.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import csv
 import json
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -74,14 +78,27 @@ SELFTEST_COORD_CASES = (
 )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: `json.load` keeps the last
+    of a repeated key silently, which would hide a typo or a stale value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except ValueError as exc:  # also bad UTF-8, and integers past int()'s digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {path!r} {exc}") from None
     return parse_pipeline_config(raw)
 
 
@@ -100,10 +117,28 @@ def _dense_lines(multi, keys) -> str:
     return lines.tobytes().decode("ascii")
 
 
-def _open_input(path):
+def _open_input(path, stderr):
+    """The input's lines, in a context that closes the file; None, after the
+    data error is printed, when the file cannot be opened.  Its bytes are read
+    as latin-1, which keeps each byte and newline in place, and decoded as
+    UTF-8 a line at a time, so bytes that are not UTF-8 raise
+    UnicodeDecodeError after every line before them has been read."""
     if path in (None, "-"):
-        return nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8", newline="")
+        if not hasattr(sys.stdin, "buffer"):  # an in-memory stdin holds text already
+            return nullcontext(sys.stdin)
+        path = sys.stdin.fileno()  # a descriptor, which stays open after
+    try:
+        file = open(path, "r", encoding="latin-1", newline="", closefd=isinstance(path, str))
+    except OSError as exc:
+        print(f"data error: cannot read input {path!r}: {exc}", file=stderr)
+        return None
+    return _utf8_lines(file)
+
+
+@contextmanager
+def _utf8_lines(file):
+    with file:
+        yield (line.encode("latin-1").decode("utf-8") for line in file)
 
 
 def _open_output(path):
@@ -112,37 +147,41 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _each_row(fin, cfg, per_row, stderr, finish=lambda: None) -> int:
+def _each_row(lines, cfg, per_row, stderr, finish=lambda: None) -> int:
     """Call ``per_row`` with each CSV data row as a {column: text} mapping,
     in order, then ``finish`` (also when a row fails, before the error is
     printed); return the exit code.  A missing or repeated column in the
-    header is a config error; an empty input, a row whose field count
-    differs from the header's, or an SdrError from ``per_row`` is a data
-    error naming the row (rows count from 1 after the header)."""
-    reader = csv.reader(fin, delimiter=cfg.delimiter)
-    header = next(reader, None)
-    if header is None:
-        print("data error: input is empty; a header row is required", file=stderr)
-        return EXIT_DATA
-    missing = [c for c in cfg.referenced_columns if c not in header]
-    duplicated = [c for c in dict.fromkeys(cfg.referenced_columns) if header.count(c) > 1]
-    if missing or duplicated:
-        problem = (f"{missing} not present in" if missing
-                   else f"{duplicated} appear more than once in")
-        print(f"config error: field(s) {problem} the CSV header {header}", file=stderr)
-        return EXIT_CONFIG
+    header is a config error.  An empty input, a header or row that cannot be
+    read (a field longer than `csv.field_size_limit()`, bytes that are not
+    UTF-8), a row whose field count differs from the header's, or an
+    SdrError from ``per_row`` is a data error naming the header or the row
+    (rows count from 1 after the header)."""
+    reader = csv.reader(lines, delimiter=cfg.delimiter)
+    row_number = 0  # the row being read, 0 for the header
     error = None
     try:
-        for row_number, row in enumerate(reader, start=1):
-            try:
-                if len(row) != len(header):
-                    raise InputError(
-                        f"expected {len(header)} fields per the header, got {len(row)}"
-                    )
-                per_row(dict(zip(header, row)))
-            except SdrError as exc:
-                error = f"data error: row {row_number}: {exc}"
-                break
+        header = next(reader, None)
+        if header is None:
+            print("data error: input is empty; a header row is required", file=stderr)
+            return EXIT_DATA
+        missing = [c for c in cfg.referenced_columns if c not in header]
+        duplicated = [c for c in dict.fromkeys(cfg.referenced_columns)
+                      if header.count(c) > 1]
+        if missing or duplicated:
+            problem = (f"{missing} not present in" if missing
+                       else f"{duplicated} appear more than once in")
+            print(f"config error: field(s) {problem} the CSV header {header}", file=stderr)
+            return EXIT_CONFIG
+        row_number = 1
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(
+                    f"expected {len(header)} fields per the header, got {len(row)}"
+                )
+            per_row(dict(zip(header, row)))
+            row_number += 1
+    except (SdrError, csv.Error, UnicodeDecodeError) as exc:
+        error = f"data error: {f'row {row_number}' if row_number else 'header'}: {exc}"
     finally:
         finish()
     if error is not None:
@@ -164,7 +203,10 @@ def cmd_encode(args, stderr=None) -> int:
         return EXIT_CONFIG
     _emit_warnings(cfg, stderr)
 
-    with _open_input(args.input) as fin, _open_output(args.output) as fout:
+    source = _open_input(args.input, stderr)
+    if source is None:
+        return EXIT_DATA
+    with source as lines, _open_output(args.output) as fout:
         if fmt == "dense":
             # Each row is checked as it is read; its key waits for the chunk.
             multi, pending = cfg.multi, []
@@ -180,7 +222,7 @@ def cmd_encode(args, stderr=None) -> int:
                 if len(pending) == chunk_rows:
                     write_pending()
 
-            code = _each_row(fin, cfg, add_row, stderr, write_pending)
+            code = _each_row(lines, cfg, add_row, stderr, write_pending)
         else:
             self_describing = fmt == "sparse-n"
 
@@ -188,7 +230,7 @@ def cmd_encode(args, stderr=None) -> int:
                 fout.write(to_sparse_string(cfg.encode_row(row), self_describing))
                 fout.write("\n")
 
-            code = _each_row(fin, cfg, write_line, stderr)
+            code = _each_row(lines, cfg, write_line, stderr)
         fout.flush()  # on a data error too: keep everything encoded so far
     return code
 
@@ -210,8 +252,11 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
     binding = cfg.bound[0]
     samples = []
     started = time.perf_counter()
-    with _open_input(args.input) as fin:
-        code = _each_row(fin, cfg, lambda row: samples.append(binding.value_from_row(row)),
+    source = _open_input(args.input, stderr)
+    if source is None:
+        return EXIT_DATA
+    with source as lines:
+        code = _each_row(lines, cfg, lambda row: samples.append(binding.value_from_row(row)),
                          stderr)
     if code != EXIT_OK:
         return code

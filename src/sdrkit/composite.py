@@ -97,8 +97,13 @@ class MultiEncoder:
     def _key(self, record: Mapping[str, object]) -> tuple:
         return tuple(self._each_part(record, "_key"))
 
-    def _each_part(self, record: Mapping[str, object], step: str) -> list:
-        """Each part's ``step`` method on its field of ``record``, in order."""
+    def _record(self, record):
+        """The record of field values an input stands for; the identity here."""
+        return record
+
+    def _each_part(self, value, step: str) -> list:
+        """Each part's ``step`` method on its field of ``_record(value)``."""
+        record = self._record(value)
         out = []
         for name, enc in self.parts:
             if name not in record:
@@ -149,7 +154,8 @@ def _component(name: str, spec):
 
 class DatetimeEncoder(MultiEncoder):
     """Calendar-instant encoder: a `MultiEncoder` whose parts are the enabled
-    components, in `DATETIME_COMPONENT_ORDER`.
+    components, in `DATETIME_COMPONENT_ORDER`, and whose record step turns a
+    datetime into their `component_values`.
 
     * weekend        -- two-block category (weekday / weekend); give w,
                         n is 2*w.
@@ -213,11 +219,7 @@ class DatetimeEncoder(MultiEncoder):
         }
         return {name: values[name] for name, _ in self.parts}
 
-    def encode(self, t: _dt.datetime) -> SDR:
-        return super().encode(self.component_values(t))
-
-    def _key(self, t: _dt.datetime) -> tuple:
-        return super()._key(self.component_values(t))
+    _record = component_values
 
 
 __all__ = [

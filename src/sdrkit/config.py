@@ -24,7 +24,7 @@ binding.  The constructor types, defaults and checks every key, and the
 encoder's `params()` -- every key with its default filled in -- goes into
 the canonical spec, `PipelineConfig.spec`.
 
-Distances: "absolute", "discrete", "chebyshev",
+Distances: "absolute", "discrete", "chebyshev" (short for {"name": ...}),
 {"name": "circular", "period": 7}, or {"expression": "abs(a - b)"} -- an
 expression over the two values ``a`` and ``b`` (``a[k]`` and ``a[k][j]``
 reach into cells and (cell, speed) pairs), checked against a whitelist when
@@ -63,6 +63,8 @@ from .sdr import SDR
 
 OUTPUT_FORMATS = ("dense", "sparse", "sparse-n")
 _FORMAT_ALIASES = {"self-describing-sparse": "sparse-n"}
+_NAMED_DISTANCES = {"absolute": absolute_difference, "discrete": discrete_distance,
+                    "chebyshev": chebyshev_distance}
 
 
 def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: str) -> None:
@@ -353,38 +355,29 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
 
 
 def build_distance(spec) -> tuple[Callable, object]:
-    """Resolve a distance spec to a callable plus its canonical echo form."""
-    named = {
-        "absolute": absolute_difference,
-        "discrete": discrete_distance,
-        "chebyshev": chebyshev_distance,
-    }
+    """Resolve a distance spec to a callable plus its canonical echo form.
+    A name ``s`` means ``{"name": s}``; only "circular" takes a key besides
+    the name, its required ``period``."""
     if isinstance(spec, str):
-        if spec in named:
-            return named[spec], spec
-        raise ConfigError(
-            f"config.distance: unknown distance {spec!r}; expected one of "
-            f"{sorted(named) + ['circular']}"
-        )
-    if isinstance(spec, Mapping):
-        if "expression" in spec:
-            _check_keys(spec, {"expression"}, set(), "config.distance")
-            expr = _str(spec, "expression", "config.distance")
-            return ExpressionDistance(expr), {"expression": expr}
-        _check_keys(spec, {"name"}, {"period"}, "config.distance")
-        name = _str(spec, "name", "config.distance")
-        if name == "circular":
-            if "period" not in spec:
-                raise ConfigError("config.distance: circular distance requires 'period'")
-            try:
-                distance = circular_distance(spec["period"])
-            except InputError as exc:
-                raise ConfigError(f"config.distance: {exc}") from exc
-            return distance, {"name": "circular", "period": float(spec["period"])}
-        if name in named:
-            return named[name], name
+        spec = {"name": spec}
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
+    if "expression" in spec:
+        _check_keys(spec, {"expression"}, set(), "config.distance")
+        expr = _str(spec, "expression", "config.distance")
+        return ExpressionDistance(expr), {"expression": expr}
+    circular = spec.get("name") == "circular"
+    _check_keys(spec, {"name", "period"} if circular else {"name"}, set(), "config.distance")
+    name = _str(spec, "name", "config.distance")
+    if circular:
+        try:
+            distance = circular_distance(spec["period"])
+        except InputError as exc:
+            raise ConfigError(f"config.distance: {exc}") from exc
+        return distance, {"name": "circular", "period": float(spec["period"])}
+    if name not in _NAMED_DISTANCES:
         raise ConfigError(f"config.distance: unknown distance name {name!r}")
-    raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
+    return _NAMED_DISTANCES[name], name
 
 
 __all__ = [

@@ -18,11 +18,11 @@ GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
 
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
-of the bits.  `GeospatialEncoder.encode`, the one encode path of both
-variants, computes the same values in one numpy pass over the neighborhood's
-packed keys, and hashes a bit index only for the cells it keeps.  Its
-``_bits`` does the same for a chunk of ``(cx, cy, r)`` keys at once, one
-pass per radius.
+of the bits.  `GeospatialEncoder._cells`, the one cell step of both
+variants, computes the same values in one numpy pass over the packed keys
+of one neighborhood or of a chunk of neighborhoods of one radius, and keeps
+the cells that set bits; `encode` and ``_bits`` hash a bit index only for
+those.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ class GeospatialEncoder:
     variant : "fixed" or "topw".
     w : bits to select (topw only; fixed derives w = (2R+1)**2).
     seed : 64-bit hash seed.
-    speed_scale : cells of extra radius per unit of speed (topw).
+    speed_scale : cells of extra radius per unit of speed (topw; fixed
+        takes only the default, 0).
     radius_min, radius_max : clamps for the speed-adaptive radius;
-        both default to ``radius``.
+        both default to ``radius``, the only value fixed takes.
     """
 
     def __init__(
@@ -166,6 +167,11 @@ class GeospatialEncoder:
 
         full = (2 * radius + 1) ** 2
         if variant == "fixed":
+            speed_keys = (self.speed_scale, self.radius_min, self.radius_max)
+            if speed_keys != (0, radius, radius):
+                raise ConfigError("the fixed variant has no speed-adaptive radius, so "
+                                  "(speed_scale, radius_min, radius_max) must be their "
+                                  f"defaults (0, {radius}, {radius}), got {speed_keys}")
             if w is not None and w != full:
                 raise ConfigError(f"fixed variant at radius {radius} has w = {full}, got w={w}")
             self.w = full
@@ -211,10 +217,7 @@ class GeospatialEncoder:
         """Hash every cell of an (x, y) cell's radius-R neighborhood, or topw's
         w cells with the largest order keys; topw also takes a (cell, speed)
         pair, as a ``speed_field`` binding yields it, at the speed's radius."""
-        cx, cy, r = self._key(value)
-        keys = _neighborhood_keys(cx, cy, r)
-        if self.variant == "topw":
-            keys = self._top_w(keys)
+        keys = self._cells(*self._key(value))
         return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
     def _key(self, value) -> tuple[int, int, int]:
@@ -236,21 +239,23 @@ class GeospatialEncoder:
                              "cells; encode a (cell, speed) pair")
         return cx, cy, r
 
-    def _top_w(self, keys: np.ndarray) -> np.ndarray:
-        """The w packed cell keys of largest order key along the last axis."""
+    def _cells(self, cx, cy, r: int) -> np.ndarray:
+        """The packed keys of the cells that set bits, shaped as by
+        `_neighborhood_keys`: all of them, or topw's w of largest order key."""
+        keys = _neighborhood_keys(cx, cy, r)
+        if self.variant == "fixed":
+            return keys
         # Ascending ~order is descending order key; the stable sort keeps
         # ties in enumeration order, which is ascending (x, y).
         top = np.argsort(~order_keys_array(keys, self.seed), kind="stable")[..., : self.w]
-        return keys[top] if keys.ndim == 1 else np.take_along_axis(keys, top, axis=1)
+        return np.take_along_axis(keys, top, axis=-1)
 
     def _bits(self, keys) -> np.ndarray:
         cells = np.array(keys, dtype=np.int64)  # one (cx, cy, r) row per key
         out = np.empty((len(cells), self.w), dtype=np.int64)
         for r in np.unique(cells[:, 2]).tolist():
             rows = cells[:, 2] == r
-            packed = _neighborhood_keys(cells[rows, 0:1], cells[rows, 1:2], r)
-            if self.variant == "topw":
-                packed = self._top_w(packed)
+            packed = self._cells(cells[rows, 0:1], cells[rows, 1:2], r)
             out[rows] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
         return out
 

@@ -98,7 +98,23 @@ def _require_finite(value) -> float:
     return v
 
 
-class ScalarEncoder:
+class _WindowEncoder:
+    """w contiguous bits from the start that ``_key`` returns, wrapping past
+    bit n - 1 (only a cyclic start gets there): the bounded, cyclic and
+    category rule."""
+
+    def encode(self, value) -> SDR:
+        b = self._key(value)
+        end = b + self.w  # past n, the window wraps around to bit 0
+        if end <= self.n:
+            return SDR._trusted(self.n, tuple(range(b, end)))
+        return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
+
+    def _bits(self, starts) -> np.ndarray:
+        return (np.array(starts, dtype=np.int64)[:, None] + np.arange(self.w)) % self.n
+
+
+class ScalarEncoder(_WindowEncoder):
     """Bounded-range scalar encoder.
 
     The range [min_value, max_value] is divided into n - w + 1 buckets of
@@ -137,15 +153,8 @@ class ScalarEncoder:
 
     _key = bucket
 
-    def encode(self, value: float) -> SDR:
-        b = self._key(value)
-        return SDR._trusted(self.n, tuple(range(b, b + self.w)))
 
-    def _bits(self, buckets) -> np.ndarray:
-        return np.array(buckets, dtype=np.int64)[:, None] + np.arange(self.w)
-
-
-class CyclicEncoder:
+class CyclicEncoder(_WindowEncoder):
     """Periodic scalar encoder whose window wraps around the bit array.
 
     The cycle [0, period) maps onto all n bits (resolution = period / n), and
@@ -173,16 +182,6 @@ class CyclicEncoder:
         return math.floor(phase / self.resolution) % self.n
 
     _key = bucket
-
-    def encode(self, value: float) -> SDR:
-        b = self._key(value)
-        end = b + self.w  # past n, the window wraps around to bit 0
-        if end <= self.n:
-            return SDR._trusted(self.n, tuple(range(b, end)))
-        return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
-
-    def _bits(self, buckets) -> np.ndarray:
-        return (np.array(buckets, dtype=np.int64)[:, None] + np.arange(self.w)) % self.n
 
 
 class DeltaEncoder(ScalarEncoder):

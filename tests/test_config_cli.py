@@ -169,6 +169,29 @@ class TestConfigParsing:
             parse_pipeline_config({**SCALAR_CONFIG, "distance": {"name": "euclid"}})
         assert str(exc.value) == "config.distance: unknown distance name 'euclid'"
 
+    @pytest.mark.parametrize("distance, message", [
+        ("euclid", "unknown distance name 'euclid'"),
+        ("circular", "missing required key(s) ['period']"),
+        ({"name": "circular"}, "missing required key(s) ['period']"),
+        ({"name": "absolute", "period": 3}, "unknown key(s) ['period']"),
+        ({"name": "discrete", "period": 3}, "unknown key(s) ['period']"),
+        ({"name": "chebyshev", "period": 3}, "unknown key(s) ['period']"),
+    ], ids=["unknown-string", "circular-string", "circular-without-period",
+            "absolute-period", "discrete-period", "chebyshev-period"])
+    def test_only_circular_takes_a_period(self, distance, message):
+        # A bare "circular" used to be called unknown, and a period on any
+        # other name was dropped without a word.
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline_config({**SCALAR_CONFIG, "distance": distance})
+        assert str(exc.value) == f"config.distance: {message}"
+
+    @pytest.mark.parametrize("name", ["absolute", "discrete", "chebyshev"])
+    def test_a_distance_name_means_its_name_object(self, name):
+        by_string = parse_pipeline_config({**SCALAR_CONFIG, "distance": name})
+        by_object = parse_pipeline_config({**SCALAR_CONFIG, "distance": {"name": name}})
+        assert by_string.distance is by_object.distance
+        assert by_string.spec == by_object.spec and by_string.spec["distance"] == name
+
     @pytest.mark.parametrize("period, shown", [(0, "0"), (-1, "-1"), (-0.5, "-0.5"),
                                                ("7", "'7'"), (True, "True"),
                                                (math.inf, "inf")])
@@ -506,9 +529,15 @@ class TestEncodeCommand:
         (b'{"encoder": {"type": "scalar", "min": 0, "max": 1' + b"0" * 5000
          + b', "n": 134, "w": 21}, "field": "temp"}', "is not valid JSON"),
         (b'\xff{}', "is not valid JSON"),
-    ], ids=["401-digit-max", "5001-digit-max", "not-utf-8"])
+        (b'{"encoder": {"type": "scalar", "min": 0, "max": 45, "n": 134, "n": 200, "w": 21},'
+         b' "field": "temp"}', "repeats the key 'n'"),
+        (b'{"encoder": {"type": "scalar", "min": 0, "max": 45, "n": 134, "w": 21},'
+         b' "field": "temp", "field": "t"}', "repeats the key 'field'"),
+    ], ids=["401-digit-max", "5001-digit-max", "not-utf-8", "repeated-key",
+            "repeated-top-level-key"])
     def test_unreadable_numbers_exit_2(self, tmp_path, capsys, config, message):
-        # Each of these used to end in a traceback and exit 1.
+        # Each of these used to end in a traceback and exit 1, or, for a
+        # repeated key, to keep its last value without a word.
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(config)
         data = write(tmp_path, "in.csv", "temp\n10\n")
@@ -928,6 +957,31 @@ def test_topw_configs_that_encode_every_row_are_accepted(tmp_path, capsys, comma
     assert len(capsys.readouterr().out.splitlines()) >= 4  # four encodings, or the report
 
 
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+@pytest.mark.parametrize("data, message, encoded", [
+    (b"temp" * 32769 + b"\n10\n20\n", "header: field larger than field limit (131072)", 0),
+    (b"temp\n10\n" + b"2" * 131073 + b"\n30\n",
+     "row 2: field larger than field limit (131072)", 1),
+    (b"temp\n10\n\xff20\n30\n",
+     "row 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", 1),
+    (None, "cannot read input ", 0),
+], ids=["long-header-field", "long-row-field", "not-utf-8", "no-such-file"])
+def test_unreadable_input_exit_3(tmp_path, capsys, command, data, message, encoded):
+    # Each of these used to end in a traceback and exit 1.  The field limit
+    # stays: it bounds the memory one row can take.
+    cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "distance": "absolute"})
+    path = tmp_path / "in.csv"
+    if data is not None:
+        path.write_bytes(data)
+    assert run_cli([command, "--config", cfg, "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(f"data error: {message}")
+    assert "Traceback" not in captured.err
+    # Dense encode still writes every row before the failing one: temp 10.
+    assert captured.out == ("0" * 20 + "1" * 10 + "0" * 70 + "\n") * (
+        encoded if command == "encode" else 0)
+
+
 class TestSelftestHash:
     def test_matches_golden_fixture(self, capsys):
         assert run_cli(["selftest-hash"]) == 0
@@ -960,3 +1014,17 @@ def test_console_script_end_to_end(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "20,21,22,23,24,25,26,27,28,29"
     assert lines[1] == "0,1,2,3,4,5,6,7,8,9"
+
+
+def test_console_script_decodes_stdin_a_line_at_a_time(tmp_path):
+    """Bytes that are not UTF-8 on stdin fail their own row, after every
+    row before it was written."""
+    cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "output_format": "sparse"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdrkit.cli", "encode", "--config", cfg],
+        input=b"temp\n10\n-5\n\xe9\n20\n", capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b"20,21,22,23,24,25,26,27,28,29\n0,1,2,3,4,5,6,7,8,9\n"
+    assert proc.stderr.decode().splitlines()[-1].startswith(
+        "data error: row 3: 'utf-8' codec can't decode byte 0xe9 in position 0")

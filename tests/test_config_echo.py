@@ -60,6 +60,11 @@ CASES = [
         id="geospatial_fixed_explicit_w",
     ),
     pytest.param(
+        {"encoder": {"type": "geospatial", "n": 1000, "radius": 1, "speed_scale": 0, "radius_min": 1, "radius_max": 1}, "field": ["x", "y"]},
+        '{"csv": {"delimiter": ","}, "encoder": {"n": 1000, "radius": 1, "radius_max": 1, "radius_min": 1, "seed": 0, "speed_scale": 0.0, "type": "geospatial", "variant": "fixed"}, "field": ["x", "y"], "output_format": "dense"}',
+        id="geospatial_fixed_explicit_speed_defaults",
+    ),
+    pytest.param(
         {"encoder": {"type": "geospatial", "n": 2048, "variant": "topw", "w": 21, "radius": 3, "radius_min": 2, "radius_max": 9, "speed_scale": 1, "cell_size": 10}, "field": ["lat", "lon"], "speed_field": "speed"},
         '{"csv": {"delimiter": ","}, "encoder": {"cell_size": 10.0, "n": 2048, "radius": 3, "radius_max": 9, "radius_min": 2, "seed": 0, "speed_scale": 1.0, "type": "geospatial", "variant": "topw", "w": 21}, "field": ["lat", "lon"], "output_format": "dense", "speed_field": "speed"}',
         id="geospatial_topw_speed_cell_size",

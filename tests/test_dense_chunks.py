@@ -175,7 +175,8 @@ def encode(config, text, fmt="dense"):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, in_path, out_path = (Path(tmp) / name for name in ("c.json", "in.csv", "out"))
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        in_path.write_text(text, encoding="utf-8")
+        # A lone surrogate \udcXX in ``text`` writes the byte 0xXX, not UTF-8.
+        in_path.write_text(text, encoding="utf-8", errors="surrogateescape")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(["encode", "--config", str(cfg_path), "--input", str(in_path),
@@ -268,6 +269,8 @@ def with_row(row_number, column, text):
                  id="wrong-field-count"),
     pytest.param(with_row(FAILING, "x", str(I32_MAX)), id="neighborhood-off-the-grid"),
     pytest.param(with_row(FAILING, "speed", "-1"), id="negative-topw-speed"),
+    pytest.param(with_row(FAILING, "label", "a" * 131073), id="field-past-the-size-limit"),
+    pytest.param(with_row(FAILING, "label", "\udce9"), id="not-utf-8"),  # the byte 0xe9
 ])
 def test_data_error_mid_chunk_matches_the_per_row_path(rows):
     text = csv_text(HEADER, rows)

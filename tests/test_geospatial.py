@@ -171,6 +171,17 @@ class TestFixedEncoder:
         with pytest.raises(ConfigError):
             GeospatialEncoder(1000, 2, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"speed_scale": 5}, {"radius_min": 1}, {"radius_max": 9},
+        {"speed_scale": 5, "radius_max": 9},
+    ], ids=repr)
+    def test_fixed_rejects_speed_keys_it_never_uses(self, kwargs):
+        # These used to be accepted and echoed, and then encoded as if absent.
+        with pytest.raises(ConfigError, match=r"the fixed variant has no speed-adaptive "
+                                              r"radius, .* defaults \(0, 2, 2\)"):
+            GeospatialEncoder(1000, 2, **kwargs)
+        assert GeospatialEncoder(1000, 2, speed_scale=0, radius_min=2, radius_max=2).w == 25
+
     def test_speed_scale_past_the_float_range_rejected(self):
         with pytest.raises(ConfigError, match="speed_scale must be a finite number"):
             GeospatialEncoder(1000, speed_scale=10**400)
