@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigError, UnknownCategoryError, is_integer
-from .scalars import MAX_W, _WindowEncoder
+from .errors import ConfigError, UnknownCategoryError
+from .scalars import _WindowEncoder, _check_w
 
 UNKNOWN_POLICIES = ("error", "catch_all")
 
@@ -34,10 +34,7 @@ class CategoryEncoder(_WindowEncoder):
             raise ConfigError("at least one category is required")
         if len(set(labels)) != len(labels):
             raise ConfigError("category labels must be unique")
-        if not is_integer(w) or w < 1:
-            raise ConfigError(f"w must be a positive integer, got {w!r}")
-        if w > MAX_W:
-            raise ConfigError(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
+        _check_w(w)
         if unknown_policy not in UNKNOWN_POLICIES:
             raise ConfigError(
                 f"unknown_policy must be one of {UNKNOWN_POLICIES}, got {unknown_policy!r}"

@@ -27,7 +27,8 @@ Exit codes: 0 ok; 2 config error, also a config file that cannot be read,
 is not JSON or repeats a key in an object; 3 data error, also an input that
 cannot be opened, is not UTF-8 or holds a field longer than
 `csv.field_size_limit()`, each named by row (or header) where it has one,
-with every row before it written; 4 distance-axiom violation.
+with every row before it written, and an `--output` that cannot be opened
+(the input is opened first); 4 distance-axiom violation.
 """
 
 from __future__ import annotations
@@ -141,10 +142,16 @@ def _utf8_lines(file):
         yield (line.encode("latin-1").decode("utf-8") for line in file)
 
 
-def _open_output(path):
+def _open_output(path, stderr):
+    """The output file or stdout, in a context; a context of None, after the
+    data error is printed, when the file cannot be opened."""
     if path in (None, "-"):
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"data error: cannot write output {path!r}: {exc}", file=stderr)
+        return nullcontext(None)
 
 
 def _each_row(lines, cfg, per_row, stderr, finish=lambda: None) -> int:
@@ -206,7 +213,9 @@ def cmd_encode(args, stderr=None) -> int:
     source = _open_input(args.input, stderr)
     if source is None:
         return EXIT_DATA
-    with source as lines, _open_output(args.output) as fout:
+    with source as lines, _open_output(args.output, stderr) as fout:
+        if fout is None:  # leaving the block closes the input
+            return EXIT_DATA
         if fmt == "dense":
             # Each row is checked as it is read; its key waits for the chunk.
             multi, pending = cfg.multi, []

@@ -43,6 +43,7 @@ from .errors import (
     is_integer,
 )
 from .hashing import _bit_indices_array, bit_indices, order_keys_array
+from .scalars import _check_n
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -135,8 +136,7 @@ class GeospatialEncoder:
         radius_min: int | None = None,
         radius_max: int | None = None,
     ):
-        if not is_integer(n) or n < 1:
-            raise ConfigError(f"n must be a positive integer, got {n!r}")
+        _check_n(n)
         if not is_integer(radius) or radius < 0:
             raise ConfigError(f"radius must be a non-negative integer, got {radius!r}")
         if variant not in ("fixed", "topw"):

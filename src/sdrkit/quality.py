@@ -15,7 +15,8 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
-O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j.
+O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j, or,
+for the exact count over all m**4 quadruples, over the m**2 cells.
 A distance expression (`ExpressionDistance`, every built-in among them)
 fills the distance matrix with numpy where that is exact; otherwise the
 distance is called once per ordered pair, m**2 calls in all.
@@ -38,7 +39,6 @@ from .hashing import counter_stream_array
 from .sdr import SDR
 
 AXIOM_TOLERANCE = 1e-9
-EXHAUSTIVE_SAMPLE_LIMIT = 40
 _EXAMPLE_CAP = 10  # offending pairs kept per axiom, enough to debug with
 _QUADRUPLE_CHUNK = 1 << 16  # sampled quadruples per numpy pass; bounds memory
 
@@ -138,24 +138,16 @@ def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     return D
 
 
-def _axiom_distances(distance: Callable, samples: Sequence) -> np.ndarray:
-    """The distance matrix an axiom check reads, after its precondition."""
+def _axiom_check(distance: Callable, samples: Sequence
+                 ) -> tuple[EvaluationReport, np.ndarray, np.ndarray]:
+    """The axiom report, the distance matrix ``D`` it reads and the mask
+    ``upper`` of the pairs i < j (in row-major order).  The kept examples
+    follow a pair-by-pair check, (i, i), then (i, j) and (j, i) for j > i,
+    and call the distance again, so they show its own return values."""
     if len(samples) < 2:
         raise InputError("axiom checks need at least 2 samples")
-    return _distance_matrix(distance, samples)
-
-
-def _upper(m: int) -> np.ndarray:
-    """Mask of the pairs i < j of an m x m matrix; indexing with it reads
-    them in row-major order."""
-    return np.triu(np.ones((m, m), dtype=bool), 1)
-
-
-def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray,
-                  upper: np.ndarray) -> EvaluationReport:
-    """Axiom violations read off ``D``.  The kept examples follow the order of
-    a pair-by-pair check, (i, i), then (i, j) and (j, i) for j > i, and call
-    the distance again, so they show its own return values."""
+    D = _distance_matrix(distance, samples)
+    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
         identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
         negative = D < -AXIOM_TOLERANCE
@@ -184,17 +176,20 @@ def _axiom_report(distance: Callable, samples: Sequence, D: np.ndarray,
             [(samples[i], samples[i], call(i, i))
              for i in np.flatnonzero(identity)[:_EXAMPLE_CAP].tolist()]),
     }
-    return EvaluationReport(samples_checked=len(samples), axiom_violations=checks)
+    return EvaluationReport(samples_checked=len(samples), axiom_violations=checks), D, upper
 
 
 def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationReport:
     """Verify non-negativity, symmetry, and identity-of-zero on all sample
     pairs (tolerance 1e-9 for the float comparisons)."""
-    D = _axiom_distances(distance, samples)
-    return _axiom_report(distance, samples, D, _upper(len(samples)))
+    return _axiom_check(distance, samples)[0]
 
 
-def _encode_all(encode: Callable[[object], SDR], samples: Sequence) -> list[SDR]:
+def _overlap_matrix(encode: Callable[[object], SDR], samples: Sequence) -> np.ndarray:
+    """``O[i, j]`` = shared one-bits of the encodings of samples i and j, from
+    an inverted index: every bit adds 1 to ``O[rows, rows]`` for the
+    encodings holding it, which costs sum(|rows|**2) and never an m x n dense
+    array.  The encodings must share one length."""
     encodings = [encode(x) for x in samples]
     lengths = {e.n for e in encodings}
     if len(lengths) > 1:
@@ -202,13 +197,6 @@ def _encode_all(encode: Callable[[object], SDR], samples: Sequence) -> list[SDR]
             f"encodings have mixed total lengths {sorted(lengths)}; "
             "an encoder must emit one fixed dimensionality"
         )
-    return encodings
-
-
-def _overlap_matrix(encodings: list[SDR]) -> np.ndarray:
-    """``O[i, j]`` = shared one-bits of encodings i and j, from an inverted
-    index: every bit adds 1 to ``O[rows, rows]`` for the encodings holding
-    it, which costs sum(|rows|**2) and never an m x n dense array."""
     holders: dict[int, list[int]] = {}
     for row, e in enumerate(encodings):
         for bit in e.active:
@@ -263,15 +251,21 @@ def _sampled_discordance(O: np.ndarray, D: np.ndarray, quadruple_count: int, see
 
 
 def _exhaustive_discordance(O: np.ndarray, D: np.ndarray) -> int:
-    o_flat = O.reshape(-1)
-    d_flat = D.reshape(-1)
-    discordant = 0
-    chunk = 4096  # bounds the (chunk, m*m) comparison matrices
-    for s in range(0, o_flat.size, chunk):
-        discordant += int(np.count_nonzero(_is_discordant(
-            o_flat[s : s + chunk, None], o_flat, d_flat[s : s + chunk, None], d_flat
-        )))
-    return discordant
+    """`_is_discordant` summed over all ordered pairs of cells of (O, D), by
+    overlap level (Knight, JASA 61(314), 1966).  It is symmetric, so the sum
+    is twice the pairs whose first cell is strictly greater in overlap and
+    in distance.  NaN never compares true, so its cells are dropped first."""
+    o, d = O.reshape(-1), D.reshape(-1)
+    cells = np.flatnonzero(~np.isnan(d))
+    cells = cells[np.lexsort((d[cells], o[cells]))]  # by overlap, then distance
+    o, d = o[cells], d[cells]
+    below = d[:0]  # the distances of the levels done so far, sorted
+    concordant = 0
+    for level in np.split(d, np.flatnonzero(np.diff(o)) + 1):
+        at = np.searchsorted(below, level, side="left")
+        concordant += int(at.sum())
+        below = np.insert(below, at, level)
+    return 2 * concordant
 
 
 def evaluate_encoder(
@@ -290,36 +284,24 @@ def evaluate_encoder(
     more than (y, z) yet is strictly farther, or vice versa.  Sampling uses a
     counter-based generator keyed by (seed, ordinal), so reports are
     reproducible and independent of any partitioning of the loop.  With
-    ``exhaustive=True`` (at most 40 samples) every ordered quadruple is
-    enumerated instead.
+    ``exhaustive=True`` all m**4 ordered quadruples are counted exactly, at
+    any m, by overlap level in O(m**2) memory.
     """
-    D = _axiom_distances(distance, samples)
-    upper = _upper(len(samples))
-    axioms = _axiom_report(distance, samples, D, upper)
+    report, D, upper = _axiom_check(distance, samples)
     if len(samples) < 4:
         raise InputError("consistency evaluation needs at least 4 samples")
     if quadruple_count < 0:
         raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
-    if exhaustive and len(samples) > EXHAUSTIVE_SAMPLE_LIMIT:
-        raise InputError(
-            f"exhaustive mode enumerates len(samples)**4 quadruples and is "
-            f"limited to {EXHAUSTIVE_SAMPLE_LIMIT} samples, got {len(samples)}"
-        )
-    O = _overlap_matrix(_encode_all(encode, samples))
-    rho, uninformative = _rank_correlation(O[upper], D[upper])
+    O = _overlap_matrix(encode, samples)
+    report.rank_correlation, report.overlap_uninformative = _rank_correlation(
+        O[upper], D[upper])
     if exhaustive:
         discordant, total = _exhaustive_discordance(O, D), O.size ** 2
     else:
         discordant, total = _sampled_discordance(O, D, quadruple_count, seed), quadruple_count
-    return EvaluationReport(
-        samples_checked=len(samples),
-        axiom_violations=axioms.axiom_violations,
-        quadruples_sampled=total,
-        discordant=discordant,
-        discordance_rate=discordant / total if total else 0.0,
-        rank_correlation=rho,
-        overlap_uninformative=uninformative,
-    )
+    report.quadruples_sampled, report.discordant = total, discordant
+    report.discordance_rate = discordant / total if total else 0.0
+    return report
 
 
 # --- Ready-made distance scores -------------------------------------------
@@ -348,7 +330,6 @@ discrete_distance = ExpressionDistance("0.0 if a == b else 1.0")
 
 __all__ = [
     "AXIOM_TOLERANCE",
-    "EXHAUSTIVE_SAMPLE_LIMIT",
     "AxiomCheck",
     "EvaluationReport",
     "check_distance_axioms",

@@ -45,18 +45,26 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def _sizing_warnings(n, w) -> list[str]:
-    """Raise ConfigError unless n and w are positive ints with w <= n and
-    w <= MAX_W; return the advisory sizing warnings (w >= 20, n >= 100,
-    sparsity between 1% and 35%)."""
+def _check_n(n) -> None:
     if not is_integer(n) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
+
+
+def _check_w(w, n=math.inf) -> None:
+    """Raise ConfigError unless w is a positive int with w <= n and w <= MAX_W."""
     if not is_integer(w) or w < 1:
         raise ConfigError(f"w must be a positive integer, got {w!r}")
     if w > n:
         raise ConfigError(f"w ({w}) cannot exceed n ({n})")
     if w > MAX_W:
         raise ConfigError(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
+
+
+def _sizing_warnings(n, w) -> list[str]:
+    """Check n, then w (`_check_n`, `_check_w`); return the advisory sizing
+    warnings (w >= 20, n >= 100, sparsity between 1% and 35%)."""
+    _check_n(n)
+    _check_w(w, n)
     warnings = []
     if w < MIN_RECOMMENDED_W:
         warnings.append(f"w={w} is below the recommended minimum of {MIN_RECOMMENDED_W} "
@@ -146,12 +154,15 @@ class ScalarEncoder(_WindowEncoder):
 
     def bucket(self, value: float) -> int:
         """Clamped bucket index in [0, n - w]."""
-        v = _require_finite(value)
-        v = min(max(v, self.min_value), self.max_value)
-        b = math.floor((v - self.min_value) / self.resolution)
-        return min(max(b, 0), self.n - self.w)
+        return self._clamped_bucket(_require_finite(value))
 
     _key = bucket
+
+    def _clamped_bucket(self, v: float) -> int:
+        """`bucket` of a float that is not NaN, unchecked; ±inf clamps to an end."""
+        v = min(max(v, self.min_value), self.max_value)
+        # v >= min_value, so the floor is >= 0
+        return min(math.floor((v - self.min_value) / self.resolution), self.n - self.w)
 
 
 class CyclicEncoder(_WindowEncoder):
@@ -197,9 +208,10 @@ class DeltaEncoder(ScalarEncoder):
 
     def _key(self, value: float) -> int:
         """The bucket of the change since the previous input, which becomes
-        ``value``; on an error the state is untouched."""
+        ``value``; on an error the state is untouched.  Only the input is
+        checked: a change past the float range is ±inf and clamps."""
         v = _require_finite(value)
-        b = self.bucket(0.0 if self.previous is None else v - self.previous)
+        b = self._clamped_bucket(0.0 if self.previous is None else v - self.previous)
         self.previous = v
         return b
 

@@ -982,6 +982,26 @@ def test_unreadable_input_exit_3(tmp_path, capsys, command, data, message, encod
         encoded if command == "encode" else 0)
 
 
+@pytest.mark.parametrize("input_exists, output_name, message", [
+    (True, "no-such-dir/out.txt", "cannot write output "),
+    (False, "out.txt", "cannot read input "),
+], ids=["unwritable-output", "input-checked-first"])
+def test_output_that_cannot_be_opened_exit_3(tmp_path, capsys, input_exists, output_name,
+                                             message):
+    # This used to end in a FileNotFoundError traceback and exit 1.
+    cfg = write(tmp_path, "cfg.json", SCALAR_CONFIG)
+    source, output = tmp_path / "in.csv", tmp_path / output_name
+    if input_exists:
+        source.write_text("temp\n10\n", encoding="utf-8")
+    argv = ["encode", "--config", cfg, "--input", str(source), "--output", str(output)]
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    path = output if input_exists else source
+    assert err.splitlines()[-1].startswith(f"data error: {message}{str(path)!r}: ")
+    assert "Traceback" not in err
+    assert not output.exists()  # an unreadable input creates no output file
+
+
 class TestSelftestHash:
     def test_matches_golden_fixture(self, capsys):
         assert run_cli(["selftest-hash"]) == 0

@@ -223,6 +223,16 @@ def test_each_encoder_bits_hold_its_encode(part, data):
         list(sdr.active) for sdr in sdrs]
 
 
+def test_delta_change_past_the_float_range_clamps():
+    config = {"encoder": {"type": "delta", "min": -5, "max": 5, "n": 60, "w": 21}, "field": "v"}
+    rows = [["-1e308"], ["1e308"], ["-1e308"]]
+    code, out, _ = encode(config, csv_text(["v"], rows))
+    assert code == 0
+    assert out == per_row_dense(config, ["v"], rows)
+    # a zero change, then +inf and -inf: the middle bucket, the top and the bottom
+    assert [line.index("1") for line in out.splitlines()] == [19, 39, 0]
+
+
 # --- data errors inside a chunk ------------------------------------------------------
 
 ERROR_PARTS = [

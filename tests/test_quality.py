@@ -183,12 +183,12 @@ class TestSemanticConsistency:
                 broken, absolute_difference, [0.0, 1.0, 2.0, 3.0]
             )
 
-    def test_exhaustive_limit(self):
+    def test_aligned_scalar_exhaustive_at_200_samples(self):
+        # criterion 5's encoder and samples: exact at any m, past the old cap of 40
         enc, samples = self.make_aligned()
-        with pytest.raises(InputError):
-            evaluate_encoder(
-                enc.encode, absolute_difference, samples[:41], exhaustive=True
-            )
+        report = evaluate_encoder(enc.encode, absolute_difference, samples, exhaustive=True)
+        assert report.quadruples_sampled == 200 ** 4
+        assert report.discordant == 0
 
     def test_needs_four_samples(self):
         enc, _ = self.make_aligned()

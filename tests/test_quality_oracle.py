@@ -333,10 +333,19 @@ def test_exhaustive_mode_matches_the_oracle(case, encode):
 
 
 def test_exhaustive_mode_matches_the_oracle_at_the_sample_limit():
-    samples = [0.25 * i for i in range(quality.EXHAUSTIVE_SAMPLE_LIMIT)]
+    samples = [0.25 * i for i in range(40)]  # the most samples the old loop took
     for encode in (window_encode, scatter_encode):
         for distance in (absolute_difference, _skewed):
             assert_same(encode, distance, samples, 0, 0, exhaustive=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(user_distances,
+       st.lists(st.one_of(small_ints, st.floats(-30, 30).map(lambda v: round(v, 1))),
+                min_size=41, max_size=64),
+       encoders)
+def test_exhaustive_mode_matches_the_oracle_past_the_old_limit(distance, samples, encode):
+    assert_same(encode, distance, samples, 0, 0, exhaustive=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -178,11 +179,21 @@ class TestDeltaEncoder:
         previous = None
         for v in stream:
             change = 0.0 if previous is None else v - previous
+            if math.isinf(change):  # a change past the float range clamps to an end
+                change = math.copysign(sys.float_info.max, change)
             expected = outcome(scalar.encode, change if math.isfinite(v) else v)
             assert outcome(delta.encode, v) == expected
             if expected is not InputError:
                 previous = v
             assert delta.previous == previous  # untouched on error
+
+    @pytest.mark.parametrize("first, second, end", [(-1e308, 1e308, 5), (1e308, -1e308, -5)])
+    def test_change_past_the_float_range_clamps(self, first, second, end):
+        # the change is +-inf: only the input is checked, so it clamps to an end
+        delta = DeltaEncoder(-5, 5, 60, 21)
+        delta.encode(first)
+        assert delta.encode(second) == ScalarEncoder(-5, 5, 60, 21).encode(end)
+        assert delta.previous == second
 
     def test_is_a_scalar_encoder_over_the_delta_range(self):
         delta = DeltaEncoder(-10, 10, 100, 21)
