@@ -8,10 +8,11 @@
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
-Dense lines are written in blocks of as many lines as fit in 256 KiB (one
-line when it is longer), so a reader of a live pipe sees rows arrive a block
-at a time; sparse lines are written one by one.  Either way, a data error
-leaves every row before the failing one written.
+Every format is written in blocks of as many lines as fit in 256 KiB and
+2**15 bit indices (one line when it is longer), so a reader of a live pipe
+sees rows arrive a block at a time, sparse rows too; a data error still
+leaves every row before the failing one written.  A sparse pipeline of
+n >= 2**63 bits, past the chunk path's 64-bit indices, writes row by row.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -39,6 +40,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -54,9 +56,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_AXIOM = 4
 
-# Largest dense block `encode` writes at once: it holds
-# max(1, _DENSE_CHUNK_BYTES // (n + 1)) lines.
-_DENSE_CHUNK_BYTES = 1 << 18
+# Largest block `encode` writes at once: max(1, rows) lines, with rows small
+# enough that the block's text (a dense line is n + 1 bytes, a sparse one at
+# most its prefix and w indices of up to len(str(n - 1)) digits and a
+# separator each) fits in _CHUNK_BYTES and its (rows, w) bit matrix in
+# _CHUNK_CELLS, since the command's own peak memory grows with the chunk.
+_CHUNK_BYTES = 1 << 18
+_CHUNK_CELLS = 1 << 15
 
 # Inputs for the printed hash vectors; arbitrary but frozen, spanning the
 # signed 32-bit corners and both hash output streams.
@@ -116,6 +122,73 @@ def _dense_lines(multi, keys) -> str:
     lines[:, n] = ord("\n")
     np.put_along_axis(lines, multi._bits(keys), ord("1"), axis=1)
     return lines.tobytes().decode("ascii")
+
+
+def _sparse_lines(multi, keys, self_describing) -> str:
+    """The sparse lines, newlines included, of the `MultiEncoder._key` keys of
+    one or more rows: the same text as `to_sparse_string` of each encoding.
+
+    Each index is written right-aligned in a cell of ``digits`` characters
+    and one separator, and the text is every cell character that is kept: an
+    index's digits from its first nonzero one, and only the last of a run of
+    equal indices (a hash collision repeats one), so the row's last cell,
+    which ends in the newline, is always kept."""
+    # The narrowest unsigned type that holds n - 1 divides fastest.
+    bits = np.sort(multi._bits(keys).astype(np.min_scalar_type(multi.n - 1)), axis=1)
+    rows, w = bits.shape
+    prefix = np.frombuffer(f"n={multi.n};".encode() if self_describing else b"", np.uint8)
+    digits = len(str(multi.n - 1))
+    text = np.empty((rows, len(prefix) + w * (digits + 1)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    text[:, : len(prefix)] = prefix
+    cells = text[:, len(prefix):].reshape(rows, w, digits + 1)  # views of the rows
+    kept = keep[:, len(prefix):].reshape(rows, w, digits + 1)
+    cells[..., digits] = ord(",")
+    cells[:, -1, digits] = ord("\n")
+    rest = bits
+    for d in range(digits - 1, -1, -1):
+        quotient = rest // 10
+        cells[..., d] = rest - quotient * 10 + ord("0")
+        rest = quotient
+        if d:  # the digit before is a leading zero unless the index reaches it
+            kept[..., d - 1] = rest != 0
+    kept[:, :-1][bits[:, :-1] == bits[:, 1:]] = False
+    return text[keep].tobytes().decode("ascii")
+
+
+def _row_writer(cfg, fmt, fout):
+    """(per_row, finish) for `_each_row`.  Each row is checked as it is read
+    (`MultiEncoder._key`); its key waits for a chunk of rows, which becomes
+    one ``_bits`` matrix, one block of lines and one write.  ``finish``
+    writes the rows still waiting.  Past the n < 2**63 that ``_bits`` holds,
+    which only the sparse formats take, each row is encoded and written on
+    its own."""
+    multi, pending = cfg.multi, []
+    self_describing = fmt == "sparse-n"
+    if multi.n >= 1 << 63:
+        def write_line(row):
+            fout.write(to_sparse_string(cfg.encode_row(row), self_describing) + "\n")
+
+        return write_line, lambda: None
+    if fmt == "dense":
+        lines_of, line_bytes = partial(_dense_lines, multi), multi.n + 1
+    else:
+        lines_of = partial(_sparse_lines, multi, self_describing=self_describing)
+        line_bytes = (len(f"n={multi.n};") * self_describing
+                      + multi.w * (len(str(multi.n - 1)) + 1))
+    chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
+
+    def write_pending():
+        if pending:
+            fout.write(lines_of(pending))
+            pending.clear()
+
+    def add_row(row):
+        pending.append(multi._key(cfg.record_from_row(row)))
+        if len(pending) == chunk_rows:
+            write_pending()
+
+    return add_row, write_pending
 
 
 def _open_input(path, stderr):
@@ -216,30 +289,8 @@ def cmd_encode(args, stderr=None) -> int:
     with source as lines, _open_output(args.output, stderr) as fout:
         if fout is None:  # leaving the block closes the input
             return EXIT_DATA
-        if fmt == "dense":
-            # Each row is checked as it is read; its key waits for the chunk.
-            multi, pending = cfg.multi, []
-            chunk_rows = max(1, _DENSE_CHUNK_BYTES // (multi.n + 1))
-
-            def write_pending():
-                if pending:
-                    fout.write(_dense_lines(multi, pending))
-                    pending.clear()
-
-            def add_row(row):
-                pending.append(multi._key(cfg.record_from_row(row)))
-                if len(pending) == chunk_rows:
-                    write_pending()
-
-            code = _each_row(lines, cfg, add_row, stderr, write_pending)
-        else:
-            self_describing = fmt == "sparse-n"
-
-            def write_line(row):
-                fout.write(to_sparse_string(cfg.encode_row(row), self_describing))
-                fout.write("\n")
-
-            code = _each_row(lines, cfg, write_line, stderr)
+        per_row, finish = _row_writer(cfg, fmt, fout)
+        code = _each_row(lines, cfg, per_row, stderr, finish)
         fout.flush()  # on a data error too: keep everything encoded so far
     return code
 

@@ -248,6 +248,8 @@ class GeospatialEncoder:
         # Ascending ~order is descending order key; the stable sort keeps
         # ties in enumeration order, which is ascending (x, y).
         top = np.argsort(~order_keys_array(keys, self.seed), kind="stable")[..., : self.w]
+        if keys.ndim == 1:  # one value's cells: plain indexing is the cheaper gather
+            return keys[top]
         return np.take_along_axis(keys, top, axis=-1)
 
     def _bits(self, keys) -> np.ndarray:

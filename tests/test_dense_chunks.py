@@ -3,11 +3,13 @@
 `sdrkit encode --format dense` checks each row as it is read (the encoders'
 ``_key`` step) and turns a chunk of rows into text at once (``_bits`` and
 `cli._dense_lines`).  The oracle is the per-row path:
-``to_dense_string(cfg.encode_row(row))`` for every row, and the sparse
-formats, which still encode row by row, for stderr and the exit code.
+``to_dense_string(cfg.encode_row(row))`` for every row, and `per_row_run`,
+the CLI's row reading and error report around
+``to_sparse_string(cfg.encode_row(row))``, for stderr and the exit code.
 
 * Random pipelines of every leaf type, at an n that puts 1, 2, 3 or 5 rows
-  in a chunk or all rows in one, give the same bytes as the oracle.  The
+  in a chunk or all rows in one, give the same bytes as the oracle, in
+  chunks of that many rows.  The
   draws cover delta state across chunk edges, several top-w radii in one
   chunk, cyclic windows that wrap, unbounded hashes that collide (n <= 32)
   and cells at the signed 32-bit edges.
@@ -31,7 +33,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli
 from sdrkit.config import parse_pipeline_config
-from sdrkit.sdr import to_dense_string
+from sdrkit.sdr import to_dense_string, to_sparse_string
 
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
@@ -141,25 +143,31 @@ def bind(index, part):
     return entry, {names[c]: values for c, values in columns.items()}
 
 
+def dense_pad(multi, per_chunk):
+    """A scalar of the remaining bits, which brings n + 1 to
+    CHUNK_BYTES // per_chunk."""
+    return {"type": "scalar", "min": 0, "max": 1,
+            "n": CHUNK_BYTES // per_chunk - 1 - multi.n, "w": 1}
+
+
 @st.composite
-def pipelines(draw):
-    """(config, header, rows): a multi config, padded so that a chunk holds
-    the drawn number of rows, and CSV rows of text."""
+def pipelines(draw, pad=dense_pad):
+    """(config, header, rows, per_chunk): a multi config, padded by the
+    encoder ``pad(multi, per_chunk)`` so that a chunk holds the drawn number
+    of rows (all of them when None), and CSV rows of text."""
     entries, columns = [], {}
     for i, part in enumerate(draw(st.lists(st.sampled_from(PARTS), min_size=1, max_size=4))):
         entry, cols = bind(i, draw(part))
         entries.append(entry)
         columns.update(cols)
-    n = parse_pipeline_config({"encoder": {"type": "multi", "parts": entries}}).multi.n
+    multi = parse_pipeline_config({"encoder": {"type": "multi", "parts": entries}}).multi
     per_chunk = draw(st.sampled_from([1, 2, 3, 5, None]))
-    if per_chunk is not None:  # a scalar of the remaining bits sets the chunk size
-        pad = CHUNK_BYTES // per_chunk - 1 - n
-        entries.append({"field": "pad", "encoder": {"type": "scalar", "min": 0, "max": 1,
-                                                    "n": pad, "w": 1}})
+    if per_chunk is not None:
+        entries.append({"field": "pad", "encoder": pad(multi, per_chunk)})
         columns["pad"] = st.sampled_from(["0", "0.5", "1"])
     header = list(columns)
     rows = draw(st.lists(st.tuples(*columns.values()).map(list), min_size=1, max_size=12))
-    return {"encoder": {"type": "multi", "parts": entries}}, header, rows
+    return {"encoder": {"type": "multi", "parts": entries}}, header, rows, per_chunk
 
 
 # --- running the CLI --------------------------------------------------------------
@@ -184,6 +192,45 @@ def encode(config, text, fmt="dense"):
         return code, out_path.read_text(encoding="utf-8"), err.getvalue()
 
 
+def encode_counting_chunks(config, text, fmt, lines_function):
+    """`encode`, and the number of rows in each chunk that reached the
+    CLI's ``lines_function``."""
+    real, sizes = getattr(cli, lines_function), []
+
+    def counting(multi, keys, *args, **kwargs):
+        sizes.append(len(keys))
+        return real(multi, keys, *args, **kwargs)
+
+    with mock.patch.object(cli, lines_function, counting):
+        return encode(config, text, fmt), sizes
+
+
+def expected_chunks(row_count, per_chunk):
+    """The chunk sizes of ``row_count`` rows, ``per_chunk`` (None: all) at a time."""
+    per_chunk = per_chunk or row_count
+    return [min(per_chunk, row_count - i) for i in range(0, row_count, per_chunk)]
+
+
+def per_row_run(config, text, self_describing=False):
+    """(exit code, stdout, stderr) of the per-row path on the CSV ``text``:
+    the config's warnings, then `cli._each_row`, which reads the rows and
+    reports a data error, writing ``to_sparse_string(cfg.encode_row(row))``
+    for each row as it is read."""
+    cfg = parse_pipeline_config(config)
+    out, err = io.StringIO(), io.StringIO()
+
+    def write_line(row):
+        out.write(to_sparse_string(cfg.encode_row(row), self_describing) + "\n")
+
+    cli._emit_warnings(cfg, err)
+    with tempfile.TemporaryDirectory() as tmp:
+        in_path = Path(tmp) / "in.csv"
+        in_path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        with cli._open_input(str(in_path), err) as lines:
+            code = cli._each_row(lines, cfg, write_line, err)
+    return code, out.getvalue(), err.getvalue()
+
+
 def per_row_dense(config, header, rows):
     """The oracle: `to_dense_string(encode_row(row))` of every row, in order."""
     cfg = parse_pipeline_config(config)
@@ -195,9 +242,11 @@ def per_row_dense(config, header, rows):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(pipelines())
 def test_chunked_dense_equals_the_per_row_path(case):
-    config, header, rows = case
-    code, out, _ = encode(config, csv_text(header, rows))
+    config, header, rows, per_chunk = case
+    (code, out, _), sizes = encode_counting_chunks(config, csv_text(header, rows), "dense",
+                                                   "_dense_lines")
     assert code == 0
+    assert sizes == expected_chunks(len(rows), per_chunk)
     assert out == per_row_dense(config, header, rows)
 
 
@@ -270,7 +319,8 @@ def with_row(row_number, column, text):
     return rows
 
 
-@pytest.mark.parametrize("rows", [
+# Rows with one error in row FAILING, each a different kind of data error.
+FAILING_ROWS = [
     pytest.param(with_row(FAILING, "label", "c"), id="unknown-category"),
     pytest.param(with_row(FAILING, "temp", "inf"), id="non-finite-scalar"),
     pytest.param(with_row(FAILING, "temp", "nan"), id="nan-scalar"),
@@ -281,11 +331,14 @@ def with_row(row_number, column, text):
     pytest.param(with_row(FAILING, "speed", "-1"), id="negative-topw-speed"),
     pytest.param(with_row(FAILING, "label", "a" * 131073), id="field-past-the-size-limit"),
     pytest.param(with_row(FAILING, "label", "\udce9"), id="not-utf-8"),  # the byte 0xe9
-])
+]
+
+
+@pytest.mark.parametrize("rows", FAILING_ROWS)
 def test_data_error_mid_chunk_matches_the_per_row_path(rows):
     text = csv_text(HEADER, rows)
     code, out, err = encode(ERROR_CONFIG, text)
-    per_row_code, _, per_row_err = encode(ERROR_CONFIG, text, "sparse")
+    per_row_code, _, per_row_err = per_row_run(ERROR_CONFIG, text)
     assert (code, err) == (per_row_code, per_row_err)
     assert code == cli.EXIT_DATA
     assert f"data error: row {FAILING}: " in err
