@@ -367,22 +367,31 @@ class WriteRecorder(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("rows, lines_per_write", [
+# Rows and the number of lines in each write, at 4 rows per chunk.
+WRITE_CASES = [
     (ROWS, [4, 4, 2]),
     (with_row(FAILING, "label", "c"), [4, 1]),  # the rows before the error
     (ROWS[:ROWS_PER_CHUNK], [4]),
-])
-def test_each_chunk_is_one_write(tmp_path, rows, lines_per_write):
+]
+
+
+def check_each_chunk_is_one_write(tmp_path, config, fmt, rows, lines_per_write):
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(ERROR_CONFIG), encoding="utf-8")
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
     in_path = tmp_path / "in.csv"
     in_path.write_text(csv_text(HEADER, rows), encoding="utf-8")
     out = WriteRecorder()
     with mock.patch("sys.stdout", out), mock.patch("sys.stderr", out):
-        code = cli.main(["encode", "--config", str(cfg_path), "--input", str(in_path)])
+        code = cli.main(["encode", "--config", str(cfg_path), "--input", str(in_path),
+                         "--format", fmt])
     # print() writes a message and its newline in two writes; skip both.
-    lines = [text for text in out.writes if text != "\n" and set(text) <= set("01\n")]
+    lines = [text for text in out.writes if text != "\n" and set(text) <= set("0123456789,\n")]
     assert [text.count("\n") for text in lines] == lines_per_write
     assert all(text.endswith("\n") for text in lines)
     if code != 0:  # the pending rows are written before the error is printed
         assert out.getvalue().splitlines()[-1].startswith(f"data error: row {FAILING}: ")
+
+
+@pytest.mark.parametrize("rows, lines_per_write", WRITE_CASES)
+def test_each_chunk_is_one_write(tmp_path, rows, lines_per_write):
+    check_each_chunk_is_one_write(tmp_path, ERROR_CONFIG, "dense", rows, lines_per_write)

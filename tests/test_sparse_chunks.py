@@ -13,13 +13,14 @@ for each row, with the CLI's own row reading and error report.
   indices sparse output lists once, delta state across chunk edges, cyclic
   windows that wrap and several top-w radii in one chunk.
 * A data error inside the second chunk leaves exactly the rows before it,
-  with the oracle's stderr and exit code.
+  with the oracle's stderr and exit code, and each chunk is one write.
+* A hash collision on a row's last index lists that bit once and still
+  ends the line.
 * A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, is written
   row by row, byte-identical to the oracle.
 """
 
 import contextlib
-import json
 from unittest import mock
 
 import pytest
@@ -30,8 +31,8 @@ from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 
 from test_dense_chunks import (
-    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, ROWS, WriteRecorder, csv_text, encode,
-    encode_counting_chunks, expected_chunks, per_row_run, pipelines,
+    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, WRITE_CASES, check_each_chunk_is_one_write,
+    csv_text, encode, encode_counting_chunks, expected_chunks, per_row_run, pipelines,
 )
 
 CHUNK_CELLS = 1 << 15
@@ -74,7 +75,7 @@ def test_error_config_puts_four_rows_in_a_chunk():
     multi = parse_pipeline_config(ERROR_CONFIG).multi
     assert CHUNK_CELLS // multi.w == ROWS_PER_CHUNK
     # the text of four rows fits the byte bound too
-    assert 4 * (len(f"n={multi.n};") + multi.w * (len(str(multi.n - 1)) + 1)) <= 1 << 18
+    assert ROWS_PER_CHUNK * (len(f"n={multi.n};") + multi.w * (len(str(multi.n - 1)) + 1)) <= 1 << 18
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -88,26 +89,9 @@ def test_data_error_mid_chunk_matches_the_per_row_path(rows, fmt):
     assert out.count("\n") == FAILING - 1
 
 
-@pytest.mark.parametrize("rows, lines_per_write", [
-    (ROWS, [4, 4, 2]),
-    (FAILING_ROWS[0].values[0], [4, 1]),  # the rows before the error
-    (ROWS[:ROWS_PER_CHUNK], [4]),
-])
+@pytest.mark.parametrize("rows, lines_per_write", WRITE_CASES)
 def test_each_chunk_is_one_write(tmp_path, rows, lines_per_write):
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(ERROR_CONFIG), encoding="utf-8")
-    in_path = tmp_path / "in.csv"
-    in_path.write_text(csv_text(HEADER, rows), encoding="utf-8")
-    out = WriteRecorder()
-    with mock.patch("sys.stdout", out), mock.patch("sys.stderr", out):
-        code = cli.main(["encode", "--config", str(cfg_path), "--input", str(in_path),
-                         "--format", "sparse"])
-    # print() writes a message and its newline in two writes; skip both.
-    lines = [text for text in out.writes if text != "\n" and set(text) <= set("0123456789,\n")]
-    assert [text.count("\n") for text in lines] == lines_per_write
-    assert all(text.endswith("\n") for text in lines)
-    if code != 0:  # the pending rows are written before the error is printed
-        assert out.getvalue().splitlines()[-1].startswith(f"data error: row {FAILING}: ")
+    check_each_chunk_is_one_write(tmp_path, ERROR_CONFIG, "sparse", rows, lines_per_write)
 
 
 def test_a_collision_lists_its_bit_once():
