@@ -12,7 +12,8 @@ Every format is written in blocks of as many lines as fit in 256 KiB and
 2**15 bit indices (one line when it is longer), so a reader of a live pipe
 sees rows arrive a block at a time, sparse rows too; a data error still
 leaves every row before the failing one written.  A sparse pipeline of
-n >= 2**63 bits, past the chunk path's 64-bit indices, writes row by row.
+n >= 2**63 bits, past the bit matrix's 64-bit indices, builds its block
+from each row's SDR instead.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -156,24 +157,26 @@ def _sparse_lines(multi, keys, self_describing) -> str:
     return text[keep].tobytes().decode("ascii")
 
 
+def _sdr_lines(multi, keys, self_describing) -> str:
+    """The sparse lines, newlines included, of the `MultiEncoder._key` keys of
+    one or more rows, built from each key's SDR: the lines of n >= 2**63
+    bits, past the int64 indices of ``_bits``."""
+    return "".join(to_sparse_string(multi._sdr(key), self_describing) + "\n"
+                   for key in keys)
+
+
 def _row_writer(cfg, fmt, fout):
-    """(per_row, finish) for `_each_row`.  Each row is checked as it is read
-    (`MultiEncoder._key`); its key waits for a chunk of rows, which becomes
-    one ``_bits`` matrix, one block of lines and one write.  ``finish``
-    writes the rows still waiting.  Past the n < 2**63 that ``_bits`` holds,
-    which only the sparse formats take, each row is encoded and written on
-    its own."""
+    """(add_row, write_pending) for `_each_row`.  Each row is checked as it is
+    read (`MultiEncoder._key`); its key waits for a chunk of rows, which
+    becomes one block of lines and one write.  ``write_pending`` writes the
+    rows still waiting."""
     multi, pending = cfg.multi, []
     self_describing = fmt == "sparse-n"
-    if multi.n >= 1 << 63:
-        def write_line(row):
-            fout.write(to_sparse_string(cfg.encode_row(row), self_describing) + "\n")
-
-        return write_line, lambda: None
     if fmt == "dense":
         lines_of, line_bytes = partial(_dense_lines, multi), multi.n + 1
     else:
-        lines_of = partial(_sparse_lines, multi, self_describing=self_describing)
+        lines = _sparse_lines if multi.n < 1 << 63 else _sdr_lines
+        lines_of = partial(lines, multi, self_describing=self_describing)
         line_bytes = (len(f"n={multi.n};") * self_describing
                       + multi.w * (len(str(multi.n - 1)) + 1))
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))

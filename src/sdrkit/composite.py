@@ -11,7 +11,7 @@ import numpy as np
 
 from .categories import CategoryEncoder
 from .errors import ConfigError, InputError, MissingFieldError, SdrError
-from .scalars import CyclicEncoder
+from .scalars import CyclicEncoder, _Encoder
 from .sdr import SDR
 
 # One child's code should not drown out another's: flag when some child has
@@ -39,22 +39,13 @@ def concat(parts: Sequence[SDR]) -> SDR:
     return SDR(offset, tuple(active))
 
 
-class MultiEncoder:
+class MultiEncoder(_Encoder):
     """Encodes a record by running each named field through its own child
     encoder and concatenating the results in declared order.
 
     Bit positions are a stable function of the declared order; nothing is
     re-sorted.  A delta child makes the whole encoder stateful with the same
     single-writer-per-stream rule.
-
-    Every encoder splits its work in two private steps, so that a chunk of
-    records is turned into bits at once: ``_key(value)`` runs every check of
-    ``encode``, in order, and returns a small key (a bucket, a block index,
-    a geospatial ``(cx, cy, r)``, or here the tuple of the parts' keys);
-    ``_bits(keys)`` gives, for one or more keys, the (rows, w) int64 matrix
-    of each key's bit indices.  A hash collision repeats an index there, so
-    rows may hold fewer distinct bits than w.  The matrix holds n < 2**63,
-    as dense output does.
     """
 
     def __init__(self, parts: Sequence[tuple[str, object]]):
@@ -86,33 +77,27 @@ class MultiEncoder:
     def w(self) -> int:
         return sum(enc.w for _, enc in self.parts)
 
-    def encode(self, record: Mapping[str, object]) -> SDR:
-        """Encode the declared fields of ``record``; other keys are ignored.
-
-        A missing field raises MissingFieldError; child failures propagate
-        with the field name prepended.
-        """
-        return concat(self._each_part(record, "encode"))
-
-    def _key(self, record: Mapping[str, object]) -> tuple:
-        return tuple(self._each_part(record, "_key"))
+    def _key(self, value) -> tuple:
+        """Each part's key of its field of ``_record(value)``; other fields
+        are ignored.  A missing field raises MissingFieldError; child
+        failures propagate with the field name prepended."""
+        record = self._record(value)
+        keys = []
+        for name, enc in self.parts:
+            if name not in record:
+                raise MissingFieldError(f"record is missing field {name!r}")
+            try:
+                keys.append(enc._key(record[name]))
+            except SdrError as exc:
+                raise type(exc)(f"field {name!r}: {exc}") from exc
+        return tuple(keys)
 
     def _record(self, record):
         """The record of field values an input stands for; the identity here."""
         return record
 
-    def _each_part(self, value, step: str) -> list:
-        """Each part's ``step`` method on its field of ``_record(value)``."""
-        record = self._record(value)
-        out = []
-        for name, enc in self.parts:
-            if name not in record:
-                raise MissingFieldError(f"record is missing field {name!r}")
-            try:
-                out.append(getattr(enc, step)(record[name]))
-            except SdrError as exc:
-                raise type(exc)(f"field {name!r}: {exc}") from exc
-        return out
+    def _sdr(self, keys: tuple) -> SDR:
+        return concat([enc._sdr(key) for (_, enc), key in zip(self.parts, keys)])
 
     def _bits(self, keys) -> np.ndarray:
         blocks = []

@@ -21,7 +21,7 @@ encoders themselves only ever see integer cells, so any planar data works.
 of the bits.  `GeospatialEncoder._cells`, the one cell step of both
 variants, computes the same values in one numpy pass over the packed keys
 of one neighborhood or of a chunk of neighborhoods of one radius, and keeps
-the cells that set bits; `encode` and ``_bits`` hash a bit index only for
+the cells that set bits; ``_sdr`` and ``_bits`` hash a bit index only for
 those.
 """
 
@@ -43,7 +43,7 @@ from .errors import (
     is_integer,
 )
 from .hashing import _bit_indices_array, bit_indices, order_keys_array
-from .scalars import _check_n
+from .scalars import _check_n, _Encoder
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -107,7 +107,7 @@ def _neighborhood_keys(cx, cy, radius: int) -> np.ndarray:
     return keys.reshape(keys.shape[:-2] + (-1,)).view(np.uint64)
 
 
-class GeospatialEncoder:
+class GeospatialEncoder(_Encoder):
     """Grid-position encoder with fixed-neighborhood and top-w variants.
 
     Parameters
@@ -213,15 +213,10 @@ class GeospatialEncoder:
         extra = min(max(s * self.speed_scale, 0), self.radius_max - self.radius_min)
         return self.radius_min + math.floor(extra)
 
-    def encode(self, value) -> SDR:
-        """Hash every cell of an (x, y) cell's radius-R neighborhood, or topw's
-        w cells with the largest order keys; topw also takes a (cell, speed)
-        pair, as a ``speed_field`` binding yields it, at the speed's radius."""
-        keys = self._cells(*self._key(value))
-        return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
-
     def _key(self, value) -> tuple[int, int, int]:
-        """The cell and its neighborhood radius, after every check of `encode`."""
+        """The cell of an (x, y) value and its neighborhood radius R; topw also
+        takes a (cell, speed) pair, as a ``speed_field`` binding yields it,
+        at the speed's radius."""
         if not isinstance(value[0], (tuple, list)):
             cell, r = value, self.radius
         elif self.variant == "fixed":
@@ -251,6 +246,11 @@ class GeospatialEncoder:
         if keys.ndim == 1:  # one value's cells: plain indexing is the cheaper gather
             return keys[top]
         return np.take_along_axis(keys, top, axis=-1)
+
+    def _sdr(self, key) -> SDR:
+        """Hash every cell of the neighborhood, or topw's w cells with the
+        largest order keys."""
+        return SDR._trusted(self.n, bit_indices(self._cells(*key), self.seed, self.n))
 
     def _bits(self, keys) -> np.ndarray:
         cells = np.array(keys, dtype=np.int64)  # one (cx, cy, r) row per key

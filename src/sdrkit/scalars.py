@@ -10,13 +10,10 @@ Four variants:
                             with a fixed number of bits
 
 All of them emit SDRs of constant length, encode deterministically, and clamp
-rather than reject out-of-range input.  Each encoder's key is its bucket:
-``_key(value)`` runs every check of `encode` and returns the bucket, and
-``_bits(buckets)`` turns a chunk of buckets into a (rows, w) int64 matrix of
-bit indices, the form `MultiEncoder._bits` stacks.  Each constructor checks n and w
-(`_sizing_warnings`) and then its own numbers, raises ConfigError at the
-first failed check, and keeps the advisory sizing warnings as strings on
-``.warnings``.
+rather than reject out-of-range input; each one's key (`_Encoder`) is its
+bucket.  Each constructor checks n and w (`_sizing_warnings`) and then its
+own numbers, raises ConfigError at the first failed check, and keeps the
+advisory sizing warnings as strings on ``.warnings``.
 """
 
 from __future__ import annotations
@@ -106,13 +103,27 @@ def _require_finite(value) -> float:
     return v
 
 
-class _WindowEncoder:
+class _Encoder:
+    """Every encoder's three steps; `encode` is the second of the first.
+
+    * ``_key(value)`` runs every check, in order, and returns a small key (a
+      bucket, a window start, a geospatial ``(cx, cy, r)``, a multi encoder's
+      tuple of its parts' keys); only it raises or moves a `DeltaEncoder`.
+    * ``_sdr(key)`` is the `SDR` of one key: pure, it cannot fail.
+    * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of one
+      or more keys, for n < 2**63; a hash collision repeats an index there.
+    """
+
+    def encode(self, value) -> SDR:
+        return self._sdr(self._key(value))
+
+
+class _WindowEncoder(_Encoder):
     """w contiguous bits from the start that ``_key`` returns, wrapping past
     bit n - 1 (only a cyclic start gets there): the bounded, cyclic and
     category rule."""
 
-    def encode(self, value) -> SDR:
-        b = self._key(value)
+    def _sdr(self, b: int) -> SDR:
         end = b + self.w  # past n, the window wraps around to bit 0
         if end <= self.n:
             return SDR._trusted(self.n, tuple(range(b, end)))
@@ -219,7 +230,7 @@ class DeltaEncoder(ScalarEncoder):
         self.previous = None
 
 
-class UnboundedScalarEncoder:
+class UnboundedScalarEncoder(_Encoder):
     """Hash-bucketed scalar encoder for unbounded or unknown ranges.
 
     The value's bucket b = floor(value / resolution) can be any signed 64-bit
@@ -261,8 +272,7 @@ class UnboundedScalarEncoder:
 
     _key = bucket
 
-    def encode(self, value: float) -> SDR:
-        b = self._key(value)
+    def _sdr(self, b: int) -> SDR:
         keys = np.arange(self.w, dtype=np.uint64)
         keys += np.uint64(b & MASK64)  # wraps, as (b + i) & MASK64 does
         return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
@@ -270,7 +280,7 @@ class UnboundedScalarEncoder:
     def _bits(self, buckets) -> np.ndarray:
         # The int64 view is the two's-complement pattern b & MASK64.
         keys = np.array(buckets, dtype=np.int64).view(np.uint64)[:, None]
-        keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in encode
+        keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in _sdr
         return _bit_indices_array(keys, self.seed, self.n).view(np.int64)
 
 

@@ -16,11 +16,15 @@ for each row, with the CLI's own row reading and error report.
   with the oracle's stderr and exit code, and each chunk is one write.
 * A hash collision on a row's last index lists that bit once and still
   ends the line.
-* A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, is written
-  row by row, byte-identical to the oracle.
+* A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, builds
+  each line from its row's SDR (``MultiEncoder._sdr``) and never calls
+  ``_bits``, yet still writes a chunk of rows at once, byte-identical to
+  the oracle.
 """
 
 import contextlib
+import io
+import json
 from unittest import mock
 
 import pytest
@@ -31,8 +35,9 @@ from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 
 from test_dense_chunks import (
-    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, WRITE_CASES, check_each_chunk_is_one_write,
-    csv_text, encode, encode_counting_chunks, expected_chunks, per_row_run, pipelines,
+    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, WRITE_CASES, WriteRecorder,
+    check_each_chunk_is_one_write, csv_text, encode, encode_counting_chunks,
+    expected_chunks, per_row_run, pipelines,
 )
 
 CHUNK_CELLS = 1 << 15
@@ -109,7 +114,7 @@ def test_a_collision_lists_its_bit_once():
     assert result[1] == "n=54;13,14,15,16,17,53\nn=54;45,46,47,48,49,50,53\n"
 
 
-# --- n >= 2**63: the per-row fallback ------------------------------------------------
+# --- n >= 2**63: lines from each row's SDR --------------------------------------------
 
 def huge_config(unbounded_n):
     """A 50-bit scalar and an unbounded scalar of ``unbounded_n`` bits."""
@@ -145,3 +150,20 @@ def test_past_int64_bits_writes_row_by_row(unbounded_n, chunked, fmt, values):
     assert first.startswith((f"n={n};" if fmt == "sparse-n" else "") + "0,1,2,3,4,")
     # indices near or past 2**63
     assert max(int(i) for i in first.split(";")[-1].split(",")) >= 1 << 60
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_past_int64_bits_writes_fewer_times_than_rows(tmp_path, fmt):
+    config = huge_config(1 << 64)
+    text = csv_text(["t", "v"], [[str(i % 11), str(i * 1.5 - 20)] for i in range(30)])
+    cfg_path, in_path = tmp_path / "c.json", tmp_path / "in.csv"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    in_path.write_text(text, encoding="utf-8")
+    out, err = WriteRecorder(), io.StringIO()
+    with mock.patch("sys.stdout", out), contextlib.redirect_stderr(err):
+        code = cli.main(["encode", "--config", str(cfg_path), "--input", str(in_path),
+                         "--format", fmt])
+    assert (code, out.getvalue(), err.getvalue()) == per_row_run(config, text,
+                                                                  fmt == "sparse-n")
+    assert out.getvalue().count("\n") == 30
+    assert len(out.writes) < 30
