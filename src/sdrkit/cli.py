@@ -30,7 +30,8 @@ is not JSON or repeats a key in an object; 3 data error, also an input that
 cannot be opened, is not UTF-8 or holds a field longer than
 `csv.field_size_limit()`, each named by row (or header) where it has one,
 with every row before it written, and an `--output` that cannot be opened
-(the input is opened first); 4 distance-axiom violation.
+or is the input file (the input is opened first and left as it was);
+4 distance-axiom violation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -194,12 +196,14 @@ def _row_writer(cfg, fmt, fout):
     return add_row, write_pending
 
 
-def _open_input(path, stderr):
+def _open_input(path, stderr, output=None):
     """The input's lines, in a context that closes the file; None, after the
-    data error is printed, when the file cannot be opened.  Its bytes are read
-    as latin-1, which keeps each byte and newline in place, and decoded as
-    UTF-8 a line at a time, so bytes that are not UTF-8 raise
-    UnicodeDecodeError after every line before them has been read."""
+    data error is printed, when the file cannot be opened or is the file that
+    ``output``, an output path, names (through a link too), which opening the
+    output would empty.  Its bytes are read as latin-1, which keeps each byte
+    and newline in place, and decoded as UTF-8 a line at a time, so bytes
+    that are not UTF-8 raise UnicodeDecodeError after every line before them
+    has been read."""
     if path in (None, "-"):
         if not hasattr(sys.stdin, "buffer"):  # an in-memory stdin holds text already
             return nullcontext(sys.stdin)
@@ -208,6 +212,15 @@ def _open_input(path, stderr):
         file = open(path, "r", encoding="latin-1", newline="", closefd=isinstance(path, str))
     except OSError as exc:
         print(f"data error: cannot read input {path!r}: {exc}", file=stderr)
+        return None
+    try:
+        clash = output not in (None, "-") and os.path.samestat(os.fstat(file.fileno()),
+                                                              os.stat(output))
+    except OSError:  # nothing is at the output path yet
+        clash = False
+    if clash:
+        file.close()
+        print(f"data error: output {output!r} is the input file", file=stderr)
         return None
     return _utf8_lines(file)
 
@@ -286,7 +299,7 @@ def cmd_encode(args, stderr=None) -> int:
         return EXIT_CONFIG
     _emit_warnings(cfg, stderr)
 
-    source = _open_input(args.input, stderr)
+    source = _open_input(args.input, stderr, args.output)
     if source is None:
         return EXIT_DATA
     with source as lines, _open_output(args.output, stderr) as fout:

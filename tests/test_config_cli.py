@@ -1002,6 +1002,28 @@ def test_output_that_cannot_be_opened_exit_3(tmp_path, capsys, input_exists, out
     assert not output.exists()  # an unreadable input creates no output file
 
 
+@pytest.mark.parametrize("via", ["same-path", "symlink", "stdin"])
+def test_output_that_names_the_input_exit_3(tmp_path, capsys, monkeypatch, via):
+    # Opening the output used to empty the input, which then read as empty.
+    cfg = write(tmp_path, "cfg.json", SCALAR_CONFIG)
+    source = tmp_path / "in.csv"
+    source.write_bytes(b"temp\n10\n")
+    output = source
+    if via == "symlink":
+        output = tmp_path / "link.csv"
+        output.symlink_to(source)
+    argv = ["encode", "--config", cfg, "--output", str(output)]
+    with open(source, encoding="utf-8") as stdin:
+        if via == "stdin":
+            monkeypatch.setattr(sys, "stdin", stdin)
+        else:
+            argv += ["--input", str(source)]
+        assert run_cli(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"data error: output {str(output)!r} is the input file")
+    assert source.read_bytes() == b"temp\n10\n"
+
+
 class TestSelftestHash:
     def test_matches_golden_fixture(self, capsys):
         assert run_cli(["selftest-hash"]) == 0
