@@ -49,7 +49,7 @@ import numpy as np
 
 from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
-from .geospatial import _neighborhood_keys
+from .geospatial import _CHUNK_CELLS, _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
 from .quality import evaluate_encoder
 from .sdr import MAX_DENSE_N, to_sparse_string
@@ -65,7 +65,6 @@ EXIT_AXIOM = 4
 # separator each) fits in _CHUNK_BYTES and its (rows, w) bit matrix in
 # _CHUNK_CELLS, since the command's own peak memory grows with the chunk.
 _CHUNK_BYTES = 1 << 18
-_CHUNK_CELLS = 1 << 15
 
 # Inputs for the printed hash vectors; arbitrary but frozen, spanning the
 # signed 32-bit corners and both hash output streams.

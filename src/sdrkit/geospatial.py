@@ -20,7 +20,7 @@ encoders themselves only ever see integer cells, so any planar data works.
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
 of the bits.  `GeospatialEncoder._cells`, the one cell step of both
 variants, computes the same values in one numpy pass over the packed keys
-of one neighborhood or of a chunk of neighborhoods of one radius, and keeps
+of one neighborhood or of a block of neighborhoods of one radius, and keeps
 the cells that set bits; ``_sdr`` and ``_bits`` hash a bit index only for
 those.
 """
@@ -48,6 +48,11 @@ from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
+
+# Most cells a chunk step holds at once: `sdrkit encode` puts at most this
+# many bit indices in a chunk, and ``_bits`` packs at most this many cells
+# (or one neighborhood, when that is larger) per `_cells` call.
+_CHUNK_CELLS = 1 << 15
 
 # Spherical mercator constants: WGS84 equatorial radius and the latitude
 # beyond which the square projection is undefined.
@@ -256,9 +261,11 @@ class GeospatialEncoder(_Encoder):
         cells = np.array(keys, dtype=np.int64)  # one (cx, cy, r) row per key
         out = np.empty((len(cells), self.w), dtype=np.int64)
         for r in np.unique(cells[:, 2]).tolist():
-            rows = cells[:, 2] == r
-            packed = self._cells(cells[rows, 0:1], cells[rows, 1:2], r)
-            out[rows] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
+            (rows,) = np.nonzero(cells[:, 2] == r)
+            block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
+            for at in np.split(rows, range(block, len(rows), block)):
+                packed = self._cells(cells[at, 0:1], cells[at, 1:2], r)
+                out[at] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
         return out
 
 

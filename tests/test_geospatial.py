@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sdrkit import geospatial
 from sdrkit.errors import ConfigError, InputError, ProjectionError, RangeError
 from sdrkit.geospatial import (
     EARTH_RADIUS_M,
@@ -276,6 +277,30 @@ class TestTopWEncoder:
     def test_requires_w(self):
         with pytest.raises(ConfigError):
             GeospatialEncoder(100, 2, variant="topw")
+
+    def test_chunk_bits_pack_a_bounded_block_of_cells(self, monkeypatch):
+        # Speeds 0, 48, 88 and 98 give radii 2, 50, 90 and 100: pools of 25,
+        # 10,201, 32,761 and 40,401 cells, so the ten radius-50 rows take
+        # four calls and each radius-90 or radius-100 row one of its own.
+        enc = GeospatialEncoder(1000, 2, variant="topw", w=20, seed=5, speed_scale=1,
+                                radius_min=2, radius_max=100)
+        values = [((i, -3 * i), speed) for i, speed in
+                  enumerate([0, 48, 88, 98, 48, 0] + [48] * 8 + [88, 98])]
+        sizes, real = [], geospatial._neighborhood_keys
+
+        def recording(cx, cy, radius):
+            keys = real(cx, cy, radius)
+            sizes.append((radius, keys.size))
+            return keys
+
+        monkeypatch.setattr(geospatial, "_neighborhood_keys", recording)
+        bits = enc._bits([enc._key(v) for v in values])
+        assert sorted(sizes) == sorted([(2, 2 * 25), (50, 3 * 10201), (50, 3 * 10201),
+                                        (50, 3 * 10201), (50, 10201), (90, 32761),
+                                        (90, 32761), (100, 40401), (100, 40401)])
+        assert all(size <= max(1 << 15, (2 * r + 1) ** 2) for r, size in sizes)
+        for row, value in zip(bits.tolist(), values):
+            assert sorted(set(row)) == list(enc.encode(value).active)
 
 
 class TestRadiusFromSpeed:
