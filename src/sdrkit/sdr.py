@@ -148,7 +148,7 @@ def from_sparse_string(s: str, n: int | None = None) -> SDR:
     """Parse the sparse text form exactly as `to_sparse_string` writes it
     (ASCII decimals without sign or leading zero), surrounding whitespace
     aside.  ``n`` is required unless the string is self-describing
-    ("n=<N>;...")."""
+    ("n=<N>;..."), and must equal the string's n when both are given."""
     match = _SPARSE_TEXT.fullmatch(s.strip())
     if match is None:
         raise ParseError(f"invalid sparse SDR text {s!r}")
@@ -157,11 +157,13 @@ def from_sparse_string(s: str, n: int | None = None) -> SDR:
         raise ParseError("total bit count required for non-self-describing form")
     try:  # int() refuses more digits than sys.get_int_max_str_digits()
         if count is not None:
-            n = int(count)
+            count = int(count)
         indices = tuple(map(int, body.split(","))) if body else ()
     except ValueError as exc:
         raise ParseError(f"invalid sparse SDR text: {exc}") from None
-    return SDR(n, indices)
+    if count is not None and n not in (None, count):
+        raise ParseError(f"the text gives n={count}, but n={n!r} was passed")
+    return SDR(n if count is None else count, indices)
 
 
 def to_dense_array(a: SDR, dtype=None) -> "object":

@@ -135,6 +135,12 @@ def test_sparse_string_requires_n():
         from_sparse_string("1,4")
 
 
+def test_sparse_string_n_must_match_the_text():
+    with pytest.raises(ParseError, match="n=5"):
+        from_sparse_string("n=5;1", n=10)
+    assert from_sparse_string("n=5;1", n=5) == SDR(5, (1,))
+
+
 @pytest.mark.parametrize("text", [
     "n= 5;1", "n=+5;+1", "n=05;01", "n=5;-0", "n=5;\u0661", "n=5; 1 , 2",
     "n=5;1,", "n=5;,1", "n=5", "n=;1", "N=5;1",
