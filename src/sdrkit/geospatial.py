@@ -263,7 +263,8 @@ class GeospatialEncoder(_Encoder):
         for r in np.unique(cells[:, 2]).tolist():
             (rows,) = np.nonzero(cells[:, 2] == r)
             block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
-            for at in np.split(rows, range(block, len(rows), block)):
+            for start in range(0, len(rows), block):
+                at = rows[start:start + block]
                 packed = self._cells(cells[at, 0:1], cells[at, 1:2], r)
                 out[at] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
         return out
