@@ -115,6 +115,7 @@ class _Encoder:
     """
 
     def encode(self, value) -> SDR:
+        """The SDR of ``value``, or the SdrError of its first failed check."""
         return self._sdr(self._key(value))
 
 

@@ -52,17 +52,6 @@ def test_encode_is_the_sdr_of_the_key(name):
         assert by_steps._sdr(by_steps._key(value)) == by_encode.encode(value)
 
 
-def test_the_leaves_cover_every_encoder_type():
-    cfg = parse_pipeline_config(CONFIG)
-    variants = {(type(b.encoder).__name__, getattr(b.encoder, "variant", None))
-                for b in cfg.bound}
-    assert {name for name, _ in variants} == {
-        "ScalarEncoder", "DeltaEncoder", "CyclicEncoder", "UnboundedScalarEncoder",
-        "CategoryEncoder", "DatetimeEncoder", "GeospatialEncoder"}
-    assert ("GeospatialEncoder", "fixed") in variants
-    assert ("GeospatialEncoder", "topw") in variants
-
-
 def test_sdr_is_pure():
     multi, records = encoder_and_values("multi")
     delta = dict(multi.parts)["level"]
