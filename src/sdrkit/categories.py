@@ -65,5 +65,12 @@ class CategoryEncoder(_WindowEncoder):
     def _key(self, label: str) -> int:
         return self.block_index(label) * self.w
 
+    def _keys(self, labels) -> list:
+        index, w = self._index, self.w
+        if self.unknown_policy == "catch_all":
+            other = len(self.categories)
+            return [index.get(label, other) * w for label in labels]
+        return [index[label] * w for label in labels]  # an unknown label is a KeyError
+
 
 __all__ = ["CategoryEncoder", "UNKNOWN_POLICIES"]

@@ -9,11 +9,16 @@
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
 Every format is written in blocks of as many lines as fit in 256 KiB and
-2**15 bit indices (one line when it is longer), so a reader of a live pipe
-sees rows arrive a block at a time, sparse rows too; a data error still
-leaves every row before the failing one written.  A sparse pipeline of
+2**15 bit indices (one line when it is longer).  A block's rows are checked
+and keyed a column at a time; a block that fails there, on a data error or
+on a value that only the per-row checks take, is run again row by row, so
+a data error still leaves every row before the failing one written and
+names that row, as the per-row path does.  A reader of a live pipe sees
+rows arrive a block at a time, sparse rows too, and a data error is
+reported when its block fills or the input ends.  A sparse pipeline of
 n >= 2**63 bits, past the bit matrix's 64-bit indices, builds its block
-from each row's SDR instead.
+from each row's SDR instead.  A UTF-8 byte-order mark before the header is
+dropped, for `encode` and `evaluate` alike.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -43,7 +48,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from functools import partial
 
 import numpy as np
 
@@ -116,19 +120,21 @@ def _emit_warnings(cfg, stderr) -> None:
         print(f"warning: {message}", file=stderr)
 
 
-def _dense_lines(multi, keys) -> str:
-    """The dense lines, newlines included, of the `MultiEncoder._key` keys of
-    one or more rows: the same text as `to_dense_string` of each encoding."""
+def _dense_lines(multi, bits) -> str:
+    """The dense lines, newlines included, of the rows of a bit matrix
+    (`MultiEncoder._bits`): the same text as `to_dense_string` of each
+    row's encoding."""
     n = multi.n
-    lines = np.full((len(keys), n + 1), ord("0"), dtype=np.uint8)
+    lines = np.full((len(bits), n + 1), ord("0"), dtype=np.uint8)
     lines[:, n] = ord("\n")
-    np.put_along_axis(lines, multi._bits(keys), ord("1"), axis=1)
+    np.put_along_axis(lines, bits, ord("1"), axis=1)
     return lines.tobytes().decode("ascii")
 
 
-def _sparse_lines(multi, keys, self_describing) -> str:
-    """The sparse lines, newlines included, of the `MultiEncoder._key` keys of
-    one or more rows: the same text as `to_sparse_string` of each encoding.
+def _sparse_lines(multi, bits, self_describing) -> str:
+    """The sparse lines, newlines included, of the rows of a bit matrix
+    (`MultiEncoder._bits`): the same text as `to_sparse_string` of each
+    row's encoding.
 
     Each index is written right-aligned in a cell of ``digits`` characters
     and one separator, and the text is every cell character that is kept: an
@@ -136,7 +142,7 @@ def _sparse_lines(multi, keys, self_describing) -> str:
     equal indices (a hash collision repeats one), so the row's last cell,
     which ends in the newline, is always kept."""
     # The narrowest unsigned type that holds n - 1 divides fastest.
-    bits = np.sort(multi._bits(keys).astype(np.min_scalar_type(multi.n - 1)), axis=1)
+    bits = np.sort(bits.astype(np.min_scalar_type(multi.n - 1)), axis=1)
     rows, w = bits.shape
     prefix = np.frombuffer(f"n={multi.n};".encode() if self_describing else b"", np.uint8)
     digits = len(str(multi.n - 1))
@@ -166,33 +172,58 @@ def _sdr_lines(multi, keys, self_describing) -> str:
                    for key in keys)
 
 
-def _row_writer(cfg, fmt, fout):
-    """(add_row, write_pending) for `_each_row`.  Each row is checked as it is
-    read (`MultiEncoder._key`); its key waits for a chunk of rows, which
-    becomes one block of lines and one write.  ``write_pending`` writes the
-    rows still waiting."""
-    multi, pending = cfg.multi, []
+def _each_value(header, rows, step):
+    """``step`` of each row, as a {column: text} mapping, in order: the list
+    of its results, and None, or (the row's index, the SdrError) at the
+    first row whose ``step`` raises one."""
+    results = []
+    for i, row in enumerate(rows):
+        try:
+            results.append(step(dict(zip(header, row))))
+        except SdrError as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _chunk_writer(cfg, fmt, fout):
+    """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
+    becomes one block of lines and one write.
+
+    A chunk is checked and keyed a column at a time
+    (`PipelineConfig._chunk_keys`).  Where that raises, for a data error or
+    for a value that only the per-row checks take, the chunk is keyed again
+    row by row, through ``multi._key(cfg.record_from_row(row))``: the rows
+    before the first failing one are written, and that row's error is the
+    one the per-row path gives."""
+    multi = cfg.multi
     self_describing = fmt == "sparse-n"
     if fmt == "dense":
-        lines_of, line_bytes = partial(_dense_lines, multi), multi.n + 1
+        line_bytes = multi.n + 1
+
+        def lines_of(part_keys):
+            return _dense_lines(multi, multi._part_bits(part_keys))
     else:
-        lines = _sparse_lines if multi.n < 1 << 63 else _sdr_lines
-        lines_of = partial(lines, multi, self_describing=self_describing)
         line_bytes = (len(f"n={multi.n};") * self_describing
                       + multi.w * (len(str(multi.n - 1)) + 1))
+
+        def lines_of(part_keys):
+            if multi.n < 1 << 63:
+                return _sparse_lines(multi, multi._part_bits(part_keys), self_describing)
+            return _sdr_lines(multi, list(zip(*part_keys)), self_describing)
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
-    def write_pending():
-        if pending:
-            fout.write(lines_of(pending))
-            pending.clear()
+    def write_chunk(header, rows):
+        try:
+            part_keys, failure = cfg._chunk_keys(header, rows), None
+        except Exception:  # of any kind: the per-row path decides, and words any error
+            keys, failure = _each_value(header, rows,
+                                        lambda row: multi._key(cfg.record_from_row(row)))
+            part_keys = list(zip(*keys))
+        if part_keys:
+            fout.write(lines_of(part_keys))
+        return failure
 
-    def add_row(row):
-        pending.append(multi._key(cfg.record_from_row(row)))
-        if len(pending) == chunk_rows:
-            write_pending()
-
-    return add_row, write_pending
+    return chunk_rows, write_chunk
 
 
 def _open_input(path, stderr, output=None):
@@ -205,7 +236,7 @@ def _open_input(path, stderr, output=None):
     has been read."""
     if path in (None, "-"):
         if not hasattr(sys.stdin, "buffer"):  # an in-memory stdin holds text already
-            return nullcontext(sys.stdin)
+            return nullcontext(_without_bom(sys.stdin))
         path = sys.stdin.fileno()  # a descriptor, which stays open after
     try:
         file = open(path, "r", encoding="latin-1", newline="", closefd=isinstance(path, str))
@@ -227,7 +258,18 @@ def _open_input(path, stderr, output=None):
 @contextmanager
 def _utf8_lines(file):
     with file:
-        yield (line.encode("latin-1").decode("utf-8") for line in file)
+        yield _without_bom(line.encode("latin-1").decode("utf-8") for line in file)
+
+
+def _without_bom(lines):
+    """``lines`` with one U+FEFF, the byte-order mark some editors write
+    before the header, dropped from the start of the first line, which is
+    read only when it is asked for."""
+    lines = iter(lines)
+    for first in lines:
+        yield first.removeprefix("\ufeff")
+        break
+    yield from lines
 
 
 def _open_output(path, stderr):
@@ -242,18 +284,32 @@ def _open_output(path, stderr):
         return nullcontext(None)
 
 
-def _each_row(lines, cfg, per_row, stderr, finish=lambda: None) -> int:
-    """Call ``per_row`` with each CSV data row as a {column: text} mapping,
-    in order, then ``finish`` (also when a row fails, before the error is
-    printed); return the exit code.  A missing or repeated column in the
-    header is a config error.  An empty input, a header or row that cannot be
-    read (a field longer than `csv.field_size_limit()`, bytes that are not
-    UTF-8), a row whose field count differs from the header's, or an
-    SdrError from ``per_row`` is a data error naming the header or the row
-    (rows count from 1 after the header)."""
+def _each_chunk(lines, cfg, chunk_rows, per_chunk, stderr) -> int:
+    """Call ``per_chunk(header, rows)`` with the CSV header and each run of
+    up to ``chunk_rows`` data rows (lists of their texts), in order; return
+    the exit code.  At a data error in one of its rows, ``per_chunk`` returns
+    (the row's index in ``rows``, the SdrError), having handled the rows
+    before it; else None.
+
+    A missing or repeated column in the header is a config error.  An empty
+    input, a header or row that cannot be read (a field longer than
+    `csv.field_size_limit()`, bytes that are not UTF-8), a row whose field
+    count differs from the header's, or an SdrError from ``per_chunk`` is a
+    data error naming the header or the row (rows count from 1 after the
+    header).  The rows read before one that cannot be read are handed on
+    first, so the error is the first failing row's."""
     reader = csv.reader(lines, delimiter=cfg.delimiter)
     row_number = 0  # the row being read, 0 for the header
-    error = None
+    chunk = []  # the rows read and not yet handed on, the last one row_number - 1
+    failure = None  # (row number, error)
+
+    def hand_on():
+        """``per_chunk`` of the chunk: None, or its failing row's (number, error)."""
+        result = per_chunk(header, chunk)
+        first = row_number - len(chunk)
+        chunk.clear()
+        return result and (first + result[0], result[1])
+
     try:
         header = next(reader, None)
         if header is None:
@@ -273,16 +329,26 @@ def _each_row(lines, cfg, per_row, stderr, finish=lambda: None) -> int:
                 raise InputError(
                     f"expected {len(header)} fields per the header, got {len(row)}"
                 )
-            per_row(dict(zip(header, row)))
+            chunk.append(row)
             row_number += 1
+            if len(chunk) == chunk_rows and (failure := hand_on()):
+                break
     except (SdrError, csv.Error, UnicodeDecodeError) as exc:
-        error = f"data error: {f'row {row_number}' if row_number else 'header'}: {exc}"
-    finally:
-        finish()
-    if error is not None:
-        print(error, file=stderr)
+        failure = (row_number, exc)
+    if chunk:  # the last rows, or those before the row that failed
+        failure = hand_on() or failure
+    if failure is not None:
+        number, exc = failure
+        print(f"data error: {f'row {number}' if number else 'header'}: {exc}", file=stderr)
         return EXIT_DATA
     return EXIT_OK
+
+
+def _each_row(lines, cfg, per_row, stderr) -> int:
+    """`_each_chunk` a row at a time: call ``per_row`` with each CSV data
+    row as a {column: text} mapping, in order; return the exit code."""
+    return _each_chunk(lines, cfg, 1,
+                       lambda header, rows: _each_value(header, rows, per_row)[1], stderr)
 
 
 def cmd_encode(args, stderr=None) -> int:
@@ -304,8 +370,8 @@ def cmd_encode(args, stderr=None) -> int:
     with source as lines, _open_output(args.output, stderr) as fout:
         if fout is None:  # leaving the block closes the input
             return EXIT_DATA
-        per_row, finish = _row_writer(cfg, fmt, fout)
-        code = _each_row(lines, cfg, per_row, stderr, finish)
+        chunk_rows, write_chunk = _chunk_writer(cfg, fmt, fout)
+        code = _each_chunk(lines, cfg, chunk_rows, write_chunk, stderr)
         fout.flush()  # on a data error too: keep everything encoded so far
     return code
 

@@ -3,15 +3,15 @@ encoder assembled from category and cyclic parts."""
 
 from __future__ import annotations
 
-import calendar
 import datetime as _dt
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .categories import CategoryEncoder
 from .errors import ConfigError, InputError, MissingFieldError, SdrError
-from .scalars import CyclicEncoder, _Encoder
+from .scalars import CyclicEncoder, DeltaEncoder, _Encoder, _Unkeyed
 from .sdr import SDR
 
 # One child's code should not drown out another's: flag when some child has
@@ -96,14 +96,39 @@ class MultiEncoder(_Encoder):
         """The record of field values an input stands for; the identity here."""
         return record
 
+    def _keys(self, values) -> list:
+        return list(zip(*self._part_keys(self._columns(values))))
+
+    def _columns(self, records) -> dict:
+        """The column twin of `_record`: each field's column of values, from
+        a column of inputs; a missing field is a KeyError."""
+        return {name: [record[name] for record in records] for name, _ in self.parts}
+
+    def _part_keys(self, columns) -> list:
+        """Each part's `_keys` of its field's column in the {field: column}
+        mapping ``columns``: the rows' ``_key`` tuples, transposed.  When a
+        part raises, every `DeltaEncoder` part is put back as it was."""
+        deltas = [(enc, enc.previous) for _, enc in self.parts if isinstance(enc, DeltaEncoder)]
+        try:
+            return [enc._keys(columns[name]) for name, enc in self.parts]
+        except Exception:
+            for enc, previous in deltas:
+                enc.previous = previous
+            raise
+
     def _sdr(self, keys: tuple) -> SDR:
         return concat([enc._sdr(key) for (_, enc), key in zip(self.parts, keys)])
 
     def _bits(self, keys) -> np.ndarray:
+        return self._part_bits(zip(*keys))
+
+    def _part_bits(self, part_keys) -> np.ndarray:
+        """`_bits` of the rows whose keys, transposed, are ``part_keys``, as
+        `_part_keys` gives them."""
         blocks = []
         offset = 0
-        for (_, enc), part_keys in zip(self.parts, zip(*keys)):
-            blocks.append(enc._bits(part_keys) + offset)
+        for (_, enc), keys in zip(self.parts, part_keys):
+            blocks.append(enc._bits(keys) + offset)
             offset += enc.n
         return np.hstack(blocks)
 
@@ -125,6 +150,58 @@ _CYCLIC_PERIODS = {
     "day_of_month": 31.0,
 }
 
+# The weekend component's labels, indexed by whether the day is a weekend.
+_WEEKEND_LABELS = ("weekday", "weekend")
+
+
+def _components(names, t) -> dict:
+    """The value of each named component of ``t``, a datetime or a
+    `_DatetimeColumn`: the formulas use only arithmetic and comparisons,
+    which give ints and floats the same values as int and float arrays.
+    The weekend component's value is whether the day is a weekend."""
+    values = {}
+    if "weekend" in names or "day_of_week" in names:
+        weekday = t.weekday()  # Monday = 0
+    if names != ("weekend",):  # every other component reads the day fraction
+        day_fraction = (t.hour + t.minute / 60 + t.second / 3600 + t.microsecond / 3.6e9) / 24.0
+    for name in names:
+        if name == "weekend":
+            values[name] = weekday >= 5
+        elif name == "day_of_week":
+            values[name] = (weekday + 1) % 7 + day_fraction  # Sunday = 0 ... Saturday = 6
+        elif name == "time_of_day":
+            values[name] = day_fraction * 24.0
+        elif name == "month_of_year":
+            leap = (t.year % 4 == 0) & ((t.year % 100 != 0) | (t.year % 400 == 0))
+            # 31 days in the odd months to July and the even ones from August
+            days_in_month = (30 + (t.month + (t.month >= 8)) % 2
+                             - (t.month == 2) * (2 - leap))
+            values[name] = (t.month - 1) + (t.day - 1 + day_fraction) / days_in_month
+        else:
+            values[name] = (t.day - 1) + day_fraction
+    return values
+
+
+class _DatetimeColumn:
+    """A column of datetimes, whose calendar fields and ``weekday()`` are
+    int64 arrays, each read when first asked for."""
+
+    def __init__(self, values):
+        if set(map(type, values)) - {_dt.datetime}:
+            raise _Unkeyed
+        self._values = values
+
+    def _field(self, read) -> np.ndarray:
+        return np.fromiter(map(read, self._values), np.int64, len(self._values))
+
+    def __getattr__(self, name):  # year, month, day, hour, minute, second, microsecond
+        column = self._field(attrgetter(name))
+        setattr(self, name, column)
+        return column
+
+    def weekday(self) -> np.ndarray:
+        return self._field(_dt.datetime.weekday)
+
 
 def _component(name: str, spec):
     """The encoder of one datetime component from its spec, the object that
@@ -133,7 +210,7 @@ def _component(name: str, spec):
     if not isinstance(spec, Mapping) or sorted(spec, key=str) != keys:
         raise ConfigError(f"takes the keys {keys}, got {spec!r}")
     if name == "weekend":
-        return CategoryEncoder(["weekday", "weekend"], w=spec["w"])
+        return CategoryEncoder(_WEEKEND_LABELS, w=spec["w"])
     return CyclicEncoder(_CYCLIC_PERIODS[name], n=spec["n"], w=spec["w"])
 
 
@@ -180,6 +257,7 @@ class DatetimeEncoder(MultiEncoder):
         if not parts:
             raise ConfigError("enable at least one datetime component")
         super().__init__(parts)
+        self._names = tuple(name for name, _ in parts)
 
     def params(self) -> dict:
         """The encoder's config keys: one object per enabled component."""
@@ -190,21 +268,21 @@ class DatetimeEncoder(MultiEncoder):
         """The derived per-component value for each enabled component."""
         if not isinstance(t, _dt.datetime):
             raise InputError(f"expected a datetime, got {t!r}")
-        day_fraction = (
-            t.hour + t.minute / 60 + t.second / 3600 + t.microsecond / 3.6e9
-        ) / 24.0
-        sunday0 = (t.weekday() + 1) % 7  # Sunday = 0 ... Saturday = 6
-        days_in_month = calendar.monthrange(t.year, t.month)[1]
-        values: dict[str, object] = {
-            "weekend": "weekend" if t.weekday() >= 5 else "weekday",
-            "day_of_week": sunday0 + day_fraction,
-            "time_of_day": day_fraction * 24.0,
-            "month_of_year": (t.month - 1) + (t.day - 1 + day_fraction) / days_in_month,
-            "day_of_month": (t.day - 1) + day_fraction,
-        }
-        return {name: values[name] for name, _ in self.parts}
+        values = _components(self._names, t)
+        if "weekend" in values:
+            values["weekend"] = _WEEKEND_LABELS[values["weekend"]]
+        return values
 
     _record = component_values
+
+    def _columns(self, values) -> dict:
+        """`component_values` of a column of datetimes, a column per
+        component; anything but a datetime is `_Unkeyed`."""
+        columns = _components(self._names, _DatetimeColumn(values))
+        if "weekend" in columns:
+            columns["weekend"] = [_WEEKEND_LABELS[weekend]
+                                  for weekend in columns["weekend"].tolist()]
+        return columns
 
 
 __all__ = [

@@ -44,6 +44,7 @@ from __future__ import annotations
 import datetime as _dt
 import inspect
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -106,7 +107,6 @@ def _converter(parse: Callable[[str], object], what: str) -> Callable[[str, str]
 
 _parse_float = _converter(float, "a number")
 _parse_int = _converter(int, "an integer grid index")
-_parse_datetime = _converter(_dt.datetime.fromisoformat, "an ISO timestamp")
 
 
 @dataclass
@@ -117,6 +117,9 @@ class BoundEncoder:
     encoder: object
     columns: tuple[str, ...]
     reader: Callable[[Mapping[str, str]], object]
+    # The column twin of ``reader``: the values of a chunk of rows, from
+    # each of ``columns``' texts; it builds no error message.
+    _read_columns: Callable[..., list]
 
     def value_from_row(self, row: Mapping[str, str]):
         """Convert this binding's column(s) of one CSV row into the encoder
@@ -141,24 +144,45 @@ class PipelineConfig:
     def record_from_row(self, row: Mapping[str, str]) -> dict:
         return {b.name: b.value_from_row(row) for b in self.bound}
 
+    def _chunk_keys(self, header: list[str], rows: list[list[str]]) -> list:
+        """The column twin of ``multi._key(record_from_row(row))``: its keys
+        for CSV rows of texts in ``header``'s order, transposed to one
+        column per part (`MultiEncoder._part_keys`).  Like ``_keys``, it
+        raises, with no message meant to be shown, where a row fails, and
+        may where none does."""
+        def texts(column):
+            i = header.index(column)
+            return [row[i] for row in rows]
+
+        return self.multi._part_keys({b.name: b._read_columns(*map(texts, b.columns))
+                                      for b in self.bound})
+
     def encode_row(self, row: Mapping[str, str]) -> SDR:
         return self.multi.encode(self.record_from_row(row))
 
 
-# --- CSV bindings: (spec, field, speed_field, context) -> (columns, reader) --
+# --- CSV bindings: (spec, field, speed_field, context) ->
+#     (columns, reader, the column twin of reader) ------------------------------
 
-def _column(convert: Callable[[str, str], object] | None) -> Callable:
-    """Binding of one named column, read through ``convert`` (text as is
-    when None)."""
+def _column(parse: Callable[[str], object] | None = None, what: str = "") -> Callable:
+    """Binding of one named column, each text read through ``parse`` (as
+    is when None); a ValueError from it is an InputError saying the text is
+    not ``what``."""
+    convert = parse and _converter(parse, what)
+
     def bind(spec: dict, field_spec, speed_field, context: str):
         if speed_field is not None:
             raise ConfigError(f"{context}: 'speed_field' only applies to geospatial encoders")
         if not isinstance(field_spec, str):
             raise ConfigError(f"{context}: 'field' must name one CSV column")
-        if convert is None:
-            return (field_spec,), itemgetter(field_spec)
-        return (field_spec,), lambda row: convert(row[field_spec], field_spec)
+        if parse is None:
+            return (field_spec,), itemgetter(field_spec), list
+        return ((field_spec,), lambda row: convert(row[field_spec], field_spec),
+                lambda texts: list(map(parse, texts)))
     return bind
+
+
+_number_column = _column(float, "a number")
 
 
 def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
@@ -183,10 +207,17 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
         def coordinate(row):
             return gps_to_grid(_parse_float(row[first], first),
                                _parse_float(row[second], second), cell_size)
+
+        def coordinates(firsts, seconds):
+            return list(map(gps_to_grid, map(float, firsts), map(float, seconds),
+                            repeat(cell_size)))
     else:
         def coordinate(row):
             return GridCoordinate(_parse_int(row[first], first),
                                   _parse_int(row[second], second))
+
+        def coordinates(firsts, seconds):
+            return list(map(GridCoordinate, map(int, firsts), map(int, seconds)))
     if speed_field is None:
         pool = (2 * spec["radius"] + 1) ** 2
         if spec["variant"] == "topw" and spec["w"] > pool:
@@ -195,7 +226,7 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
                 f"select w={spec['w']} cells from a radius-{spec['radius']} neighborhood "
                 f"of {pool}"
             )
-        return (first, second), coordinate
+        return (first, second), coordinate, coordinates
     if not isinstance(speed_field, str):
         raise ConfigError(f"{context}: 'speed_field' must be a column name")
     if spec["variant"] != "topw":
@@ -203,9 +234,13 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
             f"{context}: 'speed_field' requires the 'topw' variant "
             "(the fixed variant has no speed-adaptive radius)"
         )
+
+    def with_speeds(firsts, seconds, speeds):
+        return list(zip(coordinates(firsts, seconds), map(float, speeds)))
+
     return (first, second, speed_field), lambda row: (
         coordinate(row), _parse_float(row[speed_field], speed_field)
-    )
+    ), with_speeds
 
 
 # --- the encoder table -------------------------------------------------------
@@ -230,15 +265,16 @@ class EncoderType(NamedTuple):
 
 ENCODER_TYPES: dict[str, EncoderType] = {
     "scalar": EncoderType(
-        lambda min, max, n, w: ScalarEncoder(min, max, n, w), _column(_parse_float)
+        lambda min, max, n, w: ScalarEncoder(min, max, n, w), _number_column
     ),
     "delta": EncoderType(
-        lambda min, max, n, w: DeltaEncoder(min, max, n, w), _column(_parse_float)
+        lambda min, max, n, w: DeltaEncoder(min, max, n, w), _number_column
     ),
-    "cyclic": EncoderType(CyclicEncoder, _column(_parse_float)),
-    "scalar_unbounded": EncoderType(UnboundedScalarEncoder, _column(_parse_float)),
-    "category": EncoderType(CategoryEncoder, _column(None)),
-    "datetime": EncoderType(DatetimeEncoder, _column(_parse_datetime)),
+    "cyclic": EncoderType(CyclicEncoder, _number_column),
+    "scalar_unbounded": EncoderType(UnboundedScalarEncoder, _number_column),
+    "category": EncoderType(CategoryEncoder, _column()),
+    "datetime": EncoderType(DatetimeEncoder,
+                            _column(_dt.datetime.fromisoformat, "an ISO timestamp")),
     "geospatial": EncoderType(GeospatialEncoder, _bind_geospatial, ("cell_size",)),
 }
 
@@ -270,13 +306,14 @@ def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundE
     speed_field = binding.get("speed_field")
     if speed_field is None and "speed_field" in binding:
         raise ConfigError(f"{context}: key 'speed_field' must not be null")
-    columns, reader = entry.bind(spec, field_spec, speed_field, context)
+    columns, reader, read_columns = entry.bind(spec, field_spec, speed_field, context)
     one_column = isinstance(field_spec, str)
     name = field_spec if one_column else ",".join(field_spec)
     part: dict = {"field": field_spec if one_column else list(field_spec), "encoder": spec}
     if speed_field is not None:
         part["speed_field"] = speed_field
-    return BoundEncoder(name=name, encoder=encoder, columns=columns, reader=reader), part
+    return BoundEncoder(name=name, encoder=encoder, columns=columns, reader=reader,
+                        _read_columns=read_columns), part
 
 
 def parse_pipeline_config(raw: Mapping) -> PipelineConfig:

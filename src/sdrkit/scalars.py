@@ -41,6 +41,16 @@ MAX_W = 1 << 16
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
+# Integers up to here are exact as float64, so a float bucket below it
+# converts to the int the per-row ``math.floor`` gives.
+_EXACT = 1 << 53
+
+
+class _Unkeyed(Exception):
+    """A column step's refusal (`_Encoder._keys`): it does not key these
+    values exactly as ``_key`` would, so the per-row path decides, and words
+    any error."""
+
 
 def _check_n(n) -> None:
     if not is_integer(n) or n < 1:
@@ -103,20 +113,42 @@ def _require_finite(value) -> float:
     return v
 
 
+def _finite_floats(values) -> np.ndarray:
+    """A column of finite numbers as float64, each as `_require_finite`
+    converts it; anything else, text included, is `_Unkeyed`."""
+    v = np.asarray(values)
+    if v.ndim != 1 or v.dtype.kind not in "biuf":
+        raise _Unkeyed
+    v = v.astype(np.float64, copy=False)
+    if not np.isfinite(v).all():
+        raise _Unkeyed
+    return v
+
+
 class _Encoder:
-    """Every encoder's three steps; `encode` is the second of the first.
+    """Every encoder's three steps, and the column twin of the first;
+    `encode` is the second of the first.
 
     * ``_key(value)`` runs every check, in order, and returns a small key (a
       bucket, a window start, a geospatial ``(cx, cy, r)``, a multi encoder's
-      tuple of its parts' keys); only it raises or moves a `DeltaEncoder`.
+      tuple of its parts' keys); only it raises an SdrError.
     * ``_sdr(key)`` is the `SDR` of one key: pure, it cannot fail.
     * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of one
       or more keys, for n < 2**63; a hash collision repeats an index there.
+    * ``_keys(values)`` is the list of the ``_key`` of each value, in order,
+      computed a column at a time where an encoder can.  It builds no error
+      message: where ``_key`` would raise for any value it raises an
+      exception of any type, and it may refuse values that ``_key`` accepts,
+      never the reverse.  Either step moves a `DeltaEncoder`, ``_keys`` only
+      when it returns.
     """
 
     def encode(self, value) -> SDR:
         """The SDR of ``value``, or the SdrError of its first failed check."""
         return self._sdr(self._key(value))
+
+    def _keys(self, values) -> list:
+        return [self._key(value) for value in values]
 
 
 class _WindowEncoder(_Encoder):
@@ -170,11 +202,23 @@ class ScalarEncoder(_WindowEncoder):
 
     _key = bucket
 
+    def _keys(self, values) -> list:
+        return self._clamped_buckets(_finite_floats(values)).tolist()
+
     def _clamped_bucket(self, v: float) -> int:
         """`bucket` of a float that is not NaN, unchecked; ±inf clamps to an end."""
         v = min(max(v, self.min_value), self.max_value)
         # v >= min_value, so the floor is >= 0
         return min(math.floor((v - self.min_value) / self.resolution), self.n - self.w)
+
+    def _clamped_buckets(self, v: np.ndarray) -> np.ndarray:
+        """`_clamped_bucket` of each float of an array, through the same
+        float operations; `_Unkeyed` when n - w reaches `_EXACT`."""
+        top = self.n - self.w
+        if top >= _EXACT:
+            raise _Unkeyed
+        v = np.minimum(np.maximum(v, self.min_value), self.max_value)
+        return np.minimum(np.floor((v - self.min_value) / self.resolution), top).astype(np.int64)
 
 
 class CyclicEncoder(_WindowEncoder):
@@ -206,6 +250,14 @@ class CyclicEncoder(_WindowEncoder):
 
     _key = bucket
 
+    def _keys(self, values) -> list:
+        if self.n >= _EXACT:  # the floor of phase / resolution reaches n
+            raise _Unkeyed
+        v = _finite_floats(values)
+        # numpy's float % is Python's: fmod, then the divisor's sign.
+        phase = ((v % self.period) + self.period) % self.period
+        return (np.floor(phase / self.resolution).astype(np.int64) % self.n).tolist()
+
 
 class DeltaEncoder(ScalarEncoder):
     """A `ScalarEncoder` over the expected delta range, fed the change
@@ -226,6 +278,16 @@ class DeltaEncoder(ScalarEncoder):
         b = self._clamped_bucket(0.0 if self.previous is None else v - self.previous)
         self.previous = v
         return b
+
+    def _keys(self, values) -> list:
+        v = _finite_floats(values)
+        if not len(v):
+            return []
+        with np.errstate(over="ignore"):  # a change past the float range is ±inf
+            changes = np.diff(v, prepend=v[0] if self.previous is None else self.previous)
+        keys = self._clamped_buckets(changes).tolist()
+        self.previous = float(v[-1])
+        return keys
 
     def reset(self) -> None:
         self.previous = None
@@ -272,6 +334,15 @@ class UnboundedScalarEncoder(_Encoder):
         return b
 
     _key = bucket
+
+    def _keys(self, values) -> list:
+        with np.errstate(over="ignore"):
+            scaled = _finite_floats(values) / self.resolution
+        # Below 2**62 every bucket and its w - 1 successors fit int64; the
+        # bound leaves the edges, and a quotient past the float range, to `bucket`.
+        if not (np.abs(scaled) < 2.0 ** 62).all():
+            raise _Unkeyed
+        return np.floor(scaled).astype(np.int64).tolist()
 
     def _sdr(self, b: int) -> SDR:
         keys = np.arange(self.w, dtype=np.uint64)

@@ -1,0 +1,343 @@
+"""The column step pinned to the per-row one.
+
+`sdrkit encode` keys each chunk of rows a column at a time: every
+encoder's ``_keys(values)``, through `PipelineConfig._chunk_keys` for CSV
+text.  ``_key``, one value at a time, is the reference, and the oracle here:
+
+* wherever ``_keys`` returns, its keys equal those of ``_key`` of each value
+  in turn, and so does every delta encoder's state after it;
+* wherever ``_key`` raises for one of the values, ``_keys`` raises too and
+  leaves every delta encoder as it was; it may refuse values that ``_key``
+  takes, and the encoder is then run row by row, as `sdrkit encode` does.
+
+Each encoder gets a stream of chunks: scalar, delta (state carried across
+chunks), cyclic, category under both unknown policies, unbounded,
+geospatial fixed and top-w (with and without a speed), datetime with all
+five components and a multi encoder of these, with hostile values among
+the plain ones (NaN, ±inf, huge magnitudes, text, unknown labels, cells
+off the grid, negative speeds, values that are no datetime).  On plain
+values the column step must key every chunk.  The same holds for CSV text
+through the bindings of `tests/data/encode/all_leaves.json`.
+"""
+
+import datetime as dt
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from sdrkit.categories import CategoryEncoder
+from sdrkit.composite import DatetimeEncoder, MultiEncoder
+from sdrkit.config import parse_pipeline_config
+from sdrkit.geospatial import GeospatialEncoder, GridCoordinate
+from sdrkit.scalars import CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder
+
+I32_MAX = (1 << 31) - 1
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+# --- the oracle ------------------------------------------------------------
+
+
+def per_row(key, values):
+    """``key`` of each value, in order, or the exception of the first one
+    for which it raises."""
+    keys = []
+    for value in values:
+        try:
+            keys.append(key(value))
+        except Exception as exc:
+            return exc
+    return keys
+
+
+def state(enc):
+    """Every delta encoder's ``previous`` inside ``enc``."""
+    if isinstance(enc, MultiEncoder):
+        return tuple(state(part) for _, part in enc.parts)
+    return getattr(enc, "previous", None)
+
+
+def check_chunks(make, chunks, by_rows=lambda enc, values: per_row(enc._key, values),
+                 by_column=lambda enc, values: enc._keys(values), state=state):
+    """Key each chunk with two encoders from ``make()``: one row by row
+    (``by_rows``), one a column at a time (``by_column``), falling back to
+    row by row where that raises; return how many chunks ``by_column``
+    keyed.  The stream ends at the first chunk that the rows refuse."""
+    by_row, columnar = make(), make()
+    keyed = 0
+    for values in chunks:
+        before = state(columnar)
+        expected = by_rows(by_row, values)
+        try:
+            keys = by_column(columnar, values)
+        except Exception:
+            assert state(columnar) == before
+            fallback = by_rows(columnar, values)
+            if isinstance(expected, Exception):
+                assert (type(fallback), str(fallback)) == (type(expected), str(expected))
+            else:
+                assert fallback == expected
+        else:
+            assert not isinstance(expected, Exception), (
+                f"the column step keyed {values!r}, which _key refuses: {expected!r}")
+            assert keys == expected
+            keyed += 1
+        assert state(columnar) == state(by_row)
+        if isinstance(expected, Exception):
+            break
+    return keyed
+
+
+def chunks_of(values, min_size=1):
+    return st.lists(st.lists(values, min_size=min_size, max_size=8), min_size=1, max_size=4)
+
+
+# --- values ----------------------------------------------------------------
+
+plain_floats = st.floats(-1e6, 1e6, allow_nan=False)
+hostile_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0,
+                     2.0 ** 62, -(2.0 ** 62), 9.3e18, -9.3e18]),
+    st.floats(),
+)
+not_floats = st.one_of(st.integers(-(1 << 70), 1 << 70), st.booleans(),
+                       st.sampled_from(["1.5", "nan", "warm", None]))
+numbers = st.one_of(plain_floats, plain_floats, hostile_floats, hostile_floats, not_floats)
+
+
+def check_numbers(make, plain, data):
+    """Plain chunks are all keyed; mixed ones follow the oracle."""
+    assert check_chunks(make, plain) == len(plain)
+    check_chunks(make, data.draw(chunks_of(numbers)))
+
+
+@st.composite
+def bounded(draw, cls):
+    """A constructor of ``cls``, and whether its n - w buckets are exact floats."""
+    lo, span = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.5, 1e3))
+    n = draw(st.one_of(st.integers(2, 400), st.just((1 << 54) + 7)))
+    w = draw(st.integers(1, min(n - 1, 40)))
+    return (lambda: cls(lo, lo + span, n, w)), n - w < 1 << 53
+
+
+@SETTINGS
+@given(st.sampled_from([ScalarEncoder, DeltaEncoder]).flatmap(bounded),
+       chunks_of(plain_floats), st.data())
+def test_scalar_and_delta(case, plain, data):
+    make, exact = case
+    if exact:  # a delta's state carries across the chunks
+        check_numbers(make, plain, data)
+    else:  # past 2**53 buckets the column step refuses, and the rows decide
+        assert check_chunks(make, data.draw(chunks_of(numbers))) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScalarEncoder(0, 10, 50, 5), lambda: DeltaEncoder(-5, 5, 50, 5),
+    lambda: CyclicEncoder(7.0, 50, 5), lambda: UnboundedScalarEncoder(0.5, 50, 5),
+], ids=["scalar", "delta", "cyclic", "unbounded"])
+@pytest.mark.parametrize("chunks, keyed", [
+    ([[1.0, math.nan]], 0), ([[math.inf]], 0), ([[2.0], [-math.inf, 1.0]], 1),
+    ([[3.0], ["4"]], 1),
+])
+def test_what_is_not_a_finite_number_is_left_to_the_rows(make, chunks, keyed):
+    assert check_chunks(make, chunks) == keyed
+
+
+def test_delta_change_past_the_float_range():
+    assert check_chunks(lambda: DeltaEncoder(-5, 5, 60, 21),
+                        [[-1e308, 1e308], [-1e308], [0.0, 1e308]]) == 3
+
+
+@SETTINGS
+@given(st.floats(0.1, 1e4), st.integers(1, 300), st.data(), chunks_of(plain_floats))
+def test_cyclic(period, n, data, plain):
+    w = data.draw(st.integers(1, n))
+    check_numbers(lambda: CyclicEncoder(period, n, w), plain, data)
+
+
+@SETTINGS
+@given(st.sampled_from([1e-300, 1e-3, 0.5, 1.0, 7.25, 1e300]), st.integers(1, 500),
+       chunks_of(plain_floats), st.data())
+def test_unbounded(resolution, n, plain, data):
+    w = data.draw(st.integers(1, n))
+    make = lambda: UnboundedScalarEncoder(resolution, n, w, seed=3)  # noqa: E731
+    if resolution > 1e-300:
+        check_numbers(make, plain, data)
+    else:  # most buckets overflow int64
+        check_chunks(make, data.draw(chunks_of(numbers)))
+
+
+def test_unbounded_edges_are_left_to_the_rows():
+    # 2**63 - 1 - w + 1 is the last bucket whose w buckets fit; beyond
+    # 2**62 the column step refuses and the per-row check decides.
+    make = lambda: UnboundedScalarEncoder(1.0, 100, 4)  # noqa: E731
+    assert check_chunks(make, [[1.0, 2.0 ** 62]]) == 0
+    assert check_chunks(make, [[-(2.0 ** 63)], [2.0 ** 63]]) == 0
+
+
+LABELS = ["red", "green", "blue"]
+labels = st.one_of(st.sampled_from(LABELS), st.sampled_from(["", "Red", "plum", "red "]))
+
+
+@SETTINGS
+@given(st.sampled_from(["error", "catch_all"]), st.integers(1, 30),
+       chunks_of(st.sampled_from(LABELS)), chunks_of(labels))
+def test_category(policy, w, plain, mixed):
+    make = lambda: CategoryEncoder(LABELS, w, unknown_policy=policy)  # noqa: E731
+    assert check_chunks(make, plain) == len(plain)
+    keyed = check_chunks(make, mixed)
+    if policy == "catch_all":  # every label has a block
+        assert keyed == len(mixed)
+
+
+plain_cells = st.builds(GridCoordinate, st.integers(-50, 50), st.integers(-50, 50))
+
+
+def cells(margin):
+    """Cells, some of whose radius-``margin`` neighborhoods leave the grid."""
+    return st.one_of(plain_cells, st.builds(GridCoordinate,
+                                            st.integers(I32_MAX - margin - 2, I32_MAX),
+                                            st.integers(-50, 50)))
+
+
+speeds = st.one_of(st.floats(0, 10), st.sampled_from([-1.0, math.nan, math.inf]))
+
+
+@SETTINGS
+@given(st.integers(0, 3), chunks_of(cells(3)))
+def test_geospatial_fixed(radius, chunks):
+    check_chunks(lambda: GeospatialEncoder(400, radius, seed=5), chunks)
+
+
+@SETTINGS
+@given(st.integers(1, 9), st.booleans(), st.data())
+def test_geospatial_topw(w, with_speed, data):
+    def make():
+        return GeospatialEncoder(400, 1, variant="topw", w=w, seed=9, speed_scale=0.5,
+                                 radius_min=1, radius_max=4)
+    values = st.tuples(cells(4), speeds) if with_speed else cells(1)
+    check_chunks(make, data.draw(chunks_of(values)))
+
+
+COMPONENTS = dict(weekend={"w": 7}, day_of_week={"n": 70, "w": 9},
+                  time_of_day={"n": 96, "w": 11}, month_of_year={"n": 48, "w": 5},
+                  day_of_month={"n": 62, "w": 8})
+datetimes = st.one_of(
+    st.datetimes(dt.datetime(1, 1, 1), dt.datetime(9999, 12, 31, 23, 59, 59, 999999)),
+    st.datetimes(dt.datetime(1999, 12, 1), dt.datetime(2001, 3, 31),
+                 timezones=st.sampled_from([dt.timezone.utc,
+                                            dt.timezone(dt.timedelta(hours=-8))])),
+)
+hostile_datetimes = st.one_of(datetimes, st.sampled_from(
+    [dt.date(2024, 2, 29), dt.time(12, 30), "2024-01-01T00:00:00", None, 0.5]))
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(list(COMPONENTS)), min_size=1, max_size=5, unique=True),
+       chunks_of(datetimes), chunks_of(hostile_datetimes))
+def test_datetime(names, plain, mixed):
+    make = lambda: DatetimeEncoder(**{name: COMPONENTS[name] for name in names})  # noqa: E731
+    assert check_chunks(make, plain) == len(plain)
+    check_chunks(make, mixed)
+
+
+@pytest.mark.parametrize("names", [["weekend"], list(COMPONENTS)])
+@pytest.mark.parametrize("value", [dt.date(2024, 3, 2), dt.time(12), "2024-03-02", None])
+def test_datetime_refuses_what_is_no_datetime(names, value):
+    make = lambda: DatetimeEncoder(**{name: COMPONENTS[name] for name in names})  # noqa: E731
+    assert check_chunks(make, [[dt.datetime(2024, 3, 2), value]]) == 0
+
+
+def test_datetime_every_day_of_four_centuries():
+    # Every month length, leap rule and weekday of the Gregorian cycle.
+    days = [dt.datetime(1900, 1, 1, 13, 7, 5, 123) + dt.timedelta(days=d)
+            for d in range(0, 146097, 7)]
+    days += [dt.datetime(2000, 1, 1, 23, 59, 59, 999999) + dt.timedelta(days=d)
+             for d in range(0, 146097, 3)]
+    assert check_chunks(lambda: DatetimeEncoder(**COMPONENTS), [days]) == 1
+
+
+def multi():
+    return MultiEncoder([
+        ("t", ScalarEncoder(0, 45, 100, 9)),
+        ("d", DeltaEncoder(-5, 5, 60, 7)),
+        ("c", CategoryEncoder(LABELS, 5)),
+        ("ts", DatetimeEncoder(**COMPONENTS)),
+        ("u", UnboundedScalarEncoder(0.5, 80, 6)),
+        ("g", GeospatialEncoder(300, 1, seed=2)),
+    ])
+
+
+def records(t, d, c, ts, u, g):
+    return st.fixed_dictionaries({"t": t, "d": d, "c": c, "ts": ts, "u": u, "g": g})
+
+
+@SETTINGS
+@given(chunks_of(records(plain_floats, plain_floats, st.sampled_from(LABELS), datetimes,
+                         plain_floats, plain_cells)),
+       chunks_of(records(numbers, numbers, labels, hostile_datetimes, numbers, cells(1))))
+def test_multi(plain, mixed):
+    assert check_chunks(multi, plain) == len(plain)
+    check_chunks(multi, mixed)
+
+
+def test_multi_missing_field():
+    record = {"t": 1.0, "d": 2.0, "c": "red", "ts": dt.datetime(2024, 1, 1), "u": 3.0,
+              "g": GridCoordinate(0, 0)}
+    partial = {k: v for k, v in record.items() if k != "u"}
+    assert check_chunks(multi, [[record, record], [record, partial, record]]) == 1
+
+
+# --- CSV text through the bindings -------------------------------------------
+
+CONFIG = json.loads((Path(__file__).resolve().parent / "data" / "encode" / "all_leaves.json")
+                    .read_text(encoding="utf-8"))
+HEADER = ["temp", "level", "angle", "reading", "label", "ts", "x", "y", "lat", "lon", "speed"]
+plain_numbers = st.one_of(plain_floats.map(repr), st.integers(-100, 100).map(str))
+# Each column's (plain, hostile) texts.
+TEXTS = {
+    **dict.fromkeys(["temp", "level", "angle", "reading"], (
+        plain_numbers, st.sampled_from(["nan", "inf", "-inf", "1e999", " 3 ", "1_0", "",
+                                        "warm", "9.3e18", "-4.6e+18", "0x10"]))),
+    "label": (st.sampled_from(["red", "green", "blue", "cyan", "plum"]),
+              st.sampled_from(["navy", "", "Red"])),
+    "ts": (datetimes.map(dt.datetime.isoformat),
+           st.sampled_from(["2024-02-30T00:00", "2024-13-01", "noon", "2024-01-01 25:00"])),
+    "x": (st.integers(-50, 50).map(str), st.sampled_from(["1.5", str(I32_MAX), "x"])),
+    "y": (st.integers(-50, 50).map(str), st.just("")),
+    "lat": (st.floats(47.5, 47.7).map(repr), st.sampled_from(["89", "nan", "x"])),
+    "lon": (st.floats(-122.4, -122.2).map(repr), st.just("181")),
+    "speed": (st.floats(0, 20).map(repr), st.sampled_from(["-1", "nan", "inf"])),
+}
+
+
+def text_chunks(hostile):
+    columns = [st.one_of(plain, plain, bad) if hostile else plain
+               for plain, bad in (TEXTS[c] for c in HEADER)]
+    return chunks_of(st.tuples(*columns).map(list))
+
+
+def row_keys(cfg, header, rows):
+    """``multi._key(record_from_row(row))`` of each row, or the first exception."""
+    return per_row(lambda row: cfg.multi._key(cfg.record_from_row(dict(zip(header, row)))),
+                   rows)
+
+
+@SETTINGS
+@given(text_chunks(False), text_chunks(True), st.permutations(range(len(HEADER))))
+def test_chunk_keys_of_csv_text(plain, mixed, order):
+    header = [HEADER[i] for i in order]
+
+    def check(chunks):
+        return check_chunks(
+            lambda: parse_pipeline_config(CONFIG),
+            [[[row[i] for i in order] for row in chunk] for chunk in chunks],
+            by_rows=lambda cfg, rows: row_keys(cfg, header, rows),
+            by_column=lambda cfg, rows: list(zip(*cfg._chunk_keys(header, rows))),
+            state=lambda cfg: state(cfg.multi))
+
+    assert check(plain) == len(plain)
+    check(mixed)

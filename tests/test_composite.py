@@ -1,5 +1,6 @@
 """Concatenation, multi-field records, and the datetime encoder."""
 
+import calendar
 import datetime as dt
 import random
 
@@ -154,6 +155,14 @@ class TestDatetimeEncoder:
         assert values["day_of_month"] == pytest.approx(14.25)
         assert values["day_of_week"] == pytest.approx(3 + 0.25)  # Wed, Sun=0
         assert values["month_of_year"] == pytest.approx(1 + 14.25 / 28)
+
+    def test_month_of_year_divides_by_the_days_in_the_month(self):
+        enc = DatetimeEncoder(month_of_year={"n": 48, "w": 5})
+        for year in range(1600, 2001):  # a whole Gregorian leap cycle
+            for month in range(1, 13):
+                days = calendar.monthrange(year, month)[1]
+                value = enc.component_values(dt.datetime(year, month, days, 12))
+                assert value["month_of_year"] == (month - 1) + (days - 1 + 0.5) / days
 
     def test_evening_continuity_across_week_wrap(self):
         # Sunday evening should resemble Saturday evening more than Wednesday

@@ -1024,6 +1024,32 @@ def test_output_that_names_the_input_exit_3(tmp_path, capsys, monkeypatch, via):
     assert source.read_bytes() == b"temp\n10\n"
 
 
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+@pytest.mark.parametrize("via", ["path", "stdin", "in-memory-stdin"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys, monkeypatch,
+                                                        command, via):
+    # A header read as '\ufefftemp' used to be a config error, exit 2.
+    cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "distance": "absolute"})
+    plain = b"temp\n" + b"".join(b"%d\n" % t for t in range(0, 45, 4))
+    results = []
+    for data in (plain, b"\xef\xbb\xbf" + plain):
+        source = tmp_path / "in.csv"
+        source.write_bytes(data)
+        with open(source, encoding="utf-8", newline="") as stdin:
+            if via == "path":
+                argv = ["--input", str(source)]
+            else:
+                monkeypatch.setattr(sys, "stdin", stdin if via == "stdin"
+                                    else io.StringIO(stdin.read()))
+                argv = ["--input", "-"]
+            code = run_cli([command, "--config", cfg, *argv])
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("elapsed")]
+        results.append((code, captured.out, err))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1]
+
+
 class TestSelftestHash:
     def test_matches_golden_fixture(self, capsys):
         assert run_cli(["selftest-hash"]) == 0

@@ -1,7 +1,8 @@
 """Chunked dense `sdrkit encode` pinned to the per-row path.
 
-`sdrkit encode --format dense` checks each row as it is read (the encoders'
-``_key`` step) and turns a chunk of rows into text at once (``_bits`` and
+`sdrkit encode --format dense` checks and keys each chunk of rows a column
+at a time (the encoders' ``_keys`` step, or ``_key`` row by row where that
+refuses) and turns the chunk into text at once (``_bits`` and
 `cli._dense_lines`).  The oracle is the per-row path:
 ``to_dense_string(cfg.encode_row(row))`` for every row, and `per_row_run`,
 the CLI's row reading and error report around
@@ -16,6 +17,10 @@ the CLI's row reading and error report around
 * Each encoder's ``_bits`` rows hold the bits of its ``encode``.
 * A data error inside the second chunk leaves exactly the rows before it on
   stdout, with the per-row path's stderr and exit code.
+* A value error is the one reported, with only the rows before it written,
+  when rows later in its chunk cannot be read (a field past the size limit,
+  bytes that are not UTF-8), in the second chunk and in the last, partial
+  one.
 """
 
 import contextlib
@@ -355,6 +360,46 @@ def test_the_first_failing_row_is_reported():
     assert err.endswith(f"data error: row {FAILING}: field 'label': unknown category "
                         "'c'; known: ['a', 'b']\n")
     assert out == per_row_dense(ERROR_CONFIG, HEADER, ROWS[:FAILING - 1])
+
+
+def value_error_then(failing, *later):
+    """ROWS with an unknown label in row ``failing`` and each text of
+    ``later`` as the label of a row after it, in turn."""
+    rows = with_row(failing, "label", "c")
+    for row, text in enumerate(later, failing + 1):
+        rows[row - 1][HEADER.index("label")] = text
+    return rows
+
+
+LONG_FIELD = "a" * 131073  # past csv.field_size_limit()
+NOT_UTF_8 = "\udce9"  # the byte 0xe9
+LAST_CHUNK = 2 * ROWS_PER_CHUNK + 1  # row 9, the first of the last chunk's 2
+# (rows, the row of the value error): rows that cannot be read later in
+# the value error's chunk do not hide it.
+VALUE_ERROR_FIRST = [
+    pytest.param(value_error_then(FAILING, LONG_FIELD, NOT_UTF_8), FAILING,
+                 id="mid-chunk-then-long-field-then-not-utf-8"),
+    pytest.param(value_error_then(LAST_CHUNK), LAST_CHUNK, id="last-chunk"),
+    pytest.param(value_error_then(LAST_CHUNK, LONG_FIELD), LAST_CHUNK,
+                 id="last-chunk-then-long-field"),
+    pytest.param(value_error_then(LAST_CHUNK, NOT_UTF_8), LAST_CHUNK,
+                 id="last-chunk-then-not-utf-8"),
+]
+
+
+def value_error_message(row):
+    return f"data error: row {row}: field 'label': unknown category 'c'; known: ['a', 'b']\n"
+
+
+@pytest.mark.parametrize("rows, failing", VALUE_ERROR_FIRST)
+def test_a_value_error_before_unreadable_rows_is_reported(rows, failing):
+    text = csv_text(HEADER, rows)
+    code, out, err = encode(ERROR_CONFIG, text)
+    per_row_code, _, per_row_err = per_row_run(ERROR_CONFIG, text)
+    assert (code, err) == (per_row_code, per_row_err)
+    assert code == cli.EXIT_DATA
+    assert err.endswith(value_error_message(failing))
+    assert out == per_row_dense(ERROR_CONFIG, HEADER, ROWS[:failing - 1])
 
 
 class WriteRecorder(io.StringIO):

@@ -1,8 +1,9 @@
 """Chunked sparse `sdrkit encode` pinned to the per-row path.
 
-`sdrkit encode --format sparse|sparse-n` checks each row as it is read (the
-encoders' ``_key`` step) and turns a chunk of rows into text at once
-(``_bits`` and `cli._sparse_lines`), as dense output does.  The oracle is
+`sdrkit encode --format sparse|sparse-n` checks and keys each chunk of rows
+a column at a time (the encoders' ``_keys`` step, or ``_key`` row by row
+where that refuses) and turns the chunk into text at once (``_bits`` and
+`cli._sparse_lines`), as dense output does.  The oracle is
 the per-row path, `per_row_run`: ``to_sparse_string(cfg.encode_row(row))``
 for each row, with the CLI's own row reading and error report.
 
@@ -13,7 +14,9 @@ for each row, with the CLI's own row reading and error report.
   indices sparse output lists once, delta state across chunk edges, cyclic
   windows that wrap and several top-w radii in one chunk.
 * A data error inside the second chunk leaves exactly the rows before it,
-  with the oracle's stderr and exit code, and each chunk is one write.
+  with the oracle's stderr and exit code, and each chunk is one write; a
+  value error is reported before rows later in its chunk that cannot be
+  read, in the second chunk and in the last, partial one.
 * A hash collision on a row's last index lists that bit once and still
   ends the line.
 * A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, builds
@@ -35,9 +38,10 @@ from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 
 from test_dense_chunks import (
-    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, WRITE_CASES, WriteRecorder,
-    check_each_chunk_is_one_write, csv_text, encode, encode_counting_chunks,
-    expected_chunks, per_row_run, pipelines,
+    ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, VALUE_ERROR_FIRST, WRITE_CASES,
+    WriteRecorder, check_each_chunk_is_one_write, csv_text, encode,
+    encode_counting_chunks, expected_chunks, per_row_run, pipelines,
+    value_error_message,
 )
 
 CHUNK_CELLS = 1 << 15
@@ -92,6 +96,17 @@ def test_data_error_mid_chunk_matches_the_per_row_path(rows, fmt):
     assert code == cli.EXIT_DATA
     assert f"data error: row {FAILING}: " in err
     assert out.count("\n") == FAILING - 1
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("rows, failing", VALUE_ERROR_FIRST)
+def test_a_value_error_before_unreadable_rows_is_reported(rows, failing, fmt):
+    text = csv_text(HEADER, rows)
+    code, out, err = encode(ERROR_CONFIG, text, fmt)
+    assert (code, out, err) == per_row_run(ERROR_CONFIG, text, fmt == "sparse-n")
+    assert code == cli.EXIT_DATA
+    assert err.endswith(value_error_message(failing))
+    assert out.count("\n") == failing - 1
 
 
 @pytest.mark.parametrize("rows, lines_per_write", WRITE_CASES)
