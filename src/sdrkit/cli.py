@@ -56,7 +56,7 @@ from .errors import ConfigError, InputError, SdrError
 from .geospatial import _CHUNK_CELLS, _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
 from .quality import evaluate_encoder
-from .sdr import MAX_DENSE_N, to_sparse_string
+from .sdr import MAX_DENSE_N, to_dense_string, to_sparse_string
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -164,14 +164,6 @@ def _sparse_lines(multi, bits, self_describing) -> str:
     return text[keep].tobytes().decode("ascii")
 
 
-def _sdr_lines(multi, keys, self_describing) -> str:
-    """The sparse lines, newlines included, of the `MultiEncoder._key` keys of
-    one or more rows, built from each key's SDR: the lines of n >= 2**63
-    bits, past the int64 indices of ``_bits``."""
-    return "".join(to_sparse_string(multi._sdr(key), self_describing) + "\n"
-                   for key in keys)
-
-
 def _each_value(header, rows, step):
     """``step`` of each row, as a {column: text} mapping, in order: the list
     of its results, and None, or (the row's index, the SdrError) at the
@@ -190,37 +182,40 @@ def _chunk_writer(cfg, fmt, fout):
     becomes one block of lines and one write.
 
     A chunk is checked and keyed a column at a time
-    (`PipelineConfig._chunk_keys`).  Where that raises, for a data error or
-    for a value that only the per-row checks take, the chunk is keyed again
-    row by row, through ``multi._key(cfg.record_from_row(row))``: the rows
-    before the first failing one are written, and that row's error is the
-    one the per-row path gives."""
+    (`PipelineConfig._chunk_keys`) into a bit matrix
+    (`MultiEncoder._part_bits`).  Where that raises, for a data error or for
+    a value that only the per-row checks take, and for every chunk at
+    n >= 2**63 bits, past the matrix's int64 indices, the chunk runs row by
+    row instead, each line from the row's SDR,
+    ``multi._sdr(multi._key(cfg.record_from_row(row)))``: the rows before
+    the first failing one are written, and that row's error is the one the
+    per-row path gives."""
     multi = cfg.multi
-    self_describing = fmt == "sparse-n"
-    if fmt == "dense":
+    dense, self_describing = fmt == "dense", fmt == "sparse-n"
+    if dense:
         line_bytes = multi.n + 1
-
-        def lines_of(part_keys):
-            return _dense_lines(multi, multi._part_bits(part_keys))
     else:
         line_bytes = (len(f"n={multi.n};") * self_describing
                       + multi.w * (len(str(multi.n - 1)) + 1))
-
-        def lines_of(part_keys):
-            if multi.n < 1 << 63:
-                return _sparse_lines(multi, multi._part_bits(part_keys), self_describing)
-            return _sdr_lines(multi, list(zip(*part_keys)), self_describing)
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
     def write_chunk(header, rows):
-        try:
-            part_keys, failure = cfg._chunk_keys(header, rows), None
-        except Exception:  # of any kind: the per-row path decides, and words any error
-            keys, failure = _each_value(header, rows,
-                                        lambda row: multi._key(cfg.record_from_row(row)))
-            part_keys = list(zip(*keys))
-        if part_keys:
-            fout.write(lines_of(part_keys))
+        if multi.n < 1 << 63:
+            try:
+                part_keys = cfg._chunk_keys(header, rows)
+            except Exception:  # of any kind: the per-row path decides, and words any error
+                pass
+            else:
+                bits = multi._part_bits(part_keys)
+                fout.write(_dense_lines(multi, bits) if dense
+                           else _sparse_lines(multi, bits, self_describing))
+                return None
+        sdrs, failure = _each_value(
+            header, rows, lambda row: multi._sdr(multi._key(cfg.record_from_row(row))))
+        if sdrs:
+            fout.write("".join((to_dense_string(sdr) if dense
+                                else to_sparse_string(sdr, self_describing)) + "\n"
+                               for sdr in sdrs))
         return failure
 
     return chunk_rows, write_chunk

@@ -77,11 +77,11 @@ class MultiEncoder(_Encoder):
     def w(self) -> int:
         return sum(enc.w for _, enc in self.parts)
 
-    def _key(self, value) -> tuple:
-        """Each part's key of its field of ``_record(value)``; other fields
-        are ignored.  A missing field raises MissingFieldError; child
-        failures propagate with the field name prepended."""
-        record = self._record(value)
+    def _key(self, record) -> tuple:
+        """Each part's key of its field of ``record``, a mapping of field
+        names to values; other fields are ignored.  A missing field raises
+        MissingFieldError; child failures propagate with the field name
+        prepended."""
         keys = []
         for name, enc in self.parts:
             if name not in record:
@@ -92,16 +92,12 @@ class MultiEncoder(_Encoder):
                 raise type(exc)(f"field {name!r}: {exc}") from exc
         return tuple(keys)
 
-    def _record(self, record):
-        """The record of field values an input stands for; the identity here."""
-        return record
-
     def _keys(self, values) -> list:
         return list(zip(*self._part_keys(self._columns(values))))
 
     def _columns(self, records) -> dict:
-        """The column twin of `_record`: each field's column of values, from
-        a column of inputs; a missing field is a KeyError."""
+        """Each field's column of values, from a column of records; a missing
+        field is a KeyError."""
         return {name: [record[name] for record in records] for name, _ in self.parts}
 
     def _part_keys(self, columns) -> list:
@@ -216,8 +212,8 @@ def _component(name: str, spec):
 
 class DatetimeEncoder(MultiEncoder):
     """Calendar-instant encoder: a `MultiEncoder` whose parts are the enabled
-    components, in `DATETIME_COMPONENT_ORDER`, and whose record step turns a
-    datetime into their `component_values`.
+    components, in `DATETIME_COMPONENT_ORDER`, and whose key step turns a
+    datetime into their `component_values` first.
 
     * weekend        -- two-block category (weekday / weekend); give w,
                         n is 2*w.
@@ -273,7 +269,9 @@ class DatetimeEncoder(MultiEncoder):
             values["weekend"] = _WEEKEND_LABELS[values["weekend"]]
         return values
 
-    _record = component_values
+    def _key(self, value) -> tuple:
+        """The parts' keys of the `component_values` of a datetime."""
+        return super()._key(self.component_values(value))
 
     def _columns(self, values) -> dict:
         """`component_values` of a column of datetimes, a column per

@@ -44,7 +44,7 @@ from __future__ import annotations
 import datetime as _dt
 import inspect
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -106,7 +106,6 @@ def _converter(parse: Callable[[str], object], what: str) -> Callable[[str, str]
 
 
 _parse_float = _converter(float, "a number")
-_parse_int = _converter(int, "an integer grid index")
 
 
 @dataclass
@@ -116,15 +115,13 @@ class BoundEncoder:
     name: str
     encoder: object
     columns: tuple[str, ...]
-    reader: Callable[[Mapping[str, str]], object]
-    # The column twin of ``reader``: the values of a chunk of rows, from
-    # each of ``columns``' texts; it builds no error message.
+    # This binding's column(s) of one CSV row, a {column: text} mapping,
+    # converted into the encoder input value (raises InputError naming the
+    # column).
+    value_from_row: Callable[[Mapping[str, str]], object]
+    # The column twin of ``value_from_row``: the values of a chunk of rows,
+    # from each of ``columns``' texts; it builds no error message.
     _read_columns: Callable[..., list]
-
-    def value_from_row(self, row: Mapping[str, str]):
-        """Convert this binding's column(s) of one CSV row into the encoder
-        input value (raises InputError naming the column)."""
-        return self.reader(row)
 
 
 @dataclass
@@ -150,11 +147,8 @@ class PipelineConfig:
         column per part (`MultiEncoder._part_keys`).  Like ``_keys``, it
         raises, with no message meant to be shown, where a row fails, and
         may where none does."""
-        def texts(column):
-            i = header.index(column)
-            return [row[i] for row in rows]
-
-        return self.multi._part_keys({b.name: b._read_columns(*map(texts, b.columns))
+        texts = dict(zip(header, zip(*rows)))  # each column's texts
+        return self.multi._part_keys({b.name: b._read_columns(*map(texts.get, b.columns))
                                       for b in self.bound})
 
     def encode_row(self, row: Mapping[str, str]) -> SDR:
@@ -162,7 +156,7 @@ class PipelineConfig:
 
 
 # --- CSV bindings: (spec, field, speed_field, context) ->
-#     (columns, reader, the column twin of reader) ------------------------------
+#     (columns, value_from_row, its column twin) ---------------------------------
 
 def _column(parse: Callable[[str], object] | None = None, what: str = "") -> Callable:
     """Binding of one named column, each text read through ``parse`` (as
@@ -199,25 +193,22 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
             "([x, y] grid columns, or [lat, lon] when cell_size is set)"
         )
     first, second = field_spec
+    # The cell variant: each column's parse, and the cell of the two values.
     if "cell_size" in spec:
         cell_size = spec["cell_size"] = _num(spec, "cell_size", context)
         if cell_size <= 0:
             raise ConfigError(f"{context}: 'cell_size' must be positive meters")
-
-        def coordinate(row):
-            return gps_to_grid(_parse_float(row[first], first),
-                               _parse_float(row[second], second), cell_size)
-
-        def coordinates(firsts, seconds):
-            return list(map(gps_to_grid, map(float, firsts), map(float, seconds),
-                            repeat(cell_size)))
+        parse, convert = float, _parse_float
+        cell = partial(gps_to_grid, cell_size=cell_size)
     else:
-        def coordinate(row):
-            return GridCoordinate(_parse_int(row[first], first),
-                                  _parse_int(row[second], second))
+        parse, convert = int, _converter(int, "an integer grid index")
+        cell = GridCoordinate
 
-        def coordinates(firsts, seconds):
-            return list(map(GridCoordinate, map(int, firsts), map(int, seconds)))
+    def coordinate(row):
+        return cell(convert(row[first], first), convert(row[second], second))
+
+    def coordinates(firsts, seconds):
+        return list(map(cell, map(parse, firsts), map(parse, seconds)))
     if speed_field is None:
         pool = (2 * spec["radius"] + 1) ** 2
         if spec["variant"] == "topw" and spec["w"] > pool:
@@ -306,14 +297,14 @@ def _bind_leaf(enc_raw: Mapping, binding: Mapping, context: str) -> tuple[BoundE
     speed_field = binding.get("speed_field")
     if speed_field is None and "speed_field" in binding:
         raise ConfigError(f"{context}: key 'speed_field' must not be null")
-    columns, reader, read_columns = entry.bind(spec, field_spec, speed_field, context)
+    columns, value_from_row, read_columns = entry.bind(spec, field_spec, speed_field, context)
     one_column = isinstance(field_spec, str)
     name = field_spec if one_column else ",".join(field_spec)
     part: dict = {"field": field_spec if one_column else list(field_spec), "encoder": spec}
     if speed_field is not None:
         part["speed_field"] = speed_field
-    return BoundEncoder(name=name, encoder=encoder, columns=columns, reader=reader,
-                        _read_columns=read_columns), part
+    return BoundEncoder(name=name, encoder=encoder, columns=columns,
+                        value_from_row=value_from_row, _read_columns=read_columns), part
 
 
 def parse_pipeline_config(raw: Mapping) -> PipelineConfig:

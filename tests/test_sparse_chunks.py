@@ -19,10 +19,10 @@ for each row, with the CLI's own row reading and error report.
   read, in the second chunk and in the last, partial one.
 * A hash collision on a row's last index lists that bit once and still
   ends the line.
-* A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, builds
-  each line from its row's SDR (``MultiEncoder._sdr``) and never calls
-  ``_bits``, yet still writes a chunk of rows at once, byte-identical to
-  the oracle.
+* A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, runs each
+  chunk row by row, each line from its row's SDR (``MultiEncoder._sdr``),
+  and never calls ``_bits``, yet still writes a chunk of rows at once,
+  byte-identical to the oracle; so does a chunk with a data error at any n.
 """
 
 import contextlib
@@ -154,11 +154,15 @@ def test_past_int64_bits_writes_row_by_row(unbounded_n, chunked, fmt, values):
     config = huge_config(unbounded_n)
     text = csv_text(["t", "v"], [[str(i), v] for i, v in enumerate(values)])
     no_bits = mock.patch.object(MultiEncoder, "_bits", side_effect=AssertionError("int64 bits"))
-    with contextlib.nullcontext() if chunked else no_bits:
+    row_sdrs = mock.patch.object(MultiEncoder, "_sdr", autospec=True,
+                                 side_effect=MultiEncoder._sdr)
+    with row_sdrs as sdr_calls, contextlib.nullcontext() if chunked else no_bits:
         result, sizes = encode_counting_chunks(config, text, fmt, "_sparse_lines")
     assert result == per_row_run(config, text, fmt == "sparse-n")
-    assert bool(sizes) == chunked
     code, out, _ = result
+    by_rows = not chunked or "x" in values
+    assert bool(sizes) != by_rows
+    assert sdr_calls.call_count == (out.count("\n") if by_rows else 0)
     assert code == (cli.EXIT_OK if "x" not in values else cli.EXIT_DATA)
     n = 50 + unbounded_n
     first = out.splitlines()[0]
