@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigError, UnknownCategoryError
+from .errors import ConfigError, InputError, UnknownCategoryError
 from .scalars import _WindowEncoder, _check_w
 
 UNKNOWN_POLICIES = ("error", "catch_all")
@@ -53,7 +53,10 @@ class CategoryEncoder(_WindowEncoder):
                 "unknown_policy": self.unknown_policy}
 
     def block_index(self, label: str) -> int:
-        idx = self._index.get(label)
+        try:
+            idx = self._index.get(label)
+        except TypeError:  # unhashable
+            raise InputError(f"expected a category label, got {label!r}") from None
         if idx is None:
             if self.unknown_policy == "catch_all":
                 return len(self.categories)

@@ -10,15 +10,15 @@ output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
 Every format is written in blocks of as many lines as fit in 256 KiB and
 2**15 bit indices (one line when it is longer).  A block's rows are checked
-and keyed a column at a time; a block that fails there, on a data error or
-on a value that only the per-row checks take, is run again row by row, so
-a data error still leaves every row before the failing one written and
-names that row, as the per-row path does.  A reader of a live pipe sees
-rows arrive a block at a time, sparse rows too, and a data error is
-reported when its block fills or the input ends.  A sparse pipeline of
-n >= 2**63 bits, past the bit matrix's 64-bit indices, builds its block
-from each row's SDR instead.  A UTF-8 byte-order mark before the header is
-dropped, for `encode` and `evaluate` alike.
+and keyed a column at a time into a bit matrix; a block that fails there,
+on a data error or on a value that only the per-row checks take, runs row
+by row instead, each line from the row's SDR, so a data error still leaves
+every row before the failing one written and names that row.  Every block
+of a sparse pipeline of n >= 2**63 bits, past the bit matrix's 64-bit
+indices, runs row by row the same way.  A reader of a live pipe sees rows
+arrive a block at a time, sparse rows too, and a data error is reported
+when its block fills or the input ends.  A UTF-8 byte-order mark before the
+header is dropped, for `encode` and `evaluate` alike.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and

@@ -4,8 +4,8 @@ encoder assembled from category and cyclic parts."""
 from __future__ import annotations
 
 import datetime as _dt
+from collections.abc import Mapping, Sequence
 from operator import attrgetter
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,9 +79,11 @@ class MultiEncoder(_Encoder):
 
     def _key(self, record) -> tuple:
         """Each part's key of its field of ``record``, a mapping of field
-        names to values; other fields are ignored.  A missing field raises
-        MissingFieldError; child failures propagate with the field name
-        prepended."""
+        names to values; other fields are ignored.  Anything but a mapping
+        raises InputError, a missing field MissingFieldError; child failures
+        propagate with the field name prepended."""
+        if not isinstance(record, Mapping):
+            raise InputError(f"expected a mapping of field names to values, got {record!r}")
         keys = []
         for name, enc in self.parts:
             if name not in record:
@@ -97,7 +99,9 @@ class MultiEncoder(_Encoder):
 
     def _columns(self, records) -> dict:
         """Each field's column of values, from a column of records; a missing
-        field is a KeyError."""
+        field is a KeyError, anything but a mapping `_Unkeyed`."""
+        if not all(isinstance(record, Mapping) for record in records):
+            raise _Unkeyed
         return {name: [record[name] for record in records] for name, _ in self.parts}
 
     def _part_keys(self, columns) -> list:

@@ -54,6 +54,11 @@ _I32_MAX = (1 << 31) - 1
 # (or one neighborhood, when that is larger) per `_cells` call.
 _CHUNK_CELLS = 1 << 15
 
+# Most cells a neighborhood an encoder hashes may have: every encode builds
+# arrays of all of them, so a wider one is an InputError rather than a
+# memory error.  It allows any radius up to 511.
+MAX_NEIGHBORHOOD_CELLS = 1 << 20
+
 # Spherical mercator constants: WGS84 equatorial radius and the latitude
 # beyond which the square projection is undefined.
 EARTH_RADIUS_M = 6378137.0
@@ -210,6 +215,9 @@ class GeospatialEncoder(_Encoder):
             s = float(speed)
         except (TypeError, ValueError):
             raise InputError(f"expected a number for speed, got {speed!r}") from None
+        except OverflowError:  # an int past the float range
+            raise InputError("speed must be finite, got an integer past the float "
+                             "range") from None
         if math.isnan(s) or s < 0:
             raise InputError(f"speed must be non-negative, got {speed!r}")
         if s == math.inf:
@@ -221,16 +229,24 @@ class GeospatialEncoder(_Encoder):
     def _key(self, value) -> tuple[int, int, int]:
         """The cell of an (x, y) value and its neighborhood radius R; topw also
         takes a (cell, speed) pair, as a ``speed_field`` binding yields it,
-        at the speed's radius."""
-        if not isinstance(value[0], (tuple, list)):
-            cell, r = value, self.radius
-        elif self.variant == "fixed":
-            raise InputError("the fixed variant does not take a speed")
-        else:
-            cell, speed = value
-            r = self.radius_from_speed(speed)
-        cx, cy = map(operator.index, cell)
+        at the speed's radius.  A neighborhood of more than
+        `MAX_NEIGHBORHOOD_CELLS` cells raises InputError."""
+        try:
+            if not isinstance(value[0], (tuple, list)):
+                cell, r = value, self.radius
+            elif self.variant == "fixed":
+                raise InputError("the fixed variant does not take a speed")
+            else:
+                cell, speed = value
+                r = self.radius_from_speed(speed)
+            cx, cy = map(operator.index, cell)
+        except (TypeError, ValueError, LookupError):  # no cell of two integers
+            raise InputError(f"expected an (x, y) cell of two integers, or a (cell, speed) "
+                             f"pair, got {value!r}") from None
         _check_neighborhood(cx, cy, r)
+        if (2 * r + 1) ** 2 > MAX_NEIGHBORHOOD_CELLS:
+            raise InputError(f"a radius-{r} neighborhood has {(2 * r + 1) ** 2} cells, more "
+                             f"than MAX_NEIGHBORHOOD_CELLS ({MAX_NEIGHBORHOOD_CELLS})")
         # Only a bare cell can fall short: a speed's radius is at least
         # radius_min, whose pool the constructor checked against w.
         if self.variant == "topw" and (2 * r + 1) ** 2 < self.w:
@@ -304,6 +320,7 @@ __all__ = [
     "GeospatialEncoder",
     "neighborhood",
     "gps_to_grid",
+    "MAX_NEIGHBORHOOD_CELLS",
     "EARTH_RADIUS_M",
     "MAX_MERCATOR_LAT",
 ]

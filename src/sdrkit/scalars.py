@@ -108,6 +108,8 @@ def _require_finite(value) -> float:
         v = float(value)
     except (TypeError, ValueError):
         raise InputError(f"expected a number, got {value!r}") from None
+    except OverflowError:  # an int past the float range
+        raise InputError("cannot encode an integer past the float range") from None
     if not math.isfinite(v):
         raise InputError(f"cannot encode non-finite value {v!r}")
     return v

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,16 @@ def sparsity(a: SDR) -> float:
 MAX_DENSE_N = 1 << 24
 
 
+def _check_dense(a: SDR) -> None:
+    """Raise InvalidSdr when no dense form can hold ``a``: an n past
+    ``sys.maxsize`` indexes no string or array."""
+    if a.n > sys.maxsize:
+        raise InvalidSdr(f"n={a.n} is past sys.maxsize ({sys.maxsize}): it has no dense form")
+
+
 def to_dense_string(a: SDR) -> str:
     """Render as '0'/'1' characters, index 0 leftmost."""
+    _check_dense(a)
     chars = bytearray(b"0") * a.n
     for i in a.active:
         chars[i] = 0x31  # "1"
@@ -168,6 +177,7 @@ def from_sparse_string(s: str, n: int | None = None) -> SDR:
 
 def to_dense_array(a: SDR, dtype=None) -> "object":
     """Dense numpy view (uint8 by default); convenience for array workflows."""
+    _check_dense(a)
     out = np.zeros(a.n, dtype=dtype or np.uint8)
     if a.active:
         out[list(a.active)] = 1

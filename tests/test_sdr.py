@@ -1,6 +1,7 @@
 """Core SDR type: overlap, sparsity, serialization."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_dense_array():
     empty = to_dense_array(SDR(4, ()))
     assert empty.dtype == np.uint8 and empty.tolist() == [0, 0, 0, 0]
     assert to_dense_array(SDR(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("text", ["n=99999999999999999999999;1,2",
+                                  f"n={sys.maxsize + 1};0,{sys.maxsize}"])
+def test_dense_render_of_an_unindexable_n_is_refused(text):
+    # No dense form of n > sys.maxsize exists, so none is allocated: both
+    # renders raise before they build one.
+    a = from_sparse_string(text)
+    assert a.n > sys.maxsize
+    for render in (to_dense_string, to_dense_array):
+        with pytest.raises(InvalidSdr, match=f"n={a.n} "):
+            render(a)
+    # the sparse form and operations keep taking it
+    assert to_sparse_string(a, self_describing=True) == text
+    assert overlap(a, a) == 2 and sparsity(a) == 2 / a.n
 
 
 def test_from_dense_string():
