@@ -1,9 +1,10 @@
 """Chunked dense `sdrkit encode` pinned to the per-row path.
 
 `sdrkit encode --format dense` checks and keys each chunk of rows a column
-at a time (the encoders' ``_keys`` step, or ``_key`` row by row where that
-refuses) and turns the chunk into text at once (``_bits`` and
-`cli._dense_lines`).  The oracle is the per-row path:
+at a time (the encoders' ``_keys`` step) and turns the chunk into text at
+once (``_bits`` and `cli._dense_lines`); where the column step refuses, it
+runs the chunk row by row, each line from the row's SDR.  The oracle is
+the per-row path:
 ``to_dense_string(cfg.encode_row(row))`` for every row, and `per_row_run`,
 the CLI's row reading and error report around
 ``to_sparse_string(cfg.encode_row(row))``, for stderr and the exit code.

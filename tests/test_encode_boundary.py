@@ -22,7 +22,9 @@ from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
 from sdrkit.errors import InputError, SdrError
 from sdrkit.geospatial import MAX_NEIGHBORHOOD_CELLS, GeospatialEncoder
-from sdrkit.scalars import CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder
+from sdrkit.scalars import (
+    CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder, _Unkeyed,
+)
 from sdrkit.sdr import SDR
 
 from test_dense_chunks import csv_text, encode, per_row_run
@@ -114,6 +116,29 @@ def test_any_value_encodes_or_raises_an_sdr_error(name, value):
 def test_malformed_values_raise_input_error(name, value):
     with pytest.raises(InputError):
         ENCODERS[name]().encode(value)
+
+
+class FieldLookup:
+    """Answers ``in`` and ``[]`` for its fields, as a mapping would, but is
+    no mapping."""
+
+    def __init__(self, fields):
+        self._fields = fields
+
+    def __contains__(self, name):
+        return name in self._fields
+
+    def __getitem__(self, name):
+        return self._fields[name]
+
+
+def test_a_record_that_is_no_mapping_is_refused_by_both_steps():
+    record = FieldLookup({"t": 1.0, "c": "a", "p": (0, 0)})
+    assert multi().encode(dict(record._fields)).n == multi().n
+    with pytest.raises(InputError, match="expected a mapping"):
+        multi().encode(record)
+    with pytest.raises(_Unkeyed):
+        multi()._keys([record])
 
 
 # --- the geospatial neighborhood bound -------------------------------------------------

@@ -1,9 +1,9 @@
 """Chunked sparse `sdrkit encode` pinned to the per-row path.
 
 `sdrkit encode --format sparse|sparse-n` checks and keys each chunk of rows
-a column at a time (the encoders' ``_keys`` step, or ``_key`` row by row
-where that refuses) and turns the chunk into text at once (``_bits`` and
-`cli._sparse_lines`), as dense output does.  The oracle is
+a column at a time (the encoders' ``_keys`` step) and turns the chunk into
+text at once (``_bits`` and `cli._sparse_lines`), or runs it row by row
+where the column step refuses, as dense output does.  The oracle is
 the per-row path, `per_row_run`: ``to_sparse_string(cfg.encode_row(row))``
 for each row, with the CLI's own row reading and error report.
 
@@ -21,8 +21,9 @@ for each row, with the CLI's own row reading and error report.
   ends the line.
 * A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, runs each
   chunk row by row, each line from its row's SDR (``MultiEncoder._sdr``),
-  and never calls ``_bits``, yet still writes a chunk of rows at once,
-  byte-identical to the oracle; so does a chunk with a data error at any n.
+  and never builds a bit matrix (``_part_bits``), yet still writes a chunk
+  of rows at once, byte-identical to the oracle; so does a chunk with a
+  data error at any n.
 """
 
 import contextlib
@@ -153,7 +154,8 @@ def huge_config(unbounded_n):
 def test_past_int64_bits_writes_row_by_row(unbounded_n, chunked, fmt, values):
     config = huge_config(unbounded_n)
     text = csv_text(["t", "v"], [[str(i), v] for i, v in enumerate(values)])
-    no_bits = mock.patch.object(MultiEncoder, "_bits", side_effect=AssertionError("int64 bits"))
+    no_bits = mock.patch.object(MultiEncoder, "_part_bits",
+                                side_effect=AssertionError("int64 bits"))
     row_sdrs = mock.patch.object(MultiEncoder, "_sdr", autospec=True,
                                  side_effect=MultiEncoder._sdr)
     with row_sdrs as sdr_calls, contextlib.nullcontext() if chunked else no_bits:
