@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfigError, InputError, UnknownCategoryError
+from .errors import ConfigError, InputError, UnknownCategoryError, _shown
 from .scalars import _WindowEncoder, _check_w
 
 UNKNOWN_POLICIES = ("error", "catch_all")
@@ -28,7 +28,7 @@ class CategoryEncoder(_WindowEncoder):
         if not isinstance(categories, (list, tuple)) or not all(
             isinstance(c, str) for c in categories
         ):
-            raise ConfigError(f"categories must be a list of strings, got {categories!r}")
+            raise ConfigError(f"categories must be a list of strings, got {_shown(categories)}")
         labels = list(categories)
         if not labels:
             raise ConfigError("at least one category is required")
@@ -37,7 +37,7 @@ class CategoryEncoder(_WindowEncoder):
         _check_w(w)
         if unknown_policy not in UNKNOWN_POLICIES:
             raise ConfigError(
-                f"unknown_policy must be one of {UNKNOWN_POLICIES}, got {unknown_policy!r}"
+                f"unknown_policy must be one of {UNKNOWN_POLICIES}, got {_shown(unknown_policy)}"
             )
         self.categories = labels
         self.w = w
@@ -56,12 +56,12 @@ class CategoryEncoder(_WindowEncoder):
         try:
             idx = self._index.get(label)
         except TypeError:  # unhashable
-            raise InputError(f"expected a category label, got {label!r}") from None
+            raise InputError(f"expected a category label, got {_shown(label)}") from None
         if idx is None:
             if self.unknown_policy == "catch_all":
                 return len(self.categories)
             raise UnknownCategoryError(
-                f"unknown category {label!r}; known: {self.categories}"
+                f"unknown category {_shown(label)}; known: {self.categories}"
             )
         return idx
 

@@ -10,7 +10,7 @@ from operator import attrgetter
 import numpy as np
 
 from .categories import CategoryEncoder
-from .errors import ConfigError, InputError, MissingFieldError, SdrError
+from .errors import ConfigError, InputError, MissingFieldError, SdrError, _shown
 from .scalars import CyclicEncoder, DeltaEncoder, _Encoder, _Unkeyed
 from .sdr import SDR
 
@@ -83,7 +83,7 @@ class MultiEncoder(_Encoder):
         raises InputError, a missing field MissingFieldError; child failures
         propagate with the field name prepended."""
         if not isinstance(record, Mapping):
-            raise InputError(f"expected a mapping of field names to values, got {record!r}")
+            raise InputError(f"expected a mapping of field names to values, got {_shown(record)}")
         keys = []
         for name, enc in self.parts:
             if name not in record:
@@ -208,7 +208,7 @@ def _component(name: str, spec):
     `DatetimeEncoder.params` gives."""
     keys = ["w"] if name == "weekend" else ["n", "w"]
     if not isinstance(spec, Mapping) or sorted(spec, key=str) != keys:
-        raise ConfigError(f"takes the keys {keys}, got {spec!r}")
+        raise ConfigError(f"takes the keys {keys}, got {_shown(spec)}")
     if name == "weekend":
         return CategoryEncoder(_WEEKEND_LABELS, w=spec["w"])
     return CyclicEncoder(_CYCLIC_PERIODS[name], n=spec["n"], w=spec["w"])
@@ -267,7 +267,7 @@ class DatetimeEncoder(MultiEncoder):
     def component_values(self, t: _dt.datetime) -> dict[str, object]:
         """The derived per-component value for each enabled component."""
         if not isinstance(t, _dt.datetime):
-            raise InputError(f"expected a datetime, got {t!r}")
+            raise InputError(f"expected a datetime, got {_shown(t)}")
         values = _components(self._names, t)
         if "weekend" in values:
             values["weekend"] = _WEEKEND_LABELS[values["weekend"]]

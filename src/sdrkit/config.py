@@ -48,11 +48,19 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
+import numpy as np
+
 from .categories import CategoryEncoder
 from .composite import DatetimeEncoder, MultiEncoder
-from .errors import ConfigError, InputError, is_finite_number
+from .errors import ConfigError, InputError, _shown, is_finite_number
 from .expressions import ExpressionDistance
-from .geospatial import GeospatialEncoder, GridCoordinate, gps_to_grid
+from .geospatial import (
+    GeospatialEncoder,
+    GridCoordinate,
+    _Cells,
+    _gps_to_grid_columns,
+    gps_to_grid,
+)
 from .quality import (
     absolute_difference,
     chebyshev_distance,
@@ -83,14 +91,14 @@ def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: s
 def _num(obj: Mapping, key: str, context: str) -> float:
     v = obj[key]
     if not is_finite_number(v):
-        raise ConfigError(f"{context}: key {key!r} must be a finite number, got {v!r}")
+        raise ConfigError(f"{context}: key {key!r} must be a finite number, got {_shown(v)}")
     return float(v)
 
 
 def _str(obj: Mapping, key: str, context: str) -> str:
     v = obj[key]
     if not isinstance(v, str):
-        raise ConfigError(f"{context}: key {key!r} must be a string, got {v!r}")
+        raise ConfigError(f"{context}: key {key!r} must be a string, got {_shown(v)}")
     return v
 
 
@@ -119,9 +127,10 @@ class BoundEncoder:
     # converted into the encoder input value (raises InputError naming the
     # column).
     value_from_row: Callable[[Mapping[str, str]], object]
-    # The column twin of ``value_from_row``: the values of a chunk of rows,
-    # from each of ``columns``' texts; it builds no error message.
-    _read_columns: Callable[..., list]
+    # The column twin of ``value_from_row``: the column of values of a chunk
+    # of rows that the encoder's ``_keys`` takes, a list or, for geospatial,
+    # arrays, from each of ``columns``' texts; it builds no error message.
+    _read_columns: Callable[..., object]
 
 
 @dataclass
@@ -193,22 +202,25 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
             "([x, y] grid columns, or [lat, lon] when cell_size is set)"
         )
     first, second = field_spec
-    # The cell variant: each column's parse, and the cell of the two values.
+    # The cell variant: each column's parse, the cell of the two values, and
+    # its column twin, `_Cells` of the two columns of values as arrays.
     if "cell_size" in spec:
         cell_size = spec["cell_size"] = _num(spec, "cell_size", context)
         if cell_size <= 0:
             raise ConfigError(f"{context}: 'cell_size' must be positive meters")
-        parse, convert = float, _parse_float
+        parse, convert, dtype = float, _parse_float, np.float64
         cell = partial(gps_to_grid, cell_size=cell_size)
+        cells = partial(_gps_to_grid_columns, cell_size=cell_size)
     else:
-        parse, convert = int, _converter(int, "an integer grid index")
-        cell = GridCoordinate
+        parse, convert, dtype = int, _converter(int, "an integer grid index"), np.int64
+        cell, cells = GridCoordinate, _Cells
 
     def coordinate(row):
         return cell(convert(row[first], first), convert(row[second], second))
 
     def coordinates(firsts, seconds):
-        return list(map(cell, map(parse, firsts), map(parse, seconds)))
+        return cells(*(np.fromiter(map(parse, texts), dtype, len(texts))
+                       for texts in (firsts, seconds)))
     if speed_field is None:
         pool = (2 * spec["radius"] + 1) ** 2
         if spec["variant"] == "topw" and spec["w"] > pool:
@@ -227,7 +239,8 @@ def _bind_geospatial(spec: dict, field_spec, speed_field, context: str):
         )
 
     def with_speeds(firsts, seconds, speeds):
-        return list(zip(coordinates(firsts, seconds), map(float, speeds)))
+        return coordinates(firsts, seconds)._replace(
+            speed=np.fromiter(map(float, speeds), np.float64, len(speeds)))
 
     return (first, second, speed_field), lambda row: (
         coordinate(row), _parse_float(row[speed_field], speed_field)
@@ -389,7 +402,7 @@ def build_distance(spec) -> tuple[Callable, object]:
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, Mapping):
-        raise ConfigError(f"config.distance: expected a name or object, got {spec!r}")
+        raise ConfigError(f"config.distance: expected a name or object, got {_shown(spec)}")
     if "expression" in spec:
         _check_keys(spec, {"expression"}, set(), "config.distance")
         expr = _str(spec, "expression", "config.distance")

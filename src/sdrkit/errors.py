@@ -54,6 +54,18 @@ class ProjectionError(SdrError):
     """A geographic coordinate lies outside the projection's validity."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; where that raises, as it does
+    for an int past the interpreter's digit limit, alone or inside a
+    container, a short text naming the value's type instead."""
+    try:
+        return repr(value)
+    except Exception:
+        if isinstance(value, int):
+            return f"<{type(value).__name__} of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} that cannot be shown>"
+
+
 def is_integer(value) -> bool:
     """An int, never a bool: the check for every integer parameter."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -16,13 +16,17 @@ Two variants:
 
 GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
+A column of positions goes through its twin, `_gps_to_grid_columns`, and
+``GeospatialEncoder._keys`` checks and keys a column of cells (`_Cells`)
+with int64 and float64 arrays.
 
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
 of the bits.  `GeospatialEncoder._cells`, the one cell step of both
 variants, computes the same values in one numpy pass over the packed keys
 of one neighborhood or of a block of neighborhoods of one radius, and keeps
 the cells that set bits; ``_sdr`` and ``_bits`` hash a bit index only for
-those.
+those.  Top-w ranks one neighborhood by a stable sort and a block by a
+threshold at each row's w-th order key, which keeps the same cells.
 """
 
 from __future__ import annotations
@@ -39,11 +43,12 @@ from .errors import (
     InputError,
     ProjectionError,
     RangeError,
+    _shown,
     is_finite_number,
     is_integer,
 )
 from .hashing import _bit_indices_array, bit_indices, order_keys_array
-from .scalars import _check_n, _Encoder
+from .scalars import _check_n, _Encoder, _finite_floats, _Unkeyed
 from .sdr import SDR
 
 _I32_MIN = -(1 << 31)
@@ -74,7 +79,7 @@ class GridCoordinate(NamedTuple):
 
 def _check_i32(v: int, what: str) -> None:
     if v < _I32_MIN or v > _I32_MAX:
-        raise RangeError(f"{what} {v} exceeds the signed 32-bit range")
+        raise RangeError(f"{what} {_shown(v)} exceeds the signed 32-bit range")
 
 
 def _check_neighborhood(cx: int, cy: int, radius: int) -> None:
@@ -117,6 +122,31 @@ def _neighborhood_keys(cx, cy, radius: int) -> np.ndarray:
     return keys.reshape(keys.shape[:-2] + (-1,)).view(np.uint64)
 
 
+class _Cells(NamedTuple):
+    """A column of geospatial values as ``GeospatialEncoder._keys`` takes
+    it: the cells' x and y as int64 arrays and, for (cell, speed) pairs,
+    the speeds as an array of real numbers."""
+
+    x: np.ndarray
+    y: np.ndarray
+    speed: np.ndarray | None = None
+
+
+def _cell_column(values) -> _Cells:
+    """``values`` as `_Cells`: as it is, or from a sequence of (x, y) cells
+    of int64 integers or of (cell, speed) pairs, as ``_key`` reads them;
+    anything else raises."""
+    if isinstance(values, _Cells):
+        return values
+    pairs = isinstance(values[0][0], (tuple, list))
+    cells, speeds = zip(*values, strict=True) if pairs else (values, None)
+    xy = np.array(cells)
+    if xy.dtype.kind != "i" or xy.shape != (len(values), 2):
+        raise _Unkeyed
+    x, y = xy.astype(np.int64).T
+    return _Cells(x, y, None if speeds is None else np.array(speeds))
+
+
 class GeospatialEncoder(_Encoder):
     """Grid-position encoder with fixed-neighborhood and top-w variants.
 
@@ -148,16 +178,16 @@ class GeospatialEncoder(_Encoder):
     ):
         _check_n(n)
         if not is_integer(radius) or radius < 0:
-            raise ConfigError(f"radius must be a non-negative integer, got {radius!r}")
+            raise ConfigError(f"radius must be a non-negative integer, got {_shown(radius)}")
         if variant not in ("fixed", "topw"):
-            raise ConfigError(f"variant must be 'fixed' or 'topw', got {variant!r}")
+            raise ConfigError(f"variant must be 'fixed' or 'topw', got {_shown(variant)}")
         if not is_integer(seed):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+            raise ConfigError(f"seed must be an integer, got {_shown(seed)}")
         for name, v in (("w", w), ("radius_min", radius_min), ("radius_max", radius_max)):
             if v is not None and not is_integer(v):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+                raise ConfigError(f"{name} must be an integer, got {_shown(v)}")
         if not is_finite_number(speed_scale):
-            raise ConfigError(f"speed_scale must be a finite number, got {speed_scale!r}")
+            raise ConfigError(f"speed_scale must be a finite number, got {_shown(speed_scale)}")
 
         self.n = n
         self.radius = radius
@@ -169,11 +199,11 @@ class GeospatialEncoder(_Encoder):
 
         if self.radius_min < 0 or self.radius_min > self.radius_max:
             raise ConfigError(f"need 0 <= radius_min <= radius_max, got "
-                              f"[{self.radius_min}, {self.radius_max}]")
+                              f"[{_shown(self.radius_min)}, {_shown(self.radius_max)}]")
         if max(radius, self.radius_max) > _I32_MAX:
-            raise ConfigError(f"radius {radius} and radius_max {self.radius_max} must be "
-                              f"at most {_I32_MAX}: no wider neighborhood fits on the "
-                              "signed 32-bit grid")
+            raise ConfigError(f"radius {_shown(radius)} and radius_max "
+                              f"{_shown(self.radius_max)} must be at most {_I32_MAX}: no "
+                              "wider neighborhood fits on the signed 32-bit grid")
 
         full = (2 * radius + 1) ** 2
         if variant == "fixed":
@@ -183,7 +213,8 @@ class GeospatialEncoder(_Encoder):
                                   "(speed_scale, radius_min, radius_max) must be their "
                                   f"defaults (0, {radius}, {radius}), got {speed_keys}")
             if w is not None and w != full:
-                raise ConfigError(f"fixed variant at radius {radius} has w = {full}, got w={w}")
+                raise ConfigError(f"fixed variant at radius {radius} has w = {full}, "
+                                  f"got w={_shown(w)}")
             self.w = full
         elif w is None:
             raise ConfigError("topw variant requires w")
@@ -192,7 +223,7 @@ class GeospatialEncoder(_Encoder):
             min_pool = (2 * self.radius_min + 1) ** 2
             if not (1 <= w <= min_pool):
                 raise ConfigError(f"topw requires 1 <= w <= (2*radius_min+1)**2 "
-                                  f"= {min_pool}, got w={w}")
+                                  f"= {min_pool}, got w={_shown(w)}")
         self.warnings = []  # w is at most (2**32 - 1)**2 here
         if self.w ** 2 / self.n > 1:
             self.warnings.append(f"w**2/n = {self.w ** 2 / self.n:.2f} > 1: expect "
@@ -214,14 +245,14 @@ class GeospatialEncoder(_Encoder):
         try:
             s = float(speed)
         except (TypeError, ValueError):
-            raise InputError(f"expected a number for speed, got {speed!r}") from None
+            raise InputError(f"expected a number for speed, got {_shown(speed)}") from None
         except OverflowError:  # an int past the float range
             raise InputError("speed must be finite, got an integer past the float "
                              "range") from None
         if math.isnan(s) or s < 0:
-            raise InputError(f"speed must be non-negative, got {speed!r}")
+            raise InputError(f"speed must be non-negative, got {_shown(speed)}")
         if s == math.inf:
-            raise InputError(f"speed must be finite, got {speed!r}")
+            raise InputError(f"speed must be finite, got {_shown(speed)}")
         # Clamp before flooring: a product past the float range is inf.
         extra = min(max(s * self.speed_scale, 0), self.radius_max - self.radius_min)
         return self.radius_min + math.floor(extra)
@@ -242,7 +273,7 @@ class GeospatialEncoder(_Encoder):
             cx, cy = map(operator.index, cell)
         except (TypeError, ValueError, LookupError):  # no cell of two integers
             raise InputError(f"expected an (x, y) cell of two integers, or a (cell, speed) "
-                             f"pair, got {value!r}") from None
+                             f"pair, got {_shown(value)}") from None
         _check_neighborhood(cx, cy, r)
         if (2 * r + 1) ** 2 > MAX_NEIGHBORHOOD_CELLS:
             raise InputError(f"a radius-{r} neighborhood has {(2 * r + 1) ** 2} cells, more "
@@ -255,18 +286,51 @@ class GeospatialEncoder(_Encoder):
                              "cells; encode a (cell, speed) pair")
         return cx, cy, r
 
+    def _keys(self, values) -> list:
+        """``_key`` of each value of a column (`_cell_column`), through the
+        same checks on int64 and float64 arrays."""
+        x, y, speed = _cell_column(values)
+        if speed is None:
+            r = np.full(len(x), self.radius, dtype=np.int64)
+        elif self.variant == "fixed":
+            raise _Unkeyed
+        else:
+            s = _finite_floats(speed)
+            if (s < 0).any():
+                raise _Unkeyed
+            with np.errstate(over="ignore"):  # a product past the float range is inf
+                extra = np.minimum(np.maximum(s * self.speed_scale, 0.0),
+                                   self.radius_max - self.radius_min)
+            r = self.radius_min + np.floor(extra).astype(np.int64)
+        if ((2 * int(r.max()) + 1) ** 2 > MAX_NEIGHBORHOOD_CELLS
+                or (self.variant == "topw" and (2 * int(r.min()) + 1) ** 2 < self.w)):
+            raise _Unkeyed
+        low, high = _I32_MIN + r, _I32_MAX - r  # the centres whose neighborhood fits
+        if not ((low <= x) & (x <= high) & (low <= y) & (y <= high)).all():
+            raise _Unkeyed
+        return list(zip(x.tolist(), y.tolist(), r.tolist()))
+
     def _cells(self, cx, cy, r: int) -> np.ndarray:
         """The packed keys of the cells that set bits, shaped as by
         `_neighborhood_keys`: all of them, or topw's w of largest order key."""
         keys = _neighborhood_keys(cx, cy, r)
         if self.variant == "fixed":
             return keys
-        # Ascending ~order is descending order key; the stable sort keeps
-        # ties in enumeration order, which is ascending (x, y).
-        top = np.argsort(~order_keys_array(keys, self.seed), kind="stable")[..., : self.w]
-        if keys.ndim == 1:  # one value's cells: plain indexing is the cheaper gather
-            return keys[top]
-        return np.take_along_axis(keys, top, axis=-1)
+        # Ascending ~order is descending order key; among ties the first in
+        # enumeration order, which is ascending (x, y), goes first.
+        ranks = ~order_keys_array(keys, self.seed)
+        if keys.ndim == 1:  # one value: the stable sort is the faster
+            return keys[np.argsort(ranks, kind="stable")[: self.w]]
+        # A block: each row's cells below its w-th smallest rank, then as many
+        # of the cells at that rank as are still wanted, first to last.  The
+        # row holds the same cells as the stable sort's w, in their own order.
+        kth = np.partition(ranks, self.w - 1, axis=1)[:, self.w - 1:self.w]
+        keep = ranks <= kth
+        if np.count_nonzero(keep) > len(keep) * self.w:  # some row ties at its kth
+            ties = ranks == kth
+            wanted = self.w - np.count_nonzero(keep & ~ties, axis=1)[:, None]
+            keep &= ~ties | (np.cumsum(ties, axis=1) <= wanted)
+        return keys[keep].reshape(-1, self.w)
 
     def _sdr(self, key) -> SDR:
         """Hash every cell of the neighborhood, or topw's w cells with the
@@ -296,9 +360,9 @@ def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:
     """
     for name, v in (("lat", lat), ("lon", lon)):
         if not is_finite_number(v):
-            raise InputError(f"{name} must be a finite number, got {v!r}")
+            raise InputError(f"{name} must be a finite number, got {_shown(v)}")
     if not (is_finite_number(cell_size) and cell_size > 0):
-        raise InputError(f"cell_size must be a positive number of meters, got {cell_size!r}")
+        raise InputError(f"cell_size must be a positive number of meters, got {_shown(cell_size)}")
     if abs(lat) >= MAX_MERCATOR_LAT:
         raise ProjectionError(
             f"latitude {lat} is outside the mercator validity band "
@@ -308,11 +372,33 @@ def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:
         raise ProjectionError(f"longitude {lon} must be within [-180, 180]")
     x_m = EARTH_RADIUS_M * math.radians(lon)
     y_m = EARTH_RADIUS_M * math.atanh(math.sin(math.radians(lat)))
-    gx = math.floor(x_m / cell_size)
-    gy = math.floor(y_m / cell_size)
+    try:
+        gx = math.floor(x_m / cell_size)
+        gy = math.floor(y_m / cell_size)
+    except OverflowError:  # a quotient past the float range is inf
+        raise RangeError(f"the cell of ({lat}, {lon}) at cell_size {cell_size!r} exceeds "
+                         "the signed 32-bit range") from None
     _check_i32(gx, "grid x")
     _check_i32(gy, "grid y")
     return GridCoordinate(gx, gy)
+
+
+def _gps_to_grid_columns(lat: np.ndarray, lon: np.ndarray, cell_size: float) -> _Cells:
+    """`gps_to_grid` of float64 arrays of latitudes and longitudes, bit for
+    bit: the same float operations, with numpy's checks, products and floor
+    and libm's sine and atanh through `math`, a value at a time (numpy's own
+    may differ from libm in the last bit).  ``cell_size`` is a positive
+    float; where any value fails a check of `gps_to_grid` it raises."""
+    if not ((np.abs(lat) < MAX_MERCATOR_LAT).all() and (np.abs(lon) <= 180.0).all()):
+        raise _Unkeyed  # NaN fails both comparisons, ±inf the band
+    x_m = EARTH_RADIUS_M * (lon * (math.pi / 180))  # math.radians multiplies by pi/180
+    y_m = EARTH_RADIUS_M * np.fromiter(
+        map(math.atanh, map(math.sin, (lat * (math.pi / 180)).tolist())), np.float64, len(lat))
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf
+        gx, gy = np.floor(x_m / cell_size), np.floor(y_m / cell_size)
+    if not ((_I32_MIN <= gx) & (gx <= _I32_MAX) & (_I32_MIN <= gy) & (gy <= _I32_MAX)).all():
+        raise _Unkeyed
+    return _Cells(gx.astype(np.int64), gy.astype(np.int64))
 
 
 __all__ = [

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EvaluationError, InputError, is_finite_number
+from .errors import DimensionMismatch, EvaluationError, InputError, _shown, is_finite_number
 from .expressions import ExpressionDistance
 from .hashing import counter_stream_array
 from .sdr import SDR
@@ -98,7 +98,8 @@ def _call_distance(distance: Callable, x, y):
     try:
         return distance(x, y)
     except Exception as exc:  # surface which pair broke the user's function
-        raise EvaluationError(f"distance failed on pair ({x!r}, {y!r}): {exc}") from exc
+        raise EvaluationError(f"distance failed on pair ({_shown(x)}, {_shown(y)}): "
+                              f"{exc}") from exc
 
 
 def _float_distance(distance: Callable, x, y) -> float:
@@ -107,7 +108,8 @@ def _float_distance(distance: Callable, x, y) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise EvaluationError(
-            f"distance returned {value!r} on pair ({x!r}, {y!r}), not a number: {exc}"
+            f"distance returned {_shown(value)} on pair ({_shown(x)}, {_shown(y)}), not a "
+            f"number: {exc}"
         ) from exc
 
 
@@ -316,7 +318,7 @@ absolute_difference = ExpressionDistance("abs(a - b)")
 def circular_distance(period: float) -> ExpressionDistance:
     """Shortest way around a cycle of the given period; in ints for an int period."""
     if not (is_finite_number(period) and period > 0):
-        raise InputError(f"period must be positive and finite, got {period!r}")
+        raise InputError(f"period must be positive and finite, got {_shown(period)}")
     p = repr(period if type(period) is int else float(period))
     return ExpressionDistance(f"min(abs(a - b) % {p}, {p} - abs(a - b) % {p})")
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, InputError, RangeError, is_finite_number, is_integer
+from .errors import ConfigError, InputError, RangeError, _shown, is_finite_number, is_integer
 from .hashing import MASK64, _bit_indices_array, bit_indices
 from .sdr import SDR
 
@@ -54,17 +54,17 @@ class _Unkeyed(Exception):
 
 def _check_n(n) -> None:
     if not is_integer(n) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
+        raise ConfigError(f"n must be a positive integer, got {_shown(n)}")
 
 
 def _check_w(w, n=math.inf) -> None:
     """Raise ConfigError unless w is a positive int with w <= n and w <= MAX_W."""
     if not is_integer(w) or w < 1:
-        raise ConfigError(f"w must be a positive integer, got {w!r}")
+        raise ConfigError(f"w must be a positive integer, got {_shown(w)}")
     if w > n:
-        raise ConfigError(f"w ({w}) cannot exceed n ({n})")
+        raise ConfigError(f"w ({_shown(w)}) cannot exceed n ({_shown(n)})")
     if w > MAX_W:
-        raise ConfigError(f"w ({w}) cannot exceed MAX_W ({MAX_W})")
+        raise ConfigError(f"w ({_shown(w)}) cannot exceed MAX_W ({MAX_W})")
 
 
 def _sizing_warnings(n, w) -> list[str]:
@@ -87,7 +87,7 @@ def _sizing_warnings(n, w) -> list[str]:
 
 def _check_positive(name: str, value) -> None:
     if not (is_finite_number(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        raise ConfigError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def _resolution(span: float, n: int, w: int = 0) -> float:
@@ -98,7 +98,7 @@ def _resolution(span: float, n: int, w: int = 0) -> float:
     except OverflowError:  # n past the float range
         width = 0.0
     if not 0 < width < math.inf:
-        raise ConfigError(f"n={n} leaves no positive finite bucket width for a range "
+        raise ConfigError(f"n={_shown(n)} leaves no positive finite bucket width for a range "
                           f"of {span!r}")
     return width
 
@@ -107,7 +107,7 @@ def _require_finite(value) -> float:
     try:
         v = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"expected a number, got {value!r}") from None
+        raise InputError(f"expected a number, got {_shown(value)}") from None
     except OverflowError:  # an int past the float range
         raise InputError("cannot encode an integer past the float range") from None
     if not math.isfinite(v):
@@ -137,20 +137,19 @@ class _Encoder:
     * ``_sdr(key)`` is the `SDR` of one key: pure, it cannot fail.
     * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of one
       or more keys, for n < 2**63; a hash collision repeats an index there.
-    * ``_keys(values)`` is the list of the ``_key`` of each value, in order,
-      computed a column at a time where an encoder can.  It builds no error
-      message: where ``_key`` would raise for any value it raises an
-      exception of any type, and it may refuse values that ``_key`` accepts,
-      never the reverse.  Either step moves a `DeltaEncoder`, ``_keys`` only
-      when it returns.
+    * ``_keys(values)`` is the list of the ``_key`` of each value of a
+      column, in order, computed a column at a time; every encoder has its
+      own.  The column is a sequence of values or, from a config binding,
+      what the encoder reads faster (geospatial cells as int64 arrays).  It
+      builds no error message: where ``_key`` would raise for any value it
+      raises an exception of any type, and it may refuse values that
+      ``_key`` accepts, never the reverse.  Either step moves a
+      `DeltaEncoder`, ``_keys`` only when it returns.
     """
 
     def encode(self, value) -> SDR:
         """The SDR of ``value``, or the SdrError of its first failed check."""
         return self._sdr(self._key(value))
-
-    def _keys(self, values) -> list:
-        return [self._key(value) for value in values]
 
 
 class _WindowEncoder(_Encoder):
@@ -182,8 +181,8 @@ class ScalarEncoder(_WindowEncoder):
     def __init__(self, min_value: float, max_value: float, n: int, w: int):
         self.warnings = _sizing_warnings(n, w)
         if not (is_finite_number(min_value) and is_finite_number(max_value)):
-            raise ConfigError(f"min and max must be finite numbers, got {min_value!r} "
-                              f"and {max_value!r}")
+            raise ConfigError(f"min and max must be finite numbers, got {_shown(min_value)} "
+                              f"and {_shown(max_value)}")
         if min_value >= max_value:
             raise ConfigError(f"empty range: min ({min_value}) must be below max ({max_value})")
         if n - w < 1:
@@ -310,7 +309,7 @@ class UnboundedScalarEncoder(_Encoder):
         self.warnings = _sizing_warnings(n, w)
         _check_positive("resolution", resolution)
         if not is_integer(seed):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+            raise ConfigError(f"seed must be an integer, got {_shown(seed)}")
         self.resolution = float(resolution)
         self.n = n
         self.w = w

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSdr, ParseError
+from .errors import DimensionMismatch, InvalidSdr, ParseError, _shown
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class SDR:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise InvalidSdr(f"total bit count must be a non-negative integer, got {self.n!r}")
+            raise InvalidSdr(f"total bit count must be a non-negative integer, got "
+                             f"{_shown(self.n)}")
         indices = _indices(self.active)
         if any(indices[k] >= indices[k + 1] for k in range(len(indices) - 1)):
             ordered = tuple(sorted(indices))
@@ -88,7 +89,7 @@ def _indices(active) -> tuple[int, ...]:
         pass
     bad = next((i for i in active
                 if type(i) in _BOOL_TYPES or not hasattr(type(i), "__index__")), active)
-    raise InvalidSdr(f"active indices must be integers, got {bad!r}")
+    raise InvalidSdr(f"active indices must be integers, got {_shown(bad)}")
 
 
 def overlap(a: SDR, b: SDR) -> int:
@@ -171,7 +172,7 @@ def from_sparse_string(s: str, n: int | None = None) -> SDR:
     except ValueError as exc:
         raise ParseError(f"invalid sparse SDR text: {exc}") from None
     if count is not None and n not in (None, count):
-        raise ParseError(f"the text gives n={count}, but n={n!r} was passed")
+        raise ParseError(f"the text gives n={count}, but n={_shown(n)} was passed")
     return SDR(n if count is None else count, indices)
 
 

@@ -207,9 +207,11 @@ speeds = st.one_of(st.floats(0, 10), st.sampled_from([-1.0, math.nan, math.inf])
 
 
 @SETTINGS
-@given(st.integers(0, 3), chunks_of(cells(3)))
-def test_geospatial_fixed(radius, chunks):
-    check_chunks(lambda: GeospatialEncoder(400, radius, seed=5), chunks)
+@given(st.integers(0, 3), chunks_of(plain_cells), chunks_of(cells(3)))
+def test_geospatial_fixed(radius, plain, mixed):
+    make = lambda: GeospatialEncoder(400, radius, seed=5)  # noqa: E731
+    assert check_chunks(make, plain) == len(plain)
+    check_chunks(make, mixed)
 
 
 @SETTINGS
@@ -218,7 +220,10 @@ def test_geospatial_topw(w, with_speed, data):
     def make():
         return GeospatialEncoder(400, 1, variant="topw", w=w, seed=9, speed_scale=0.5,
                                  radius_min=1, radius_max=4)
+    plain = st.tuples(plain_cells, st.floats(0, 10)) if with_speed else plain_cells
     values = st.tuples(cells(4), speeds) if with_speed else cells(1)
+    plain_chunks = data.draw(chunks_of(plain))
+    assert check_chunks(make, plain_chunks) == len(plain_chunks)
     check_chunks(make, data.draw(chunks_of(values)))
 
 
@@ -308,8 +313,8 @@ TEXTS = {
            st.sampled_from(["2024-02-30T00:00", "2024-13-01", "noon", "2024-01-01 25:00"])),
     "x": (st.integers(-50, 50).map(str), st.sampled_from(["1.5", str(I32_MAX), "x"])),
     "y": (st.integers(-50, 50).map(str), st.just("")),
-    "lat": (st.floats(47.5, 47.7).map(repr), st.sampled_from(["89", "nan", "x"])),
-    "lon": (st.floats(-122.4, -122.2).map(repr), st.just("181")),
+    "lat": (st.floats(-85.05, 85.05).map(repr), st.sampled_from(["89", "nan", "x"])),
+    "lon": (st.floats(-180, 180).map(repr), st.just("181")),
     "speed": (st.floats(0, 20).map(repr), st.sampled_from(["-1", "nan", "inf"])),
 }
 

@@ -2,11 +2,13 @@
 it returns an SDR or raises an SdrError, never a bare Python error.
 
 * Every encoder type gets arbitrary values: None, bools, ints past the float
-  and 64-bit ranges, NaN and ±inf, complex numbers, text, bytes, datetimes,
-  and lists, tuples and dicts nesting them.  Where ``_key`` raises,
+  and 64-bit ranges and past the interpreter's 4,300-digit limit on int
+  text, NaN and ±inf, complex numbers, text, bytes, datetimes, and lists,
+  tuples, dicts and (cell, speed) pairs nesting them.  Where ``_key`` raises,
   ``_keys`` of the one value raises too; where both return, they agree.
 * Each value that escaped as OverflowError, TypeError or ValueError raises
-  InputError.
+  InputError, and an error that shows an int too long to print names its
+  type and size instead.
 * A geospatial neighborhood of more than `MAX_NEIGHBORHOOD_CELLS` cells is
   refused by ``_key`` before any array is built, and `sdrkit encode`
   reports it as a data error naming its row, after writing the rows before.
@@ -74,13 +76,17 @@ ENCODERS = {"scalar": scalar, "cyclic": cyclic, "delta": delta, "unbounded": unb
 
 ATOMS = st.one_of(
     st.none(), st.booleans(), st.integers(),
-    st.sampled_from([1 << 63, -(1 << 63) - 1, 10**400, -(10**400)]),
+    st.sampled_from([1 << 63, -(1 << 63) - 1]),
+    # 10**400 and 10**5000, past the digits that int text may have, either sign
+    st.tuples(st.sampled_from([400, 5000]), st.sampled_from([1, -1])).map(
+        lambda digits_sign: digits_sign[1] * 10**digits_sign[0]),
     st.floats(), st.complex_numbers(), st.text(max_size=4), st.binary(max_size=4),
     st.sampled_from(["a", "b", "1.5", "nan", "1e400"]), st.datetimes(),
 )
 VALUES = st.recursive(ATOMS, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
     st.dictionaries(st.sampled_from(["t", "c", "p", 0]), inner, max_size=3),
+    st.tuples(st.tuples(inner, inner), inner),  # a (cell, speed) pair
 ), max_leaves=6)
 
 
@@ -116,6 +122,30 @@ def test_any_value_encodes_or_raises_an_sdr_error(name, value):
 def test_malformed_values_raise_input_error(name, value):
     with pytest.raises(InputError):
         ENCODERS[name]().encode(value)
+
+
+HUGE = 10**5000  # past the 4,300 digits that int text may have
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{label}") for name, value, label in [
+        ("category", HUGE, "int"), ("catch_all", [HUGE], "list"), ("scalar", (HUGE,), "tuple"),
+        ("fixed", (HUGE, 0), "cell"), ("fixed", (0, -HUGE), "cell-y"),
+        ("topw", ((0, 0), [HUGE]), "speed"), ("topw", ((HUGE, 0), 1.0), "pair-cell"),
+        ("topw", ((0, 0), 1.0, HUGE), "three"), ("datetime", HUGE, "int"),
+        ("multi", [HUGE], "list"), ("multi", {"t": 1.0, "c": HUGE, "p": (0, 0)}, "label"),
+    ]
+])
+def test_an_int_too_long_to_print_is_shown_by_type_and_size(name, value):
+    with pytest.raises(SdrError, match="<int of 16610 bits>|<(tuple|list) that cannot be shown>"):
+        ENCODERS[name]().encode(value)
+
+
+def test_a_normal_value_is_shown_by_its_repr():
+    with pytest.raises(SdrError, match=r"^unknown category 12345; known: \['a', 'b'\]$"):
+        category().encode(12345)
+    with pytest.raises(SdrError, match=r"^neighborhood x 2147483648 exceeds"):
+        fixed().encode((2**31 - 1, 0))
 
 
 class FieldLookup:

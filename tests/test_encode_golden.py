@@ -9,6 +9,16 @@ lines the CLI printed when the files were written (the sparse formats row
 by row, before they were written in chunks).  At n = 1,994 the output
 spans several write chunks, so a change to any encoder, to the hashing or
 to how lines are built and written shows here as a diff.
+
+`geo_band.json` binds one geospatial top-w encoder with a speed field on
+[lat, lon] (radius 2 to 8, w = 20, 40 m cells) to the 3,600 rows of
+`geo_band.csv`, drawn across the whole mercator band: latitudes within
+±85.05 and longitudes within ±180, with ±0.0, ±180 and latitudes a hair
+inside the band edge among them, and speeds that put every radius in each
+chunk.  Its 1,638-row chunks are three, the last one partial.
+`geo_band.sparse` is the output printed when the file was written, before
+the geospatial column step keyed cells in numpy and took top-w blocks by
+threshold.
 """
 
 from pathlib import Path
@@ -26,3 +36,10 @@ def test_encode_output_is_byte_identical(fmt, capsys):
                      "--input", str(DATA / "all_leaves.csv"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (DATA / f"all_leaves.{fmt}").read_text(encoding="utf-8")
+
+
+def test_encode_across_the_mercator_band_is_byte_identical(capsys):
+    code = cli.main(["encode", "--config", str(DATA / "geo_band.json"),
+                     "--input", str(DATA / "geo_band.csv")])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / "geo_band.sparse").read_text(encoding="utf-8")

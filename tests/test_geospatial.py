@@ -425,6 +425,11 @@ class TestGpsToGrid:
         with pytest.raises(RangeError):
             gps_to_grid(80.0, 170.0, 1e-4)
 
+    def test_cell_index_past_the_float_range(self):
+        # 180 degrees over a subnormal cell size is inf, which no int holds
+        with pytest.raises(RangeError, match="cell_size 1e-320 exceeds"):
+            gps_to_grid(0.0, 180.0, 1e-320)
+
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             gps_to_grid(float("nan"), 0, 3.048)
