@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, InputError, UnknownCategoryError, _shown
 from .scalars import _WindowEncoder, _check_w
 
@@ -68,12 +70,14 @@ class CategoryEncoder(_WindowEncoder):
     def _key(self, label: str) -> int:
         return self.block_index(label) * self.w
 
-    def _keys(self, labels) -> list:
-        index, w = self._index, self.w
+    def _keys(self, labels) -> np.ndarray:
+        index = self._index
         if self.unknown_policy == "catch_all":
             other = len(self.categories)
-            return [index.get(label, other) * w for label in labels]
-        return [index[label] * w for label in labels]  # an unknown label is a KeyError
+            blocks = [index.get(label, other) for label in labels]
+        else:
+            blocks = [index[label] for label in labels]  # an unknown label is a KeyError
+        return np.array(blocks, dtype=np.int64) * self.w
 
 
 __all__ = ["CategoryEncoder", "UNKNOWN_POLICIES"]

@@ -181,10 +181,10 @@ def _chunk_writer(cfg, fmt, fout):
     """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
     becomes one block of lines and one write.
 
-    A chunk is checked and keyed a column at a time
-    (`PipelineConfig._chunk_keys`) into a bit matrix
-    (`MultiEncoder._part_bits`).  Where that raises, for a data error or for
-    a value that only the per-row checks take, and for every chunk at
+    A chunk is checked and keyed a column at a time into int64 key columns
+    (`PipelineConfig._chunk_keys`), which become a bit matrix
+    (`MultiEncoder._bits`).  Where that raises, for a data error or for a
+    value that only the per-row checks take, and for every chunk at
     n >= 2**63 bits, past the matrix's int64 indices, the chunk runs row by
     row instead, each line from the row's SDR,
     ``multi._sdr(multi._key(cfg.record_from_row(row)))``: the rows before
@@ -202,11 +202,11 @@ def _chunk_writer(cfg, fmt, fout):
     def write_chunk(header, rows):
         if multi.n < 1 << 63:
             try:
-                part_keys = cfg._chunk_keys(header, rows)
+                keys = cfg._chunk_keys(header, rows)
             except Exception:  # of any kind: the per-row path decides, and words any error
                 pass
             else:
-                bits = multi._part_bits(part_keys)
+                bits = multi._bits(keys)
                 fout.write(_dense_lines(multi, bits) if dense
                            else _sparse_lines(multi, bits, self_describing))
                 return None

@@ -94,23 +94,13 @@ class MultiEncoder(_Encoder):
                 raise type(exc)(f"field {name!r}: {exc}") from exc
         return tuple(keys)
 
-    def _keys(self, values) -> list:
-        return list(zip(*self._part_keys(self._columns(values))))
-
-    def _columns(self, records) -> dict:
-        """Each field's column of values, from a column of records; a missing
-        field is a KeyError, anything but a mapping `_Unkeyed`."""
-        if not all(isinstance(record, Mapping) for record in records):
-            raise _Unkeyed
-        return {name: [record[name] for record in records] for name, _ in self.parts}
-
-    def _part_keys(self, columns) -> list:
+    def _keys(self, columns) -> tuple:
         """Each part's `_keys` of its field's column in the {field: column}
-        mapping ``columns``: the rows' ``_key`` tuples, transposed.  When a
-        part raises, every `DeltaEncoder` part is put back as it was."""
+        mapping ``columns``, as `PipelineConfig._chunk_keys` builds it.  When
+        a part raises, every `DeltaEncoder` part is put back as it was."""
         deltas = [(enc, enc.previous) for _, enc in self.parts if isinstance(enc, DeltaEncoder)]
         try:
-            return [enc._keys(columns[name]) for name, enc in self.parts]
+            return tuple(enc._keys(columns[name]) for name, enc in self.parts)
         except Exception:
             for enc, previous in deltas:
                 enc.previous = previous
@@ -119,16 +109,11 @@ class MultiEncoder(_Encoder):
     def _sdr(self, keys: tuple) -> SDR:
         return concat([enc._sdr(key) for (_, enc), key in zip(self.parts, keys)])
 
-    def _bits(self, keys) -> np.ndarray:
-        return self._part_bits(zip(*keys))
-
-    def _part_bits(self, part_keys) -> np.ndarray:
-        """`_bits` of the rows whose keys, transposed, are ``part_keys``, as
-        `_part_keys` gives them."""
+    def _bits(self, keys: tuple) -> np.ndarray:
         blocks = []
         offset = 0
-        for (_, enc), keys in zip(self.parts, part_keys):
-            blocks.append(enc._bits(keys) + offset)
+        for (_, enc), part_keys in zip(self.parts, keys):
+            blocks.append(enc._bits(part_keys) + offset)
             offset += enc.n
         return np.hstack(blocks)
 
@@ -277,14 +262,14 @@ class DatetimeEncoder(MultiEncoder):
         """The parts' keys of the `component_values` of a datetime."""
         return super()._key(self.component_values(value))
 
-    def _columns(self, values) -> dict:
-        """`component_values` of a column of datetimes, a column per
-        component; anything but a datetime is `_Unkeyed`."""
+    def _keys(self, values) -> tuple:
+        """The parts' key columns of the `component_values` of a column of
+        datetimes; anything but a datetime is `_Unkeyed`."""
         columns = _components(self._names, _DatetimeColumn(values))
         if "weekend" in columns:
             columns["weekend"] = [_WEEKEND_LABELS[weekend]
                                   for weekend in columns["weekend"].tolist()]
-        return columns
+        return super()._keys(columns)
 
 
 __all__ = [

@@ -127,9 +127,10 @@ class BoundEncoder:
     # converted into the encoder input value (raises InputError naming the
     # column).
     value_from_row: Callable[[Mapping[str, str]], object]
-    # The column twin of ``value_from_row``: the column of values of a chunk
-    # of rows that the encoder's ``_keys`` takes, a list or, for geospatial,
-    # arrays, from each of ``columns``' texts; it builds no error message.
+    # The column twin of ``value_from_row``: from each of ``columns``' texts
+    # of a chunk of rows, the one column form that the encoder's ``_keys``
+    # takes, a list of values or, for geospatial, `_Cells`; it builds no
+    # error message.
     _read_columns: Callable[..., object]
 
 
@@ -150,15 +151,14 @@ class PipelineConfig:
     def record_from_row(self, row: Mapping[str, str]) -> dict:
         return {b.name: b.value_from_row(row) for b in self.bound}
 
-    def _chunk_keys(self, header: list[str], rows: list[list[str]]) -> list:
-        """The column twin of ``multi._key(record_from_row(row))``: its keys
-        for CSV rows of texts in ``header``'s order, transposed to one
-        column per part (`MultiEncoder._part_keys`).  Like ``_keys``, it
-        raises, with no message meant to be shown, where a row fails, and
-        may where none does."""
+    def _chunk_keys(self, header: list[str], rows: list[list[str]]) -> tuple:
+        """The column twin of ``multi._key(record_from_row(row))``: the key
+        columns (`MultiEncoder._keys`) of CSV rows of texts in ``header``'s
+        order.  Like ``_keys``, it raises, with no message meant to be
+        shown, where a row fails, and may where none does."""
         texts = dict(zip(header, zip(*rows)))  # each column's texts
-        return self.multi._part_keys({b.name: b._read_columns(*map(texts.get, b.columns))
-                                      for b in self.bound})
+        return self.multi._keys({b.name: b._read_columns(*map(texts.get, b.columns))
+                                 for b in self.bound})
 
     def encode_row(self, row: Mapping[str, str]) -> SDR:
         return self.multi.encode(self.record_from_row(row))

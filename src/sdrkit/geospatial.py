@@ -18,7 +18,8 @@ GPS input goes through `gps_to_grid`, a spherical-mercator adapter; the
 encoders themselves only ever see integer cells, so any planar data works.
 A column of positions goes through its twin, `_gps_to_grid_columns`, and
 ``GeospatialEncoder._keys`` checks and keys a column of cells (`_Cells`)
-with int64 and float64 arrays.
+with int64 and float64 arrays, into the int64 ``(x, y, r)`` key columns
+that ``_bits`` takes.
 
 `neighborhood` and `hashing.coordinate_hash` are the reference definition
 of the bits.  `GeospatialEncoder._cells`, the one cell step of both
@@ -130,21 +131,6 @@ class _Cells(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     speed: np.ndarray | None = None
-
-
-def _cell_column(values) -> _Cells:
-    """``values`` as `_Cells`: as it is, or from a sequence of (x, y) cells
-    of int64 integers or of (cell, speed) pairs, as ``_key`` reads them;
-    anything else raises."""
-    if isinstance(values, _Cells):
-        return values
-    pairs = isinstance(values[0][0], (tuple, list))
-    cells, speeds = zip(*values, strict=True) if pairs else (values, None)
-    xy = np.array(cells)
-    if xy.dtype.kind != "i" or xy.shape != (len(values), 2):
-        raise _Unkeyed
-    x, y = xy.astype(np.int64).T
-    return _Cells(x, y, None if speeds is None else np.array(speeds))
 
 
 class GeospatialEncoder(_Encoder):
@@ -286,10 +272,10 @@ class GeospatialEncoder(_Encoder):
                              "cells; encode a (cell, speed) pair")
         return cx, cy, r
 
-    def _keys(self, values) -> list:
-        """``_key`` of each value of a column (`_cell_column`), through the
-        same checks on int64 and float64 arrays."""
-        x, y, speed = _cell_column(values)
+    def _keys(self, cells: _Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_key`` of each value of a column, as the cells' x and y and their
+        radii: the same checks, on int64 and float64 arrays."""
+        x, y, speed = cells
         if speed is None:
             r = np.full(len(x), self.radius, dtype=np.int64)
         elif self.variant == "fixed":
@@ -308,7 +294,7 @@ class GeospatialEncoder(_Encoder):
         low, high = _I32_MIN + r, _I32_MAX - r  # the centres whose neighborhood fits
         if not ((low <= x) & (x <= high) & (low <= y) & (y <= high)).all():
             raise _Unkeyed
-        return list(zip(x.tolist(), y.tolist(), r.tolist()))
+        return x, y, r
 
     def _cells(self, cx, cy, r: int) -> np.ndarray:
         """The packed keys of the cells that set bits, shaped as by
@@ -338,14 +324,14 @@ class GeospatialEncoder(_Encoder):
         return SDR._trusted(self.n, bit_indices(self._cells(*key), self.seed, self.n))
 
     def _bits(self, keys) -> np.ndarray:
-        cells = np.array(keys, dtype=np.int64)  # one (cx, cy, r) row per key
-        out = np.empty((len(cells), self.w), dtype=np.int64)
-        for r in np.unique(cells[:, 2]).tolist():
-            (rows,) = np.nonzero(cells[:, 2] == r)
+        x, y, radii = keys
+        out = np.empty((len(radii), self.w), dtype=np.int64)
+        for r in np.unique(radii).tolist():
+            (rows,) = np.nonzero(radii == r)
             block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
             for start in range(0, len(rows), block):
                 at = rows[start:start + block]
-                packed = self._cells(cells[at, 0:1], cells[at, 1:2], r)
+                packed = self._cells(x[at, None], y[at, None], r)
                 out[at] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
         return out
 

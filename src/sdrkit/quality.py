@@ -16,7 +16,9 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  Memory is therefore
 O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j, or,
-for the exact count over all m**4 quadruples, over the m**2 cells.
+for the exact count over all m**4 quadruples, over the m**2 cells.  More
+than `MAX_EVALUATE_SAMPLES` samples raise InputError before any of it is
+allocated.
 A distance expression (`ExpressionDistance`, every built-in among them)
 fills the distance matrix with numpy where that is exact; otherwise the
 distance is called once per ordered pair, m**2 calls in all.
@@ -43,6 +45,11 @@ _EXAMPLE_CAP = 10  # offending pairs kept per axiom, enough to debug with
 _QUADRUPLE_CHUNK = 1 << 16  # sampled quadruples per numpy pass; bounds memory
 
 AXIOMS = ("non_negativity", "symmetry", "identity")
+
+# Most samples an evaluation takes.  Its m x m matrices and pair vectors
+# took about 42 bytes per cell at m = 3,000, so m = 10,000 needs about
+# 4.2 GB (extrapolated); a larger m is an InputError, not a memory error.
+MAX_EVALUATE_SAMPLES = 10_000
 
 
 @dataclass
@@ -148,6 +155,10 @@ def _axiom_check(distance: Callable, samples: Sequence
     and call the distance again, so they show its own return values."""
     if len(samples) < 2:
         raise InputError("axiom checks need at least 2 samples")
+    if len(samples) > MAX_EVALUATE_SAMPLES:
+        raise InputError(f"m = {len(samples)} samples is more than MAX_EVALUATE_SAMPLES "
+                         f"({MAX_EVALUATE_SAMPLES}), which bounds the memory of the m x m "
+                         "matrices")
     D = _distance_matrix(distance, samples)
     upper = np.triu(np.ones(D.shape, dtype=bool), 1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
@@ -332,6 +343,7 @@ discrete_distance = ExpressionDistance("0.0 if a == b else 1.0")
 
 __all__ = [
     "AXIOM_TOLERANCE",
+    "MAX_EVALUATE_SAMPLES",
     "AxiomCheck",
     "EvaluationReport",
     "check_distance_axioms",

@@ -135,16 +135,18 @@ class _Encoder:
       bucket, a window start, a geospatial ``(cx, cy, r)``, a multi encoder's
       tuple of its parts' keys); only it raises an SdrError.
     * ``_sdr(key)`` is the `SDR` of one key: pure, it cannot fail.
-    * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of one
-      or more keys, for n < 2**63; a hash collision repeats an index there.
-    * ``_keys(values)`` is the list of the ``_key`` of each value of a
-      column, in order, computed a column at a time; every encoder has its
-      own.  The column is a sequence of values or, from a config binding,
-      what the encoder reads faster (geospatial cells as int64 arrays).  It
-      builds no error message: where ``_key`` would raise for any value it
-      raises an exception of any type, and it may refuse values that
+    * ``_keys(values)`` is the ``_key`` of each value of a column, in order,
+      computed a column at a time, as int64 arrays: one array of the keys,
+      the geospatial ``(x, y, r)`` arrays, or a multi encoder's tuple of its
+      parts' key columns.  Every encoder has its own, and it takes the one
+      column form its config binding reads (`BoundEncoder._read_columns`).
+      It builds no error message: where ``_key`` would raise for any value
+      it raises an exception of any type, and it may refuse values that
       ``_key`` accepts, never the reverse.  Either step moves a
       `DeltaEncoder`, ``_keys`` only when it returns.
+    * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of the
+      key columns that ``_keys`` gives, for n < 2**63; a hash collision
+      repeats an index there.
     """
 
     def encode(self, value) -> SDR:
@@ -163,8 +165,8 @@ class _WindowEncoder(_Encoder):
             return SDR._trusted(self.n, tuple(range(b, end)))
         return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
 
-    def _bits(self, starts) -> np.ndarray:
-        return (np.array(starts, dtype=np.int64)[:, None] + np.arange(self.w)) % self.n
+    def _bits(self, starts: np.ndarray) -> np.ndarray:
+        return (starts[:, None] + np.arange(self.w)) % self.n
 
 
 class ScalarEncoder(_WindowEncoder):
@@ -203,8 +205,8 @@ class ScalarEncoder(_WindowEncoder):
 
     _key = bucket
 
-    def _keys(self, values) -> list:
-        return self._clamped_buckets(_finite_floats(values)).tolist()
+    def _keys(self, values) -> np.ndarray:
+        return self._clamped_buckets(_finite_floats(values))
 
     def _clamped_bucket(self, v: float) -> int:
         """`bucket` of a float that is not NaN, unchecked; ±inf clamps to an end."""
@@ -251,13 +253,13 @@ class CyclicEncoder(_WindowEncoder):
 
     _key = bucket
 
-    def _keys(self, values) -> list:
+    def _keys(self, values) -> np.ndarray:
         if self.n >= _EXACT:  # the floor of phase / resolution reaches n
             raise _Unkeyed
         v = _finite_floats(values)
         # numpy's float % is Python's: fmod, then the divisor's sign.
         phase = ((v % self.period) + self.period) % self.period
-        return (np.floor(phase / self.resolution).astype(np.int64) % self.n).tolist()
+        return np.floor(phase / self.resolution).astype(np.int64) % self.n
 
 
 class DeltaEncoder(ScalarEncoder):
@@ -280,13 +282,11 @@ class DeltaEncoder(ScalarEncoder):
         self.previous = v
         return b
 
-    def _keys(self, values) -> list:
-        v = _finite_floats(values)
-        if not len(v):
-            return []
+    def _keys(self, values) -> np.ndarray:
+        v = _finite_floats(values)  # an empty column raises IndexError at v[0] or v[-1]
         with np.errstate(over="ignore"):  # a change past the float range is ±inf
             changes = np.diff(v, prepend=v[0] if self.previous is None else self.previous)
-        keys = self._clamped_buckets(changes).tolist()
+        keys = self._clamped_buckets(changes)
         self.previous = float(v[-1])
         return keys
 
@@ -336,23 +336,26 @@ class UnboundedScalarEncoder(_Encoder):
 
     _key = bucket
 
-    def _keys(self, values) -> list:
-        with np.errstate(over="ignore"):
-            scaled = _finite_floats(values) / self.resolution
-        # Below 2**62 every bucket and its w - 1 successors fit int64; the
-        # bound leaves the edges, and a quotient past the float range, to `bucket`.
-        if not (np.abs(scaled) < 2.0 ** 62).all():
+    def _keys(self, values) -> np.ndarray:
+        with np.errstate(over="ignore"):  # a quotient past the float range is ±inf
+            b = np.floor(_finite_floats(values) / self.resolution)
+        # `bucket`'s check: each bucket and its w - 1 successors fit int64.
+        # ±2.0**63 are exact, so the floats that pass convert exactly.
+        if not ((-(2.0 ** 63) <= b) & (b < 2.0 ** 63)).all():
             raise _Unkeyed
-        return np.floor(scaled).astype(np.int64).tolist()
+        b = b.astype(np.int64)
+        if (b > _I64_MAX - (self.w - 1)).any():
+            raise _Unkeyed
+        return b
 
     def _sdr(self, b: int) -> SDR:
         keys = np.arange(self.w, dtype=np.uint64)
         keys += np.uint64(b & MASK64)  # wraps, as (b + i) & MASK64 does
         return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
-    def _bits(self, buckets) -> np.ndarray:
-        # The int64 view is the two's-complement pattern b & MASK64.
-        keys = np.array(buckets, dtype=np.int64).view(np.uint64)[:, None]
+    def _bits(self, buckets: np.ndarray) -> np.ndarray:
+        # The uint64 view is the two's-complement pattern b & MASK64.
+        keys = buckets.view(np.uint64)[:, None]
         keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in _sdr
         return _bit_indices_array(keys, self.seed, self.n).view(np.int64)
 

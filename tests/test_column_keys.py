@@ -2,10 +2,13 @@
 
 `sdrkit encode` keys each chunk of rows a column at a time: every
 encoder's ``_keys(values)``, through `PipelineConfig._chunk_keys` for CSV
-text.  ``_key``, one value at a time, is the reference, and the oracle here:
+text.  ``_keys`` takes the one column form its binding reads (`column`
+builds it here from a list of values) and returns int64 key columns.
+``_key``, one value at a time, is the reference, and the oracle here:
 
-* wherever ``_keys`` returns, its keys equal those of ``_key`` of each value
-  in turn, and so does every delta encoder's state after it;
+* wherever ``_keys`` returns, its int64 key columns, read row by row
+  (`key_rows`), equal the ``_key`` of each value in turn, and so does every
+  delta encoder's state after it;
 * wherever ``_key`` raises for one of the values, ``_keys`` raises too and
   leaves every delta encoder as it was; it may refuse values that ``_key``
   takes, and the encoder is then run row by row, as `sdrkit encode` does.
@@ -25,13 +28,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
 from sdrkit.config import parse_pipeline_config
-from sdrkit.geospatial import GeospatialEncoder, GridCoordinate
+from sdrkit.geospatial import GeospatialEncoder, GridCoordinate, _Cells
 from sdrkit.scalars import CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder
 
 I32_MAX = (1 << 31) - 1
@@ -53,6 +57,43 @@ def per_row(key, values):
     return keys
 
 
+def cell_column(values) -> _Cells:
+    """A list of (x, y) cells, or of (cell, speed) pairs, as the `_Cells`
+    that a geospatial binding reads; cells that are no int64 integers
+    raise, as a binding's integer parse would."""
+    pairs = isinstance(values[0][0], (tuple, list))
+    cells, speeds = zip(*values, strict=True) if pairs else (values, None)
+    xy = np.array(cells)
+    if xy.dtype.kind != "i" or xy.shape != (len(values), 2):
+        raise TypeError(f"no int64 cells: {values!r}")
+    x, y = xy.astype(np.int64).T
+    return _Cells(x, y, None if speeds is None else np.array(speeds))
+
+
+def column(enc, values):
+    """The list ``values`` in the one column form that ``enc._keys`` takes:
+    `_Cells` for geospatial, a {field: column} mapping of a list of records
+    for a multi encoder, and the list itself otherwise."""
+    if isinstance(enc, GeospatialEncoder):
+        return cell_column(values)
+    if isinstance(enc, MultiEncoder) and not isinstance(enc, DatetimeEncoder):
+        return {name: column(part, [record[name] for record in values])
+                for name, part in enc.parts}
+    return values
+
+
+def key_rows(enc, keys) -> list:
+    """The key columns that ``enc._keys`` returns as the list of each row's
+    ``_key``; each column must be int64."""
+    if isinstance(enc, MultiEncoder):
+        return list(zip(*(key_rows(part, part_keys)
+                          for (_, part), part_keys in zip(enc.parts, keys, strict=True))))
+    columns = keys if isinstance(enc, GeospatialEncoder) else (keys,)
+    assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns)
+    rows = list(zip(*(c.tolist() for c in columns), strict=True))
+    return rows if isinstance(enc, GeospatialEncoder) else [key for key, in rows]
+
+
 def state(enc):
     """Every delta encoder's ``previous`` inside ``enc``."""
     if isinstance(enc, MultiEncoder):
@@ -61,11 +102,13 @@ def state(enc):
 
 
 def check_chunks(make, chunks, by_rows=lambda enc, values: per_row(enc._key, values),
-                 by_column=lambda enc, values: enc._keys(values), state=state):
+                 by_column=lambda enc, values: enc._keys(column(enc, values)),
+                 rows=key_rows, state=state):
     """Key each chunk with two encoders from ``make()``: one row by row
-    (``by_rows``), one a column at a time (``by_column``), falling back to
-    row by row where that raises; return how many chunks ``by_column``
-    keyed.  The stream ends at the first chunk that the rows refuse."""
+    (``by_rows``), one a column at a time (``by_column``, read by ``rows``),
+    falling back to row by row where that raises; return how many chunks
+    ``by_column`` keyed.  The stream ends at the first chunk that the rows
+    refuse."""
     by_row, columnar = make(), make()
     keyed = 0
     for values in chunks:
@@ -83,7 +126,7 @@ def check_chunks(make, chunks, by_rows=lambda enc, values: per_row(enc._key, val
         else:
             assert not isinstance(expected, Exception), (
                 f"the column step keyed {values!r}, which _key refuses: {expected!r}")
-            assert keys == expected
+            assert rows(columnar, keys) == expected
             keyed += 1
         assert state(columnar) == state(by_row)
         if isinstance(expected, Exception):
@@ -170,12 +213,16 @@ def test_unbounded(resolution, n, plain, data):
         check_chunks(make, data.draw(chunks_of(numbers)))
 
 
-def test_unbounded_edges_are_left_to_the_rows():
-    # 2**63 - 1 - w + 1 is the last bucket whose w buckets fit; beyond
-    # 2**62 the column step refuses and the per-row check decides.
+def test_unbounded_keys_exactly_the_int64_buckets():
+    # -2**63 is the first bucket, and 2**63 - w the last whose w buckets
+    # fit; the column step keys every bucket between, as `bucket` does.
     make = lambda: UnboundedScalarEncoder(1.0, 100, 4)  # noqa: E731
-    assert check_chunks(make, [[1.0, 2.0 ** 62]]) == 0
-    assert check_chunks(make, [[-(2.0 ** 63)], [2.0 ** 63]]) == 0
+    assert check_chunks(make, [[1.0, 2.0 ** 62]]) == 1
+    assert check_chunks(make, [[-(2.0 ** 63)], [2.0 ** 63]]) == 1
+    assert check_chunks(make, [[-4.6e18, 4.6e18], [9.3e18]]) == 1
+    last_float = 2.0 ** 63 - 1024  # the largest float below 2**63
+    assert check_chunks(lambda: UnboundedScalarEncoder(1.0, 100, 21), [[last_float]]) == 1
+    assert check_chunks(lambda: UnboundedScalarEncoder(1.0, 2000, 1025), [[last_float]]) == 0
 
 
 LABELS = ["red", "green", "blue"]
@@ -341,7 +388,8 @@ def test_chunk_keys_of_csv_text(plain, mixed, order):
             lambda: parse_pipeline_config(CONFIG),
             [[[row[i] for i in order] for row in chunk] for chunk in chunks],
             by_rows=lambda cfg, rows: row_keys(cfg, header, rows),
-            by_column=lambda cfg, rows: list(zip(*cfg._chunk_keys(header, rows))),
+            by_column=lambda cfg, rows: cfg._chunk_keys(header, rows),
+            rows=lambda cfg, keys: key_rows(cfg.multi, keys),
             state=lambda cfg: state(cfg.multi))
 
     assert check(plain) == len(plain)

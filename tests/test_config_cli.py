@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sdrkit import cli
+from sdrkit import cli, quality
 from sdrkit.composite import DatetimeEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.errors import ConfigError
@@ -912,6 +912,21 @@ class TestCommandEdges:
         assert captured.err.splitlines()[-1] == (
             "data error: axiom checks need at least 2 samples")
         assert captured.out == ""
+
+    def test_evaluate_past_the_sample_bound_exit_3(self, tmp_path, capsys, monkeypatch):
+        m = quality.MAX_EVALUATE_SAMPLES + 1
+        cfg = write(tmp_path, "cfg.json", {**SCALAR_CONFIG, "distance": "absolute"})
+        data = write(tmp_path, "samples.csv",
+                     "temp\n" + "".join(f"{i % 45}\n" for i in range(m)))
+        matrices = []
+        monkeypatch.setattr(quality, "_distance_matrix", lambda *args: matrices.append(args))
+        assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith(
+            f"data error: m = {m} samples is more than MAX_EVALUATE_SAMPLES (10000)")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert matrices == []
 
 
 # A topw encoder without a speed column encodes every row at `radius`; the

@@ -15,7 +15,9 @@ the CLI's row reading and error report around
   draws cover delta state across chunk edges, several top-w radii in one
   chunk, cyclic windows that wrap, unbounded hashes that collide (n <= 32)
   and cells at the signed 32-bit edges.
-* Each encoder's ``_bits`` rows hold the bits of its ``encode``.
+* Each encoder's ``_bits`` rows, from the key columns of its binding's
+  column reader and ``_keys`` on a chunk of CSV text, hold the bits of its
+  ``encode``.
 * A data error inside the second chunk leaves exactly the rows before it on
   stdout, with the per-row path's stderr and exit code.
 * A value error is the one reported, with only the rows before it written,
@@ -266,10 +268,14 @@ def test_each_encoder_bits_hold_its_encode(part, data):
     rows = data.draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=12))
     chunked, per_value = (parse_pipeline_config(config).bound[0] for _ in range(2))
     enc = chunked.encoder
-    keys = [enc._key(chunked.value_from_row(row)) for row in rows]
-    cut = data.draw(st.integers(0, len(keys)))
-    # Two chunks: a delta's state carries across the cut in the keys.
-    blocks = [enc._bits(chunk) for chunk in (keys[:cut], keys[cut:]) if chunk]
+    cut = data.draw(st.integers(0, len(rows)))
+
+    def bits(chunk):  # the column step of one chunk of CSV text
+        texts = ([row[c] for row in chunk] for c in chunked.columns)
+        return enc._bits(enc._keys(chunked._read_columns(*texts)))
+
+    # Two chunks: a delta's state carries across the cut.
+    blocks = [bits(chunk) for chunk in (rows[:cut], rows[cut:]) if chunk]
     for block in blocks:
         assert block.dtype == np.int64 and block.shape[1] == enc.w
         assert ((0 <= block) & (block < enc.n)).all()

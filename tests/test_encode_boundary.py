@@ -5,7 +5,8 @@ it returns an SDR or raises an SdrError, never a bare Python error.
   and 64-bit ranges and past the interpreter's 4,300-digit limit on int
   text, NaN and ±inf, complex numbers, text, bytes, datetimes, and lists,
   tuples, dicts and (cell, speed) pairs nesting them.  Where ``_key`` raises,
-  ``_keys`` of the one value raises too; where both return, they agree.
+  ``_keys`` of the one value, in the column form its binding reads, raises
+  too; where both return, they agree.
 * Each value that escaped as OverflowError, TypeError or ValueError raises
   InputError, and an error that shows an int too long to print names its
   type and size instead.
@@ -24,11 +25,10 @@ from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
 from sdrkit.errors import InputError, SdrError
 from sdrkit.geospatial import MAX_NEIGHBORHOOD_CELLS, GeospatialEncoder
-from sdrkit.scalars import (
-    CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder, _Unkeyed,
-)
+from sdrkit.scalars import CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder
 from sdrkit.sdr import SDR
 
+from test_column_keys import column, key_rows
 from test_dense_chunks import csv_text, encode, per_row_run
 
 
@@ -94,8 +94,9 @@ VALUES = st.recursive(ATOMS, lambda inner: st.one_of(
 @given(st.sampled_from(sorted(ENCODERS)), VALUES)
 def test_any_value_encodes_or_raises_an_sdr_error(name, value):
     make = ENCODERS[name]
+    enc = make()
     try:
-        keys = make()._keys([value])
+        keys = enc._keys(column(enc, [value]))
     except Exception:  # a refusal: the row decides
         keys = None
     try:
@@ -104,7 +105,7 @@ def test_any_value_encodes_or_raises_an_sdr_error(name, value):
         assert keys is None
         return
     assert isinstance(sdr, SDR)
-    assert keys in (None, [make()._key(value)])
+    assert keys is None or key_rows(enc, keys) == [make()._key(value)]
 
 
 @pytest.mark.parametrize("name, value", [
@@ -162,13 +163,11 @@ class FieldLookup:
         return self._fields[name]
 
 
-def test_a_record_that_is_no_mapping_is_refused_by_both_steps():
+def test_a_record_that_is_no_mapping_is_refused():
     record = FieldLookup({"t": 1.0, "c": "a", "p": (0, 0)})
     assert multi().encode(dict(record._fields)).n == multi().n
     with pytest.raises(InputError, match="expected a mapping"):
         multi().encode(record)
-    with pytest.raises(_Unkeyed):
-        multi()._keys([record])
 
 
 # --- the geospatial neighborhood bound -------------------------------------------------

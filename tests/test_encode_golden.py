@@ -8,7 +8,11 @@ with a speed field on [lat, lon]) to the 300 rows of `all_leaves.csv`.
 lines the CLI printed when the files were written (the sparse formats row
 by row, before they were written in chunks).  At n = 1,994 the output
 spans several write chunks, so a change to any encoder, to the hashing or
-to how lines are built and written shows here as a diff.
+to how lines are built and written shows here as a diff.  Every row of
+every run here is keyed by the column step (`PipelineConfig._chunk_keys`,
+then `MultiEncoder._bits`); none falls back to the per-row path
+(`cli._each_value`), so the files pin the column step of every leaf
+encoder, the ±4.6e18 unbounded readings at the int64 edge included.
 
 `geo_band.json` binds one geospatial top-w encoder with a speed field on
 [lat, lon] (radius 2 to 8, w = 20, 40 m cells) to the 3,600 rows of
@@ -22,6 +26,7 @@ threshold.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -30,16 +35,25 @@ from sdrkit import cli
 DATA = Path(__file__).resolve().parent / "data" / "encode"
 
 
+def encode_by_columns(args):
+    """`sdrkit encode` with ``args``, asserting that no row took the
+    per-row path; its exit code."""
+    with mock.patch.object(cli, "_each_value", wraps=cli._each_value) as row_path:
+        code = cli.main(["encode", *args])
+    assert row_path.call_count == 0
+    return code
+
+
 @pytest.mark.parametrize("fmt", ["dense", "sparse", "sparse-n"])
 def test_encode_output_is_byte_identical(fmt, capsys):
-    code = cli.main(["encode", "--config", str(DATA / "all_leaves.json"),
-                     "--input", str(DATA / "all_leaves.csv"), "--format", fmt])
+    code = encode_by_columns(["--config", str(DATA / "all_leaves.json"),
+                              "--input", str(DATA / "all_leaves.csv"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (DATA / f"all_leaves.{fmt}").read_text(encoding="utf-8")
 
 
 def test_encode_across_the_mercator_band_is_byte_identical(capsys):
-    code = cli.main(["encode", "--config", str(DATA / "geo_band.json"),
-                     "--input", str(DATA / "geo_band.csv")])
+    code = encode_by_columns(["--config", str(DATA / "geo_band.json"),
+                              "--input", str(DATA / "geo_band.csv")])
     assert code == 0
     assert capsys.readouterr().out == (DATA / "geo_band.sparse").read_text(encoding="utf-8")

@@ -34,6 +34,7 @@ from sdrkit.geospatial import (
 )
 from sdrkit.scalars import _Unkeyed
 
+from test_column_keys import cell_column, key_rows
 from test_dense_chunks import csv_text, encode, per_row_run
 
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -177,11 +178,11 @@ def tied_chunks(draw):
 def test_threshold_selection_equals_the_stable_sort_when_keys_tie(case):
     enc, values = case
     with mock.patch.object(geospatial, "order_keys_array", tied_order_keys):
-        keys = enc._keys(values)
-        assert keys == [enc._key(value) for value in values]
+        keys = enc._keys(cell_column(values))
+        assert key_rows(enc, keys) == [enc._key(value) for value in values]
         bits = enc._bits(keys)
         assert bits.shape == (len(values), enc.w)
-        for row, key in zip(bits.tolist(), keys):
+        for row, key in zip(bits.tolist(), key_rows(enc, keys)):
             assert sorted(set(row)) == list(enc._sdr(key).active)
 
 
@@ -196,7 +197,7 @@ def test_a_radius_of_many_rows_is_split_into_blocks(monkeypatch):
         return tied_order_keys(keys, seed)
 
     monkeypatch.setattr(geospatial, "order_keys_array", tied)
-    bits = enc._bits(enc._keys(values))
+    bits = enc._bits(enc._keys(cell_column(values)))
     assert _CHUNK_CELLS // 61 ** 2 == 8  # rows of radius 30 per block
     assert sorted(blocks) == [(3, 9), (4, 61 ** 2), (8, 61 ** 2)]
     for row, value in zip(bits.tolist(), values):

@@ -21,7 +21,7 @@ for each row, with the CLI's own row reading and error report.
   ends the line.
 * A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, runs each
   chunk row by row, each line from its row's SDR (``MultiEncoder._sdr``),
-  and never builds a bit matrix (``_part_bits``), yet still writes a chunk
+  and never builds a bit matrix (``MultiEncoder._bits``), yet still writes a chunk
   of rows at once, byte-identical to the oracle; so does a chunk with a
   data error at any n.
 """
@@ -154,7 +154,7 @@ def huge_config(unbounded_n):
 def test_past_int64_bits_writes_row_by_row(unbounded_n, chunked, fmt, values):
     config = huge_config(unbounded_n)
     text = csv_text(["t", "v"], [[str(i), v] for i, v in enumerate(values)])
-    no_bits = mock.patch.object(MultiEncoder, "_part_bits",
+    no_bits = mock.patch.object(MultiEncoder, "_bits",
                                 side_effect=AssertionError("int64 bits"))
     row_sdrs = mock.patch.object(MultiEncoder, "_sdr", autospec=True,
                                  side_effect=MultiEncoder._sdr)
