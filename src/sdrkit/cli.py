@@ -13,12 +13,12 @@ Every format is written in blocks of as many lines as fit in 256 KiB and
 and keyed a column at a time into a bit matrix; a block that fails there,
 on a data error or on a value that only the per-row checks take, runs row
 by row instead, each line from the row's SDR, so a data error still leaves
-every row before the failing one written and names that row.  Every block
-of a sparse pipeline of n >= 2**63 bits, past the bit matrix's 64-bit
-indices, runs row by row the same way.  A reader of a live pipe sees rows
-arrive a block at a time, sparse rows too, and a data error is reported
-when its block fills or the input ends.  A UTF-8 byte-order mark before the
-header is dropped, for `encode` and `evaluate` alike.
+every row before the failing one written and names that row.  The bit
+matrix is uint64, Python ints past 2**64 bits, so every n takes the same
+column step.  A reader of a live pipe sees rows arrive a block at a time,
+sparse rows too, and a data error is reported when its block fills or the
+input ends.  A UTF-8 byte-order mark before the header is dropped, for
+`encode` and `evaluate` alike.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -158,6 +158,8 @@ def _sparse_lines(multi, bits, self_describing) -> str:
         quotient = rest // 10
         cells[..., d] = rest - quotient * 10 + ord("0")
         rest = quotient
+        if d == 19:  # rest < 10**19 now: uint64 from here, whatever n is
+            rest = rest.astype(np.uint64)
         if d:  # the digit before is a leading zero unless the index reaches it
             kept[..., d - 1] = rest != 0
     kept[:, :-1][bits[:, :-1] == bits[:, 1:]] = False
@@ -183,13 +185,11 @@ def _chunk_writer(cfg, fmt, fout):
 
     A chunk is checked and keyed a column at a time into int64 key columns
     (`PipelineConfig._chunk_keys`), which become a bit matrix
-    (`MultiEncoder._bits`).  Where that raises, for a data error or for a
-    value that only the per-row checks take, and for every chunk at
-    n >= 2**63 bits, past the matrix's int64 indices, the chunk runs row by
-    row instead, each line from the row's SDR,
-    ``multi._sdr(multi._key(cfg.record_from_row(row)))``: the rows before
-    the first failing one are written, and that row's error is the one the
-    per-row path gives."""
+    (`MultiEncoder._bits`: uint64, Python ints past 2**64 bits).  Where that
+    raises, for a data error or for a value that only the per-row checks
+    take, the chunk runs row by row instead, each line from the row's SDR,
+    `PipelineConfig.encode_row`: the rows before the first failing one are
+    written, and that row's error is the one the per-row path gives."""
     multi = cfg.multi
     dense, self_describing = fmt == "dense", fmt == "sparse-n"
     if dense:
@@ -200,18 +200,16 @@ def _chunk_writer(cfg, fmt, fout):
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
     def write_chunk(header, rows):
-        if multi.n < 1 << 63:
-            try:
-                keys = cfg._chunk_keys(header, rows)
-            except Exception:  # of any kind: the per-row path decides, and words any error
-                pass
-            else:
-                bits = multi._bits(keys)
-                fout.write(_dense_lines(multi, bits) if dense
-                           else _sparse_lines(multi, bits, self_describing))
-                return None
-        sdrs, failure = _each_value(
-            header, rows, lambda row: multi._sdr(multi._key(cfg.record_from_row(row))))
+        try:
+            keys = cfg._chunk_keys(header, rows)
+        except Exception:  # of any kind: the per-row path decides, and words any error
+            pass
+        else:
+            bits = multi._bits(keys)
+            fout.write(_dense_lines(multi, bits) if dense
+                       else _sparse_lines(multi, bits, self_describing))
+            return None
+        sdrs, failure = _each_value(header, rows, cfg.encode_row)
         if sdrs:
             fout.write("".join((to_dense_string(sdr) if dense
                                 else to_sparse_string(sdr, self_describing)) + "\n"

@@ -110,10 +110,12 @@ class MultiEncoder(_Encoder):
         return concat([enc._sdr(key) for (_, enc), key in zip(self.parts, keys)])
 
     def _bits(self, keys: tuple) -> np.ndarray:
+        dtype = np.uint64 if self.n <= 1 << 64 else object  # Python ints past 2**64
         blocks = []
         offset = 0
         for (_, enc), part_keys in zip(self.parts, keys):
-            blocks.append(enc._bits(part_keys) + offset)
+            # A part's indices are non-negative, so the cast keeps their values.
+            blocks.append(np.add(enc._bits(part_keys), offset, dtype=dtype, casting="unsafe"))
             offset += enc.n
         return np.hstack(blocks)
 
@@ -137,13 +139,14 @@ _CYCLIC_PERIODS = {
 
 # The weekend component's labels, indexed by whether the day is a weekend.
 _WEEKEND_LABELS = ("weekday", "weekend")
+_WEEKEND_LABEL_ARRAY = np.array(_WEEKEND_LABELS, dtype=object)
 
 
 def _components(names, t) -> dict:
     """The value of each named component of ``t``, a datetime or a
     `_DatetimeColumn`: the formulas use only arithmetic and comparisons,
     which give ints and floats the same values as int and float arrays.
-    The weekend component's value is whether the day is a weekend."""
+    The weekend component's value is its label, a str or a column of them."""
     values = {}
     if "weekend" in names or "day_of_week" in names:
         weekday = t.weekday()  # Monday = 0
@@ -151,7 +154,7 @@ def _components(names, t) -> dict:
         day_fraction = (t.hour + t.minute / 60 + t.second / 3600 + t.microsecond / 3.6e9) / 24.0
     for name in names:
         if name == "weekend":
-            values[name] = weekday >= 5
+            values[name] = _WEEKEND_LABEL_ARRAY[weekday // 5]  # 1 on Saturday and Sunday
         elif name == "day_of_week":
             values[name] = (weekday + 1) % 7 + day_fraction  # Sunday = 0 ... Saturday = 6
         elif name == "time_of_day":
@@ -253,10 +256,7 @@ class DatetimeEncoder(MultiEncoder):
         """The derived per-component value for each enabled component."""
         if not isinstance(t, _dt.datetime):
             raise InputError(f"expected a datetime, got {_shown(t)}")
-        values = _components(self._names, t)
-        if "weekend" in values:
-            values["weekend"] = _WEEKEND_LABELS[values["weekend"]]
-        return values
+        return _components(self._names, t)
 
     def _key(self, value) -> tuple:
         """The parts' keys of the `component_values` of a datetime."""
@@ -265,11 +265,7 @@ class DatetimeEncoder(MultiEncoder):
     def _keys(self, values) -> tuple:
         """The parts' key columns of the `component_values` of a column of
         datetimes; anything but a datetime is `_Unkeyed`."""
-        columns = _components(self._names, _DatetimeColumn(values))
-        if "weekend" in columns:
-            columns["weekend"] = [_WEEKEND_LABELS[weekend]
-                                  for weekend in columns["weekend"].tolist()]
-        return super()._keys(columns)
+        return super()._keys(_components(self._names, _DatetimeColumn(values)))
 
 
 __all__ = [

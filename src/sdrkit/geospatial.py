@@ -325,14 +325,14 @@ class GeospatialEncoder(_Encoder):
 
     def _bits(self, keys) -> np.ndarray:
         x, y, radii = keys
-        out = np.empty((len(radii), self.w), dtype=np.int64)
+        out = np.empty((len(radii), self.w), dtype=np.uint64)
         for r in np.unique(radii).tolist():
             (rows,) = np.nonzero(radii == r)
             block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
             for start in range(0, len(rows), block):
                 at = rows[start:start + block]
                 packed = self._cells(x[at, None], y[at, None], r)
-                out[at] = _bit_indices_array(packed, self.seed, self.n).view(np.int64)
+                out[at] = _bit_indices_array(packed, self.seed, self.n)
         return out
 
 

@@ -144,9 +144,10 @@ class _Encoder:
       it raises an exception of any type, and it may refuse values that
       ``_key`` accepts, never the reverse.  Either step moves a
       `DeltaEncoder`, ``_keys`` only when it returns.
-    * ``_bits(keys)`` is the (rows, w) int64 matrix of the bit indices of the
-      key columns that ``_keys`` gives, for n < 2**63; a hash collision
-      repeats an index there.
+    * ``_bits(keys)`` is the (rows, w) matrix of the bit indices of the key
+      columns that ``_keys`` gives, non-negative integers below n: uint64
+      from a hashing or multi encoder, Python ints past 2**64 bits; a hash
+      collision repeats an index there.
     """
 
     def encode(self, value) -> SDR:
@@ -357,7 +358,7 @@ class UnboundedScalarEncoder(_Encoder):
         # The uint64 view is the two's-complement pattern b & MASK64.
         keys = buckets.view(np.uint64)[:, None]
         keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in _sdr
-        return _bit_indices_array(keys, self.seed, self.n).view(np.int64)
+        return _bit_indices_array(keys, self.seed, self.n)
 
 
 __all__ = [

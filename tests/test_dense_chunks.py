@@ -16,8 +16,9 @@ the CLI's row reading and error report around
   chunk, cyclic windows that wrap, unbounded hashes that collide (n <= 32)
   and cells at the signed 32-bit edges.
 * Each encoder's ``_bits`` rows, from the key columns of its binding's
-  column reader and ``_keys`` on a chunk of CSV text, hold the bits of its
-  ``encode``.
+  column reader and ``_keys`` on a chunk of CSV text, are integer indices
+  below its n that hold the bits of its ``encode``; a `MultiEncoder` of it
+  gives the same rows as uint64.
 * A data error inside the second chunk leaves exactly the rows before it on
   stdout, with the per-row path's stderr and exit code.
 * A value error is the one reported, with only the rows before it written,
@@ -40,6 +41,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli
+from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.sdr import to_dense_string, to_sparse_string
 
@@ -272,12 +274,16 @@ def test_each_encoder_bits_hold_its_encode(part, data):
 
     def bits(chunk):  # the column step of one chunk of CSV text
         texts = ([row[c] for row in chunk] for c in chunked.columns)
-        return enc._bits(enc._keys(chunked._read_columns(*texts)))
+        keys = enc._keys(chunked._read_columns(*texts))
+        block = enc._bits(keys)
+        matrix = MultiEncoder([("v", enc)])._bits((keys,))  # the one matrix is uint64
+        assert matrix.dtype == np.uint64 and matrix.tolist() == block.tolist()
+        return block
 
     # Two chunks: a delta's state carries across the cut.
     blocks = [bits(chunk) for chunk in (rows[:cut], rows[cut:]) if chunk]
     for block in blocks:
-        assert block.dtype == np.int64 and block.shape[1] == enc.w
+        assert block.dtype.kind in "iu" and block.shape[1] == enc.w
         assert ((0 <= block) & (block < enc.n)).all()
     sdrs = [per_value.encoder.encode(per_value.value_from_row(row)) for row in rows]
     assert [sorted(set(row)) for row in np.vstack(blocks).tolist()] == [

@@ -23,6 +23,16 @@ chunk.  Its 1,638-row chunks are three, the last one partial.
 `geo_band.sparse` is the output printed when the file was written, before
 the geospatial column step keyed cells in numpy and took top-w blocks by
 threshold.
+
+`past_2_64.json` binds an unbounded scalar of 2**64 bits, a cyclic part
+that starts past bit 2**64, an unbounded scalar of 2**70 bits and a bounded
+scalar that starts past bit 2**70 (n = 1,199,038,364,791,120,855,220, whose
+indices take up to 22 digits) to the 400 rows of `past_2_64.csv`, with
+buckets at both ends of the int64 range and a cyclic window that wraps.
+Each line is 84 indices, so the 400 rows are four chunks.
+`past_2_64.sparse-n` is the output printed when the file was written, when
+every row of a pipeline of n >= 2**63 bits ran through the per-row path; it
+now pins the column step, whose bit matrix holds Python ints past 2**64.
 """
 
 from pathlib import Path
@@ -57,3 +67,10 @@ def test_encode_across_the_mercator_band_is_byte_identical(capsys):
                               "--input", str(DATA / "geo_band.csv")])
     assert code == 0
     assert capsys.readouterr().out == (DATA / "geo_band.sparse").read_text(encoding="utf-8")
+
+
+def test_encode_past_2_64_bits_is_byte_identical(capsys):
+    code = encode_by_columns(["--config", str(DATA / "past_2_64.json"),
+                              "--input", str(DATA / "past_2_64.csv")])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / "past_2_64.sparse-n").read_text(encoding="utf-8")

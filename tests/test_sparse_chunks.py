@@ -19,11 +19,12 @@ for each row, with the CLI's own row reading and error report.
   read, in the second chunk and in the last, partial one.
 * A hash collision on a row's last index lists that bit once and still
   ends the line.
-* A pipeline of n >= 2**63 bits, past ``_bits``' int64 indices, runs each
-  chunk row by row, each line from its row's SDR (``MultiEncoder._sdr``),
-  and never builds a bit matrix (``MultiEncoder._bits``), yet still writes a chunk
-  of rows at once, byte-identical to the oracle; so does a chunk with a
-  data error at any n.
+* A pipeline of n >= 2**63 bits, whose bit matrix (``MultiEncoder._bits``)
+  is uint64 up to 2**64 bits and Python ints past it, keys each plain
+  chunk by columns like any other, with no row's SDR built
+  (``MultiEncoder._sdr``), byte-identical to the oracle; a chunk with a
+  data error runs row by row, at any n, and still writes its rows before
+  the failing one at once.
 """
 
 import contextlib
@@ -130,7 +131,7 @@ def test_a_collision_lists_its_bit_once():
     assert result[1] == "n=54;13,14,15,16,17,53\nn=54;45,46,47,48,49,50,53\n"
 
 
-# --- n >= 2**63: lines from each row's SDR --------------------------------------------
+# --- n >= 2**63: the same column step ---------------------------------------------
 
 def huge_config(unbounded_n):
     """A 50-bit scalar and an unbounded scalar of ``unbounded_n`` bits."""
@@ -146,26 +147,25 @@ def huge_config(unbounded_n):
     pytest.param(["1", "-2.5", "1e6", "3"], id="ok"),
     pytest.param(["1", "-2.5", "x", "3"], id="data-error"),
 ])
-@pytest.mark.parametrize("unbounded_n, chunked", [
-    pytest.param((1 << 63) - 51, True, id="n=2**63-1"),
-    pytest.param((1 << 63) - 50, False, id="n=2**63"),
-    pytest.param(1 << 64, False, id="n=2**64+50"),
+@pytest.mark.parametrize("unbounded_n", [
+    pytest.param((1 << 63) - 51, id="n=2**63-1"),
+    pytest.param((1 << 63) - 50, id="n=2**63"),
+    pytest.param((1 << 64) - 50, id="n=2**64"),  # the largest uint64 matrix
+    pytest.param(1 << 64, id="n=2**64+50"),
 ])
-def test_past_int64_bits_writes_row_by_row(unbounded_n, chunked, fmt, values):
+def test_past_int64_bits_are_keyed_by_columns(unbounded_n, fmt, values):
     config = huge_config(unbounded_n)
     text = csv_text(["t", "v"], [[str(i), v] for i, v in enumerate(values)])
-    no_bits = mock.patch.object(MultiEncoder, "_bits",
-                                side_effect=AssertionError("int64 bits"))
     row_sdrs = mock.patch.object(MultiEncoder, "_sdr", autospec=True,
                                  side_effect=MultiEncoder._sdr)
-    with row_sdrs as sdr_calls, contextlib.nullcontext() if chunked else no_bits:
+    with row_sdrs as sdr_calls:
         result, sizes = encode_counting_chunks(config, text, fmt, "_sparse_lines")
     assert result == per_row_run(config, text, fmt == "sparse-n")
     code, out, _ = result
-    by_rows = not chunked or "x" in values
+    by_rows = "x" in values  # only the chunk with a data error runs row by row
     assert bool(sizes) != by_rows
     assert sdr_calls.call_count == (out.count("\n") if by_rows else 0)
-    assert code == (cli.EXIT_OK if "x" not in values else cli.EXIT_DATA)
+    assert code == (cli.EXIT_OK if not by_rows else cli.EXIT_DATA)
     n = 50 + unbounded_n
     first = out.splitlines()[0]
     assert first.startswith((f"n={n};" if fmt == "sparse-n" else "") + "0,1,2,3,4,")
