@@ -15,10 +15,12 @@ on a data error or on a value that only the per-row checks take, runs row
 by row instead, each line from the row's SDR, so a data error still leaves
 every row before the failing one written and names that row.  The bit
 matrix is uint64, Python ints past 2**64 bits, so every n takes the same
-column step.  A reader of a live pipe sees rows arrive a block at a time,
-sparse rows too, and a data error is reported when its block fills or the
-input ends.  A UTF-8 byte-order mark before the header is dropped, for
-`encode` and `evaluate` alike.
+column step, up to the window bound: a scalar or delta part with
+n - w >= 2**62, or a cyclic one with n >= 2**62, runs row by row.  A
+reader of a live pipe sees rows arrive a block at a time, sparse rows too,
+and a data error is reported when its block fills or the input ends.  A
+UTF-8 byte-order mark before the header is dropped, for `encode` and
+`evaluate` alike.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -34,9 +36,11 @@ Exit codes: 0 ok; 2 config error, also a config file that cannot be read,
 is not JSON or repeats a key in an object; 3 data error, also an input that
 cannot be opened, is not UTF-8 or holds a field longer than
 `csv.field_size_limit()`, each named by row (or header) where it has one,
-with every row before it written, and an `--output` that cannot be opened
-or is the input file (the input is opened first and left as it was);
-4 distance-axiom violation.
+with every row before it written, and an `--output` that cannot be opened,
+cannot be written (a full device, a closed pipe) or is the input file (the
+input is opened first and left as it was); 4 distance-axiom violation.
+Every config and data error is raised until the command prints it, as one
+`config error: …` or `data error: …` line on stderr (`_reported`).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -166,17 +171,15 @@ def _sparse_lines(multi, bits, self_describing) -> str:
     return text[keep].tobytes().decode("ascii")
 
 
-def _each_value(header, rows, step):
-    """``step`` of each row, as a {column: text} mapping, in order: the list
-    of its results, and None, or (the row's index, the SdrError) at the
-    first row whose ``step`` raises one."""
-    results = []
-    for i, row in enumerate(rows):
+def _each_value(header, rows, first, step):
+    """``step`` of each row, as a {column: text} mapping, in order; at the
+    first row whose ``step`` raises an SdrError, an InputError naming that
+    row, ``rows[0]`` being row ``first``."""
+    for number, row in enumerate(rows, first):
         try:
-            results.append(step(dict(zip(header, row))))
+            yield step(dict(zip(header, row)))
         except SdrError as exc:
-            return results, (i, exc)
-    return results, None
+            raise InputError(f"row {number}: {exc}") from exc
 
 
 def _chunk_writer(cfg, fmt, fout):
@@ -189,7 +192,8 @@ def _chunk_writer(cfg, fmt, fout):
     raises, for a data error or for a value that only the per-row checks
     take, the chunk runs row by row instead, each line from the row's SDR,
     `PipelineConfig.encode_row`: the rows before the first failing one are
-    written, and that row's error is the one the per-row path gives."""
+    written, then that row's error, the one the per-row path gives, is
+    raised."""
     multi = cfg.multi
     dense, self_describing = fmt == "dense", fmt == "sparse-n"
     if dense:
@@ -199,7 +203,7 @@ def _chunk_writer(cfg, fmt, fout):
                       + multi.w * (len(str(multi.n - 1)) + 1))
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
-    def write_chunk(header, rows):
+    def write_chunk(header, rows, first):
         try:
             keys = cfg._chunk_keys(header, rows)
         except Exception:  # of any kind: the per-row path decides, and words any error
@@ -208,25 +212,27 @@ def _chunk_writer(cfg, fmt, fout):
             bits = multi._bits(keys)
             fout.write(_dense_lines(multi, bits) if dense
                        else _sparse_lines(multi, bits, self_describing))
-            return None
-        sdrs, failure = _each_value(header, rows, cfg.encode_row)
-        if sdrs:
-            fout.write("".join((to_dense_string(sdr) if dense
-                                else to_sparse_string(sdr, self_describing)) + "\n"
-                               for sdr in sdrs))
-        return failure
+            return
+        lines = []
+        try:
+            for sdr in _each_value(header, rows, first, cfg.encode_row):
+                lines.append((to_dense_string(sdr) if dense
+                              else to_sparse_string(sdr, self_describing)) + "\n")
+        finally:  # the rows before a failing one too
+            if lines:
+                fout.write("".join(lines))
 
     return chunk_rows, write_chunk
 
 
-def _open_input(path, stderr, output=None):
-    """The input's lines, in a context that closes the file; None, after the
-    data error is printed, when the file cannot be opened or is the file that
-    ``output``, an output path, names (through a link too), which opening the
-    output would empty.  Its bytes are read as latin-1, which keeps each byte
-    and newline in place, and decoded as UTF-8 a line at a time, so bytes
-    that are not UTF-8 raise UnicodeDecodeError after every line before them
-    has been read."""
+def _open_input(path, output=None):
+    """The input's lines, in a context that closes the file.  Its bytes are
+    read as latin-1, which keeps each byte and newline in place, and decoded
+    as UTF-8 a line at a time, so bytes that are not UTF-8 raise
+    UnicodeDecodeError after every line before them has been read.  An
+    InputError when the file cannot be opened or is the file that
+    ``output``, an output path, names (through a link too), which opening
+    the output would empty."""
     if path in (None, "-"):
         if not hasattr(sys.stdin, "buffer"):  # an in-memory stdin holds text already
             return nullcontext(_without_bom(sys.stdin))
@@ -234,8 +240,7 @@ def _open_input(path, stderr, output=None):
     try:
         file = open(path, "r", encoding="latin-1", newline="", closefd=isinstance(path, str))
     except OSError as exc:
-        print(f"data error: cannot read input {path!r}: {exc}", file=stderr)
-        return None
+        raise InputError(f"cannot read input {path!r}: {exc}") from exc
     try:
         clash = output not in (None, "-") and os.path.samestat(os.fstat(file.fileno()),
                                                               os.stat(output))
@@ -243,178 +248,156 @@ def _open_input(path, stderr, output=None):
         clash = False
     if clash:
         file.close()
-        print(f"data error: output {output!r} is the input file", file=stderr)
-        return None
+        raise InputError(f"output {output!r} is the input file")
     return _utf8_lines(file)
 
 
 @contextmanager
 def _utf8_lines(file):
     with file:
-        yield _without_bom(line.encode("latin-1").decode("utf-8") for line in file)
+        yield _without_bom(map(bytes.decode, map(str.encode, file, repeat("latin-1")),
+                               repeat("utf-8")))
 
 
 def _without_bom(lines):
     """``lines`` with one U+FEFF, the byte-order mark some editors write
     before the header, dropped from the start of the first line, which is
     read only when it is asked for."""
-    lines = iter(lines)
-    for first in lines:
-        yield first.removeprefix("\ufeff")
-        break
-    yield from lines
+    return map(str.removeprefix, lines, chain(["\ufeff"], repeat("")))
 
 
-def _open_output(path, stderr):
-    """The output file or stdout, in a context; a context of None, after the
-    data error is printed, when the file cannot be opened."""
-    if path in (None, "-"):
-        return nullcontext(sys.stdout)
+def _open_output(path):
+    """The output file or stdout, in a context; an OSError, which
+    `cmd_encode` words as a data error, when the file cannot be opened."""
+    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
+
+
+def _chunks(reader, fields, size):
+    """Runs of up to ``size`` rows of ``reader``, each with the number of its
+    first row (rows count from 1 after the header).  At a row that cannot be
+    read (a field longer than `csv.field_size_limit()`, bytes that are not
+    UTF-8, a read that fails) or whose field count is not ``fields``, the
+    rows before it come first, then an InputError naming it."""
+    chunk, number = [], 1  # number: the row being read
     try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"data error: cannot write output {path!r}: {exc}", file=stderr)
-        return nullcontext(None)
-
-
-def _each_chunk(lines, cfg, chunk_rows, per_chunk, stderr) -> int:
-    """Call ``per_chunk(header, rows)`` with the CSV header and each run of
-    up to ``chunk_rows`` data rows (lists of their texts), in order; return
-    the exit code.  At a data error in one of its rows, ``per_chunk`` returns
-    (the row's index in ``rows``, the SdrError), having handled the rows
-    before it; else None.
-
-    A missing or repeated column in the header is a config error.  An empty
-    input, a header or row that cannot be read (a field longer than
-    `csv.field_size_limit()`, bytes that are not UTF-8), a row whose field
-    count differs from the header's, or an SdrError from ``per_chunk`` is a
-    data error naming the header or the row (rows count from 1 after the
-    header).  The rows read before one that cannot be read are handed on
-    first, so the error is the first failing row's."""
-    reader = csv.reader(lines, delimiter=cfg.delimiter)
-    row_number = 0  # the row being read, 0 for the header
-    chunk = []  # the rows read and not yet handed on, the last one row_number - 1
-    failure = None  # (row number, error)
-
-    def hand_on():
-        """``per_chunk`` of the chunk: None, or its failing row's (number, error)."""
-        result = per_chunk(header, chunk)
-        first = row_number - len(chunk)
-        chunk.clear()
-        return result and (first + result[0], result[1])
-
-    try:
-        header = next(reader, None)
-        if header is None:
-            print("data error: input is empty; a header row is required", file=stderr)
-            return EXIT_DATA
-        missing = [c for c in cfg.referenced_columns if c not in header]
-        duplicated = [c for c in dict.fromkeys(cfg.referenced_columns)
-                      if header.count(c) > 1]
-        if missing or duplicated:
-            problem = (f"{missing} not present in" if missing
-                       else f"{duplicated} appear more than once in")
-            print(f"config error: field(s) {problem} the CSV header {header}", file=stderr)
-            return EXIT_CONFIG
-        row_number = 1
         for row in reader:
-            if len(row) != len(header):
-                raise InputError(
-                    f"expected {len(header)} fields per the header, got {len(row)}"
-                )
+            if len(row) != fields:
+                raise InputError(f"expected {fields} fields per the header, got {len(row)}")
             chunk.append(row)
-            row_number += 1
-            if len(chunk) == chunk_rows and (failure := hand_on()):
-                break
-    except (SdrError, csv.Error, UnicodeDecodeError) as exc:
-        failure = (row_number, exc)
-    if chunk:  # the last rows, or those before the row that failed
-        failure = hand_on() or failure
-    if failure is not None:
-        number, exc = failure
-        print(f"data error: {f'row {number}' if number else 'header'}: {exc}", file=stderr)
+            number += 1
+            if len(chunk) == size:
+                yield number - size, chunk
+                chunk = []
+    except (InputError, csv.Error, UnicodeDecodeError, OSError) as exc:
+        if chunk:
+            yield number - len(chunk), chunk
+        raise InputError(f"row {number}: {exc}") from exc
+    if chunk:
+        yield number - len(chunk), chunk
+
+
+def _each_chunk(lines, cfg, chunk_rows, per_chunk) -> None:
+    """Call ``per_chunk(header, rows, first)`` with the CSV header and each
+    run of up to ``chunk_rows`` data rows (lists of their texts), in order,
+    ``rows[0]`` being row ``first`` (rows count from 1 after the header).
+    At a data error in one of its rows, ``per_chunk`` raises an InputError
+    naming the row, having handled the rows before it.
+
+    A missing or repeated column in the header raises a ConfigError.  An
+    empty input, a header or row that cannot be read, or a row whose field
+    count differs from the header's raises an InputError naming the header
+    or the row (`_chunks`), after the rows before it are handed on."""
+    reader = csv.reader(lines, delimiter=cfg.delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError("input is empty; a header row is required") from None
+    except (csv.Error, UnicodeDecodeError, OSError) as exc:
+        raise InputError(f"header: {exc}") from exc
+    missing = [c for c in cfg.referenced_columns if c not in header]
+    duplicated = [c for c in dict.fromkeys(cfg.referenced_columns) if header.count(c) > 1]
+    if missing or duplicated:
+        problem = (f"{missing} not present in" if missing
+                   else f"{duplicated} appear more than once in")
+        raise ConfigError(f"field(s) {problem} the CSV header {header}")
+    for first, rows in _chunks(reader, len(header), chunk_rows):
+        per_chunk(header, rows, first)
+
+
+def _reported(run, stderr) -> int:
+    """``run()``'s exit code, or, when it raises, the error printed to
+    ``stderr`` and its exit code: a ConfigError is a config error, any other
+    SdrError a data error."""
+    try:
+        return run()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=stderr)
+        return EXIT_CONFIG
+    except SdrError as exc:
+        print(f"data error: {exc}", file=stderr)
         return EXIT_DATA
-    return EXIT_OK
-
-
-def _each_row(lines, cfg, per_row, stderr) -> int:
-    """`_each_chunk` a row at a time: call ``per_row`` with each CSV data
-    row as a {column: text} mapping, in order; return the exit code."""
-    return _each_chunk(lines, cfg, 1,
-                       lambda header, rows: _each_value(header, rows, per_row)[1], stderr)
 
 
 def cmd_encode(args, stderr=None) -> int:
     stderr = stderr or sys.stderr
-    try:
+
+    def run():
         cfg = _load_config(args.config)
         fmt = args.format or cfg.output_format  # argparse and the config check each
         if fmt == "dense" and cfg.multi.n > MAX_DENSE_N:
             raise ConfigError(f"dense output takes n <= MAX_DENSE_N ({MAX_DENSE_N}), "
                               f"got n={cfg.multi.n}; use a sparse format")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return EXIT_CONFIG
-    _emit_warnings(cfg, stderr)
+        _emit_warnings(cfg, stderr)
+        try:
+            with (_open_input(args.input, args.output) as lines,
+                  _open_output(args.output) as fout):
+                chunk_rows, write_chunk = _chunk_writer(cfg, fmt, fout)
+                try:
+                    _each_chunk(lines, cfg, chunk_rows, write_chunk)
+                finally:  # on a data error too: keep everything encoded so far
+                    fout.flush()
+        except OSError as exc:  # an open, a write, a flush or the close that flushes
+            if args.output in (None, "-"):  # else the exit flush would fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write output {args.output!r}: {exc}") from exc
+        return EXIT_OK
 
-    source = _open_input(args.input, stderr, args.output)
-    if source is None:
-        return EXIT_DATA
-    with source as lines, _open_output(args.output, stderr) as fout:
-        if fout is None:  # leaving the block closes the input
-            return EXIT_DATA
-        chunk_rows, write_chunk = _chunk_writer(cfg, fmt, fout)
-        code = _each_chunk(lines, cfg, chunk_rows, write_chunk, stderr)
-        fout.flush()  # on a data error too: keep everything encoded so far
-    return code
+    return _reported(run, stderr)
 
 
 def cmd_evaluate(args, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    try:
+
+    def run():
         cfg = _load_config(args.config)
         if cfg.spec["encoder"]["type"] == "multi":
             raise ConfigError("evaluate requires a config with exactly one encoder")
         if cfg.distance is None:
             raise ConfigError("evaluate requires a 'distance' in the config")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return EXIT_CONFIG
-    _emit_warnings(cfg, stderr)
+        _emit_warnings(cfg, stderr)
 
-    binding = cfg.bound[0]
-    samples = []
-    started = time.perf_counter()
-    source = _open_input(args.input, stderr)
-    if source is None:
-        return EXIT_DATA
-    with source as lines:
-        code = _each_row(lines, cfg, lambda row: samples.append(binding.value_from_row(row)),
-                         stderr)
-    if code != EXIT_OK:
-        return code
-
-    try:
+        binding = cfg.bound[0]
+        samples = []
+        started = time.perf_counter()
+        with _open_input(args.input) as lines:
+            _each_chunk(lines, cfg, 1, lambda header, rows, first: samples.extend(
+                _each_value(header, rows, first, binding.value_from_row)))
         report = evaluate_encoder(
             binding.encoder.encode, cfg.distance, samples,
             quadruple_count=args.quadruples, seed=args.seed,
         )
-    except SdrError as exc:
-        print(f"data error: {exc}", file=stderr)
-        return EXIT_DATA
-    elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
 
-    print("# encoder evaluation", file=stdout)
-    print(f"config: {json.dumps(cfg.spec, sort_keys=True)}", file=stdout)
-    print(f"quadruple_seed: {args.seed}", file=stdout)
-    print(report.to_text(), file=stdout)
-    # timing is run-dependent; keep it out of the reproducible report stream
-    print(f"elapsed_seconds: {elapsed:.3f}", file=stderr)
+        print("# encoder evaluation", file=stdout)
+        print(f"config: {json.dumps(cfg.spec, sort_keys=True)}", file=stdout)
+        print(f"quadruple_seed: {args.seed}", file=stdout)
+        print(report.to_text(), file=stdout)
+        # timing is run-dependent; keep it out of the reproducible report stream
+        print(f"elapsed_seconds: {elapsed:.3f}", file=stderr)
+        return EXIT_AXIOM if report.total_axiom_violations > 0 else EXIT_OK
 
-    if report.total_axiom_violations > 0:
-        return EXIT_AXIOM
-    return EXIT_OK
+    return _reported(run, stderr)
 
 
 def cmd_selftest_hash(args, stdout=None) -> int:

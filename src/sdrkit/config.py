@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import inspect
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -360,6 +361,12 @@ def parse_pipeline_config(raw: Mapping) -> PipelineConfig:
         spec = {"encoder": canonical.pop("encoder"), **canonical}
 
     multi = MultiEncoder([(b.name, b.encoder) for b in bound])
+    try:
+        str(multi.n)  # the sparse formats write its digits
+    except ValueError:  # past the interpreter's limit on integer-string digits
+        raise ConfigError(f"config: the total n has more decimal digits than "
+                          f"sys.get_int_max_str_digits() ({sys.get_int_max_str_digits()}) "
+                          "allows") from None
 
     fmt = "dense"
     if "output_format" in raw:

@@ -41,10 +41,6 @@ MAX_W = 1 << 16
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-# Integers up to here are exact as float64, so a float bucket below it
-# converts to the int the per-row ``math.floor`` gives.
-_EXACT = 1 << 53
-
 
 class _Unkeyed(Exception):
     """A column step's refusal (`_Encoder._keys`): it does not key these
@@ -217,12 +213,14 @@ class ScalarEncoder(_WindowEncoder):
 
     def _clamped_buckets(self, v: np.ndarray) -> np.ndarray:
         """`_clamped_bucket` of each float of an array, through the same
-        float operations; `_Unkeyed` when n - w reaches `_EXACT`."""
+        float operations; `_Unkeyed` when n - w reaches 2**62.  Below that
+        the floor is below 1.5 * 2**62 even at a subnormal bucket width, so
+        its int64 cast is exact."""
         top = self.n - self.w
-        if top >= _EXACT:
+        if top >= 1 << 62:
             raise _Unkeyed
         v = np.minimum(np.maximum(v, self.min_value), self.max_value)
-        return np.minimum(np.floor((v - self.min_value) / self.resolution), top).astype(np.int64)
+        return np.minimum(np.floor((v - self.min_value) / self.resolution).astype(np.int64), top)
 
 
 class CyclicEncoder(_WindowEncoder):
@@ -255,7 +253,7 @@ class CyclicEncoder(_WindowEncoder):
     _key = bucket
 
     def _keys(self, values) -> np.ndarray:
-        if self.n >= _EXACT:  # the floor of phase / resolution reaches n
+        if self.n >= 1 << 62:  # the floor of phase / resolution, up to about n, casts exactly
             raise _Unkeyed
         v = _finite_floats(values)
         # numpy's float % is Python's: fmod, then the divisor's sign.

@@ -5,10 +5,10 @@ The sparse index form is canonical because every encoder in this package
 produces far fewer one-bits than total bits.  Dense strings ("010010...")
 exist for display and interchange; index 0 is the leftmost character.
 
-Validation happens once, at the boundary.  User construction (`SDR(...)`),
-the parsers (`from_dense_string`, `from_sparse_string`) and `random_sdr`
-validate fully: ``n`` must be a non-negative int, and every index must be
-an integer (Python or numpy, never bool) in [0, n) and occur once.  The
+Validation happens once, at the boundary.  User construction (`SDR(...)`)
+and the parsers (`from_dense_string`, `from_sparse_string`) validate fully:
+``n`` must be a non-negative int, and every index must be an integer
+(Python or numpy, never bool) in [0, n) and occur once.  The
 encoders already produce sorted, in-range, duplicate-free indices, so they
 build their results with the internal `SDR._trusted`, which skips those
 checks; `concat` does too when every part is an `SDR`.
@@ -185,13 +185,6 @@ def to_dense_array(a: SDR, dtype=None) -> "object":
     return out
 
 
-def random_sdr(n: int, w: int, rng) -> SDR:
-    """Uniformly random SDR with w one-bits; rng is a random.Random."""
-    if w > n:
-        raise InvalidSdr(f"cannot place {w} one-bits in {n} bits")
-    return SDR(n, tuple(sorted(rng.sample(range(n), w))))
-
-
 __all__ = [
     "SDR",
     "overlap",
@@ -201,6 +194,5 @@ __all__ = [
     "to_sparse_string",
     "from_sparse_string",
     "to_dense_array",
-    "random_sdr",
     "MAX_DENSE_N",
 ]

@@ -159,21 +159,23 @@ def check_numbers(make, plain, data):
 
 @st.composite
 def bounded(draw, cls):
-    """A constructor of ``cls``, and whether its n - w buckets are exact floats."""
+    """A constructor of ``cls``, and whether the column step keys its n - w
+    buckets: below 2**62, past 2**53 too, where buckets are no longer exact
+    floats."""
     lo, span = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.5, 1e3))
-    n = draw(st.one_of(st.integers(2, 400), st.just((1 << 54) + 7)))
+    n = draw(st.one_of(st.integers(2, 400), st.just((1 << 54) + 7), st.just((1 << 62) + 50)))
     w = draw(st.integers(1, min(n - 1, 40)))
-    return (lambda: cls(lo, lo + span, n, w)), n - w < 1 << 53
+    return (lambda: cls(lo, lo + span, n, w)), n - w < 1 << 62
 
 
 @SETTINGS
 @given(st.sampled_from([ScalarEncoder, DeltaEncoder]).flatmap(bounded),
        chunks_of(plain_floats), st.data())
 def test_scalar_and_delta(case, plain, data):
-    make, exact = case
-    if exact:  # a delta's state carries across the chunks
+    make, keyed = case
+    if keyed:  # a delta's state carries across the chunks
         check_numbers(make, plain, data)
-    else:  # past 2**53 buckets the column step refuses, and the rows decide
+    else:  # from 2**62 buckets the column step refuses, and the rows decide
         assert check_chunks(make, data.draw(chunks_of(numbers))) == 0
 
 
@@ -199,6 +201,17 @@ def test_delta_change_past_the_float_range():
 def test_cyclic(period, n, data, plain):
     w = data.draw(st.integers(1, n))
     check_numbers(lambda: CyclicEncoder(period, n, w), plain, data)
+
+
+@SETTINGS
+@given(st.sampled_from([(1 << 54) + 7, (1 << 62) - 1, 1 << 62]), st.floats(0.1, 1e4),
+       chunks_of(plain_floats), st.data())
+def test_cyclic_keys_every_n_below_2_62(n, period, plain, data):
+    make = lambda: CyclicEncoder(period, n, 21)  # noqa: E731
+    if n < 1 << 62:
+        check_numbers(make, plain, data)
+    else:  # the column step refuses, and the rows decide
+        assert check_chunks(make, data.draw(chunks_of(numbers))) == 0
 
 
 @SETTINGS
@@ -394,3 +407,20 @@ def test_chunk_keys_of_csv_text(plain, mixed, order):
 
     assert check(plain) == len(plain)
     check(mixed)
+
+
+def test_csv_windows_below_2_62_buckets_are_keyed_by_columns():
+    """A scalar of 2**60 bits and a cyclic one of 2**54, whose buckets are
+    no longer exact floats, take the column step on every chunk."""
+    config = {"encoder": {"type": "multi", "parts": [
+        {"field": "a", "encoder": {"type": "scalar", "min": -100, "max": 100, "n": 1 << 60,
+                                   "w": 21}},
+        {"field": "b", "encoder": {"type": "cyclic", "period": 360, "n": 1 << 54, "w": 21}},
+    ]}}
+    header = ["a", "b"]
+    rows = [[repr(v / 3), repr(v * 7.1)] for v in range(-390, 390, 7)]
+    assert check_chunks(lambda: parse_pipeline_config(config), [rows[:50], rows[50:]],
+                        by_rows=lambda cfg, rows: row_keys(cfg, header, rows),
+                        by_column=lambda cfg, rows: cfg._chunk_keys(header, rows),
+                        rows=lambda cfg, keys: key_rows(cfg.multi, keys),
+                        state=lambda cfg: state(cfg.multi)) == 2

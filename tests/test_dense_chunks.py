@@ -223,21 +223,28 @@ def expected_chunks(row_count, per_chunk):
 
 def per_row_run(config, text, self_describing=False):
     """(exit code, stdout, stderr) of the per-row path on the CSV ``text``:
-    the config's warnings, then `cli._each_row`, which reads the rows and
-    reports a data error, writing ``to_sparse_string(cfg.encode_row(row))``
-    for each row as it is read."""
+    the config's warnings, then `cli._each_chunk` a row at a time, which
+    reads the rows, writing ``to_sparse_string(cfg.encode_row(row))`` for
+    each row as it is read, and raises a data error that `cli._reported`
+    prints."""
     cfg = parse_pipeline_config(config)
     out, err = io.StringIO(), io.StringIO()
 
-    def write_line(row):
-        out.write(to_sparse_string(cfg.encode_row(row), self_describing) + "\n")
+    def write_lines(header, rows, first):
+        for sdr in cli._each_value(header, rows, first, cfg.encode_row):
+            out.write(to_sparse_string(sdr, self_describing) + "\n")
 
     cli._emit_warnings(cfg, err)
     with tempfile.TemporaryDirectory() as tmp:
         in_path = Path(tmp) / "in.csv"
         in_path.write_text(text, encoding="utf-8", errors="surrogateescape")
-        with cli._open_input(str(in_path), err) as lines:
-            code = cli._each_row(lines, cfg, write_line, err)
+
+        def run():
+            with cli._open_input(str(in_path)) as lines:
+                cli._each_chunk(lines, cfg, 1, write_lines)
+            return cli.EXIT_OK
+
+        code = cli._reported(run, err)
     return code, out.getvalue(), err.getvalue()
 
 

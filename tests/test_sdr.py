@@ -13,12 +13,17 @@ from sdrkit.sdr import (
     from_dense_string,
     from_sparse_string,
     overlap,
-    random_sdr,
     sparsity,
     to_dense_array,
     to_dense_string,
     to_sparse_string,
 )
+
+
+def random_sdr(n, w, rng):
+    """A uniformly random SDR of ``n`` bits with ``w`` one-bits; ``rng`` is a
+    random.Random."""
+    return SDR(n, tuple(sorted(rng.sample(range(n), w))))
 
 
 def test_overlap_basic():
