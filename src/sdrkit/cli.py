@@ -10,17 +10,14 @@ output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
 Every format is written in blocks of as many lines as fit in 256 KiB and
 2**15 bit indices (one line when it is longer).  A block's rows are checked
-and keyed a column at a time into a bit matrix; a block that fails there,
-on a data error or on a value that only the per-row checks take, runs row
-by row instead, each line from the row's SDR, so a data error still leaves
-every row before the failing one written and names that row.  The bit
-matrix is uint64, Python ints past 2**64 bits, so every n takes the same
-column step, up to the window bound: a scalar or delta part with
-n - w >= 2**62, or a cyclic one with n >= 2**62, runs row by row.  A
-reader of a live pipe sees rows arrive a block at a time, sparse rows too,
-and a data error is reported when its block fills or the input ends.  A
-UTF-8 byte-order mark before the header is dropped, for `encode` and
-`evaluate` alike.
+and keyed a column at a time into a bit matrix, uint64 or Python ints past
+2**64 bits, so every n takes the same column step, and every line is
+written from it.  A block with a data error is keyed a row at a time, so
+the rows before the failing one are still written, and the per-row path
+(`PipelineConfig.encode_row`) words that row's error.  A reader of a live
+pipe sees rows arrive a block at a time, sparse rows too, and a data error
+is reported when its block fills or the input ends.  A UTF-8 byte-order
+mark before the header is dropped, for `encode` and `evaluate` alike.
 Every column the config references must appear exactly once in the header:
 a missing or repeated name is a config error (exit 2), and a row whose field
 count differs from the header's is a data error (exit 3), for `encode` and
@@ -36,9 +33,10 @@ Exit codes: 0 ok; 2 config error, also a config file that cannot be read,
 is not JSON or repeats a key in an object; 3 data error, also an input that
 cannot be opened, is not UTF-8 or holds a field longer than
 `csv.field_size_limit()`, each named by row (or header) where it has one,
-with every row before it written, and an `--output` that cannot be opened,
+with every row before it written, and an output that cannot be opened,
 cannot be written (a full device, a closed pipe) or is the input file (the
-input is opened first and left as it was); 4 distance-axiom violation.
+input is opened first and left as it was), for every command's stdout
+too; 4 distance-axiom violation.
 Every config and data error is raised until the command prints it, as one
 `config error: …` or `data error: …` line on stderr (`_reported`).
 """
@@ -61,7 +59,7 @@ from .errors import ConfigError, InputError, SdrError
 from .geospatial import _CHUNK_CELLS, _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
 from .quality import evaluate_encoder
-from .sdr import MAX_DENSE_N, to_dense_string, to_sparse_string
+from .sdr import MAX_DENSE_N
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,41 +184,39 @@ def _chunk_writer(cfg, fmt, fout):
     """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
     becomes one block of lines and one write.
 
-    A chunk is checked and keyed a column at a time into int64 key columns
+    A chunk is checked and keyed a column at a time into key columns
     (`PipelineConfig._chunk_keys`), which become a bit matrix
     (`MultiEncoder._bits`: uint64, Python ints past 2**64 bits).  Where that
-    raises, for a data error or for a value that only the per-row checks
-    take, the chunk runs row by row instead, each line from the row's SDR,
-    `PipelineConfig.encode_row`: the rows before the first failing one are
-    written, then that row's error, the one the per-row path gives, is
-    raised."""
+    raises, some row holds a data error: the chunk is keyed a row at a time,
+    each row by the same step, up to the first that raises; the rows before
+    it are written as one block, and its error, the one ``cfg.encode_row``
+    gives, is raised.  Where the per-row path takes that row, or every row
+    keys alone, the column step's own exception is raised: it is a bug."""
     multi = cfg.multi
     dense, self_describing = fmt == "dense", fmt == "sparse-n"
-    if dense:
-        line_bytes = multi.n + 1
-    else:
-        line_bytes = (len(f"n={multi.n};") * self_describing
-                      + multi.w * (len(str(multi.n - 1)) + 1))
+    line_bytes = multi.n + 1 if dense else (len(f"n={multi.n};") * self_describing
+                                            + multi.w * (len(str(multi.n - 1)) + 1))
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
     def write_chunk(header, rows, first):
         try:
-            keys = cfg._chunk_keys(header, rows)
-        except Exception:  # of any kind: the per-row path decides, and words any error
-            pass
-        else:
-            bits = multi._bits(keys)
+            keys, refusal = [cfg._chunk_keys(header, rows)], None
+        except Exception as exc:  # of any kind: a one-row step finds the row
+            keys, refusal = [], exc
+            for row in rows:
+                try:
+                    keys.append(cfg._chunk_keys(header, [row]))
+                except Exception as row_refusal:
+                    refusal = row_refusal
+                    break
+        if keys:
+            bits = (multi._bits(keys[0]) if refusal is None
+                    else np.concatenate([multi._bits(k) for k in keys]))
             fout.write(_dense_lines(multi, bits) if dense
                        else _sparse_lines(multi, bits, self_describing))
-            return
-        lines = []
-        try:
-            for sdr in _each_value(header, rows, first, cfg.encode_row):
-                lines.append((to_dense_string(sdr) if dense
-                              else to_sparse_string(sdr, self_describing)) + "\n")
-        finally:  # the rows before a failing one too
-            if lines:
-                fout.write("".join(lines))
+        if refusal is not None:  # the failing row's error, from the per-row path
+            next(_each_value(header, rows[len(keys):], first + len(keys), cfg.encode_row), None)
+            raise refusal
 
     return chunk_rows, write_chunk
 
@@ -268,7 +264,7 @@ def _without_bom(lines):
 
 def _open_output(path):
     """The output file or stdout, in a context; an OSError, which
-    `cmd_encode` words as a data error, when the file cannot be opened."""
+    `_reported` words as a data error, when the file cannot be opened."""
     return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
 
 
@@ -324,10 +320,12 @@ def _each_chunk(lines, cfg, chunk_rows, per_chunk) -> None:
         per_chunk(header, rows, first)
 
 
-def _reported(run, stderr) -> int:
+def _reported(run, stderr, output="-", stdout=None) -> int:
     """``run()``'s exit code, or, when it raises, the error printed to
     ``stderr`` and its exit code: a ConfigError is a config error, any other
-    SdrError a data error."""
+    SdrError a data error, and so is an OSError, which only opening, writing
+    or closing ``output`` can raise here (a path, or "-" or None for
+    ``stdout``, the process's stdout when None)."""
     try:
         return run()
     except ConfigError as exc:
@@ -335,6 +333,12 @@ def _reported(run, stderr) -> int:
         return EXIT_CONFIG
     except SdrError as exc:
         print(f"data error: {exc}", file=stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        if output in (None, "-") and stdout in (None, sys.stdout):
+            # else the interpreter's exit flush would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"data error: cannot write output {output!r}: {exc}", file=stderr)
         return EXIT_DATA
 
 
@@ -348,21 +352,15 @@ def cmd_encode(args, stderr=None) -> int:
             raise ConfigError(f"dense output takes n <= MAX_DENSE_N ({MAX_DENSE_N}), "
                               f"got n={cfg.multi.n}; use a sparse format")
         _emit_warnings(cfg, stderr)
-        try:
-            with (_open_input(args.input, args.output) as lines,
-                  _open_output(args.output) as fout):
-                chunk_rows, write_chunk = _chunk_writer(cfg, fmt, fout)
-                try:
-                    _each_chunk(lines, cfg, chunk_rows, write_chunk)
-                finally:  # on a data error too: keep everything encoded so far
-                    fout.flush()
-        except OSError as exc:  # an open, a write, a flush or the close that flushes
-            if args.output in (None, "-"):  # else the exit flush would fail again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise InputError(f"cannot write output {args.output!r}: {exc}") from exc
+        with (_open_input(args.input, args.output) as lines,
+              _open_output(args.output) as fout):
+            try:
+                _each_chunk(lines, cfg, *_chunk_writer(cfg, fmt, fout))
+            finally:  # on a data error too: keep everything encoded so far
+                fout.flush()
         return EXIT_OK
 
-    return _reported(run, stderr)
+    return _reported(run, stderr, args.output)
 
 
 def cmd_evaluate(args, stdout=None, stderr=None) -> int:
@@ -392,26 +390,30 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
         print("# encoder evaluation", file=stdout)
         print(f"config: {json.dumps(cfg.spec, sort_keys=True)}", file=stdout)
         print(f"quadruple_seed: {args.seed}", file=stdout)
-        print(report.to_text(), file=stdout)
+        print(report.to_text(), file=stdout, flush=True)
         # timing is run-dependent; keep it out of the reproducible report stream
         print(f"elapsed_seconds: {elapsed:.3f}", file=stderr)
         return EXIT_AXIOM if report.total_axiom_violations > 0 else EXIT_OK
 
-    return _reported(run, stderr)
+    return _reported(run, stderr, stdout=stdout)
 
 
 def cmd_selftest_hash(args, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    print("# mix64 input,output", file=stdout)
-    for k, out in zip(SELFTEST_MIX64_INPUTS, mix64_array(SELFTEST_MIX64_INPUTS).tolist()):
-        print(f"{k},{out}", file=stdout)
-    print("# coordinate_hash x,y,seed,n,bit_index,order_key", file=stdout)
-    for x, y, seed, n in SELFTEST_COORD_CASES:
-        keys = _neighborhood_keys(x, y, 0)  # the cell's own packed key
-        (bit_index,) = bit_indices(keys, seed, n)
-        order_key = int(order_keys_array(keys, seed)[0])
-        print(f"{x},{y},{seed},{n},{bit_index},{order_key}", file=stdout)
-    return EXIT_OK
+
+    def run():
+        print("# mix64 input,output", file=stdout)
+        for k, out in zip(SELFTEST_MIX64_INPUTS, mix64_array(SELFTEST_MIX64_INPUTS).tolist()):
+            print(f"{k},{out}", file=stdout)
+        print("# coordinate_hash x,y,seed,n,bit_index,order_key", file=stdout)
+        for x, y, seed, n in SELFTEST_COORD_CASES:
+            keys = _neighborhood_keys(x, y, 0)  # the cell's own packed key
+            (bit_index,) = bit_indices(keys, seed, n)
+            order_key = int(order_keys_array(keys, seed)[0])
+            print(f"{x},{y},{seed},{n},{bit_index},{order_key}", file=stdout, flush=True)
+        return EXIT_OK
+
+    return _reported(run, sys.stderr, stdout=stdout)
 
 
 def _quadruple_count(text: str) -> int:

@@ -43,9 +43,8 @@ _I64_MAX = (1 << 63) - 1
 
 
 class _Unkeyed(Exception):
-    """A column step's refusal (`_Encoder._keys`): it does not key these
-    values exactly as ``_key`` would, so the per-row path decides, and words
-    any error."""
+    """A column step's refusal (`_Encoder._keys`): ``_key`` raises for some
+    value of the column, and words the error."""
 
 
 def _check_n(n) -> None:
@@ -134,12 +133,12 @@ class _Encoder:
     * ``_keys(values)`` is the ``_key`` of each value of a column, in order,
       computed a column at a time, as int64 arrays: one array of the keys,
       the geospatial ``(x, y, r)`` arrays, or a multi encoder's tuple of its
-      parts' key columns.  Every encoder has its own, and it takes the one
-      column form its config binding reads (`BoundEncoder._read_columns`).
-      It builds no error message: where ``_key`` would raise for any value
-      it raises an exception of any type, and it may refuse values that
-      ``_key`` accepts, never the reverse.  Either step moves a
-      `DeltaEncoder`, ``_keys`` only when it returns.
+      parts' key columns; a window of 2**62 buckets or more keys as Python
+      ints in an object array.  Every encoder has its own, and it takes the
+      one column form its config binding reads (`BoundEncoder._read_columns`).
+      It builds no error message: on that form it raises, an exception of
+      any type, exactly where ``_key`` raises for some value.  Either step
+      moves a `DeltaEncoder`, ``_keys`` only when it returns.
     * ``_bits(keys)`` is the (rows, w) matrix of the bit indices of the key
       columns that ``_keys`` gives, non-negative integers below n: uint64
       from a hashing or multi encoder, Python ints past 2**64 bits; a hash
@@ -212,13 +211,13 @@ class ScalarEncoder(_WindowEncoder):
         return min(math.floor((v - self.min_value) / self.resolution), self.n - self.w)
 
     def _clamped_buckets(self, v: np.ndarray) -> np.ndarray:
-        """`_clamped_bucket` of each float of an array, through the same
-        float operations; `_Unkeyed` when n - w reaches 2**62.  Below that
-        the floor is below 1.5 * 2**62 even at a subnormal bucket width, so
-        its int64 cast is exact."""
+        """`_clamped_bucket` of each float of an array: through the same
+        float operations as int64 while n - w is below 2**62, where the
+        floor is below 1.5 * 2**62 even at a subnormal bucket width, so its
+        int64 cast is exact; as Python ints, a value at a time, past it."""
         top = self.n - self.w
         if top >= 1 << 62:
-            raise _Unkeyed
+            return np.array(list(map(self._clamped_bucket, v.tolist())), dtype=object)
         v = np.minimum(np.maximum(v, self.min_value), self.max_value)
         return np.minimum(np.floor((v - self.min_value) / self.resolution).astype(np.int64), top)
 
@@ -253,9 +252,9 @@ class CyclicEncoder(_WindowEncoder):
     _key = bucket
 
     def _keys(self, values) -> np.ndarray:
-        if self.n >= 1 << 62:  # the floor of phase / resolution, up to about n, casts exactly
-            raise _Unkeyed
         v = _finite_floats(values)
+        if self.n >= 1 << 62:  # below, the floor of phase / resolution casts exactly
+            return np.array(list(map(self.bucket, v.tolist())), dtype=object)
         # numpy's float % is Python's: fmod, then the divisor's sign.
         phase = ((v % self.period) + self.period) % self.period
         return np.floor(phase / self.resolution).astype(np.int64) % self.n

@@ -3,15 +3,20 @@
 `sdrkit encode` keys each chunk of rows a column at a time: every
 encoder's ``_keys(values)``, through `PipelineConfig._chunk_keys` for CSV
 text.  ``_keys`` takes the one column form its binding reads (`column`
-builds it here from a list of values) and returns int64 key columns.
+builds it here from a list of values) and returns int64 key columns, or
+Python ints in an object array for a window of 2**62 buckets or more.
 ``_key``, one value at a time, is the reference, and the oracle here:
 
-* wherever ``_keys`` returns, its int64 key columns, read row by row
+* wherever ``_keys`` returns, its key columns, read row by row
   (`key_rows`), equal the ``_key`` of each value in turn, and so does every
   delta encoder's state after it;
 * wherever ``_key`` raises for one of the values, ``_keys`` raises too and
-  leaves every delta encoder as it was; it may refuse values that ``_key``
-  takes, and the encoder is then run row by row, as `sdrkit encode` does.
+  leaves every delta encoder as it was;
+* on the column form its binding reads, ``_keys`` raises only there: it
+  refuses no column that ``_key`` takes, for every leaf type and at window
+  sizes on both sides of 2**62 and past 2**64 (`check_chunks` with
+  ``parity``).  Off that form (text or huge integers among floats, a date
+  among datetimes) it may refuse more, and the values are run row by row.
 
 Each encoder gets a stream of chunks: scalar, delta (state carried across
 chunks), cyclic, category under both unknown policies, unbounded,
@@ -82,14 +87,23 @@ def column(enc, values):
     return values
 
 
+def key_dtype(enc):
+    """The dtype of ``enc``'s key columns: int64, or object (Python ints)
+    for a scalar or delta window with n - w >= 2**62 or a cyclic one with
+    n >= 2**62."""
+    buckets = (enc.n - enc.w if isinstance(enc, ScalarEncoder)
+               else enc.n if isinstance(enc, CyclicEncoder) else 0)
+    return object if buckets >= 1 << 62 else np.int64
+
+
 def key_rows(enc, keys) -> list:
     """The key columns that ``enc._keys`` returns as the list of each row's
-    ``_key``; each column must be int64."""
+    ``_key``; each column must have ``enc``'s `key_dtype`."""
     if isinstance(enc, MultiEncoder):
         return list(zip(*(key_rows(part, part_keys)
                           for (_, part), part_keys in zip(enc.parts, keys, strict=True))))
     columns = keys if isinstance(enc, GeospatialEncoder) else (keys,)
-    assert all(c.dtype == np.int64 and c.ndim == 1 for c in columns)
+    assert all(c.dtype == key_dtype(enc) and c.ndim == 1 for c in columns)
     rows = list(zip(*(c.tolist() for c in columns), strict=True))
     return rows if isinstance(enc, GeospatialEncoder) else [key for key, in rows]
 
@@ -103,12 +117,13 @@ def state(enc):
 
 def check_chunks(make, chunks, by_rows=lambda enc, values: per_row(enc._key, values),
                  by_column=lambda enc, values: enc._keys(column(enc, values)),
-                 rows=key_rows, state=state):
+                 rows=key_rows, state=state, parity=False):
     """Key each chunk with two encoders from ``make()``: one row by row
     (``by_rows``), one a column at a time (``by_column``, read by ``rows``),
     falling back to row by row where that raises; return how many chunks
-    ``by_column`` keyed.  The stream ends at the first chunk that the rows
-    refuse."""
+    ``by_column`` keyed.  With ``parity``, ``by_column`` raises only for a
+    chunk that the rows refuse.  The stream ends at the first chunk that the
+    rows refuse."""
     by_row, columnar = make(), make()
     keyed = 0
     for values in chunks:
@@ -116,7 +131,9 @@ def check_chunks(make, chunks, by_rows=lambda enc, values: per_row(enc._key, val
         expected = by_rows(by_row, values)
         try:
             keys = by_column(columnar, values)
-        except Exception:
+        except Exception as exc:
+            assert not parity or isinstance(expected, Exception), (
+                f"the column step refused {values!r}, which _key takes: {exc!r}")
             assert state(columnar) == before
             fallback = by_rows(columnar, values)
             if isinstance(expected, Exception):
@@ -157,26 +174,26 @@ def check_numbers(make, plain, data):
     check_chunks(make, data.draw(chunks_of(numbers)))
 
 
+# Window sizes on both sides of 2**62 buckets, where keys turn from int64
+# into Python ints, and past 2**64.
+WINDOW_NS = {"2**62-1": (1 << 62) - 1, "2**62+50": (1 << 62) + 50, "2**64+7": (1 << 64) + 7}
+
+
 @st.composite
 def bounded(draw, cls):
-    """A constructor of ``cls``, and whether the column step keys its n - w
-    buckets: below 2**62, past 2**53 too, where buckets are no longer exact
-    floats."""
+    """A constructor of ``cls`` at any n: past 2**53 too, where buckets are
+    no longer exact floats, and past 2**62, where they are Python ints."""
     lo, span = draw(st.floats(-1e3, 1e3)), draw(st.floats(0.5, 1e3))
-    n = draw(st.one_of(st.integers(2, 400), st.just((1 << 54) + 7), st.just((1 << 62) + 50)))
+    n = draw(st.one_of(st.integers(2, 400), st.sampled_from([(1 << 54) + 7, *WINDOW_NS.values()])))
     w = draw(st.integers(1, min(n - 1, 40)))
-    return (lambda: cls(lo, lo + span, n, w)), n - w < 1 << 62
+    return lambda: cls(lo, lo + span, n, w)
 
 
 @SETTINGS
 @given(st.sampled_from([ScalarEncoder, DeltaEncoder]).flatmap(bounded),
        chunks_of(plain_floats), st.data())
-def test_scalar_and_delta(case, plain, data):
-    make, keyed = case
-    if keyed:  # a delta's state carries across the chunks
-        check_numbers(make, plain, data)
-    else:  # from 2**62 buckets the column step refuses, and the rows decide
-        assert check_chunks(make, data.draw(chunks_of(numbers))) == 0
+def test_scalar_and_delta(make, plain, data):
+    check_numbers(make, plain, data)  # a delta's state carries across the chunks
 
 
 @pytest.mark.parametrize("make", [
@@ -204,14 +221,10 @@ def test_cyclic(period, n, data, plain):
 
 
 @SETTINGS
-@given(st.sampled_from([(1 << 54) + 7, (1 << 62) - 1, 1 << 62]), st.floats(0.1, 1e4),
+@given(st.sampled_from([(1 << 54) + 7, 1 << 62, *WINDOW_NS.values()]), st.floats(0.1, 1e4),
        chunks_of(plain_floats), st.data())
-def test_cyclic_keys_every_n_below_2_62(n, period, plain, data):
-    make = lambda: CyclicEncoder(period, n, 21)  # noqa: E731
-    if n < 1 << 62:
-        check_numbers(make, plain, data)
-    else:  # the column step refuses, and the rows decide
-        assert check_chunks(make, data.draw(chunks_of(numbers))) == 0
+def test_cyclic_keys_every_n(n, period, plain, data):
+    check_numbers(lambda: CyclicEncoder(period, n, 21), plain, data)
 
 
 @SETTINGS
@@ -356,6 +369,40 @@ def test_multi_missing_field():
     assert check_chunks(multi, [[record, record], [record, partial, record]]) == 1
 
 
+# --- parity on each binding's column form -------------------------------------
+
+binding_floats = st.one_of(plain_floats, plain_floats, hostile_floats)  # what float() reads
+# Each leaf type at n, and values in the column form its binding reads.
+LEAVES = {
+    "scalar": (lambda n: ScalarEncoder(-50, 50, n, 21), binding_floats),
+    "delta": (lambda n: DeltaEncoder(-5, 5, n, 21), binding_floats),
+    "cyclic": (lambda n: CyclicEncoder(7.0, n, 21), binding_floats),
+    "datetime": (lambda n: DatetimeEncoder(weekend={"w": 7}, day_of_week={"n": n, "w": 9},
+                                           time_of_day={"n": n, "w": 11}), datetimes),
+    "unbounded": (lambda n: UnboundedScalarEncoder(0.5, n, 21, seed=3), binding_floats),
+    "category": (lambda n: CategoryEncoder(LABELS, 5), labels),
+    "geospatial-fixed": (lambda n: GeospatialEncoder(n, 1, seed=5), cells(1)),
+    "geospatial-topw": (lambda n: GeospatialEncoder(n, 1, variant="topw", w=9, seed=9,
+                                                    speed_scale=0.5, radius_min=1,
+                                                    radius_max=4),
+                        st.tuples(cells(4), speeds)),
+}
+PARITY_CASES = ([pytest.param(leaf, n, id=f"{leaf}-{name}")
+                  for leaf in ("scalar", "delta", "cyclic", "datetime")
+                  for name, n in {"400": 400, **WINDOW_NS}.items()]
+                + [pytest.param(leaf, 400, id=leaf) for leaf in ("unbounded", "category",
+                                                                 "geospatial-fixed",
+                                                                 "geospatial-topw")])
+
+
+@pytest.mark.parametrize("leaf, n", PARITY_CASES)
+@settings(SETTINGS, max_examples=30)
+@given(data=st.data())
+def test_keys_raise_exactly_where_key_raises(leaf, n, data):
+    make, values = LEAVES[leaf]
+    check_chunks(lambda: make(n), data.draw(chunks_of(values)), parity=True)
+
+
 # --- CSV text through the bindings -------------------------------------------
 
 CONFIG = json.loads((Path(__file__).resolve().parent / "data" / "encode" / "all_leaves.json")
@@ -403,7 +450,7 @@ def test_chunk_keys_of_csv_text(plain, mixed, order):
             by_rows=lambda cfg, rows: row_keys(cfg, header, rows),
             by_column=lambda cfg, rows: cfg._chunk_keys(header, rows),
             rows=lambda cfg, keys: key_rows(cfg.multi, keys),
-            state=lambda cfg: state(cfg.multi))
+            state=lambda cfg: state(cfg.multi), parity=True)
 
     assert check(plain) == len(plain)
     check(mixed)

@@ -2,9 +2,9 @@
 
 `sdrkit encode --format dense` checks and keys each chunk of rows a column
 at a time (the encoders' ``_keys`` step) and turns the chunk into text at
-once (``_bits`` and `cli._dense_lines`); where the column step refuses, it
-runs the chunk row by row, each line from the row's SDR.  The oracle is
-the per-row path:
+once (``_bits`` and `cli._dense_lines`); where the column step raises, it
+keys the chunk a row at a time, for the rows before the failing one.  The
+oracle is the per-row path:
 ``to_dense_string(cfg.encode_row(row))`` for every row, and `per_row_run`,
 the CLI's row reading and error report around
 ``to_sparse_string(cfg.encode_row(row))``, for stderr and the exit code.

@@ -8,11 +8,12 @@ with a speed field on [lat, lon]) to the 300 rows of `all_leaves.csv`.
 lines the CLI printed when the files were written (the sparse formats row
 by row, before they were written in chunks).  At n = 1,994 the output
 spans several write chunks, so a change to any encoder, to the hashing or
-to how lines are built and written shows here as a diff.  Every row of
-every run here is keyed by the column step (`PipelineConfig._chunk_keys`,
-then `MultiEncoder._bits`); none falls back to the per-row path
-(`cli._each_value`), so the files pin the column step of every leaf
-encoder, the ±4.6e18 unbounded readings at the int64 edge included.
+to how lines are built and written shows here as a diff.  Every line of
+`sdrkit encode` is written from the column step
+(`PipelineConfig._chunk_keys`, then `MultiEncoder._bits`); the per-row path
+(`cli._each_value`) only words a data error, and no row here reaches it,
+so the files pin the column step of every leaf encoder, the ±4.6e18
+unbounded readings at the int64 edge included.
 
 `geo_band.json` binds one geospatial top-w encoder with a speed field on
 [lat, lon] (radius 2 to 8, w = 20, 40 m cells) to the 3,600 rows of

@@ -7,7 +7,8 @@ code and one error line on stderr, never a traceback.
   space.  A size that the CLI failed to bound would end there in a
   `MemoryError` traceback, not in an allocation that swaps the machine.
 * An output that cannot be written (a full device, as `--output` or as
-  stdout, and a pipe whose reader has gone) is a data error, exit 3.
+  stdout, and a pipe whose reader has gone) is a data error, exit 3, for
+  `encode`, `evaluate` and `selftest-hash` alike.
 * A pipeline whose total n has more digits than the interpreter prints
   (`sys.get_int_max_str_digits()`) is a config error, exit 2.
 """
@@ -118,21 +119,31 @@ def test_a_hostile_input_under_a_memory_cap(tmp_path, command, config, text, mor
 
 ALL_LEAVES = ["encode", "--config", str(GOLDEN / "all_leaves.json"),
               "--input", str(GOLDEN / "all_leaves.csv"), "--format", "dense"]
+REPORTS = Path(__file__).resolve().parent / "data" / "evaluate"
+# Each command that writes stdout, on golden inputs.
+WRITERS = {
+    "encode": ALL_LEAVES,
+    "evaluate": ["evaluate", "--config", str(REPORTS / "absolute.json"),
+                 "--input", str(REPORTS / "absolute.csv")],
+    "selftest-hash": ["selftest-hash"],
+}
 
 
 @no_dev_full
-def test_stdout_on_a_full_device_is_a_data_error():
+@pytest.mark.parametrize("args", list(WRITERS.values()), ids=list(WRITERS))
+def test_stdout_on_a_full_device_is_a_data_error(args):
     with open("/dev/full", "w", encoding="utf-8") as full:
-        proc = run_cli(ALL_LEAVES, stdout=full)
+        proc = run_cli(args, stdout=full)
     the_error(proc, cli.EXIT_DATA, "data error: cannot write output '-': ")
 
 
-def test_a_closed_pipe_is_a_data_error():
+@pytest.mark.parametrize("args", list(WRITERS.values()), ids=list(WRITERS))
+def test_a_closed_pipe_is_a_data_error(args):
     assert (GOLDEN / "all_leaves.dense").stat().st_size >= 64 << 10  # more than a pipe holds
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     try:
-        proc = run_cli(ALL_LEAVES, stdout=write_end)
+        proc = run_cli(args, stdout=write_end)
     finally:
         os.close(write_end)
     the_error(proc, cli.EXIT_DATA, "data error: cannot write output '-': ")

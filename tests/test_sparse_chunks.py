@@ -2,10 +2,11 @@
 
 `sdrkit encode --format sparse|sparse-n` checks and keys each chunk of rows
 a column at a time (the encoders' ``_keys`` step) and turns the chunk into
-text at once (``_bits`` and `cli._sparse_lines`), or runs it row by row
-where the column step refuses, as dense output does.  The oracle is
-the per-row path, `per_row_run`: ``to_sparse_string(cfg.encode_row(row))``
-for each row, with the CLI's own row reading and error report.
+text at once (``_bits`` and `cli._sparse_lines`); where the column step
+raises, it keys the chunk a row at a time, as dense output does.  The
+oracle is the per-row path, `per_row_run`:
+``to_sparse_string(cfg.encode_row(row))`` for each row, with the CLI's own
+row reading and error report.
 
 * Random pipelines of every leaf type (the leaf strategies of
   `test_dense_chunks`), at a w that puts 1, 2, 3 or 5 rows in a chunk or all
@@ -23,8 +24,14 @@ for each row, with the CLI's own row reading and error report.
   is uint64 up to 2**64 bits and Python ints past it, keys each plain
   chunk by columns like any other, with no row's SDR built
   (``MultiEncoder._sdr``), byte-identical to the oracle; a chunk with a
-  data error runs row by row, at any n, and still writes its rows before
-  the failing one at once.
+  data error is keyed a row at a time, at any n, builds no row's SDR
+  either and writes its rows before the failing one at once.
+* Windows of 2**62 buckets or more (a scalar with n - w >= 2**62, a
+  cyclic part with n >= 2**62) take the same column step, with no row
+  run through the per-row path (`cli._each_value`).
+* A column step that refuses a row which the per-row path takes makes
+  `encode` raise that step's exception, with that row not written: it is
+  a bug, not a slow path.
 """
 
 import contextlib
@@ -38,6 +45,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sdrkit import cli
 from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
+from sdrkit.scalars import ScalarEncoder
+from sdrkit.sdr import to_sparse_string
 
 from test_dense_chunks import (
     ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, VALUE_ERROR_FIRST, WRITE_CASES,
@@ -162,10 +171,10 @@ def test_past_int64_bits_are_keyed_by_columns(unbounded_n, fmt, values):
         result, sizes = encode_counting_chunks(config, text, fmt, "_sparse_lines")
     assert result == per_row_run(config, text, fmt == "sparse-n")
     code, out, _ = result
-    by_rows = "x" in values  # only the chunk with a data error runs row by row
-    assert bool(sizes) != by_rows
-    assert sdr_calls.call_count == (out.count("\n") if by_rows else 0)
-    assert code == (cli.EXIT_OK if not by_rows else cli.EXIT_DATA)
+    failing = "x" in values  # row 3; rows 1 and 2 are written as one block
+    assert sizes == ([2] if failing else [4])
+    assert sdr_calls.call_count == 0
+    assert code == (cli.EXIT_DATA if failing else cli.EXIT_OK)
     n = 50 + unbounded_n
     first = out.splitlines()[0]
     assert first.startswith((f"n={n};" if fmt == "sparse-n" else "") + "0,1,2,3,4,")
@@ -188,3 +197,58 @@ def test_past_int64_bits_writes_fewer_times_than_rows(tmp_path, fmt):
                                                                   fmt == "sparse-n")
     assert out.getvalue().count("\n") == 30
     assert len(out.writes) < 30
+
+
+# --- windows of 2**62 buckets and more: the same column step -------------------
+
+WIDE_WINDOWS = {"encoder": {"type": "multi", "parts": [
+    {"field": "a", "encoder": {"type": "scalar", "min": -100, "max": 100,
+                               "n": (1 << 62) + 50, "w": 21}},
+    {"field": "b", "encoder": {"type": "cyclic", "period": 360, "n": (1 << 63) + 3, "w": 21}},
+    {"field": "c", "encoder": {"type": "delta", "min": -5, "max": 5, "n": (1 << 62) + 30,
+                               "w": 21}},
+]}}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_windows_past_2_62_buckets_take_the_column_step(fmt):
+    text = csv_text(["a", "b", "c"], [[repr(v / 3), repr(v * 7.1), repr(v / 50)]
+                                      for v in range(-390, 390, 7)])
+    with mock.patch.object(cli, "_each_value", wraps=cli._each_value) as per_row_calls:
+        result = encode(WIDE_WINDOWS, text, fmt)
+    assert per_row_calls.call_count == 0
+    assert result == per_row_run(WIDE_WINDOWS, text, fmt == "sparse-n")
+    assert result[0] == cli.EXIT_OK and result[1].count("\n") == 112
+
+
+class Refused(Exception):
+    """A column step's refusal of a value that ``_key`` takes."""
+
+
+@pytest.mark.parametrize("refuses, written", [
+    pytest.param(lambda values: 4.0 in values, 3, id="row-4"),
+    pytest.param(lambda values: len(values) > 1, 8, id="every-chunk"),
+])
+def test_a_column_step_that_refuses_what_key_takes_raises(tmp_path, refuses, written):
+    """``_keys`` refusing row 4 writes rows 1-3 and raises at row 4, which
+    it does not write; refusing the chunk of all 8 rows, while each row keys
+    alone, writes each row from its own key column and then raises."""
+    config = {"encoder": {"type": "scalar", "min": 0, "max": 10, "n": 50, "w": 5},
+              "field": "t"}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "in.csv").write_text(csv_text(["t"], [[str(i)] for i in range(1, 9)]),
+                                     encoding="utf-8")
+    real = ScalarEncoder._keys
+
+    def keys(enc, values):
+        if refuses(values):
+            raise Refused
+        return real(enc, values)
+
+    with mock.patch.object(ScalarEncoder, "_keys", keys), pytest.raises(Refused):
+        cli.main(["encode", "--config", str(tmp_path / "c.json"),
+                  "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "out"),
+                  "--format", "sparse"])
+    lines = (tmp_path / "out").read_text(encoding="utf-8").splitlines()
+    assert lines == [to_sparse_string(ScalarEncoder(0, 10, 50, 5).encode(i))
+                     for i in range(1, written + 1)]
