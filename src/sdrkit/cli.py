@@ -38,7 +38,9 @@ cannot be written (a full device, a closed pipe) or is the input file (the
 input is opened first and left as it was), for every command's stdout
 too; 4 distance-axiom violation.
 Every config and data error is raised until the command prints it, as one
-`config error: …` or `data error: …` line on stderr (`_reported`).
+`config error: …` or `data error: …` line on stderr (`_reported`).  Every
+line on stderr is best-effort (`_note`): a stderr that cannot be written
+changes neither the output nor the exit code.
 """
 
 from __future__ import annotations
@@ -118,9 +120,18 @@ def _load_config(path: str):
     return parse_pipeline_config(raw)
 
 
+def _note(line: str, stderr) -> None:
+    """Print a diagnostic line to ``stderr``, best-effort: a stderr that
+    cannot be written (a full device) changes no output and no exit code."""
+    try:
+        print(line, file=stderr)
+    except OSError:
+        pass
+
+
 def _emit_warnings(cfg, stderr) -> None:
     for message in cfg.warnings:
-        print(f"warning: {message}", file=stderr)
+        _note(f"warning: {message}", stderr)
 
 
 def _dense_lines(multi, bits) -> str:
@@ -322,23 +333,24 @@ def _each_chunk(lines, cfg, chunk_rows, per_chunk) -> None:
 
 def _reported(run, stderr, output="-", stdout=None) -> int:
     """``run()``'s exit code, or, when it raises, the error printed to
-    ``stderr`` and its exit code: a ConfigError is a config error, any other
-    SdrError a data error, and so is an OSError, which only opening, writing
-    or closing ``output`` can raise here (a path, or "-" or None for
-    ``stdout``, the process's stdout when None)."""
+    ``stderr`` (`_note`) and its exit code: a ConfigError is a config error,
+    any other SdrError a data error, and so is an OSError, which only
+    opening, writing, flushing or closing ``output`` can raise here (a path,
+    or "-" or None for ``stdout``, the process's stdout when None): every
+    diagnostic on ``stderr`` goes through `_note`, which raises none."""
     try:
         return run()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
+        _note(f"config error: {exc}", stderr)
         return EXIT_CONFIG
     except SdrError as exc:
-        print(f"data error: {exc}", file=stderr)
+        _note(f"data error: {exc}", stderr)
         return EXIT_DATA
     except OSError as exc:
         if output in (None, "-") and stdout in (None, sys.stdout):
             # else the interpreter's exit flush would fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"data error: cannot write output {output!r}: {exc}", file=stderr)
+        _note(f"data error: cannot write output {output!r}: {exc}", stderr)
         return EXIT_DATA
 
 
@@ -392,7 +404,7 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
         print(f"quadruple_seed: {args.seed}", file=stdout)
         print(report.to_text(), file=stdout, flush=True)
         # timing is run-dependent; keep it out of the reproducible report stream
-        print(f"elapsed_seconds: {elapsed:.3f}", file=stderr)
+        _note(f"elapsed_seconds: {elapsed:.3f}", stderr)
         return EXIT_AXIOM if report.total_axiom_violations > 0 else EXIT_OK
 
     return _reported(run, stderr, stdout=stdout)

@@ -14,11 +14,13 @@ as neutral.  The discordance rate is a heuristic quality signal, not a hard
 pass/fail -- a perfect ordering is not attainable for most input spaces.
 
 Everything is read off two m x m matrices over the m samples, each built
-once: the distance matrix and the overlap matrix.  Memory is therefore
-O(m**2): the two matrices plus vectors over the m(m-1)/2 pairs i < j, or,
-for the exact count over all m**4 quadruples, over the m**2 cells.  More
-than `MAX_EVALUATE_SAMPLES` samples raise InputError before any of it is
-allocated.
+once: the distance matrix and the overlap matrix.  The overlaps are counted
+among the distinct encodings only and gathered from there; the symmetry
+axiom is checked a block of rows at a time; the pair distances are ranked
+by one sort.  Memory is therefore O(m**2): the two matrices plus vectors
+over the m(m-1)/2 pairs i < j, or, for the exact count over all m**4
+quadruples, over the m**2 cells.  More than `MAX_EVALUATE_SAMPLES` samples
+raise InputError before any of it is allocated.
 A distance expression (`ExpressionDistance`, every built-in among them)
 fills the distance matrix with numpy where that is exact; otherwise the
 distance is called once per ordered pair, m**2 calls in all.
@@ -43,12 +45,13 @@ from .sdr import SDR
 AXIOM_TOLERANCE = 1e-9
 _EXAMPLE_CAP = 10  # offending pairs kept per axiom, enough to debug with
 _QUADRUPLE_CHUNK = 1 << 16  # sampled quadruples per numpy pass; bounds memory
+_AXIOM_BLOCK = 128  # distance rows per symmetry pass; bounds its float temporaries
 
 AXIOMS = ("non_negativity", "symmetry", "identity")
 
 # Most samples an evaluation takes.  Its m x m matrices and pair vectors
-# took about 42 bytes per cell at m = 3,000, so m = 10,000 needs about
-# 4.2 GB (extrapolated); a larger m is an InputError, not a memory error.
+# took about 40 bytes per cell at m = 3,000, so m = 10,000 needs about
+# 4.0 GB (extrapolated); a larger m is an InputError, not a memory error.
 MAX_EVALUATE_SAMPLES = 10_000
 
 
@@ -160,30 +163,35 @@ def _axiom_check(distance: Callable, samples: Sequence
                          f"({MAX_EVALUATE_SAMPLES}), which bounds the memory of the m x m "
                          "matrices")
     D = _distance_matrix(distance, samples)
-    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
+    m = len(samples)
+    upper = np.arange(m)[:, None] < np.arange(m)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
         identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
         negative = D < -AXIOM_TOLERANCE
-        asymmetric = np.abs(D - D.T) > AXIOM_TOLERANCE
+        asymmetric = np.zeros((m, m), dtype=bool)
+        for i in range(0, m, _AXIOM_BLOCK):  # rows i.. i+B-1 by columns i.. hold each i < j
+            rows = slice(i, i + _AXIOM_BLOCK)
+            asymmetric[rows, i:] = np.abs(D[rows, i:] - D[i:, rows].T) > AXIOM_TOLERANCE
     np.fill_diagonal(negative, False)
     asymmetric &= upper
+    negatives, asymmetries = int(np.count_nonzero(negative)), int(np.count_nonzero(asymmetric))
 
     def call(i: int, j: int):
         return _call_distance(distance, samples[i], samples[j])
 
     def first_pairs(flags: np.ndarray) -> list[list[int]]:
-        return np.argwhere(flags & upper)[:_EXAMPLE_CAP].tolist()
+        return np.argwhere(flags)[:_EXAMPLE_CAP].tolist()
 
-    negative_pairs = [(a, b) for i, j in first_pairs(negative | negative.T)
-                      for a, b in ((i, j), (j, i)) if negative[a, b]][:_EXAMPLE_CAP]
+    negative_pairs = []
+    if negatives:  # example pairs are looked for only where some flag is set
+        negative_pairs = [(a, b) for i, j in first_pairs((negative | negative.T) & upper)
+                          for a, b in ((i, j), (j, i)) if negative[a, b]][:_EXAMPLE_CAP]
     checks = {
         "non_negativity": AxiomCheck(
-            int(np.count_nonzero(negative)),
-            [(samples[i], samples[j], call(i, j)) for i, j in negative_pairs]),
+            negatives, [(samples[i], samples[j], call(i, j)) for i, j in negative_pairs]),
         "symmetry": AxiomCheck(
-            int(np.count_nonzero(asymmetric)),
-            [(samples[i], samples[j], call(i, j), call(j, i))
-             for i, j in first_pairs(asymmetric)]),
+            asymmetries, [(samples[i], samples[j], call(i, j), call(j, i))
+                          for i, j in (first_pairs(asymmetric) if asymmetries else [])]),
         "identity": AxiomCheck(
             int(np.count_nonzero(identity)),
             [(samples[i], samples[i], call(i, i))
@@ -199,10 +207,13 @@ def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationRe
 
 
 def _overlap_matrix(encode: Callable[[object], SDR], samples: Sequence) -> np.ndarray:
-    """``O[i, j]`` = shared one-bits of the encodings of samples i and j, from
-    an inverted index: every bit adds 1 to ``O[rows, rows]`` for the
-    encodings holding it, which costs sum(|rows|**2) and never an m x n dense
-    array.  The encodings must share one length."""
+    """``O[i, j]`` = shared one-bits of the encodings of samples i and j.
+    The k distinct encodings are counted against each other first, from an
+    inverted index: every bit adds 1 to ``U[rows, rows]`` for the distinct
+    encodings holding it, which costs sum(|rows|**2) and never an m x n
+    dense array, and leaves each encoding's active count on ``U``'s
+    diagonal; ``O`` gathers ``U`` by each sample's encoding.  The encodings
+    must share one length."""
     encodings = [encode(x) for x in samples]
     lengths = {e.n for e in encodings}
     if len(lengths) > 1:
@@ -210,17 +221,17 @@ def _overlap_matrix(encode: Callable[[object], SDR], samples: Sequence) -> np.nd
             f"encodings have mixed total lengths {sorted(lengths)}; "
             "an encoder must emit one fixed dimensionality"
         )
+    distinct: dict[tuple[int, ...], int] = {}
+    which = np.array([distinct.setdefault(e.active, len(distinct)) for e in encodings],
+                     dtype=np.intp)
     holders: dict[int, list[int]] = {}
-    for row, e in enumerate(encodings):
-        for bit in e.active:
+    for row, active in enumerate(distinct):
+        for bit in active:
             holders.setdefault(bit, []).append(row)
-    m = len(encodings)
-    O = np.zeros((m, m), dtype=np.int32)
+    U = np.zeros((len(distinct), len(distinct)), dtype=np.int32)
     for rows in holders.values():
-        if len(rows) > 1:
-            O[np.ix_(rows, rows)] += 1
-    np.fill_diagonal(O, [len(e.active) for e in encodings])
-    return O
+        U[np.ix_(rows, rows)] += 1
+    return U[which][:, which]
 
 
 def _average_ranks(codes: np.ndarray) -> np.ndarray:
@@ -231,6 +242,20 @@ def _average_ranks(codes: np.ndarray) -> np.ndarray:
     return (0.5 * (2 * ends - counts + 1))[codes]
 
 
+def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
+    """The same ranks of any non-NaN values, by one sort: a run of equal
+    sorted values (-0.0 equals 0.0, inf equals inf) at sorted positions
+    first..end - 1 shares the rank (first + end + 1) / 2."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    del ordered  # before the ranks are built, which lowers the peak
+    end = np.append(first[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((first + end + 1) / 2, end - first)
+    return ranks
+
+
 def _rank_correlation(overlaps: np.ndarray, dists: np.ndarray) -> tuple[float, bool]:
     """Spearman's rho of the pair overlaps against the pair distances,
     computed as ``scipy.stats.spearmanr`` does: the Pearson correlation of
@@ -239,8 +264,8 @@ def _rank_correlation(overlaps: np.ndarray, dists: np.ndarray) -> tuple[float, b
     uninformative = bool(overlaps.min() == overlaps.max())
     if uninformative or np.isnan(dists).any() or dists.min() == dists.max():
         return 0.0, uninformative
-    dist_codes = np.unique(dists, return_inverse=True)[1].reshape(-1)
-    rho = np.corrcoef(_average_ranks(overlaps), _average_ranks(dist_codes))[1, 0]
+    dist_ranks = _sorted_average_ranks(dists)  # before the overlap ranks: the larger peak
+    rho = np.corrcoef(_average_ranks(overlaps), dist_ranks)[1, 0]
     return float(rho), uninformative
 
 

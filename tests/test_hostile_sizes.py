@@ -9,6 +9,8 @@ code and one error line on stderr, never a traceback.
 * An output that cannot be written (a full device, as `--output` or as
   stdout, and a pipe whose reader has gone) is a data error, exit 3, for
   `encode`, `evaluate` and `selftest-hash` alike.
+* A stderr that cannot be written is no output error: the command writes
+  what it writes with a writable stderr and exits with its own code.
 * A pipeline whose total n has more digits than the interpreter prints
   (`sys.get_int_max_str_digits()`) is a config error, exit 2.
 """
@@ -56,7 +58,7 @@ def run_cli(args, cap=None, **kwargs):
     limit = cap and (lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     return subprocess.run([sys.executable, "-m", "sdrkit.cli", *args],
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, preexec_fn=limit,
-                          stderr=subprocess.PIPE, text=True, timeout=300, **kwargs)
+                          text=True, timeout=300, **{"stderr": subprocess.PIPE, **kwargs})
 
 
 def the_error(proc, exit_code, start):
@@ -147,6 +149,33 @@ def test_a_closed_pipe_is_a_data_error(args):
     finally:
         os.close(write_end)
     the_error(proc, cli.EXIT_DATA, "data error: cannot write output '-': ")
+
+
+@no_dev_full
+def test_evaluate_with_stderr_on_a_full_device_writes_its_report():
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = run_cli(WRITERS["evaluate"], stdout=subprocess.PIPE, stderr=full)
+    assert proc.returncode == cli.EXIT_OK  # not 1, nor the exit flush's 120
+    assert proc.stdout == (REPORTS / "absolute.stdout").read_text(encoding="utf-8")
+
+
+@no_dev_full
+def test_encode_with_stderr_on_a_full_device_writes_its_output(tmp_path):
+    out = tmp_path / "out.dense"
+    with open("/dev/full", "w", encoding="utf-8") as full:  # the config warns first
+        proc = run_cli([*ALL_LEAVES, "--output", str(out)], stdout=subprocess.PIPE, stderr=full)
+    assert proc.returncode == cli.EXIT_OK and proc.stdout == ""
+    assert out.read_bytes() == (GOLDEN / "all_leaves.dense").read_bytes()
+
+
+@no_dev_full
+def test_a_data_error_with_stderr_on_a_full_device_keeps_its_exit_code(tmp_path):
+    args = write_inputs(tmp_path, SCALAR, "temp\n1\nwarm\n")
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = run_cli(["encode", *args, "--format", "sparse"], stdout=subprocess.PIPE,
+                       stderr=full)
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stdout.count("\n") == 1  # row 1, before the failing row 2
 
 
 @no_digit_limit

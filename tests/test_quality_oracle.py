@@ -839,13 +839,12 @@ def _bench_workloads():
     return module
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_benchmark_geo_report_is_byte_identical(seed, tmp_path, capsys):
-    """The evaluate-geo-expr report, taken from the expression's matrix
-    form, is the one pinned in bench/digests.json, which the per-pair
-    evaluator printed before the matrix form existed."""
+def assert_bench_report_is_pinned(name, seed, tmp_path, capsys):
+    """The workload's report for ``seed``, with its distance matrix taken
+    from numpy (no per-pair call), hashes to the digest pinned in
+    bench/digests.json."""
     wl = _bench_workloads()
-    workload = wl.WORKLOADS["evaluate-geo-expr"]
+    workload = wl.WORKLOADS[name]
     inputs = wl.generate(workload, seed, str(tmp_path))
     csv_path = tmp_path / "input.csv"
     csv_path.write_bytes(inputs.data)
@@ -854,18 +853,130 @@ def test_benchmark_geo_report_is_byte_identical(seed, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     digests = json.loads((ROOT / "bench" / "digests.json").read_text(encoding="utf-8"))
-    assert hashlib.sha256(out.encode()).hexdigest() == digests["evaluate-geo-expr"][str(seed)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[name][str(seed)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_geo_report_is_byte_identical(seed, tmp_path, capsys):
+    """The evaluate-geo-expr report, taken from the expression's matrix
+    form, is the one pinned in bench/digests.json, which the per-pair
+    evaluator printed before the matrix form existed."""
+    assert_bench_report_is_pinned("evaluate-geo-expr", seed, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_scalar_report_is_byte_identical(seed, tmp_path, capsys):
+    """The evaluate-scalar report (m = 1,500 samples, 1,124,250 pairs with
+    repeated encodings and tied distances) is the one pinned in
+    bench/digests.json."""
+    assert_bench_report_is_pinned("evaluate-scalar", seed, tmp_path, capsys)
+
+
+# --- the m x m steps against their formulas -------------------------------------
+
+# A few bits, some past 2**64, so that distinct encodings share some of them.
+OVERLAP_BITS = [0, 1, 2, 7, 40, (1 << 63) - 1, 1 << 63, 1 << 64, (1 << 64) + 5, (1 << 70) - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(OVERLAP_BITS)), min_size=1, max_size=6),
+       st.data())
+def test_overlap_matrix_equals_the_pairwise_intersections(pool, data):
+    """Heavy repeats (m samples over at most 6 distinct encodings), the
+    empty encoding and bits past 2**64: O[i, j] is |A_i & A_j|."""
+    which = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    encodings = [SDR(1 << 70, tuple(sorted(bits))) for bits in pool]
+    O = quality._overlap_matrix(encodings.__getitem__, which)
+    assert O.shape == (len(which), len(which))
+    assert O.tolist() == [[len(pool[i] & pool[j]) for j in which] for i in which]
+
+
+B = quality._AXIOM_BLOCK
+# Distances an axiom check must compare: NaN never flags, inf - inf is NaN,
+# -0.0 equals 0.0, and some differences lie just past the 1e-9 tolerance.
+AXIOM_VALUES = [0.0, -0.0, 1.0, 1.0 + 1e-9, 1.0 + 3e-9, -1e-9, -2e-9, 2.5, math.nan,
+                math.inf, -math.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, B - 1, B, B + 1, 2 * B + 3]), st.integers(0, 1 << 32),
+       st.floats(0.0, 0.2), st.data())
+def test_blocked_axiom_flags_equal_the_whole_matrix_formula(m, seed, share, data):
+    """The counts and kept examples of the row-blocked flags equal those of
+    ``np.abs(D - D.T) > AXIOM_TOLERANCE`` over the pairs i < j (and of the
+    sign and diagonal checks), on a matrix with NaN, ±inf and -0.0 cells and
+    asymmetric cells on the block edges."""
+    rng = np.random.default_rng(seed)
+    values = np.array(AXIOM_VALUES)
+    D = values[rng.integers(0, len(values), (m, m))]
+    D = np.where(np.arange(m)[:, None] < np.arange(m), D, D.T)  # symmetric so far
+    changed = rng.random((m, m)) < share
+    D[changed] = values[rng.integers(0, len(values), np.count_nonzero(changed))]
+    edges = [k for e in range(0, m + B, B) for k in (e - 1, e, e + 1) if 0 <= k < m]
+    for i, j, value in data.draw(st.lists(st.tuples(st.sampled_from(edges),
+                                                    st.integers(0, m - 1),
+                                                    st.sampled_from(AXIOM_VALUES)),
+                                          max_size=8)):
+        D[i, j] = value
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    with np.errstate(invalid="ignore"):
+        asymmetric = (np.abs(D - D.T) > AXIOM_TOLERANCE) & upper
+    negative = (D < -AXIOM_TOLERANCE) & ~np.eye(m, dtype=bool)
+    identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
+
+    def matrix_distance(i, j):
+        return float(D[i, j])
+
+    with mock.patch.object(quality, "_distance_matrix", return_value=D):
+        report, got_D, got_upper = quality._axiom_check(matrix_distance, list(range(m)))
+    assert got_D is D and np.array_equal(got_upper, upper)
+    checks = report.axiom_violations
+    assert checks["symmetry"].violations == np.count_nonzero(asymmetric)
+    assert checks["symmetry"].examples == [(i, j, D[i, j], D[j, i])
+                                           for i, j in np.argwhere(asymmetric)[:10].tolist()]
+    assert checks["non_negativity"].violations == np.count_nonzero(negative)
+    assert checks["identity"].violations == np.count_nonzero(identity)
+    assert report == oracle_axioms(matrix_distance, list(range(m)))
+
+
+def test_each_block_edge_asymmetry_is_flagged():
+    m = 2 * B + 3
+    for i in sorted({0, B - 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, m - 2}):
+        for j in sorted({i + 1, B - 1, B, B + 1, 2 * B, m - 1} - set(range(i + 1))):
+            D = np.zeros((m, m))
+            D[j, i] = 1.0
+            with mock.patch.object(quality, "_distance_matrix", return_value=D):
+                report = quality._axiom_check(lambda a, b: D[a, b], list(range(m)))[0]
+            assert report.axiom_violations["symmetry"] == AxiomCheck(1, [(i, j, 0.0, 1.0)])
 
 
 # --- Spearman without scipy -------------------------------------------------------
 
+RANKED_VALUES = [0.0, -0.0, 0.1, 0.2, 1e-300, 5e-324, -5e-324, 3.0, -3.0, math.inf, -math.inf]
+
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 400), st.integers(1, 12), st.integers(1, 12), st.integers(0, 1 << 32))
-def test_rank_correlation_equals_spearmanr_on_ties(size, overlap_levels, dist_levels, seed):
+@given(st.lists(st.one_of(st.sampled_from(RANKED_VALUES),
+                          st.floats(allow_nan=False)), min_size=1, max_size=300))
+def test_distance_ranks_equal_rankdata(values):
+    """Average ranks by one sort are scipy's, ties, -0.0 against 0.0 and
+    ±inf included."""
+    values = np.array(values, dtype=float)
+    assert quality._sorted_average_ranks(values).tolist() == stats.rankdata(values).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 400), st.integers(1, 12), st.integers(1, 12), st.integers(0, 1 << 32),
+       st.floats(0.0, 0.5))
+def test_rank_correlation_equals_spearmanr_on_ties(size, overlap_levels, dist_levels, seed,
+                                                   special):
+    """Ties on both sides; a share ``special`` of the distances is -0.0, 0.0
+    or ±inf."""
     rng = np.random.default_rng(seed)
     overlaps = rng.integers(0, overlap_levels, size)
     dists = rng.integers(0, dist_levels, size) * 0.1 + rng.choice([0.0, 1e-3], size)
+    odd = rng.random(size) < special
+    dists[odd] = rng.choice([-0.0, 0.0, math.inf, -math.inf], int(odd.sum()))
     rho, uninformative = quality._rank_correlation(overlaps, dists)
     assert (rho, uninformative) == oracle_rank_correlation(overlaps.tolist(), dists.tolist())
 
