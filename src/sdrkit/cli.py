@@ -25,7 +25,12 @@ count differs from the header's is a data error (exit 3), for `encode` and
 Validation warnings go to stderr so stdout stays machine-parseable.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
-a non-negative integer (a usage error, exit 2, otherwise).  `selftest-hash` prints
+a non-negative integer (a usage error, exit 2, otherwise).  It reads its
+samples in chunks of as many bit indices as `encode`'s blocks and keys each
+chunk by the same column step (`_chunk_bits`), so no sample's SDR is built
+and a sample that fails to encode is named by row with `encode`'s line, as
+the input is read.  Reading stops at the first chunk that takes the sample
+count past `MAX_EVALUATE_SAMPLES`, a data error.  `selftest-hash` prints
 the deterministic hash golden vectors for cross-platform verification,
 computed by the numpy hash path the encoders run.
 
@@ -60,7 +65,7 @@ from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
 from .geospatial import _CHUNK_CELLS, _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
-from .quality import evaluate_encoder
+from .quality import MAX_EVALUATE_SAMPLES, _evaluate
 from .sdr import MAX_DENSE_N
 
 EXIT_OK = 0
@@ -191,18 +196,44 @@ def _each_value(header, rows, first, step):
             raise InputError(f"row {number}: {exc}") from exc
 
 
-def _chunk_writer(cfg, fmt, fout):
-    """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
-    becomes one block of lines and one write.
+def _chunk_bits(cfg, header, rows, first, use):
+    """Hand ``use`` the bit matrix of a chunk of CSV rows, ``rows[0]`` being
+    row ``first``.
 
-    A chunk is checked and keyed a column at a time into key columns
-    (`PipelineConfig._chunk_keys`), which become a bit matrix
+    The chunk is checked and keyed a column at a time into key columns
+    (`PipelineConfig._chunk_keys`), which become its bit matrix
     (`MultiEncoder._bits`: uint64, Python ints past 2**64 bits).  Where that
     raises, some row holds a data error: the chunk is keyed a row at a time,
-    each row by the same step, up to the first that raises; the rows before
-    it are written as one block, and its error, the one ``cfg.encode_row``
-    gives, is raised.  Where the per-row path takes that row, or every row
-    keys alone, the column step's own exception is raised: it is a bug."""
+    each row by the same step, up to the first that raises; ``use`` gets the
+    bit matrix of the rows before it, if any, and its error, the one
+    ``cfg.encode_row`` gives, is raised.  Where the per-row path takes that
+    row, or every row keys alone, the column step's own exception is
+    raised: it is a bug."""
+    try:
+        keys = cfg._chunk_keys(header, rows)
+    except Exception as exc:  # of any kind: a one-row step finds the row
+        refusal = exc
+    else:
+        return use(cfg.multi._bits(keys))
+    keys = []
+    for row in rows:
+        try:
+            keys.append(cfg._chunk_keys(header, [row]))
+        except Exception as row_refusal:
+            refusal = row_refusal
+            break
+    if keys:
+        use(np.concatenate([cfg.multi._bits(k) for k in keys]))
+    # the failing row's error, from the per-row path
+    next(_each_value(header, rows[len(keys):], first + len(keys), cfg.encode_row), None)
+    raise refusal
+
+
+def _chunk_writer(cfg, fmt, fout):
+    """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
+    becomes one block of lines and one write, from `_chunk_bits`, so at a
+    data error the rows before the failing one are written as one block
+    and the error is raised."""
     multi = cfg.multi
     dense, self_describing = fmt == "dense", fmt == "sparse-n"
     line_bytes = multi.n + 1 if dense else (len(f"n={multi.n};") * self_describing
@@ -210,24 +241,8 @@ def _chunk_writer(cfg, fmt, fout):
     chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
 
     def write_chunk(header, rows, first):
-        try:
-            keys, refusal = [cfg._chunk_keys(header, rows)], None
-        except Exception as exc:  # of any kind: a one-row step finds the row
-            keys, refusal = [], exc
-            for row in rows:
-                try:
-                    keys.append(cfg._chunk_keys(header, [row]))
-                except Exception as row_refusal:
-                    refusal = row_refusal
-                    break
-        if keys:
-            bits = (multi._bits(keys[0]) if refusal is None
-                    else np.concatenate([multi._bits(k) for k in keys]))
-            fout.write(_dense_lines(multi, bits) if dense
-                       else _sparse_lines(multi, bits, self_describing))
-        if refusal is not None:  # the failing row's error, from the per-row path
-            next(_each_value(header, rows[len(keys):], first + len(keys), cfg.encode_row), None)
-            raise refusal
+        _chunk_bits(cfg, header, rows, first, lambda bits: fout.write(
+            _dense_lines(multi, bits) if dense else _sparse_lines(multi, bits, self_describing)))
 
     return chunk_rows, write_chunk
 
@@ -387,16 +402,21 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
             raise ConfigError("evaluate requires a 'distance' in the config")
         _emit_warnings(cfg, stderr)
 
-        binding = cfg.bound[0]
-        samples = []
+        samples, blocks = [], []
+
+        def read_chunk(header, rows, first):
+            if len(samples) + len(rows) > MAX_EVALUATE_SAMPLES:
+                raise InputError(f"the input has more than MAX_EVALUATE_SAMPLES "
+                                 f"({MAX_EVALUATE_SAMPLES}) samples, which bounds the "
+                                 "memory of the m x m matrices")
+            _chunk_bits(cfg, header, rows, first, blocks.append)
+            samples.extend(_each_value(header, rows, first, cfg.bound[0].value_from_row))
+
         started = time.perf_counter()
-        with _open_input(args.input) as lines:
-            _each_chunk(lines, cfg, 1, lambda header, rows, first: samples.extend(
-                _each_value(header, rows, first, binding.value_from_row)))
-        report = evaluate_encoder(
-            binding.encoder.encode, cfg.distance, samples,
-            quadruple_count=args.quadruples, seed=args.seed,
-        )
+        with _open_input(args.input) as lines:  # chunks of as many bits as encode's
+            _each_chunk(lines, cfg, max(1, _CHUNK_CELLS // cfg.multi.w), read_chunk)
+        report = _evaluate(lambda: np.concatenate(blocks), cfg.distance, samples,
+                           args.quadruples, args.seed)
         elapsed = time.perf_counter() - started
 
         print("# encoder evaluation", file=stdout)

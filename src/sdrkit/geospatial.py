@@ -326,7 +326,7 @@ class GeospatialEncoder(_Encoder):
     def _bits(self, keys) -> np.ndarray:
         x, y, radii = keys
         out = np.empty((len(radii), self.w), dtype=np.uint64)
-        for r in np.unique(radii).tolist():
+        for r in sorted(set(radii.tolist())):  # np.unique would import numpy.ma
             (rows,) = np.nonzero(radii == r)
             block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
             for start in range(0, len(rows), block):

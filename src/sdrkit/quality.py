@@ -15,7 +15,10 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  The overlaps are counted
-among the distinct encodings only and gathered from there; the symmetry
+from an m x w matrix of the encodings' bit indices, which `evaluate_encoder`
+builds from each sample's SDR and `sdrkit evaluate` keys a chunk of rows at
+a time: among the distinct encodings only, by `np.bincount` over the pairs
+of encodings that hold each bit, and gathered from there.  The symmetry
 axiom is checked a block of rows at a time; the pair distances are ranked
 by one sort.  Memory is therefore O(m**2): the two matrices plus vectors
 over the m(m-1)/2 pairs i < j, or, for the exact count over all m**4
@@ -46,6 +49,7 @@ AXIOM_TOLERANCE = 1e-9
 _EXAMPLE_CAP = 10  # offending pairs kept per axiom, enough to debug with
 _QUADRUPLE_CHUNK = 1 << 16  # sampled quadruples per numpy pass; bounds memory
 _AXIOM_BLOCK = 128  # distance rows per symmetry pass; bounds its float temporaries
+_PAIR_BLOCK = 1 << 20  # most overlap holder pairs per bincount; bounds its temporaries
 
 AXIOMS = ("non_negativity", "symmetry", "identity")
 
@@ -206,32 +210,54 @@ def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationRe
     return _axiom_check(distance, samples)[0]
 
 
-def _overlap_matrix(encode: Callable[[object], SDR], samples: Sequence) -> np.ndarray:
-    """``O[i, j]`` = shared one-bits of the encodings of samples i and j.
-    The k distinct encodings are counted against each other first, from an
-    inverted index: every bit adds 1 to ``U[rows, rows]`` for the distinct
-    encodings holding it, which costs sum(|rows|**2) and never an m x n
-    dense array, and leaves each encoding's active count on ``U``'s
-    diagonal; ``O`` gathers ``U`` by each sample's encoding.  The encodings
-    must share one length."""
+def _active_rows(encode: Callable[[object], SDR], samples: Sequence) -> np.ndarray:
+    """The m x w matrix of the active indices of each sample's encoding, a
+    shorter one padded with -1, for `_overlap_matrix`: int64, or Python
+    ints past 2**63 bits.  The encodings must share one length."""
     encodings = [encode(x) for x in samples]
     lengths = {e.n for e in encodings}
     if len(lengths) > 1:
-        raise DimensionMismatch(
-            f"encodings have mixed total lengths {sorted(lengths)}; "
-            "an encoder must emit one fixed dimensionality"
-        )
-    distinct: dict[tuple[int, ...], int] = {}
-    which = np.array([distinct.setdefault(e.active, len(distinct)) for e in encodings],
-                     dtype=np.intp)
-    holders: dict[int, list[int]] = {}
-    for row, active in enumerate(distinct):
-        for bit in active:
-            holders.setdefault(bit, []).append(row)
-    U = np.zeros((len(distinct), len(distinct)), dtype=np.int32)
-    for rows in holders.values():
-        U[np.ix_(rows, rows)] += 1
-    return U[which][:, which]
+        raise DimensionMismatch(f"encodings have mixed total lengths {sorted(lengths)}; "
+                                "an encoder must emit one fixed dimensionality")
+    w = max(len(e.active) for e in encodings)
+    return np.array([e.active + (-1,) * (w - len(e.active)) for e in encodings],
+                    dtype=np.int64 if lengths.pop() <= 1 << 63 else object)
+
+
+def _overlap_matrix(bits: np.ndarray) -> np.ndarray:
+    """``O[i, j]`` = distinct bits that rows i and j of ``bits`` share, an
+    m x w matrix of bit indices: uint64, int64 with -1 padding a row, or
+    Python ints; a bit repeated in a row (a hash collision) counts once.
+
+    Each bit becomes a small id (``np.unique``), each row its sorted ids,
+    and the k distinct rows are counted against each other: every bit adds
+    1 to ``U[a, b]`` for each pair of distinct rows (a, b) holding it, one
+    ``np.bincount`` over those holder pairs per block of rows a, which
+    costs sum(holders**2), never an m x n dense array, and leaves each
+    row's active count on ``U``'s diagonal; ``O`` gathers ``U`` by each
+    row's distinct row."""
+    values, ids = np.unique(bits, return_inverse=True)
+    rows, which = np.unique(np.sort(ids.reshape(bits.shape), axis=1), axis=0,
+                            return_inverse=True)
+    counted = np.diff(rows, axis=1, prepend=-1) != 0  # a repeat counts once
+    if len(values) and values[0] < 0:  # -1, the padding, is id 0
+        counted &= rows != 0
+    holder, bit = np.nonzero(counted)[0], rows[counted]  # row by row
+    size = np.bincount(bit, minlength=len(values))  # each bit's holders
+    holders = holder[np.argsort(bit, kind="stable")]  # bit by bit
+    start = np.cumsum(size) - size  # where each bit's holders begin in holders
+    k = len(rows)
+    U = np.empty((k, k), dtype=np.int32)
+    # Rows a..a+step-1 hold at most step * w bits of at most k holders each,
+    # so one bincount takes at most _PAIR_BLOCK holder pairs (or one row's).
+    step = max(1, _PAIR_BLOCK // (k * max(1, rows.shape[1])))
+    for a in range(0, k, step):
+        lo, hi = np.searchsorted(holder, [a, a + step])  # the block's bits
+        c = size[bit[lo:hi]]  # each pairs its row with every holder of the bit
+        at = np.repeat(start[bit[lo:hi]] - np.cumsum(c) + c, c) + np.arange(c.sum())
+        U[a:a + step] = np.bincount(np.repeat((holder[lo:hi] - a) * k, c) + holders[at],
+                                    minlength=len(U[a:a + step]) * k).reshape(-1, k)
+    return U[which.ravel()][:, which.ravel()]  # which is 2-D on some numpy versions
 
 
 def _average_ranks(codes: np.ndarray) -> np.ndarray:
@@ -325,12 +351,20 @@ def evaluate_encoder(
     ``exhaustive=True`` all m**4 ordered quadruples are counted exactly, at
     any m, by overlap level in O(m**2) memory.
     """
+    return _evaluate(lambda: _active_rows(encode, samples), distance, samples,
+                     quadruple_count, seed, exhaustive)
+
+
+def _evaluate(bits, distance, samples, quadruple_count, seed, exhaustive=False):
+    """`evaluate_encoder`, with ``bits()`` the m x w matrix of the samples'
+    encodings that `_overlap_matrix` counts, called once the samples pass
+    the checks."""
     report, D, upper = _axiom_check(distance, samples)
     if len(samples) < 4:
         raise InputError("consistency evaluation needs at least 4 samples")
     if quadruple_count < 0:
         raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
-    O = _overlap_matrix(encode, samples)
+    O = _overlap_matrix(bits())
     report.rank_correlation, report.overlap_uninformative = _rank_correlation(
         O[upper], D[upper])
     if exhaustive:

@@ -922,8 +922,9 @@ class TestCommandEdges:
         monkeypatch.setattr(quality, "_distance_matrix", lambda *args: matrices.append(args))
         assert run_cli(["evaluate", "--config", cfg, "--input", data]) == 3
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1].startswith(
-            f"data error: m = {m} samples is more than MAX_EVALUATE_SAMPLES (10000)")
+        assert captured.err.splitlines()[-1] == (
+            "data error: the input has more than MAX_EVALUATE_SAMPLES (10000) samples, "
+            "which bounds the memory of the m x m matrices")
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert matrices == []

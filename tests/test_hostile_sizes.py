@@ -82,7 +82,9 @@ HOSTILE = {
     "evaluate-m-past-the-bound": (
         "evaluate", {**SCALAR, "distance": "absolute"},
         "temp\n" + "".join(f"{i % 45}\n" for i in range(quality.MAX_EVALUATE_SAMPLES + 1)), [],
-        cli.EXIT_DATA, f"data error: m = {quality.MAX_EVALUATE_SAMPLES + 1} samples"),
+        cli.EXIT_DATA, "data error: the input has more than MAX_EVALUATE_SAMPLES "
+                       f"({quality.MAX_EVALUATE_SAMPLES}) samples, which bounds the memory of "
+                       "the m x m matrices"),
     "fixed-radius-2**31-1": (
         "encode", {"encoder": {"type": "geospatial", "n": 2**70, "radius": WIDEST_RADIUS},
                    "field": ["x", "y"], "output_format": "sparse"},

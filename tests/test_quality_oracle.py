@@ -880,15 +880,36 @@ OVERLAP_BITS = [0, 1, 2, 7, 40, (1 << 63) - 1, 1 << 63, 1 << 64, (1 << 64) + 5, 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.frozensets(st.sampled_from(OVERLAP_BITS)), min_size=1, max_size=6),
+       st.sampled_from([1 << 63, 1 << 70]), st.sampled_from([1, 5, quality._PAIR_BLOCK]),
        st.data())
-def test_overlap_matrix_equals_the_pairwise_intersections(pool, data):
+def test_overlap_matrix_equals_the_pairwise_intersections(pool, n, block, data):
     """Heavy repeats (m samples over at most 6 distinct encodings), the
-    empty encoding and bits past 2**64: O[i, j] is |A_i & A_j|."""
+    empty encoding, bits past 2**63 (int64 rows) and past 2**64 (Python
+    ints), and holder-pair blocks of one pair up: O[i, j] is |A_i & A_j|
+    on the library's rows, each SDR's active indices padded with -1."""
+    pool = [frozenset(bit for bit in bits if bit < n) for bits in pool]
     which = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
-    encodings = [SDR(1 << 70, tuple(sorted(bits))) for bits in pool]
-    O = quality._overlap_matrix(encodings.__getitem__, which)
+    encodings = [SDR(n, tuple(sorted(bits))) for bits in pool]
+    with mock.patch.object(quality, "_PAIR_BLOCK", block):
+        O = quality._overlap_matrix(quality._active_rows(encodings.__getitem__, which))
     assert O.shape == (len(which), len(which))
     assert O.tolist() == [[len(pool[i] & pool[j]) for j in which] for i in which]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.sampled_from([1, 5, quality._PAIR_BLOCK]),
+       st.data())
+def test_overlap_matrix_counts_a_repeated_bit_once(w, past_2_64, block, data):
+    """The CLI's rows, w indices each as `MultiEncoder._bits` keys them,
+    uint64 or Python ints past 2**64: a bit repeated in a row (a hash
+    collision) is one shared bit, so O[i, j] is still |A_i & A_j|."""
+    bits = OVERLAP_BITS if past_2_64 else [b for b in OVERLAP_BITS if b < 1 << 64]
+    rows = data.draw(st.lists(st.lists(st.sampled_from(bits[:3]) | st.sampled_from(bits),
+                                       min_size=w, max_size=w), min_size=1, max_size=30))
+    matrix = np.array(rows, dtype=object if past_2_64 else np.uint64)
+    with mock.patch.object(quality, "_PAIR_BLOCK", block):
+        O = quality._overlap_matrix(matrix)
+    assert O.tolist() == [[len(set(a) & set(b)) for b in rows] for a in rows]
 
 
 B = quality._AXIOM_BLOCK
