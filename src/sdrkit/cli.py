@@ -5,31 +5,32 @@
     sdrkit evaluate --config cfg.json --input in.csv [--quadruples N] [--seed S]
     sdrkit selftest-hash
 
+`encode` and `evaluate` read their input by one loop over row chunks
+(`_chunks`: the checked header, then runs of rows) and key each chunk by
+one step (`_chunk_bits`).  A UTF-8 byte-order mark before the header is
+dropped.  Every column the config references must appear exactly once in
+the header: a missing or repeated name is a config error (exit 2), and a
+row whose field count differs from the header's is a data error (exit 3).
+A chunk's rows are checked and keyed a column at a time into a bit matrix,
+uint64 or Python ints past 2**64 bits, so every n takes the same column
+step.  A chunk with a data error is keyed a row at a time, so the rows
+before the failing one are still used, and the per-row path
+(`PipelineConfig.encode_row`) words that row's error.
+Validation warnings go to stderr so stdout stays machine-parseable.
+
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
-Every format is written in blocks of as many lines as fit in 256 KiB and
-2**15 bit indices (one line when it is longer).  A block's rows are checked
-and keyed a column at a time into a bit matrix, uint64 or Python ints past
-2**64 bits, so every n takes the same column step, and every line is
-written from it.  A block with a data error is keyed a row at a time, so
-the rows before the failing one are still written, and the per-row path
-(`PipelineConfig.encode_row`) words that row's error.  A reader of a live
-pipe sees rows arrive a block at a time, sparse rows too, and a data error
-is reported when its block fills or the input ends.  A UTF-8 byte-order
-mark before the header is dropped, for `encode` and `evaluate` alike.
-Every column the config references must appear exactly once in the header:
-a missing or repeated name is a config error (exit 2), and a row whose field
-count differs from the header's is a data error (exit 3), for `encode` and
-`evaluate` alike.
-Validation warnings go to stderr so stdout stays machine-parseable.
+Each chunk is one block of lines, as many as fit in 256 KiB and 2**15 bit
+indices (one line when it is longer), written from its bit matrix.  A
+reader of a live pipe sees rows arrive a block at a time, sparse rows too,
+and a data error is reported when its block fills or the input ends.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
-a non-negative integer (a usage error, exit 2, otherwise).  It reads its
-samples in chunks of as many bit indices as `encode`'s blocks and keys each
-chunk by the same column step (`_chunk_bits`), so no sample's SDR is built
-and a sample that fails to encode is named by row with `encode`'s line, as
-the input is read.  Reading stops at the first chunk that takes the sample
+a non-negative integer (a usage error, exit 2, otherwise).  Its chunks hold
+as many bit indices as `encode`'s, so no sample's SDR is built and a sample
+that fails to encode is named by row with `encode`'s line, as the input is
+read.  Reading stops before it keys the first chunk that takes the sample
 count past `MAX_EVALUATE_SAMPLES`, a data error.  `selftest-hash` prints
 the deterministic hash golden vectors for cross-platform verification,
 computed by the numpy hash path the encoders run.
@@ -229,24 +230,6 @@ def _chunk_bits(cfg, header, rows, first, use):
     raise refusal
 
 
-def _chunk_writer(cfg, fmt, fout):
-    """(chunk_rows, write_chunk) for `_each_chunk`: each chunk of rows
-    becomes one block of lines and one write, from `_chunk_bits`, so at a
-    data error the rows before the failing one are written as one block
-    and the error is raised."""
-    multi = cfg.multi
-    dense, self_describing = fmt == "dense", fmt == "sparse-n"
-    line_bytes = multi.n + 1 if dense else (len(f"n={multi.n};") * self_describing
-                                            + multi.w * (len(str(multi.n - 1)) + 1))
-    chunk_rows = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
-
-    def write_chunk(header, rows, first):
-        _chunk_bits(cfg, header, rows, first, lambda bits: fout.write(
-            _dense_lines(multi, bits) if dense else _sparse_lines(multi, bits, self_describing)))
-
-    return chunk_rows, write_chunk
-
-
 def _open_input(path, output=None):
     """The input's lines, in a context that closes the file.  Its bytes are
     read as latin-1, which keeps each byte and newline in place, and decoded
@@ -294,41 +277,16 @@ def _open_output(path):
     return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
 
 
-def _chunks(reader, fields, size):
-    """Runs of up to ``size`` rows of ``reader``, each with the number of its
-    first row (rows count from 1 after the header).  At a row that cannot be
-    read (a field longer than `csv.field_size_limit()`, bytes that are not
-    UTF-8, a read that fails) or whose field count is not ``fields``, the
-    rows before it come first, then an InputError naming it."""
-    chunk, number = [], 1  # number: the row being read
-    try:
-        for row in reader:
-            if len(row) != fields:
-                raise InputError(f"expected {fields} fields per the header, got {len(row)}")
-            chunk.append(row)
-            number += 1
-            if len(chunk) == size:
-                yield number - size, chunk
-                chunk = []
-    except (InputError, csv.Error, UnicodeDecodeError, OSError) as exc:
-        if chunk:
-            yield number - len(chunk), chunk
-        raise InputError(f"row {number}: {exc}") from exc
-    if chunk:
-        yield number - len(chunk), chunk
-
-
-def _each_chunk(lines, cfg, chunk_rows, per_chunk) -> None:
-    """Call ``per_chunk(header, rows, first)`` with the CSV header and each
-    run of up to ``chunk_rows`` data rows (lists of their texts), in order,
-    ``rows[0]`` being row ``first`` (rows count from 1 after the header).
-    At a data error in one of its rows, ``per_chunk`` raises an InputError
-    naming the row, having handled the rows before it.
+def _chunks(lines, cfg, size):
+    """The CSV header and each run of up to ``size`` data rows (lists of
+    their texts) of ``lines``, in order, as (header, first, rows), ``rows[0]``
+    being row ``first`` (rows count from 1 after the header).
 
     A missing or repeated column in the header raises a ConfigError.  An
-    empty input, a header or row that cannot be read, or a row whose field
-    count differs from the header's raises an InputError naming the header
-    or the row (`_chunks`), after the rows before it are handed on."""
+    empty input, a header or row that cannot be read (a field longer than
+    `csv.field_size_limit()`, bytes that are not UTF-8, a read that fails)
+    or a row whose field count differs from the header's raises an
+    InputError naming the header or the row, after the rows before it."""
     reader = csv.reader(lines, delimiter=cfg.delimiter)
     try:
         header = next(reader)
@@ -342,8 +300,22 @@ def _each_chunk(lines, cfg, chunk_rows, per_chunk) -> None:
         problem = (f"{missing} not present in" if missing
                    else f"{duplicated} appear more than once in")
         raise ConfigError(f"field(s) {problem} the CSV header {header}")
-    for first, rows in _chunks(reader, len(header), chunk_rows):
-        per_chunk(header, rows, first)
+    chunk, number = [], 1  # number: the row being read
+    try:
+        for row in reader:
+            if len(row) != len(header):
+                raise InputError(f"expected {len(header)} fields per the header, got {len(row)}")
+            chunk.append(row)
+            number += 1
+            if len(chunk) == size:
+                yield header, number - size, chunk
+                chunk = []
+    except (InputError, csv.Error, UnicodeDecodeError, OSError) as exc:
+        if chunk:
+            yield header, number - len(chunk), chunk
+        raise InputError(f"row {number}: {exc}") from exc
+    if chunk:
+        yield header, number - len(chunk), chunk
 
 
 def _reported(run, stderr, output="-", stdout=None) -> int:
@@ -374,15 +346,24 @@ def cmd_encode(args, stderr=None) -> int:
 
     def run():
         cfg = _load_config(args.config)
+        multi = cfg.multi
         fmt = args.format or cfg.output_format  # argparse and the config check each
-        if fmt == "dense" and cfg.multi.n > MAX_DENSE_N:
+        dense, self_describing = fmt == "dense", fmt == "sparse-n"
+        if dense and multi.n > MAX_DENSE_N:
             raise ConfigError(f"dense output takes n <= MAX_DENSE_N ({MAX_DENSE_N}), "
-                              f"got n={cfg.multi.n}; use a sparse format")
+                              f"got n={multi.n}; use a sparse format")
         _emit_warnings(cfg, stderr)
+        # rows per chunk, each chunk one block of lines and one write (see _CHUNK_BYTES)
+        line_bytes = (multi.n + 1 if dense else len(f"n={multi.n};") * self_describing
+                      + multi.w * (len(str(multi.n - 1)) + 1))
+        size = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
         with (_open_input(args.input, args.output) as lines,
               _open_output(args.output) as fout):
             try:
-                _each_chunk(lines, cfg, *_chunk_writer(cfg, fmt, fout))
+                for header, first, rows in _chunks(lines, cfg, size):
+                    _chunk_bits(cfg, header, rows, first, lambda bits: fout.write(
+                        _dense_lines(multi, bits) if dense
+                        else _sparse_lines(multi, bits, self_describing)))
             finally:  # on a data error too: keep everything encoded so far
                 fout.flush()
         return EXIT_OK
@@ -403,18 +384,15 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
         _emit_warnings(cfg, stderr)
 
         samples, blocks = [], []
-
-        def read_chunk(header, rows, first):
-            if len(samples) + len(rows) > MAX_EVALUATE_SAMPLES:
-                raise InputError(f"the input has more than MAX_EVALUATE_SAMPLES "
-                                 f"({MAX_EVALUATE_SAMPLES}) samples, which bounds the "
-                                 "memory of the m x m matrices")
-            _chunk_bits(cfg, header, rows, first, blocks.append)
-            samples.extend(_each_value(header, rows, first, cfg.bound[0].value_from_row))
-
         started = time.perf_counter()
         with _open_input(args.input) as lines:  # chunks of as many bits as encode's
-            _each_chunk(lines, cfg, max(1, _CHUNK_CELLS // cfg.multi.w), read_chunk)
+            for header, first, rows in _chunks(lines, cfg, max(1, _CHUNK_CELLS // cfg.multi.w)):
+                if len(samples) + len(rows) > MAX_EVALUATE_SAMPLES:
+                    raise InputError(f"the input has more than MAX_EVALUATE_SAMPLES "
+                                     f"({MAX_EVALUATE_SAMPLES}) samples, which bounds the "
+                                     "memory of the m x m matrices")
+                _chunk_bits(cfg, header, rows, first, blocks.append)
+                samples.extend(_each_value(header, rows, first, cfg.bound[0].value_from_row))
         report = _evaluate(lambda: np.concatenate(blocks), cfg.distance, samples,
                            args.quadruples, args.seed)
         elapsed = time.perf_counter() - started

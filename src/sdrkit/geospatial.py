@@ -55,9 +55,9 @@ from .sdr import SDR
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 
-# Most cells a chunk step holds at once: `sdrkit encode` puts at most this
-# many bit indices in a chunk, and ``_bits`` packs at most this many cells
-# (or one neighborhood, when that is larger) per `_cells` call.
+# Most cells a chunk step holds at once: `sdrkit encode` and `sdrkit evaluate`
+# put at most this many bit indices in a chunk, and ``_bits`` packs at most
+# this many cells (or one neighborhood, when that is larger) per `_cells` call.
 _CHUNK_CELLS = 1 << 15
 
 # Most cells a neighborhood an encoder hashes may have: every encode builds
@@ -274,12 +274,11 @@ class GeospatialEncoder(_Encoder):
 
     def _keys(self, cells: _Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_key`` of each value of a column, as the cells' x and y and their
-        radii: the same checks, on int64 and float64 arrays."""
+        radii: the same checks, on int64 and float64 arrays.  Speeds come
+        only to topw: a config binds a 'speed_field' to no other variant."""
         x, y, speed = cells
         if speed is None:
             r = np.full(len(x), self.radius, dtype=np.int64)
-        elif self.variant == "fixed":
-            raise _Unkeyed
         else:
             s = _finite_floats(speed)
             if (s < 0).any():

@@ -957,6 +957,19 @@ def test_topw_w_beyond_the_radius_pool_exit_2(tmp_path, capsys, command, config,
 
 
 @pytest.mark.parametrize("command", ["encode", "evaluate"])
+def test_geospatial_variant_outside_fixed_and_topw_exit_2(tmp_path, capsys, command):
+    cfg = write(tmp_path, "cfg.json", {
+        "encoder": {"type": "geospatial", "n": 100, "variant": "ring"},
+        "field": ["x", "y"], "distance": GRID_DISTANCE})
+    data = write(tmp_path, "in.csv", "x,y\n0,0\n3,4\n")
+    assert run_cli([command, "--config", cfg, "--input", data]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: config.encoder: variant must be 'fixed' or "
+                            "'topw', got 'ring'\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
 @pytest.mark.parametrize("config, rows", [
     ({"encoder": TOPW_BEYOND_RADIUS, "field": ["x", "y"], "speed_field": "speed"},
      "x,y,speed\n0,0,0\n3,4,20\n-2,7,40\n9,9,1\n"),

@@ -223,17 +223,11 @@ def expected_chunks(row_count, per_chunk):
 
 def per_row_run(config, text, self_describing=False):
     """(exit code, stdout, stderr) of the per-row path on the CSV ``text``:
-    the config's warnings, then `cli._each_chunk` a row at a time, which
-    reads the rows, writing ``to_sparse_string(cfg.encode_row(row))`` for
-    each row as it is read, and raises a data error that `cli._reported`
-    prints."""
+    the config's warnings, then `cli._chunks` a row at a time, which reads
+    the rows, writing ``to_sparse_string(cfg.encode_row(row))`` for each row
+    as it is read, and raises a data error that `cli._reported` prints."""
     cfg = parse_pipeline_config(config)
     out, err = io.StringIO(), io.StringIO()
-
-    def write_lines(header, rows, first):
-        for sdr in cli._each_value(header, rows, first, cfg.encode_row):
-            out.write(to_sparse_string(sdr, self_describing) + "\n")
-
     cli._emit_warnings(cfg, err)
     with tempfile.TemporaryDirectory() as tmp:
         in_path = Path(tmp) / "in.csv"
@@ -241,7 +235,9 @@ def per_row_run(config, text, self_describing=False):
 
         def run():
             with cli._open_input(str(in_path)) as lines:
-                cli._each_chunk(lines, cfg, 1, write_lines)
+                for header, first, rows in cli._chunks(lines, cfg, 1):
+                    for sdr in cli._each_value(header, rows, first, cfg.encode_row):
+                        out.write(to_sparse_string(sdr, self_describing) + "\n")
             return cli.EXIT_OK
 
         code = cli._reported(run, err)

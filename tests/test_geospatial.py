@@ -199,6 +199,11 @@ class TestFixedEncoder:
             make()
         assert str(exc.value) == message
 
+    def test_a_variant_other_than_fixed_or_topw_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            GeospatialEncoder(100, variant="ring")
+        assert str(exc.value) == "variant must be 'fixed' or 'topw', got 'ring'"
+
     def test_collision_warning_for_small_n(self):
         assert GeospatialEncoder(100, 2).warnings == [
             "w**2/n = 6.25 > 1: expect noticeable bit-index collisions; increase n"]

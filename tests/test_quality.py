@@ -9,6 +9,7 @@ import pytest
 from sdrkit.errors import DimensionMismatch, EvaluationError, InputError
 from sdrkit.expressions import ExpressionDistance
 from sdrkit.quality import (
+    MAX_EVALUATE_SAMPLES,
     absolute_difference,
     check_distance_axioms,
     chebyshev_distance,
@@ -218,6 +219,25 @@ def test_evaluate_encoder_combines_sections():
     assert report.quadruples_sampled == 1000
     text = report.to_text()
     assert "non_negativity" in text and "discordance_rate" in text
+
+
+@pytest.mark.parametrize("evaluate", [
+    check_distance_axioms,
+    lambda distance, samples: evaluate_encoder(ScalarEncoder(0, 45, 100, 21).encode,
+                                               distance, samples),
+], ids=["check_distance_axioms", "evaluate_encoder"])
+def test_more_than_max_evaluate_samples_raises_before_any_distance(evaluate):
+    calls = []
+
+    def distance(a, b):
+        calls.append((a, b))
+        return abs(a - b)
+
+    with pytest.raises(InputError) as exc:
+        evaluate(distance, [float(i % 45) for i in range(MAX_EVALUATE_SAMPLES + 1)])
+    assert str(exc.value) == ("m = 10001 samples is more than MAX_EVALUATE_SAMPLES (10000), "
+                              "which bounds the memory of the m x m matrices")
+    assert calls == []
 
 
 class TestBuiltinDistances:
