@@ -13,9 +13,9 @@ the header: a missing or repeated name is a config error (exit 2), and a
 row whose field count differs from the header's is a data error (exit 3).
 A chunk's rows are checked and keyed a column at a time into a bit matrix,
 uint64 or Python ints past 2**64 bits, so every n takes the same column
-step.  A chunk with a data error is keyed a row at a time, so the rows
-before the failing one are still used, and the per-row path
-(`PipelineConfig.encode_row`) words that row's error.
+step.  A chunk with a data error is halved, and each half keyed the same
+way, until the failing row stands alone: the rows before it are still used,
+and the per-row path (`PipelineConfig.encode_row`) words that row's error.
 Validation warnings go to stderr so stdout stays machine-parseable.
 
 `encode` streams CSV rows (header required, fields bound by name) to one
@@ -204,30 +204,23 @@ def _chunk_bits(cfg, header, rows, first, use):
     The chunk is checked and keyed a column at a time into key columns
     (`PipelineConfig._chunk_keys`), which become its bit matrix
     (`MultiEncoder._bits`: uint64, Python ints past 2**64 bits).  Where that
-    raises, some row holds a data error: the chunk is keyed a row at a time,
-    each row by the same step, up to the first that raises; ``use`` gets the
-    bit matrix of the rows before it, if any, and its error, the one
-    ``cfg.encode_row`` gives, is raised.  Where the per-row path takes that
-    row, or every row keys alone, the column step's own exception is
-    raised: it is a bug."""
+    raises, some row holds a data error: the chunk is halved and each half,
+    first then second, takes the same step, so ``use`` gets the rows before
+    the failing one, a block per half that keys, and that row, alone, gets
+    its error from the per-row path (``cfg.encode_row``).  Where the per-row
+    path takes that row, or both halves key, the column step's own
+    exception is raised: it is a bug."""
     try:
         keys = cfg._chunk_keys(header, rows)
-    except Exception as exc:  # of any kind: a one-row step finds the row
-        refusal = exc
-    else:
-        return use(cfg.multi._bits(keys))
-    keys = []
-    for row in rows:
-        try:
-            keys.append(cfg._chunk_keys(header, [row]))
-        except Exception as row_refusal:
-            refusal = row_refusal
-            break
-    if keys:
-        use(np.concatenate([cfg.multi._bits(k) for k in keys]))
-    # the failing row's error, from the per-row path
-    next(_each_value(header, rows[len(keys):], first + len(keys), cfg.encode_row), None)
-    raise refusal
+    except Exception:  # of any kind: a smaller step finds the row
+        if len(rows) == 1:  # its error, from the per-row path
+            next(_each_value(header, rows, first, cfg.encode_row), None)
+        else:
+            half = len(rows) // 2
+            _chunk_bits(cfg, header, rows[:half], first, use)
+            _chunk_bits(cfg, header, rows[half:], first + half, use)
+        raise  # the per-row path took the row, or both halves keyed: a bug
+    use(cfg.multi._bits(keys))
 
 
 def _open_input(path, output=None):

@@ -692,6 +692,33 @@ class TestEncodeCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 4 and len(set(lines)) == 1
 
+    # (a form `datetime.fromisoformat` takes from Python 3.11 on, the same
+    # instant in a form every supported version takes)
+    @pytest.mark.parametrize("newer, portable", [
+        ("2024-01-06T12:00:00Z", "2024-01-06T12:00:00+00:00"),
+        ("2024-01-06T12:00:00.5", "2024-01-06T12:00:00.500"),
+        ("20240106T120000", "2024-01-06T12:00:00"),
+    ])
+    def test_iso_forms_past_python_3_10(self, tmp_path, capsys, newer, portable):
+        cfg = write(tmp_path, "cfg.json", {
+            "encoder": {"type": "datetime", "weekend": {"w": 21},
+                        "time_of_day": {"n": 100, "w": 21}},
+            "field": "ts", "output_format": "sparse",
+        })
+        data = write(tmp_path, "in.csv", f"ts\n{portable}\n{newer}\n")
+        out = tmp_path / "out.txt"
+        code = run_cli(["encode", "--config", cfg, "--input", data, "--output", str(out)])
+        lines = out.read_text().splitlines()
+        if sys.version_info >= (3, 11):
+            assert code == 0
+            assert len(lines) == 2 and lines[0] == lines[1]
+        else:
+            assert code == 3
+            assert len(lines) == 1
+            assert capsys.readouterr().err.endswith(
+                f"data error: row 2: column 'ts': cannot parse {newer!r} as an ISO "
+                "timestamp\n")
+
     def test_infinite_speed_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.json", {
             "encoder": {"type": "geospatial", "n": 1000, "variant": "topw",

@@ -3,8 +3,8 @@
 `sdrkit encode --format dense` checks and keys each chunk of rows a column
 at a time (the encoders' ``_keys`` step) and turns the chunk into text at
 once (``_bits`` and `cli._dense_lines`); where the column step raises, it
-keys the chunk a row at a time, for the rows before the failing one.  The
-oracle is the per-row path:
+halves the chunk until the failing row stands alone, and writes the rows
+before it.  The oracle is the per-row path:
 ``to_dense_string(cfg.encode_row(row))`` for every row, and `per_row_run`,
 the CLI's row reading and error report around
 ``to_sparse_string(cfg.encode_row(row))``, for stderr and the exit code.

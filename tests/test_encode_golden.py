@@ -13,7 +13,9 @@ to how lines are built and written shows here as a diff.  Every line of
 (`PipelineConfig._chunk_keys`, then `MultiEncoder._bits`); the per-row path
 (`cli._each_value`) only words a data error, and no row here reaches it,
 so the files pin the column step of every leaf encoder, the ±4.6e18
-unbounded readings at the int64 edge included.
+unbounded readings at the int64 edge included.  The same rows with CRLF or
+lone-CR line ends, with or without a UTF-8 byte-order mark, read from a
+file or from a piped stdin, give the same bytes.
 
 `geo_band.json` binds one geospatial top-w encoder with a speed field on
 [lat, lon] (radius 2 to 8, w = 20, 40 m cells) to the 3,600 rows of
@@ -36,6 +38,8 @@ every row of a pipeline of n >= 2**63 bits ran through the per-row path; it
 now pins the column step, whose bit matrix holds Python ints past 2**64.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -61,6 +65,22 @@ def test_encode_output_is_byte_identical(fmt, capsys):
                               "--input", str(DATA / "all_leaves.csv"), "--format", fmt])
     assert code == 0
     assert capsys.readouterr().out == (DATA / f"all_leaves.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_line_ends_and_a_byte_order_mark_change_no_byte(tmp_path, capsys, end, bom):
+    text = bom + (DATA / "all_leaves.csv").read_bytes().replace(b"\n", end)
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    args = ["--config", str(DATA / "all_leaves.json"), "--format", "sparse"]
+    expected = (DATA / "all_leaves.sparse").read_bytes()
+    assert encode_by_columns([*args, "--input", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == expected
+    # through the process's own stdin, a byte stream
+    proc = subprocess.run([sys.executable, "-m", "sdrkit.cli", "encode", *args],
+                          input=text, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, expected)
 
 
 def test_encode_across_the_mercator_band_is_byte_identical(capsys):

@@ -3,8 +3,8 @@
 `sdrkit encode --format sparse|sparse-n` checks and keys each chunk of rows
 a column at a time (the encoders' ``_keys`` step) and turns the chunk into
 text at once (``_bits`` and `cli._sparse_lines`); where the column step
-raises, it keys the chunk a row at a time, as dense output does.  The
-oracle is the per-row path, `per_row_run`:
+raises, it halves the chunk until the failing row stands alone, as dense
+output does.  The oracle is the per-row path, `per_row_run`:
 ``to_sparse_string(cfg.encode_row(row))`` for each row, with the CLI's own
 row reading and error report.
 
@@ -24,11 +24,15 @@ row reading and error report.
   is uint64 up to 2**64 bits and Python ints past it, keys each plain
   chunk by columns like any other, with no row's SDR built
   (``MultiEncoder._sdr``), byte-identical to the oracle; a chunk with a
-  data error is keyed a row at a time, at any n, builds no row's SDR
-  either and writes its rows before the failing one at once.
+  data error is halved, at any n, builds no row's SDR either and writes
+  its rows before the failing one a block per half that keys.
 * Windows of 2**62 buckets or more (a scalar with n - w >= 2**62, a
   cyclic part with n >= 2**62) take the same column step, with no row
   run through the per-row path (`cli._each_value`).
+* Whichever row of a 37-row chunk holds a value that cannot be read, the
+  halving writes the oracle's rows before it and reports the oracle's
+  error, with delta state and hashes crossing each split, in at most
+  2 * ceil(log2(37)) + 1 column steps, not one step per row.
 * A column step that refuses a row which the per-row path takes makes
   `encode` raise that step's exception, with that row not written: it is
   a bug, not a slow path.
@@ -37,6 +41,7 @@ row reading and error report.
 import contextlib
 import io
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -44,7 +49,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli
 from sdrkit.composite import MultiEncoder
-from sdrkit.config import parse_pipeline_config
+from sdrkit.config import PipelineConfig, parse_pipeline_config
 from sdrkit.scalars import ScalarEncoder
 from sdrkit.sdr import to_sparse_string
 
@@ -221,18 +226,59 @@ def test_windows_past_2_62_buckets_take_the_column_step(fmt):
     assert result[0] == cli.EXIT_OK and result[1].count("\n") == 112
 
 
+# --- a failing row found by halving its chunk -----------------------------------
+
+HALVING_CONFIG = {"encoder": {"type": "multi", "parts": [
+    {"field": "temp", "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 200, "w": 21}},
+    {"field": "level", "encoder": {"type": "delta", "min": -5, "max": 5, "n": 150, "w": 21}},
+    {"field": "reading", "encoder": {"type": "scalar_unbounded", "resolution": 0.5,
+                                     "n": 300, "w": 21, "seed": 7}},
+    {"field": ["x", "y"], "speed_field": "speed",
+     "encoder": {"type": "geospatial", "variant": "topw", "n": 1000, "w": 15, "radius": 2,
+                 "radius_min": 2, "radius_max": 5, "speed_scale": 0.5, "seed": 3}},
+]}}
+HALVING_HEADER = ["temp", "level", "reading", "x", "y", "speed"]
+HALVING_ROWS = 37  # all in one chunk
+# The column of row i's unparsable value, in turn.
+HALVING_COLUMNS = ["temp", "level", "reading", "x", "speed"]
+
+
+@pytest.mark.parametrize("failing", range(1, HALVING_ROWS + 1))
+def test_a_failing_row_is_found_by_halving_its_chunk(failing):
+    """Whichever row of a chunk cannot be read, the rows before it are the
+    per-row path's, the error is its error, and the chunk takes at most
+    2 * ceil(log2(rows)) + 1 column steps, delta state and hashes crossing
+    each split."""
+    rows = [[repr(i * 1.1), repr((i * 7 % 10) - 4.5), repr(i * 3.3 - 60), str(i - 20),
+             str(3 * i), repr(i / 4)] for i in range(HALVING_ROWS)]
+    column = HALVING_COLUMNS[failing % len(HALVING_COLUMNS)]
+    rows[failing - 1][HALVING_HEADER.index(column)] = "?"
+    text = csv_text(HALVING_HEADER, rows)
+    steps = mock.patch.object(PipelineConfig, "_chunk_keys", autospec=True,
+                              side_effect=PipelineConfig._chunk_keys)
+    with steps as step_calls:
+        code, out, err = encode(HALVING_CONFIG, text, "sparse")
+    assert step_calls.call_count <= 2 * math.ceil(math.log2(HALVING_ROWS)) + 1
+    assert step_calls.call_args_list[0].args[2] == rows  # one chunk
+    assert (code, out, err) == per_row_run(HALVING_CONFIG, text)
+    assert code == cli.EXIT_DATA
+    assert out.count("\n") == failing - 1
+    assert err.splitlines()[-1].startswith(f"data error: row {failing}: ")
+
+
 class Refused(Exception):
     """A column step's refusal of a value that ``_key`` takes."""
 
 
 @pytest.mark.parametrize("refuses, written", [
     pytest.param(lambda values: 4.0 in values, 3, id="row-4"),
-    pytest.param(lambda values: len(values) > 1, 8, id="every-chunk"),
+    pytest.param(lambda values: len(values) > 1, 2, id="every-chunk"),
 ])
 def test_a_column_step_that_refuses_what_key_takes_raises(tmp_path, refuses, written):
     """``_keys`` refusing row 4 writes rows 1-3 and raises at row 4, which
-    it does not write; refusing the chunk of all 8 rows, while each row keys
-    alone, writes each row from its own key column and then raises."""
+    it does not write; refusing every chunk of more than one row, while each
+    row keys alone, writes rows 1 and 2, the two halves of the first refused
+    pair, each from its own key column, and then raises."""
     config = {"encoder": {"type": "scalar", "min": 0, "max": 10, "n": 50, "w": 5},
               "field": "t"}
     (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
