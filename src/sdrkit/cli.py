@@ -13,9 +13,13 @@ the header: a missing or repeated name is a config error (exit 2), and a
 row whose field count differs from the header's is a data error (exit 3).
 A chunk's rows are checked and keyed a column at a time into a bit matrix,
 uint64 or Python ints past 2**64 bits, so every n takes the same column
-step.  A chunk with a data error is halved, and each half keyed the same
-way, until the failing row stands alone: the rows before it are still used,
-and the per-row path (`PipelineConfig.encode_row`) words that row's error.
+step: each part writes its columns of one matrix in place
+(`MultiEncoder._bits`).  `encode` reuses one bit matrix and one text buffer
+for every chunk of a run, each chunk in their first rows; `evaluate` keeps
+every chunk's matrix, so each gets a new one.  A chunk with a data error
+is halved, and each half keyed the same way, until the failing row stands
+alone: the rows before it are still used, and the per-row path
+(`PipelineConfig.encode_row`) words that row's error.
 Validation warnings go to stderr so stdout stays machine-parseable.
 
 `encode` streams CSV rows (header required, fields bound by name) to one
@@ -140,20 +144,23 @@ def _emit_warnings(cfg, stderr) -> None:
         _note(f"warning: {message}", stderr)
 
 
-def _dense_lines(multi, bits) -> str:
+def _dense_lines(multi, bits, text=None) -> str:
     """The dense lines, newlines included, of the rows of a bit matrix
-    (`MultiEncoder._bits`): the same text as `to_dense_string` of each
-    row's encoding."""
+    (`MultiEncoder._bits`), written into the first rows of ``text``, a
+    uint8 matrix of n + 1 columns (a new one when None): the same text as
+    `to_dense_string` of each row's encoding."""
     n = multi.n
-    lines = np.full((len(bits), n + 1), ord("0"), dtype=np.uint8)
-    lines[:, n] = ord("\n")
+    lines = np.empty((len(bits), n + 1), np.uint8) if text is None else text[: len(bits)]
+    lines[:] = np.frombuffer(b"0" * n + b"\n", np.uint8)  # each row's zeros and newline
     np.put_along_axis(lines, bits, ord("1"), axis=1)
     return lines.tobytes().decode("ascii")
 
 
-def _sparse_lines(multi, bits, self_describing) -> str:
+def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> str:
     """The sparse lines, newlines included, of the rows of a bit matrix
-    (`MultiEncoder._bits`): the same text as `to_sparse_string` of each
+    (`MultiEncoder._bits`), written into the first rows of ``text``, a
+    uint8 matrix as wide as a line's cells, and ``keep``, a bool one of its
+    shape (new ones when None): the same text as `to_sparse_string` of each
     row's encoding.
 
     Each index is written right-aligned in a cell of ``digits`` characters
@@ -166,8 +173,11 @@ def _sparse_lines(multi, bits, self_describing) -> str:
     rows, w = bits.shape
     prefix = np.frombuffer(f"n={multi.n};".encode() if self_describing else b"", np.uint8)
     digits = len(str(multi.n - 1))
-    text = np.empty((rows, len(prefix) + w * (digits + 1)), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
+    if text is None:  # a line past the caps: buffers of its own
+        width = len(prefix) + w * (digits + 1)
+        text, keep = np.empty((rows, width), np.uint8), np.empty((rows, width), bool)
+    text, keep = text[:rows], keep[:rows]
+    keep[:] = True
     text[:, : len(prefix)] = prefix
     cells = text[:, len(prefix):].reshape(rows, w, digits + 1)  # views of the rows
     kept = keep[:, len(prefix):].reshape(rows, w, digits + 1)
@@ -197,9 +207,10 @@ def _each_value(header, rows, first, step):
             raise InputError(f"row {number}: {exc}") from exc
 
 
-def _chunk_bits(cfg, header, rows, first, use):
+def _chunk_bits(cfg, header, rows, first, use, out=None):
     """Hand ``use`` the bit matrix of a chunk of CSV rows, ``rows[0]`` being
-    row ``first``.
+    row ``first``: the first rows of ``out``, a `MultiEncoder._matrix` of
+    at least as many rows, or a new matrix when None.
 
     The chunk is checked and keyed a column at a time into key columns
     (`PipelineConfig._chunk_keys`), which become its bit matrix
@@ -217,10 +228,10 @@ def _chunk_bits(cfg, header, rows, first, use):
             next(_each_value(header, rows, first, cfg.encode_row), None)
         else:
             half = len(rows) // 2
-            _chunk_bits(cfg, header, rows[:half], first, use)
-            _chunk_bits(cfg, header, rows[half:], first + half, use)
+            _chunk_bits(cfg, header, rows[:half], first, use, out)
+            _chunk_bits(cfg, header, rows[half:], first + half, use, out)
         raise  # the per-row path took the row, or both halves keyed: a bug
-    use(cfg.multi._bits(keys))
+    use(cfg.multi._bits(keys, out))
 
 
 def _open_input(path, output=None):
@@ -350,13 +361,20 @@ def cmd_encode(args, stderr=None) -> int:
         line_bytes = (multi.n + 1 if dense else len(f"n={multi.n};") * self_describing
                       + multi.w * (len(str(multi.n - 1)) + 1))
         size = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
+        # One bit matrix and one text buffer for the run, each chunk written into
+        # their first rows.  A line past the caps keeps buffers of its own: they
+        # may not fit in memory, so only a row that keys allocates them.
+        matrix = text = keep = None
+        if multi.w <= _CHUNK_CELLS and line_bytes <= _CHUNK_BYTES:
+            matrix, text = multi._matrix(size), np.empty((size, line_bytes), np.uint8)
+            keep = None if dense else np.empty(text.shape, bool)
         with (_open_input(args.input, args.output) as lines,
               _open_output(args.output) as fout):
             try:
                 for header, first, rows in _chunks(lines, cfg, size):
                     _chunk_bits(cfg, header, rows, first, lambda bits: fout.write(
-                        _dense_lines(multi, bits) if dense
-                        else _sparse_lines(multi, bits, self_describing)))
+                        _dense_lines(multi, bits, text) if dense
+                        else _sparse_lines(multi, bits, self_describing, text, keep)), matrix)
             finally:  # on a data error too: keep everything encoded so far
                 fout.flush()
         return EXIT_OK

@@ -109,15 +109,27 @@ class MultiEncoder(_Encoder):
     def _sdr(self, keys: tuple) -> SDR:
         return concat([enc._sdr(key) for (_, enc), key in zip(self.parts, keys)])
 
-    def _bits(self, keys: tuple) -> np.ndarray:
-        dtype = np.uint64 if self.n <= 1 << 64 else object  # Python ints past 2**64
-        blocks = []
-        offset = 0
+    def _matrix(self, rows: int) -> np.ndarray:
+        """An unwritten (rows, w) bit matrix: uint64, Python ints past 2**64 bits."""
+        return np.empty((rows, self.w), np.uint64 if self.n <= 1 << 64 else object)
+
+    def _bits(self, keys: tuple, out: np.ndarray | None = None, offset=0) -> np.ndarray:
+        """The bit matrix of the key columns ``keys``: each part writes its
+        indices, plus ``offset``, into its column slice of the first rows of
+        ``out``, a `_matrix` of at least as many rows (a new one when None).
+        As `_write_bits`, it writes a nested multi encoder into its slice."""
+        rows = keys
+        while isinstance(rows, tuple):  # a part's keys are a column or a tuple of them
+            rows = rows[0]
+        out = self._matrix(len(rows)) if out is None else out[: len(rows)]
+        column = 0
         for (_, enc), part_keys in zip(self.parts, keys):
-            # A part's indices are non-negative, so the cast keeps their values.
-            blocks.append(np.add(enc._bits(part_keys), offset, dtype=dtype, casting="unsafe"))
+            enc._write_bits(part_keys, out[:, column:column + enc.w], offset)
+            column += enc.w
             offset += enc.n
-        return np.hstack(blocks)
+        return out
+
+    _write_bits = _bits
 
 
 # Component order is fixed and documented: changing it would silently move
@@ -139,14 +151,14 @@ _CYCLIC_PERIODS = {
 
 # The weekend component's labels, indexed by whether the day is a weekend.
 _WEEKEND_LABELS = ("weekday", "weekend")
-_WEEKEND_LABEL_ARRAY = np.array(_WEEKEND_LABELS, dtype=object)
 
 
 def _components(names, t) -> dict:
     """The value of each named component of ``t``, a datetime or a
     `_DatetimeColumn`: the formulas use only arithmetic and comparisons,
     which give ints and floats the same values as int and float arrays.
-    The weekend component's value is its label, a str or a column of them."""
+    The weekend component's value is the index of its label in
+    `_WEEKEND_LABELS`: 1 on Saturday and Sunday, else 0."""
     values = {}
     if "weekend" in names or "day_of_week" in names:
         weekday = t.weekday()  # Monday = 0
@@ -154,7 +166,7 @@ def _components(names, t) -> dict:
         day_fraction = (t.hour + t.minute / 60 + t.second / 3600 + t.microsecond / 3.6e9) / 24.0
     for name in names:
         if name == "weekend":
-            values[name] = _WEEKEND_LABEL_ARRAY[weekday // 5]  # 1 on Saturday and Sunday
+            values[name] = weekday // 5
         elif name == "day_of_week":
             values[name] = (weekday + 1) % 7 + day_fraction  # Sunday = 0 ... Saturday = 6
         elif name == "time_of_day":
@@ -256,7 +268,10 @@ class DatetimeEncoder(MultiEncoder):
         """The derived per-component value for each enabled component."""
         if not isinstance(t, _dt.datetime):
             raise InputError(f"expected a datetime, got {_shown(t)}")
-        return _components(self._names, t)
+        values = _components(self._names, t)
+        if "weekend" in values:
+            values["weekend"] = _WEEKEND_LABELS[values["weekend"]]
+        return values
 
     def _key(self, value) -> tuple:
         """The parts' keys of the `component_values` of a datetime."""
@@ -264,8 +279,11 @@ class DatetimeEncoder(MultiEncoder):
 
     def _keys(self, values) -> tuple:
         """The parts' key columns of the `component_values` of a column of
-        datetimes; anything but a datetime is `_Unkeyed`."""
-        return super()._keys(_components(self._names, _DatetimeColumn(values)))
+        datetimes; anything but a datetime is `_Unkeyed`.  The weekend key,
+        its block's start, is its label's index times w, with no lookup."""
+        columns = _components(self._names, _DatetimeColumn(values))
+        return tuple(columns[name] * enc.w if name == "weekend" else enc._keys(columns[name])
+                     for name, enc in self.parts)
 
 
 __all__ = [

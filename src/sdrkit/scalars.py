@@ -139,15 +139,23 @@ class _Encoder:
       It builds no error message: on that form it raises, an exception of
       any type, exactly where ``_key`` raises for some value.  Either step
       moves a `DeltaEncoder`, ``_keys`` only when it returns.
-    * ``_bits(keys)`` is the (rows, w) matrix of the bit indices of the key
-      columns that ``_keys`` gives, non-negative integers below n: uint64
-      from a hashing or multi encoder, Python ints past 2**64 bits; a hash
-      collision repeats an index there.
+    * ``_bits(keys)`` gives the bit indices of the key columns that
+      ``_keys`` gives, w per row, non-negative integers below n; a hash
+      collision repeats an index there.  A `MultiEncoder`'s are one
+      (rows, w) matrix, uint64 (Python ints past 2**64 bits), into whose
+      column slice each part writes its indices in place, plus the part's
+      offset (``_write_bits(keys, out, offset)``).  ``sdrkit encode`` reuses
+      one such matrix for every chunk of a run; ``evaluate`` gets a new one
+      per chunk.
     """
 
     def encode(self, value) -> SDR:
         """The SDR of ``value``, or the SdrError of its first failed check."""
         return self._sdr(self._key(value))
+
+    def _write_bits(self, keys, out: np.ndarray, offset) -> None:
+        # The indices are non-negative, so the cast keeps their values.
+        np.add(self._bits(keys), offset, out=out, dtype=out.dtype, casting="unsafe")
 
 
 class _WindowEncoder(_Encoder):
@@ -162,7 +170,11 @@ class _WindowEncoder(_Encoder):
         return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
 
     def _bits(self, starts: np.ndarray) -> np.ndarray:
-        return (starts[:, None] + np.arange(self.w)) % self.n
+        return starts[:, None] + np.arange(self.w)
+
+    def _write_bits(self, starts: np.ndarray, out: np.ndarray, offset) -> None:
+        np.add(starts[:, None], offset + np.arange(self.w, dtype=out.dtype), out=out,
+               dtype=out.dtype, casting="unsafe")
 
 
 class ScalarEncoder(_WindowEncoder):
@@ -258,6 +270,11 @@ class CyclicEncoder(_WindowEncoder):
         # numpy's float % is Python's: fmod, then the divisor's sign.
         phase = ((v % self.period) + self.period) % self.period
         return np.floor(phase / self.resolution).astype(np.int64) % self.n
+
+    def _bits(self, starts: np.ndarray) -> np.ndarray:
+        return (starts[:, None] + np.arange(self.w)) % self.n
+
+    _write_bits = _Encoder._write_bits  # through the wrap
 
 
 class DeltaEncoder(ScalarEncoder):

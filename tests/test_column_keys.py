@@ -26,6 +26,14 @@ the plain ones (NaN, ±inf, huge magnitudes, text, unknown labels, cells
 off the grid, negative speeds, values that are no datetime).  On plain
 values the column step must key every chunk.  The same holds for CSV text
 through the bindings of `tests/data/encode/all_leaves.json`.
+
+``MultiEncoder._bits`` writes each part into its column slice of one
+matrix, a new one or the first rows of one that ``sdrkit encode`` reuses
+for every chunk.  The reference is each part's own matrix plus its offset,
+side by side (`reference_bits`): same values, same dtype, and no row of the
+reused matrix past the chunk's is written, for a nested datetime, cyclic
+windows that wrap, windows keyed by Python ints, offsets in uint64's upper
+half and a pipeline past 2**64 bits.
 """
 
 import datetime as dt
@@ -471,3 +479,80 @@ def test_csv_windows_below_2_62_buckets_are_keyed_by_columns():
                         by_column=lambda cfg, rows: cfg._chunk_keys(header, rows),
                         rows=lambda cfg, keys: key_rows(cfg.multi, keys),
                         state=lambda cfg: state(cfg.multi)) == 2
+
+
+# --- one bit matrix, written in place ---------------------------------------------
+
+def reference_bits(enc, keys) -> np.ndarray:
+    """The bit matrix of ``keys`` as each part's own matrix gives it: a
+    window's starts plus 0..w - 1, modulo n, and a multi encoder's parts'
+    matrices, each plus its offset, side by side."""
+    if isinstance(enc, MultiEncoder):
+        dtype = np.uint64 if enc.n <= 1 << 64 else object
+        blocks, offset = [], 0
+        for (_, part), part_keys in zip(enc.parts, keys, strict=True):
+            blocks.append(np.add(reference_bits(part, part_keys), offset, dtype=dtype,
+                                 casting="unsafe"))
+            offset += part.n
+        return np.hstack(blocks)
+    if isinstance(enc, (ScalarEncoder, CyclicEncoder, CategoryEncoder)):
+        return (keys[:, None] + np.arange(enc.w)) % enc.n
+    return enc._bits(keys)
+
+
+WIDE = (1 << 62) + 50  # a window keyed by Python ints
+# Each pipeline, as (name, part) pairs, and values for its records.
+MATRIX_PIPELINES = {
+    "nested-datetime": ([("t", ScalarEncoder(0, 45, 100, 9)),
+                         ("ts", DatetimeEncoder(**COMPONENTS)), ("c", CategoryEncoder(LABELS, 5))],
+                        dict(t=plain_floats, ts=datetimes, c=st.sampled_from(LABELS))),
+    "cyclic-wrap": ([("a", CyclicEncoder(7.0, 20, 15)), ("b", CyclicEncoder(24.0, 9, 9))],
+                    dict(a=plain_floats, b=plain_floats)),
+    "window-past-2**62": ([("s", ScalarEncoder(-50, 50, WIDE, 21)),
+                           ("a", CyclicEncoder(7.0, WIDE, 21)),
+                           ("u", UnboundedScalarEncoder(0.5, 80, 6))],
+                          dict(s=plain_floats, a=plain_floats, u=plain_floats)),
+    # Every part but the first lies in [2**63, 2**64): uint64's upper half.
+    "offsets-past-2**63": ([("pad", ScalarEncoder(0, 1, (1 << 63) + 5, 3)),
+                            ("s", ScalarEncoder(-50, 50, WIDE, 21)),
+                            ("a", CyclicEncoder(7.0, 30, 25)), ("c", CategoryEncoder(LABELS, 5)),
+                            ("ts", DatetimeEncoder(**COMPONENTS)),
+                            ("u", UnboundedScalarEncoder(0.5, 80, 6)),
+                            ("g", GeospatialEncoder(300, 1, seed=2))],
+                           dict(pad=plain_floats, s=plain_floats, a=plain_floats,
+                                c=st.sampled_from(LABELS), ts=datetimes, u=plain_floats,
+                                g=plain_cells)),
+    "past-2**64": ([("s", ScalarEncoder(-50, 50, (1 << 64) + 7, 21)),
+                    ("a", CyclicEncoder(7.0, 30, 25)), ("ts", DatetimeEncoder(**COMPONENTS)),
+                    ("u", UnboundedScalarEncoder(0.5, 1 << 70, 6)),
+                    ("g", GeospatialEncoder(300, 1, seed=2))],
+                   dict(s=plain_floats, a=plain_floats, ts=datetimes, u=plain_floats,
+                        g=plain_cells)),
+}
+
+
+def test_the_matrix_pipelines_reach_their_ranges():
+    upper = MultiEncoder(MATRIX_PIPELINES["offsets-past-2**63"][0])
+    assert upper.parts[0][1].n >= 1 << 63 and upper.n <= 1 << 64  # uint64, every later offset
+    assert MultiEncoder(MATRIX_PIPELINES["past-2**64"][0]).n > 1 << 64  # Python ints
+
+
+@pytest.mark.parametrize("name", MATRIX_PIPELINES)
+@SETTINGS
+@given(data=st.data())
+def test_bits_in_place_are_the_parts_matrices_side_by_side(name, data):
+    parts, values = MATRIX_PIPELINES[name]
+    multi = MultiEncoder(parts)
+    chunks = data.draw(chunks_of(st.fixed_dictionaries(values)))
+    size = max(map(len, chunks)) + data.draw(st.integers(0, 3))
+    buffer = multi._matrix(size)  # one matrix for every chunk, as encode reuses it
+    for records in chunks:
+        keys = multi._keys(column(multi, records))
+        expected = reference_bits(multi, keys)
+        fresh = multi._bits(keys)
+        assert fresh.dtype == expected.dtype and fresh.tolist() == expected.tolist()
+        rest = buffer[len(records):].tolist()
+        written = multi._bits(keys, buffer[:len(records)])
+        assert np.shares_memory(written, buffer)
+        assert written.dtype == expected.dtype and written.tolist() == expected.tolist()
+        assert buffer[len(records):].tolist() == rest  # only the chunk's rows are written

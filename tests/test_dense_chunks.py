@@ -25,6 +25,10 @@ the CLI's row reading and error report around
   when rows later in its chunk cannot be read (a field past the size limit,
   bytes that are not UTF-8), in the second chunk and in the last, partial
   one.
+* `encode` writes every chunk into the first rows of one bit matrix and one
+  text buffer for the run: a short last chunk, the halves of a failing
+  chunk and runs one after another in one process, with other n, digit
+  widths and formats, write only their own rows, in every format.
 """
 
 import contextlib
@@ -456,3 +460,54 @@ def check_each_chunk_is_one_write(tmp_path, config, fmt, rows, lines_per_write):
 @pytest.mark.parametrize("rows, lines_per_write", WRITE_CASES)
 def test_each_chunk_is_one_write(tmp_path, rows, lines_per_write):
     check_each_chunk_is_one_write(tmp_path, ERROR_CONFIG, "dense", rows, lines_per_write)
+
+
+# --- one set of chunk buffers per run --------------------------------------------
+
+def per_row_out(config, rows, fmt):
+    """The per-row path's lines of ``rows`` in ``fmt``."""
+    if fmt == "dense":
+        return per_row_dense(config, HEADER, rows)
+    return per_row_run(config, csv_text(HEADER, rows), fmt == "sparse-n")[1]
+
+
+def encode_in_chunks(rows, fmt):
+    """`encode_counting_chunks` of ERROR_CONFIG on ``rows``, ROWS_PER_CHUNK
+    rows a chunk in every format."""
+    w = parse_pipeline_config(ERROR_CONFIG).multi.w
+    lines_function = "_dense_lines" if fmt == "dense" else "_sparse_lines"
+    with mock.patch.object(cli, "_CHUNK_CELLS", ROWS_PER_CHUNK * w):
+        return encode_counting_chunks(ERROR_CONFIG, csv_text(HEADER, rows), fmt, lines_function)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "sparse", "sparse-n"])
+def test_a_short_last_chunk_writes_only_its_rows(fmt):
+    (code, out, _), sizes = encode_in_chunks(ROWS, fmt)
+    assert code == cli.EXIT_OK
+    assert sizes == [4, 4, 2]  # the buffers' last two rows still hold the second chunk's
+    assert out == per_row_out(ERROR_CONFIG, ROWS, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "sparse", "sparse-n"])
+def test_the_halves_of_a_failing_chunk_write_their_rows(fmt):
+    failing = 2 * ROWS_PER_CHUNK  # the last row of the second chunk
+    rows = with_row(failing, "label", "c")
+    (code, out, err), sizes = encode_in_chunks(rows, fmt)
+    assert sizes == [4, 2, 1]  # rows 1-4, then the halves 5-6 and 7 before row 8
+    per_row_code, _, per_row_err = per_row_run(ERROR_CONFIG, csv_text(HEADER, rows))
+    assert (code, err) == (per_row_code, per_row_err)
+    assert code == cli.EXIT_DATA and err.endswith(value_error_message(failing))
+    assert out == per_row_out(ERROR_CONFIG, ROWS[:failing - 1], fmt)
+
+
+def test_runs_in_one_process_share_no_buffer():
+    small = {"encoder": {"type": "multi", "parts": [
+        {"field": "temp", "encoder": {"type": "scalar", "min": 0, "max": 45, "n": 40, "w": 3}},
+        {"field": "label", "encoder": {"type": "category", "categories": ["a", "b"], "w": 2}},
+    ]}}
+    runs = [(ERROR_CONFIG, "sparse"), (small, "sparse-n"), (ERROR_CONFIG, "dense"),
+            (small, "dense"), (ERROR_CONFIG, "sparse-n"), (small, "sparse")]
+    for config, fmt in runs:  # n of 5 digits and 2, lines longer and shorter than the last
+        code, out, _ = encode(config, csv_text(HEADER, ROWS), fmt)
+        assert code == cli.EXIT_OK
+        assert out == per_row_out(config, ROWS, fmt)

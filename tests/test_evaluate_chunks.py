@@ -9,6 +9,8 @@ them from each sample's SDR.
   rows so that delta state crosses chunk edges, is the one
   ``evaluate_encoder(binding.encoder.encode, …)`` gives on the samples that
   ``value_from_row`` reads, and the CLI builds no `SDR` on the way.
+* The matrix the overlaps are counted from holds each sample's encoding:
+  every chunk keys into a matrix of its own, which no later chunk writes.
 * A sample that fails to encode gives the line `encode` prints for it,
   naming the row.
 * Reading stops at the first chunk that takes the sample count past
@@ -161,3 +163,22 @@ def test_reading_stops_at_the_sample_bound(tmp_path, capsys, monkeypatch):
         "which bounds the memory of the m x m matrices")
     per_chunk = cli._CHUNK_CELLS // parse_pipeline_config(config).multi.w
     assert bound < len(read) <= bound + per_chunk
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_chunk_keeps_its_own_matrix(name, tmp_path, capsys):
+    config, draws = CASES[name]
+    text = csv_text(draws, 0)
+    real, matrices = cli._evaluate, []
+
+    def recording(bits, *args):  # the matrix that the overlaps are counted from
+        matrices.append(bits())
+        return real(bits, *args)
+
+    with mock.patch.object(cli, "_evaluate", recording):
+        code, _, _, _, sizes = evaluate(config, text, tmp_path, capsys)
+    assert code == cli.EXIT_OK and len(sizes) >= 3
+    binding = parse_pipeline_config(config).bound[0]
+    sdrs = [binding.encoder.encode(binding.value_from_row(row))
+            for row in csv.DictReader(io.StringIO(text))]
+    assert [sorted(set(row)) for row in matrices[0].tolist()] == [list(sdr.active) for sdr in sdrs]
