@@ -125,6 +125,8 @@ def _load_config(path: str):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except ValueError as exc:  # also bad UTF-8, and integers past int()'s digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested past the parser's depth limit
+        raise ConfigError(f"config {path!r} nests too deeply to parse") from None
     except ConfigError as exc:
         raise ConfigError(f"config {path!r} {exc}") from None
     return parse_pipeline_config(raw)
@@ -231,7 +233,7 @@ def _chunk_bits(cfg, header, rows, first, use, out=None):
             _chunk_bits(cfg, header, rows[:half], first, use, out)
             _chunk_bits(cfg, header, rows[half:], first + half, use, out)
         raise  # the per-row path took the row, or both halves keyed: a bug
-    use(cfg.multi._bits(keys, out))
+    use(cfg.multi._bits(keys, cfg.multi._matrix(len(rows)) if out is None else out[:len(rows)]))
 
 
 def _open_input(path, output=None):

@@ -113,23 +113,17 @@ class MultiEncoder(_Encoder):
         """An unwritten (rows, w) bit matrix: uint64, Python ints past 2**64 bits."""
         return np.empty((rows, self.w), np.uint64 if self.n <= 1 << 64 else object)
 
-    def _bits(self, keys: tuple, out: np.ndarray | None = None, offset=0) -> np.ndarray:
-        """The bit matrix of the key columns ``keys``: each part writes its
-        indices, plus ``offset``, into its column slice of the first rows of
-        ``out``, a `_matrix` of at least as many rows (a new one when None).
-        As `_write_bits`, it writes a nested multi encoder into its slice."""
-        rows = keys
-        while isinstance(rows, tuple):  # a part's keys are a column or a tuple of them
-            rows = rows[0]
-        out = self._matrix(len(rows)) if out is None else out[: len(rows)]
+    def _bits(self, keys: tuple, out: np.ndarray, offset=0) -> np.ndarray:
+        """Write the bit matrix of the key columns ``keys`` into ``out``, a
+        `_matrix` of as many rows or a part's column slice of one, and return
+        ``out``: each part writes its indices, plus ``offset``, into its own
+        column slice, a nested multi encoder as any other part."""
         column = 0
         for (_, enc), part_keys in zip(self.parts, keys):
-            enc._write_bits(part_keys, out[:, column:column + enc.w], offset)
+            enc._bits(part_keys, out[:, column:column + enc.w], offset)
             column += enc.w
             offset += enc.n
         return out
-
-    _write_bits = _bits
 
 
 # Component order is fixed and documented: changing it would silently move

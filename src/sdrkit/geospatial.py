@@ -274,14 +274,14 @@ class GeospatialEncoder(_Encoder):
 
     def _keys(self, cells: _Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_key`` of each value of a column, as the cells' x and y and their
-        radii: the same checks, on int64 and float64 arrays.  Speeds come
-        only to topw: a config binds a 'speed_field' to no other variant."""
+        radii: the same checks, on int64 and float64 arrays.  Speeds key only
+        for topw, as a config binds a 'speed_field' to no other variant."""
         x, y, speed = cells
         if speed is None:
             r = np.full(len(x), self.radius, dtype=np.int64)
         else:
             s = _finite_floats(speed)
-            if (s < 0).any():
+            if self.variant == "fixed" or (s < 0).any():
                 raise _Unkeyed
             with np.errstate(over="ignore"):  # a product past the float range is inf
                 extra = np.minimum(np.maximum(s * self.speed_scale, 0.0),
@@ -322,17 +322,17 @@ class GeospatialEncoder(_Encoder):
         largest order keys."""
         return SDR._trusted(self.n, bit_indices(self._cells(*key), self.seed, self.n))
 
-    def _bits(self, keys) -> np.ndarray:
+    def _bits(self, keys, out: np.ndarray, offset) -> None:
         x, y, radii = keys
-        out = np.empty((len(radii), self.w), dtype=np.uint64)
         for r in sorted(set(radii.tolist())):  # np.unique would import numpy.ma
             (rows,) = np.nonzero(radii == r)
             block = max(1, _CHUNK_CELLS // (2 * r + 1) ** 2)
             for start in range(0, len(rows), block):
                 at = rows[start:start + block]
                 packed = self._cells(x[at, None], y[at, None], r)
-                out[at] = _bit_indices_array(packed, self.seed, self.n)
-        return out
+                # The indices are non-negative, so the cast keeps their values.
+                out[at] = np.add(_bit_indices_array(packed, self.seed, self.n), offset,
+                                 dtype=out.dtype, casting="unsafe")
 
 
 def gps_to_grid(lat: float, lon: float, cell_size: float) -> GridCoordinate:

@@ -123,8 +123,8 @@ def _finite_floats(values) -> np.ndarray:
 
 
 class _Encoder:
-    """Every encoder's three steps, and the column twin of the first;
-    `encode` is the second of the first.
+    """Every encoder's four steps: ``_key``, its column twin ``_keys``,
+    ``_sdr`` and ``_bits``; `encode` is the ``_sdr`` of the ``_key``.
 
     * ``_key(value)`` runs every check, in order, and returns a small key (a
       bucket, a window start, a geospatial ``(cx, cy, r)``, a multi encoder's
@@ -139,23 +139,19 @@ class _Encoder:
       It builds no error message: on that form it raises, an exception of
       any type, exactly where ``_key`` raises for some value.  Either step
       moves a `DeltaEncoder`, ``_keys`` only when it returns.
-    * ``_bits(keys)`` gives the bit indices of the key columns that
-      ``_keys`` gives, w per row, non-negative integers below n; a hash
-      collision repeats an index there.  A `MultiEncoder`'s are one
-      (rows, w) matrix, uint64 (Python ints past 2**64 bits), into whose
-      column slice each part writes its indices in place, plus the part's
-      offset (``_write_bits(keys, out, offset)``).  ``sdrkit encode`` reuses
-      one such matrix for every chunk of a run; ``evaluate`` gets a new one
-      per chunk.
+    * ``_bits(keys, out, offset)`` writes the bit indices of the key
+      columns that ``_keys`` gives, plus ``offset``, into ``out``: w per
+      row, each below n before the offset; a hash collision repeats an
+      index there.  ``out`` is the encoder's column slice of a
+      `MultiEncoder`'s (rows, w) bit matrix, uint64 (Python ints past 2**64
+      bits), so each part writes its own columns in place.  ``sdrkit
+      encode`` reuses one such matrix for every chunk of a run;
+      ``evaluate`` gets a new one per chunk.
     """
 
     def encode(self, value) -> SDR:
         """The SDR of ``value``, or the SdrError of its first failed check."""
         return self._sdr(self._key(value))
-
-    def _write_bits(self, keys, out: np.ndarray, offset) -> None:
-        # The indices are non-negative, so the cast keeps their values.
-        np.add(self._bits(keys), offset, out=out, dtype=out.dtype, casting="unsafe")
 
 
 class _WindowEncoder(_Encoder):
@@ -169,10 +165,7 @@ class _WindowEncoder(_Encoder):
             return SDR._trusted(self.n, tuple(range(b, end)))
         return SDR._trusted(self.n, tuple(range(end - self.n)) + tuple(range(b, self.n)))
 
-    def _bits(self, starts: np.ndarray) -> np.ndarray:
-        return starts[:, None] + np.arange(self.w)
-
-    def _write_bits(self, starts: np.ndarray, out: np.ndarray, offset) -> None:
+    def _bits(self, starts: np.ndarray, out: np.ndarray, offset) -> None:
         np.add(starts[:, None], offset + np.arange(self.w, dtype=out.dtype), out=out,
                dtype=out.dtype, casting="unsafe")
 
@@ -271,10 +264,9 @@ class CyclicEncoder(_WindowEncoder):
         phase = ((v % self.period) + self.period) % self.period
         return np.floor(phase / self.resolution).astype(np.int64) % self.n
 
-    def _bits(self, starts: np.ndarray) -> np.ndarray:
-        return (starts[:, None] + np.arange(self.w)) % self.n
-
-    _write_bits = _Encoder._write_bits  # through the wrap
+    def _bits(self, starts: np.ndarray, out: np.ndarray, offset) -> None:
+        np.add((starts[:, None] + np.arange(self.w)) % self.n, offset, out=out,
+               dtype=out.dtype, casting="unsafe")
 
 
 class DeltaEncoder(ScalarEncoder):
@@ -368,11 +360,13 @@ class UnboundedScalarEncoder(_Encoder):
         keys += np.uint64(b & MASK64)  # wraps, as (b + i) & MASK64 does
         return SDR._trusted(self.n, bit_indices(keys, self.seed, self.n))
 
-    def _bits(self, buckets: np.ndarray) -> np.ndarray:
+    def _bits(self, buckets: np.ndarray, out: np.ndarray, offset) -> None:
         # The uint64 view is the two's-complement pattern b & MASK64.
         keys = buckets.view(np.uint64)[:, None]
         keys = keys + np.arange(self.w, dtype=np.uint64)  # wraps, as in _sdr
-        return _bit_indices_array(keys, self.seed, self.n)
+        # The indices are non-negative, so the cast keeps their values.
+        np.add(_bit_indices_array(keys, self.seed, self.n), offset, out=out, dtype=out.dtype,
+               casting="unsafe")
 
 
 __all__ = [

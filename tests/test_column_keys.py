@@ -29,11 +29,12 @@ through the bindings of `tests/data/encode/all_leaves.json`.
 
 ``MultiEncoder._bits`` writes each part into its column slice of one
 matrix, a new one or the first rows of one that ``sdrkit encode`` reuses
-for every chunk.  The reference is each part's own matrix plus its offset,
-side by side (`reference_bits`): same values, same dtype, and no row of the
-reused matrix past the chunk's is written, for a nested datetime, cyclic
-windows that wrap, windows keyed by Python ints, offsets in uint64's upper
-half and a pipeline past 2**64 bits.
+for every chunk.  The reference is each part's indices plus its offset,
+side by side, computed without ``_bits`` (`reference_bits`): same values,
+uint64 or Python ints past 2**64 bits, and no row of the reused matrix past
+the chunk's is written, for a nested datetime, cyclic windows that wrap,
+windows keyed by Python ints, offsets in uint64's upper half, a top-w part
+with several radii in one chunk and a pipeline past 2**64 bits.
 """
 
 import datetime as dt
@@ -49,6 +50,7 @@ from sdrkit.categories import CategoryEncoder
 from sdrkit.composite import DatetimeEncoder, MultiEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.geospatial import GeospatialEncoder, GridCoordinate, _Cells
+from sdrkit.hashing import _bit_indices_array
 from sdrkit.scalars import CyclicEncoder, DeltaEncoder, ScalarEncoder, UnboundedScalarEncoder
 
 I32_MAX = (1 << 31) - 1
@@ -483,24 +485,54 @@ def test_csv_windows_below_2_62_buckets_are_keyed_by_columns():
 
 # --- one bit matrix, written in place ---------------------------------------------
 
-def reference_bits(enc, keys) -> np.ndarray:
-    """The bit matrix of ``keys`` as each part's own matrix gives it: a
-    window's starts plus 0..w - 1, modulo n, and a multi encoder's parts'
-    matrices, each plus its offset, side by side."""
+HASHING = (UnboundedScalarEncoder, GeospatialEncoder)
+
+
+def reference_bits(enc, keys, offset=0) -> list:
+    """The rows of the bit matrix of ``keys``, as lists of Python ints: each
+    part's indices plus its offset, side by side.  A window's are its start
+    plus 0..w - 1, modulo n, in order; a hashing part's are the hashes
+    (`_bit_indices_array`) of its bucket and w - 1 successors, or of each
+    row's neighborhood cells (``_cells``), sorted with repeats kept, since a
+    top-w block keeps its cells in another order than one neighborhood."""
     if isinstance(enc, MultiEncoder):
-        dtype = np.uint64 if enc.n <= 1 << 64 else object
-        blocks, offset = [], 0
+        blocks = []
         for (_, part), part_keys in zip(enc.parts, keys, strict=True):
-            blocks.append(np.add(reference_bits(part, part_keys), offset, dtype=dtype,
-                                 casting="unsafe"))
+            blocks.append(reference_bits(part, part_keys, offset))
             offset += part.n
-        return np.hstack(blocks)
-    if isinstance(enc, (ScalarEncoder, CyclicEncoder, CategoryEncoder)):
-        return (keys[:, None] + np.arange(enc.w)) % enc.n
-    return enc._bits(keys)
+        return [sum(row, []) for row in zip(*blocks, strict=True)]
+    if not isinstance(enc, HASHING):
+        return [[(start + i) % enc.n + offset for i in range(enc.w)] for start in keys.tolist()]
+    if isinstance(enc, UnboundedScalarEncoder):
+        hashed = keys.view(np.uint64)[:, None] + np.arange(enc.w, dtype=np.uint64)
+    else:
+        hashed = [enc._cells(*key) for key in key_rows(enc, keys)]
+    return [sorted(bit + offset for bit in _bit_indices_array(cells, enc.seed, enc.n).tolist())
+            for cells in hashed]
+
+
+def matrix_rows(multi, matrix) -> list:
+    """The rows of ``multi``'s bit matrix as `reference_bits` gives them:
+    each hashing part's columns sorted."""
+    rows, column = [[] for _ in matrix], 0
+    for _, part in multi.parts:
+        for row, bits in zip(rows, matrix[:, column:column + part.w].tolist()):
+            row.extend(sorted(bits) if isinstance(part, HASHING) else bits)
+        column += part.w
+    return rows
+
+
+def leaf_bits(enc, keys, rows: int) -> np.ndarray:
+    """``enc``'s bit matrix of ``rows`` rows of its key columns ``keys``, as
+    a one-part `MultiEncoder` writes it into a new `_matrix`."""
+    multi = MultiEncoder([("v", enc)])
+    return multi._bits((keys,), multi._matrix(rows))
 
 
 WIDE = (1 << 62) + 50  # a window keyed by Python ints
+# A top-w part fed (cell, speed) pairs: radii 1 to 4, several in one chunk.
+TOPW = GeospatialEncoder(400, 1, variant="topw", w=7, seed=9, speed_scale=0.5, radius_min=1,
+                         radius_max=4)
 # Each pipeline, as (name, part) pairs, and values for its records.
 MATRIX_PIPELINES = {
     "nested-datetime": ([("t", ScalarEncoder(0, 45, 100, 9)),
@@ -518,16 +550,16 @@ MATRIX_PIPELINES = {
                             ("a", CyclicEncoder(7.0, 30, 25)), ("c", CategoryEncoder(LABELS, 5)),
                             ("ts", DatetimeEncoder(**COMPONENTS)),
                             ("u", UnboundedScalarEncoder(0.5, 80, 6)),
-                            ("g", GeospatialEncoder(300, 1, seed=2))],
+                            ("g", GeospatialEncoder(300, 1, seed=2)), ("p", TOPW)],
                            dict(pad=plain_floats, s=plain_floats, a=plain_floats,
                                 c=st.sampled_from(LABELS), ts=datetimes, u=plain_floats,
-                                g=plain_cells)),
+                                g=plain_cells, p=st.tuples(plain_cells, st.floats(0, 10)))),
     "past-2**64": ([("s", ScalarEncoder(-50, 50, (1 << 64) + 7, 21)),
                     ("a", CyclicEncoder(7.0, 30, 25)), ("ts", DatetimeEncoder(**COMPONENTS)),
                     ("u", UnboundedScalarEncoder(0.5, 1 << 70, 6)),
-                    ("g", GeospatialEncoder(300, 1, seed=2))],
+                    ("g", GeospatialEncoder(300, 1, seed=2)), ("p", TOPW)],
                    dict(s=plain_floats, a=plain_floats, ts=datetimes, u=plain_floats,
-                        g=plain_cells)),
+                        g=plain_cells, p=st.tuples(plain_cells, st.floats(0, 10)))),
 }
 
 
@@ -546,13 +578,14 @@ def test_bits_in_place_are_the_parts_matrices_side_by_side(name, data):
     chunks = data.draw(chunks_of(st.fixed_dictionaries(values)))
     size = max(map(len, chunks)) + data.draw(st.integers(0, 3))
     buffer = multi._matrix(size)  # one matrix for every chunk, as encode reuses it
+    assert buffer.dtype == (np.uint64 if multi.n <= 1 << 64 else object)
     for records in chunks:
         keys = multi._keys(column(multi, records))
         expected = reference_bits(multi, keys)
-        fresh = multi._bits(keys)
-        assert fresh.dtype == expected.dtype and fresh.tolist() == expected.tolist()
+        fresh = multi._bits(keys, multi._matrix(len(records)))
+        assert fresh.dtype == buffer.dtype and matrix_rows(multi, fresh) == expected
         rest = buffer[len(records):].tolist()
         written = multi._bits(keys, buffer[:len(records)])
         assert np.shares_memory(written, buffer)
-        assert written.dtype == expected.dtype and written.tolist() == expected.tolist()
+        assert matrix_rows(multi, written) == expected
         assert buffer[len(records):].tolist() == rest  # only the chunk's rows are written

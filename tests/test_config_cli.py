@@ -1152,3 +1152,26 @@ def test_console_script_decodes_stdin_a_line_at_a_time(tmp_path):
     assert proc.stdout == b"20,21,22,23,24,25,26,27,28,29\n0,1,2,3,4,5,6,7,8,9\n"
     assert proc.stderr.decode().splitlines()[-1].startswith(
         "data error: row 3: 'utf-8' codec can't decode byte 0xe9 in position 0")
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+@pytest.mark.parametrize("opening, closing", [('{"encoder": ', "}"), ("[", "]")],
+                         ids=["objects", "arrays"])
+@pytest.mark.parametrize("command", ["encode", "evaluate"])
+def test_a_config_nested_past_the_parser_exits_2(tmp_path, command, opening, closing, depth):
+    """A config nested deeper than the JSON parser recurses is a config
+    error, not a RecursionError's traceback and exit 1.  Where the parser's
+    depth limit is apart from the recursion limit and higher (CPython 3.12
+    on), 1,000 levels parse, and the config check refuses what they hold."""
+    cfg = write(tmp_path, "cfg.json", opening * depth + "1" + closing * depth)
+    data = write(tmp_path, "in.csv", "temp\n10\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdrkit.cli", command, "--config", cfg, "--input", data],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: config")
+    if depth > 10_000 or sys.version_info < (3, 12):
+        assert lines[0] == f"config error: config {cfg!r} nests too deeply to parse"

@@ -16,9 +16,9 @@ the CLI's row reading and error report around
   chunk, cyclic windows that wrap, unbounded hashes that collide (n <= 32)
   and cells at the signed 32-bit edges.
 * Each encoder's ``_bits`` rows, from the key columns of its binding's
-  column reader and ``_keys`` on a chunk of CSV text, are integer indices
-  below its n that hold the bits of its ``encode``; a `MultiEncoder` of it
-  gives the same rows as uint64.
+  column reader and ``_keys`` on a chunk of CSV text, written by a
+  one-part `MultiEncoder` (`leaf_bits`), are uint64 indices below its n
+  that hold the bits of its ``encode``.
 * A data error inside the second chunk leaves exactly the rows before it on
   stdout, with the per-row path's stderr and exit code.
 * A value error is the one reported, with only the rows before it written,
@@ -45,9 +45,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli
-from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.sdr import to_dense_string, to_sparse_string
+
+from test_column_keys import leaf_bits
 
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
@@ -282,9 +283,8 @@ def test_each_encoder_bits_hold_its_encode(part, data):
     def bits(chunk):  # the column step of one chunk of CSV text
         texts = ([row[c] for row in chunk] for c in chunked.columns)
         keys = enc._keys(chunked._read_columns(*texts))
-        block = enc._bits(keys)
-        matrix = MultiEncoder([("v", enc)])._bits((keys,))  # the one matrix is uint64
-        assert matrix.dtype == np.uint64 and matrix.tolist() == block.tolist()
+        block = leaf_bits(enc, keys, len(chunk))
+        assert block.dtype == np.uint64
         return block
 
     # Two chunks: a delta's state carries across the cut.

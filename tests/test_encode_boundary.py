@@ -18,7 +18,7 @@ it returns an SDR or raises an SdrError, never a bare Python error.
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sdrkit import cli
 from sdrkit.categories import CategoryEncoder
@@ -92,6 +92,7 @@ VALUES = st.recursive(ATOMS, lambda inner: st.one_of(
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(ENCODERS)), VALUES)
+@example("fixed", ((3, 0), 1.5))  # a speed, which only topw takes
 def test_any_value_encodes_or_raises_an_sdr_error(name, value):
     make = ENCODERS[name]
     enc = make()

@@ -17,7 +17,7 @@ from sdrkit.geospatial import (
 )
 from sdrkit.hashing import coordinate_hash, mix64
 
-from test_column_keys import cell_column
+from test_column_keys import cell_column, leaf_bits
 
 # Golden vectors frozen from the normative formulas (64-bit wrapping
 # arithmetic), cross-checked against an independent numpy-uint64 evaluation.
@@ -301,7 +301,7 @@ class TestTopWEncoder:
             return keys
 
         monkeypatch.setattr(geospatial, "_neighborhood_keys", recording)
-        bits = enc._bits(enc._keys(cell_column(values)))
+        bits = leaf_bits(enc, enc._keys(cell_column(values)), len(values))
         assert sorted(sizes) == sorted([(2, 2 * 25), (50, 3 * 10201), (50, 3 * 10201),
                                         (50, 3 * 10201), (50, 10201), (90, 32761),
                                         (90, 32761), (100, 40401), (100, 40401)])

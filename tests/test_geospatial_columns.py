@@ -34,7 +34,7 @@ from sdrkit.geospatial import (
 )
 from sdrkit.scalars import _Unkeyed
 
-from test_column_keys import cell_column, key_rows
+from test_column_keys import cell_column, key_rows, leaf_bits
 from test_dense_chunks import csv_text, encode, per_row_run
 
 SETTINGS = settings(max_examples=200, deadline=None,
@@ -180,7 +180,7 @@ def test_threshold_selection_equals_the_stable_sort_when_keys_tie(case):
     with mock.patch.object(geospatial, "order_keys_array", tied_order_keys):
         keys = enc._keys(cell_column(values))
         assert key_rows(enc, keys) == [enc._key(value) for value in values]
-        bits = enc._bits(keys)
+        bits = leaf_bits(enc, keys, len(values))
         assert bits.shape == (len(values), enc.w)
         for row, key in zip(bits.tolist(), key_rows(enc, keys)):
             assert sorted(set(row)) == list(enc._sdr(key).active)
@@ -197,7 +197,7 @@ def test_a_radius_of_many_rows_is_split_into_blocks(monkeypatch):
         return tied_order_keys(keys, seed)
 
     monkeypatch.setattr(geospatial, "order_keys_array", tied)
-    bits = enc._bits(enc._keys(cell_column(values)))
+    bits = leaf_bits(enc, enc._keys(cell_column(values)), len(values))
     assert _CHUNK_CELLS // 61 ** 2 == 8  # rows of radius 30 per block
     assert sorted(blocks) == [(3, 9), (4, 61 ** 2), (8, 61 ** 2)]
     for row, value in zip(bits.tolist(), values):
