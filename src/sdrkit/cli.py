@@ -25,9 +25,10 @@ Validation warnings go to stderr so stdout stays machine-parseable.
 `encode` streams CSV rows (header required, fields bound by name) to one
 output line per row; memory use is independent of row count.  Dense output
 of more than `sdr.MAX_DENSE_N` bits per line is a config error (exit 2).
-Each chunk is one block of lines, as many as fit in 256 KiB and 2**15 bit
-indices (one line when it is longer), written from its bit matrix.  A
-reader of a live pipe sees rows arrive a block at a time, sparse rows too,
+Each chunk is one block of lines, as many as fit in 1 MiB and 2**15 bit
+indices (one line when it is longer), written from its bit matrix as
+bytes, unchanged: lines end in "\n" on every platform.  A reader of a live
+pipe sees rows arrive a block at a time, up to 1 MiB, sparse rows too,
 and a data error is reported when its block fills or the input ends.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
@@ -46,7 +47,7 @@ cannot be opened, is not UTF-8 or holds a field longer than
 with every row before it written, and an output that cannot be opened,
 cannot be written (a full device, a closed pipe) or is the input file (the
 input is opened first and left as it was), for every command's stdout
-too; 4 distance-axiom violation.
+too, and a run out of memory; 4 distance-axiom violation.
 Every config and data error is raised until the command prints it, as one
 `config error: …` or `data error: …` line on stderr (`_reported`).  Every
 line on stderr is best-effort (`_note`): a stderr that cannot be written
@@ -63,6 +64,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,8 +84,10 @@ EXIT_AXIOM = 4
 # enough that the block's text (a dense line is n + 1 bytes, a sparse one at
 # most its prefix and w indices of up to len(str(n - 1)) digits and a
 # separator each) fits in _CHUNK_BYTES and its (rows, w) bit matrix in
-# _CHUNK_CELLS, since the command's own peak memory grows with the chunk.
-_CHUNK_BYTES = 1 << 18
+# _CHUNK_CELLS, since the command's own peak memory grows with the chunk: a
+# run holds at most 1 MiB of text, a sparse one 1 MiB of `keep` too, and
+# 256 KiB of uint64 bit matrix.  Each block's bytes go to the output as they are.
+_CHUNK_BYTES = 1 << 20
 
 # Inputs for the printed hash vectors; arbitrary but frozen, spanning the
 # signed 32-bit corners and both hash output streams.
@@ -146,24 +150,24 @@ def _emit_warnings(cfg, stderr) -> None:
         _note(f"warning: {message}", stderr)
 
 
-def _dense_lines(multi, bits, text=None) -> str:
-    """The dense lines, newlines included, of the rows of a bit matrix
-    (`MultiEncoder._bits`), written into the first rows of ``text``, a
-    uint8 matrix of n + 1 columns (a new one when None): the same text as
-    `to_dense_string` of each row's encoding."""
+def _dense_lines(multi, bits, text=None) -> np.ndarray:
+    """The ASCII bytes of the dense lines, newlines included, of the rows of
+    a bit matrix (`MultiEncoder._bits`): the first rows of ``text``, a uint8
+    matrix of n + 1 columns (a new one when None), written in place and not
+    copied.  They are the text of `to_dense_string` of each row's encoding."""
     n = multi.n
     lines = np.empty((len(bits), n + 1), np.uint8) if text is None else text[: len(bits)]
     lines[:] = np.frombuffer(b"0" * n + b"\n", np.uint8)  # each row's zeros and newline
     np.put_along_axis(lines, bits, ord("1"), axis=1)
-    return lines.tobytes().decode("ascii")
+    return lines
 
 
-def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> str:
-    """The sparse lines, newlines included, of the rows of a bit matrix
-    (`MultiEncoder._bits`), written into the first rows of ``text``, a
-    uint8 matrix as wide as a line's cells, and ``keep``, a bool one of its
-    shape (new ones when None): the same text as `to_sparse_string` of each
-    row's encoding.
+def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> np.ndarray:
+    """The ASCII bytes of the sparse lines, newlines included, of the rows
+    of a bit matrix (`MultiEncoder._bits`), as one uint8 vector gathered
+    from the first rows of ``text``, a uint8 matrix as wide as a line's
+    cells, and ``keep``, a bool one of its shape (new ones when None): the
+    text of `to_sparse_string` of each row's encoding.
 
     Each index is written right-aligned in a cell of ``digits`` characters
     and one separator, and the text is every cell character that is kept: an
@@ -195,7 +199,7 @@ def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> str:
         if d:  # the digit before is a leading zero unless the index reaches it
             kept[..., d - 1] = rest != 0
     kept[:, :-1][bits[:, :-1] == bits[:, 1:]] = False
-    return text[keep].tobytes().decode("ascii")
+    return text[keep]
 
 
 def _each_value(header, rows, first, step):
@@ -278,9 +282,18 @@ def _without_bom(lines):
 
 
 def _open_output(path):
-    """The output file or stdout, in a context; an OSError, which
-    `_reported` words as a data error, when the file cannot be opened."""
-    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8")
+    """The output file or stdout as a binary sink, in a context; an OSError,
+    which `_reported` words as a data error, when the file cannot be opened.
+    Stdout's bytes go to its buffer, after the text written to it before; an
+    in-memory stdout (with no buffer) gets each block decoded as ASCII."""
+    if path not in (None, "-"):
+        return open(path, "wb")
+    stdout = sys.stdout
+    stdout.flush()
+    if not hasattr(stdout, "buffer"):  # an in-memory stdout takes text
+        return nullcontext(SimpleNamespace(write=lambda block: stdout.write(str(block, "ascii")),
+                                           flush=stdout.flush))
+    return nullcontext(stdout.buffer)
 
 
 def _chunks(lines, cfg, size):
@@ -327,7 +340,8 @@ def _chunks(lines, cfg, size):
 def _reported(run, stderr, output="-", stdout=None) -> int:
     """``run()``'s exit code, or, when it raises, the error printed to
     ``stderr`` (`_note`) and its exit code: a ConfigError is a config error,
-    any other SdrError a data error, and so is an OSError, which only
+    any other SdrError a data error, and so are a MemoryError (an accepted
+    input may still not fit in memory) and an OSError, which only
     opening, writing, flushing or closing ``output`` can raise here (a path,
     or "-" or None for ``stdout``, the process's stdout when None): every
     diagnostic on ``stderr`` goes through `_note`, which raises none."""
@@ -338,6 +352,9 @@ def _reported(run, stderr, output="-", stdout=None) -> int:
         return EXIT_CONFIG
     except SdrError as exc:
         _note(f"data error: {exc}", stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        _note(f"data error: not enough memory: {str(exc) or 'an allocation failed'}", stderr)
         return EXIT_DATA
     except OSError as exc:
         if output in (None, "-") and stdout in (None, sys.stdout):

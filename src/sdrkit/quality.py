@@ -55,7 +55,9 @@ AXIOMS = ("non_negativity", "symmetry", "identity")
 
 # Most samples an evaluation takes.  Its m x m matrices and pair vectors
 # took about 40 bytes per cell at m = 3,000, so m = 10,000 needs about
-# 4.0 GB (extrapolated); a larger m is an InputError, not a memory error.
+# 4.0 GB (extrapolated).  A larger m is an InputError before anything is
+# allocated; a smaller one may still not fit in the memory there is, a
+# MemoryError, which `sdrkit` reports as a data error.
 MAX_EVALUATE_SAMPLES = 10_000
 
 

@@ -52,7 +52,7 @@ from test_column_keys import leaf_bits
 
 I32_MIN = -(1 << 31)
 I32_MAX = (1 << 31) - 1
-CHUNK_BYTES = 1 << 18
+CHUNK_BYTES = cli._CHUNK_BYTES
 
 finite = st.floats(-1e9, 1e9, allow_nan=False).map(repr)
 seeds = st.integers(-(1 << 70), 1 << 70)

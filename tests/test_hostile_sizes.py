@@ -6,6 +6,8 @@ code and one error line on stderr, never a traceback.
   OpenBLAS held to one thread, since each BLAS thread reserves address
   space.  A size that the CLI failed to bound would end there in a
   `MemoryError` traceback, not in an allocation that swaps the machine.
+  An input the CLI accepts but that needs more memory than the cap (m =
+  `MAX_EVALUATE_SAMPLES` samples to evaluate) is a data error, exit 3.
 * An output that cannot be written (a full device, as `--output` or as
   stdout, and a pipe whose reader has gone) is a data error, exit 3, for
   `encode`, `evaluate` and `selftest-hash` alike.
@@ -16,6 +18,7 @@ code and one error line on stderr, never a traceback.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -85,6 +88,12 @@ HOSTILE = {
         cli.EXIT_DATA, "data error: the input has more than MAX_EVALUATE_SAMPLES "
                        f"({quality.MAX_EVALUATE_SAMPLES}) samples, which bounds the memory of "
                        "the m x m matrices"),
+    # accepted, but its m x m matrices need more than the cap: no traceback either
+    "evaluate-m-at-the-bound": (
+        "evaluate", {"encoder": {"type": "scalar", "min": 0, "max": 45, "n": 400, "w": 21},
+                     "field": "temp", "distance": "absolute"},
+        "temp\n" + "".join(f"{i % 45}\n" for i in range(quality.MAX_EVALUATE_SAMPLES)), [],
+        cli.EXIT_DATA, "data error: not enough memory: "),
     "fixed-radius-2**31-1": (
         "encode", {"encoder": {"type": "geospatial", "n": 2**70, "radius": WIDEST_RADIUS},
                    "field": ["x", "y"], "output_format": "sparse"},
@@ -178,6 +187,19 @@ def test_a_data_error_with_stderr_on_a_full_device_keeps_its_exit_code(tmp_path)
                        stderr=full)
     assert proc.returncode == cli.EXIT_DATA
     assert proc.stdout.count("\n") == 1  # row 1, before the failing row 2
+
+
+@pytest.mark.parametrize("error, words", [
+    (MemoryError("Unable to allocate 763. MiB"), "Unable to allocate 763. MiB"),
+    (MemoryError(), "an allocation failed"),  # the interpreter's own has no message
+])
+def test_a_memory_error_is_a_data_error(error, words):
+    def run():
+        raise error
+
+    stderr = io.StringIO()
+    assert cli._reported(run, stderr) == cli.EXIT_DATA
+    assert stderr.getvalue() == f"data error: not enough memory: {words}\n"
 
 
 @no_digit_limit

@@ -100,7 +100,8 @@ def test_error_config_puts_four_rows_in_a_chunk():
     multi = parse_pipeline_config(ERROR_CONFIG).multi
     assert CHUNK_CELLS // multi.w == ROWS_PER_CHUNK
     # the text of four rows fits the byte bound too
-    assert ROWS_PER_CHUNK * (len(f"n={multi.n};") + multi.w * (len(str(multi.n - 1)) + 1)) <= 1 << 18
+    line_bytes = len(f"n={multi.n};") + multi.w * (len(str(multi.n - 1)) + 1)
+    assert ROWS_PER_CHUNK * line_bytes <= cli._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
