@@ -7,18 +7,21 @@
 
 `encode` and `evaluate` read their input by one loop over row chunks
 (`_chunks`: the checked header, then runs of rows) and key each chunk by
-one step (`_chunk_bits`).  A UTF-8 byte-order mark before the header is
-dropped.  Every column the config references must appear exactly once in
-the header: a missing or repeated name is a config error (exit 2), and a
-row whose field count differs from the header's is a data error (exit 3).
-A chunk's rows are checked and keyed a column at a time into a bit matrix,
-uint64 or Python ints past 2**64 bits, so every n takes the same column
-step: each part writes its columns of one matrix in place
-(`MultiEncoder._bits`).  `encode` reuses one bit matrix and one text buffer
-for every chunk of a run, each chunk in their first rows; `evaluate` keeps
-every chunk's matrix, so each gets a new one.  A chunk with a data error
-is halved, and each half keyed the same way, until the failing row stands
-alone: the rows before it are still used, and the per-row path
+one step (`_keyed_runs`, which yields the key columns of each run of rows
+that keys).  A UTF-8 byte-order mark before the header is dropped.  Every
+column the config references must appear exactly once in the header: a
+missing or repeated name is a config error (exit 2), and a row whose field
+count differs from the header's is a data error (exit 3).  A chunk's rows
+are checked and keyed a column at a time, and each run's keys are written
+into a bit matrix, uint64 or Python ints past 2**64 bits, so every n takes
+the same column step: each part writes its columns of one matrix in place
+(`MultiEncoder._bits`).  `encode` allocates one bit matrix and one text
+buffer once per run, when the first row keys, whatever the line size, and
+writes every chunk into their first rows; `evaluate` keeps every chunk's
+matrix, so each gets a new one, and frees the blocks once it has joined
+them into the samples' matrix.  A chunk with a data error is halved, and
+each half keyed the same way, until the failing row stands alone: the rows
+before it are still used, and the per-row path
 (`PipelineConfig.encode_row`) words that row's error.
 Validation warnings go to stderr so stdout stays machine-parseable.
 
@@ -85,8 +88,10 @@ EXIT_AXIOM = 4
 # most its prefix and w indices of up to len(str(n - 1)) digits and a
 # separator each) fits in _CHUNK_BYTES and its (rows, w) bit matrix in
 # _CHUNK_CELLS, since the command's own peak memory grows with the chunk: a
-# run holds at most 1 MiB of text, a sparse one 1 MiB of `keep` too, and
-# 256 KiB of uint64 bit matrix.  Each block's bytes go to the output as they are.
+# run's buffers, allocated once when its first row keys, hold at most 1 MiB
+# of text, a sparse one 1 MiB of `keep` too, and 256 KiB of uint64 bit
+# matrix, or one line's worth when a line is longer.  Each block's bytes go
+# to the output as they are.
 _CHUNK_BYTES = 1 << 20
 
 # Inputs for the printed hash vectors; arbitrary but frozen, spanning the
@@ -150,24 +155,24 @@ def _emit_warnings(cfg, stderr) -> None:
         _note(f"warning: {message}", stderr)
 
 
-def _dense_lines(multi, bits, text=None) -> np.ndarray:
+def _dense_lines(multi, bits, text) -> np.ndarray:
     """The ASCII bytes of the dense lines, newlines included, of the rows of
     a bit matrix (`MultiEncoder._bits`): the first rows of ``text``, a uint8
-    matrix of n + 1 columns (a new one when None), written in place and not
-    copied.  They are the text of `to_dense_string` of each row's encoding."""
+    matrix of n + 1 columns, written in place and not copied.  They are the
+    text of `to_dense_string` of each row's encoding."""
     n = multi.n
-    lines = np.empty((len(bits), n + 1), np.uint8) if text is None else text[: len(bits)]
+    lines = text[: len(bits)]
     lines[:] = np.frombuffer(b"0" * n + b"\n", np.uint8)  # each row's zeros and newline
     np.put_along_axis(lines, bits, ord("1"), axis=1)
     return lines
 
 
-def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> np.ndarray:
+def _sparse_lines(multi, bits, self_describing, text, keep) -> np.ndarray:
     """The ASCII bytes of the sparse lines, newlines included, of the rows
     of a bit matrix (`MultiEncoder._bits`), as one uint8 vector gathered
     from the first rows of ``text``, a uint8 matrix as wide as a line's
-    cells, and ``keep``, a bool one of its shape (new ones when None): the
-    text of `to_sparse_string` of each row's encoding.
+    cells, and ``keep``, a bool one of its shape: the text of
+    `to_sparse_string` of each row's encoding.
 
     Each index is written right-aligned in a cell of ``digits`` characters
     and one separator, and the text is every cell character that is kept: an
@@ -179,9 +184,6 @@ def _sparse_lines(multi, bits, self_describing, text=None, keep=None) -> np.ndar
     rows, w = bits.shape
     prefix = np.frombuffer(f"n={multi.n};".encode() if self_describing else b"", np.uint8)
     digits = len(str(multi.n - 1))
-    if text is None:  # a line past the caps: buffers of its own
-        width = len(prefix) + w * (digits + 1)
-        text, keep = np.empty((rows, width), np.uint8), np.empty((rows, width), bool)
     text, keep = text[:rows], keep[:rows]
     keep[:] = True
     text[:, : len(prefix)] = prefix
@@ -213,20 +215,19 @@ def _each_value(header, rows, first, step):
             raise InputError(f"row {number}: {exc}") from exc
 
 
-def _chunk_bits(cfg, header, rows, first, use, out=None):
-    """Hand ``use`` the bit matrix of a chunk of CSV rows, ``rows[0]`` being
-    row ``first``: the first rows of ``out``, a `MultiEncoder._matrix` of
-    at least as many rows, or a new matrix when None.
+def _keyed_runs(cfg, header, rows, first):
+    """Each run of a chunk of CSV rows, ``rows[0]`` being row ``first``,
+    that keys, in order, as (its row count, its key columns).
 
-    The chunk is checked and keyed a column at a time into key columns
-    (`PipelineConfig._chunk_keys`), which become its bit matrix
-    (`MultiEncoder._bits`: uint64, Python ints past 2**64 bits).  Where that
-    raises, some row holds a data error: the chunk is halved and each half,
-    first then second, takes the same step, so ``use`` gets the rows before
-    the failing one, a block per half that keys, and that row, alone, gets
-    its error from the per-row path (``cfg.encode_row``).  Where the per-row
-    path takes that row, or both halves key, the column step's own
-    exception is raised: it is a bug."""
+    The chunk is checked and keyed a column at a time
+    (`PipelineConfig._chunk_keys`), whose key columns `MultiEncoder._bits`
+    writes as a bit matrix.  Where that raises, some row holds a data
+    error: the chunk is halved and each half, first then second, takes the
+    same step, so the runs are the rows before the failing one, one per
+    half that keys, and that row, alone, gets its error from the per-row
+    path (``cfg.encode_row``).  Where the per-row path takes that row, or
+    both halves key, the column step's own exception is raised: it is a
+    bug."""
     try:
         keys = cfg._chunk_keys(header, rows)
     except Exception:  # of any kind: a smaller step finds the row
@@ -234,10 +235,10 @@ def _chunk_bits(cfg, header, rows, first, use, out=None):
             next(_each_value(header, rows, first, cfg.encode_row), None)
         else:
             half = len(rows) // 2
-            _chunk_bits(cfg, header, rows[:half], first, use, out)
-            _chunk_bits(cfg, header, rows[half:], first + half, use, out)
+            yield from _keyed_runs(cfg, header, rows[:half], first)
+            yield from _keyed_runs(cfg, header, rows[half:], first + half)
         raise  # the per-row path took the row, or both halves keyed: a bug
-    use(cfg.multi._bits(keys, cfg.multi._matrix(len(rows)) if out is None else out[:len(rows)]))
+    yield len(rows), keys
 
 
 def _open_input(path, output=None):
@@ -380,20 +381,19 @@ def cmd_encode(args, stderr=None) -> int:
         line_bytes = (multi.n + 1 if dense else len(f"n={multi.n};") * self_describing
                       + multi.w * (len(str(multi.n - 1)) + 1))
         size = max(1, min(_CHUNK_BYTES // line_bytes, _CHUNK_CELLS // multi.w))
-        # One bit matrix and one text buffer for the run, each chunk written into
-        # their first rows.  A line past the caps keeps buffers of its own: they
-        # may not fit in memory, so only a row that keys allocates them.
-        matrix = text = keep = None
-        if multi.w <= _CHUNK_CELLS and line_bytes <= _CHUNK_BYTES:
-            matrix, text = multi._matrix(size), np.empty((size, line_bytes), np.uint8)
-            keep = None if dense else np.empty(text.shape, bool)
+        matrix = None  # the run's buffers, when its first row keys: they may not fit in memory
         with (_open_input(args.input, args.output) as lines,
               _open_output(args.output) as fout):
             try:
                 for header, first, rows in _chunks(lines, cfg, size):
-                    _chunk_bits(cfg, header, rows, first, lambda bits: fout.write(
-                        _dense_lines(multi, bits, text) if dense
-                        else _sparse_lines(multi, bits, self_describing, text, keep)), matrix)
+                    for count, keys in _keyed_runs(cfg, header, rows, first):
+                        if matrix is None:
+                            matrix = multi._matrix(size)
+                            text = np.empty((size, line_bytes), np.uint8)
+                            keep = None if dense else np.empty(text.shape, bool)
+                        bits = multi._bits(keys, matrix[:count])
+                        fout.write(_dense_lines(multi, bits, text) if dense
+                                   else _sparse_lines(multi, bits, self_describing, text, keep))
             finally:  # on a data error too: keep everything encoded so far
                 fout.flush()
         return EXIT_OK
@@ -421,10 +421,16 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
                     raise InputError(f"the input has more than MAX_EVALUATE_SAMPLES "
                                      f"({MAX_EVALUATE_SAMPLES}) samples, which bounds the "
                                      "memory of the m x m matrices")
-                _chunk_bits(cfg, header, rows, first, blocks.append)
+                for count, keys in _keyed_runs(cfg, header, rows, first):
+                    blocks.append(cfg.multi._bits(keys, cfg.multi._matrix(count)))
                 samples.extend(_each_value(header, rows, first, cfg.bound[0].value_from_row))
-        report = _evaluate(lambda: np.concatenate(blocks), cfg.distance, samples,
-                           args.quadruples, args.seed)
+
+        def joined():  # the samples' matrix; the blocks go once they are copied into it
+            matrix = np.concatenate(blocks)
+            blocks.clear()
+            return matrix
+
+        report = _evaluate(joined, cfg.distance, samples, args.quadruples, args.seed)
         elapsed = time.perf_counter() - started
 
         print("# encoder evaluation", file=stdout)

@@ -145,8 +145,9 @@ class _Encoder:
       index there.  ``out`` is the encoder's column slice of a
       `MultiEncoder`'s (rows, w) bit matrix, uint64 (Python ints past 2**64
       bits), so each part writes its own columns in place.  ``sdrkit
-      encode`` reuses one such matrix for every chunk of a run;
-      ``evaluate`` gets a new one per chunk.
+      encode`` allocates one such matrix once per run, when the first row
+      keys, whatever the line size, and reuses it for every chunk;
+      ``evaluate`` gets a new one per chunk and frees them once joined.
     """
 
     def encode(self, value) -> SDR:

@@ -29,6 +29,9 @@ the CLI's row reading and error report around
   text buffer for the run: a short last chunk, the halves of a failing
   chunk and runs one after another in one process, with other n, digit
   widths and formats, write only their own rows, in every format.
+* A run allocates its bit matrix once (`MultiEncoder._matrix`), when its
+  first row keys: once over chunks that include a halved one, and never
+  for an input with no row that keys.
 """
 
 import contextlib
@@ -45,6 +48,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli
+from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.sdr import to_dense_string, to_sparse_string
 
@@ -511,3 +515,32 @@ def test_runs_in_one_process_share_no_buffer():
         code, out, _ = encode(config, csv_text(HEADER, ROWS), fmt)
         assert code == cli.EXIT_OK
         assert out == per_row_out(config, ROWS, fmt)
+
+
+def counting_matrices():
+    """`MultiEncoder._matrix`, patched to count its calls (``call_count``)."""
+    return mock.patch.object(MultiEncoder, "_matrix", autospec=True,
+                             side_effect=MultiEncoder._matrix)
+
+
+@pytest.mark.parametrize("fmt", ["dense", "sparse", "sparse-n"])
+def test_a_run_allocates_its_matrix_once(fmt):
+    failing = 2 * ROWS_PER_CHUNK + 2  # the last row, the second of the third chunk
+    rows = with_row(failing, "label", "c")
+    with counting_matrices() as matrices:
+        (code, out, err), sizes = encode_in_chunks(rows, fmt)
+    assert sizes == [4, 4, 1]  # the third chunk halved: row 9, before row 10
+    assert code == cli.EXIT_DATA and err.endswith(value_error_message(failing))
+    assert out == per_row_out(ERROR_CONFIG, ROWS[:failing - 1], fmt)
+    assert matrices.call_count == 1
+
+
+@pytest.mark.parametrize("rows, code", [
+    pytest.param([], cli.EXIT_OK, id="header-only"),
+    pytest.param(with_row(1, "label", "c")[:1], cli.EXIT_DATA, id="first-row-fails"),
+])
+@pytest.mark.parametrize("fmt", ["dense", "sparse", "sparse-n"])
+def test_no_row_keyed_allocates_no_matrix(rows, code, fmt):
+    with counting_matrices() as matrices:
+        (got, out, _), sizes = encode_in_chunks(rows, fmt)
+    assert (got, out, sizes, matrices.call_count) == (code, "", [], 0)

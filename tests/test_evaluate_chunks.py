@@ -1,9 +1,9 @@
 """`sdrkit evaluate` keyed by chunk, pinned to the library path.
 
 `sdrkit evaluate` reads its samples in chunks, keys each a column at a time
-through `cli._chunk_bits`, the step that `encode` writes from, and counts
-the overlaps from that bit matrix; the library's `evaluate_encoder` counts
-them from each sample's SDR.
+through `cli._keyed_runs`, the step that `encode` writes from, and counts
+the overlaps from the bit matrix of the keys; the library's
+`evaluate_encoder` counts them from each sample's SDR.
 
 * For every single-encoder type, the CLI's report, read in chunks of 3
   rows so that delta state crosses chunk edges, is the one
@@ -11,6 +11,8 @@ them from each sample's SDR.
   ``value_from_row`` reads, and the CLI builds no `SDR` on the way.
 * The matrix the overlaps are counted from holds each sample's encoding:
   every chunk keys into a matrix of its own, which no later chunk writes.
+* No chunk's matrix is alive once they are joined into the samples'
+  matrix, so the evaluator never holds the samples' bits twice.
 * A sample that fails to encode gives the line `encode` prints for it,
   naming the row.
 * Reading stops at the first chunk that takes the sample count past
@@ -22,11 +24,13 @@ import io
 import json
 import random
 import sys
+import weakref
 from unittest import mock
 
 import pytest
 
 from sdrkit import cli, quality
+from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
 from sdrkit.quality import evaluate_encoder
 from sdrkit.sdr import SDR
@@ -109,7 +113,7 @@ def evaluate(config, text, tmp_path, capsys):
          mock.patch.object(SDR, "_trusted", side_effect=SDR._trusted) as trusted, \
          mock.patch.object(SDR, "__post_init__", autospec=True,
                            side_effect=SDR.__post_init__) as checked, \
-         mock.patch.object(cli, "_chunk_bits", wraps=cli._chunk_bits) as chunks:
+         mock.patch.object(cli, "_keyed_runs", wraps=cli._keyed_runs) as chunks:
         code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"),
                          "--input", str(tmp_path / "in.csv")])
     out, err = capsys.readouterr()
@@ -172,8 +176,8 @@ def test_each_chunk_keeps_its_own_matrix(name, tmp_path, capsys):
     real, matrices = cli._evaluate, []
 
     def recording(bits, *args):  # the matrix that the overlaps are counted from
-        matrices.append(bits())
-        return real(bits, *args)
+        matrices.append(bits())  # once: joining frees the chunks' matrices
+        return real(lambda: matrices[-1], *args)
 
     with mock.patch.object(cli, "_evaluate", recording):
         code, _, _, _, sizes = evaluate(config, text, tmp_path, capsys)
@@ -182,3 +186,25 @@ def test_each_chunk_keeps_its_own_matrix(name, tmp_path, capsys):
     sdrs = [binding.encoder.encode(binding.value_from_row(row))
             for row in csv.DictReader(io.StringIO(text))]
     assert [sorted(set(row)) for row in matrices[0].tolist()] == [list(sdr.active) for sdr in sdrs]
+
+
+@pytest.mark.parametrize("name", ["scalar", "unbounded-n-2**70", "geospatial-fixed"])
+def test_no_chunk_matrix_outlives_the_join(name, tmp_path, capsys, monkeypatch):
+    config, draws = CASES[name]
+    real_matrix, real_evaluate, blocks, alive = MultiEncoder._matrix, cli._evaluate, [], []
+
+    def allocating(self, rows):  # each chunk's matrix, as weakly held
+        block = real_matrix(self, rows)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def joining(bits, *args):
+        matrix = bits()
+        alive.extend(block() is not None for block in blocks)
+        return real_evaluate(lambda: matrix, *args)
+
+    monkeypatch.setattr(MultiEncoder, "_matrix", allocating)
+    with mock.patch.object(cli, "_evaluate", joining):
+        code, _, _, _, sizes = evaluate(config, csv_text(draws, 0), tmp_path, capsys)
+    assert code == cli.EXIT_OK and len(sizes) >= 3
+    assert alive == [False] * len(sizes)

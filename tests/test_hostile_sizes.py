@@ -8,6 +8,8 @@ code and one error line on stderr, never a traceback.
   `MemoryError` traceback, not in an allocation that swaps the machine.
   An input the CLI accepts but that needs more memory than the cap (m =
   `MAX_EVALUATE_SAMPLES` samples to evaluate) is a data error, exit 3.
+  A header-only input to a pipeline whose line is past every cap encodes
+  nothing and exits 0: `encode` allocates nothing before a row keys.
 * An output that cannot be written (a full device, as `--output` or as
   stdout, and a pipe whose reader has gone) is a data error, exit 3, for
   `encode`, `evaluate` and `selftest-hash` alike.
@@ -128,6 +130,14 @@ def test_a_hostile_input_under_a_memory_cap(tmp_path, command, config, text, mor
     proc = run_cli([command, *write_inputs(tmp_path, config, text), *more], cap=CAP,
                    stdout=subprocess.DEVNULL)
     the_error(proc, exit_code, start)
+
+
+def test_a_header_only_input_past_every_cap_exits_0(tmp_path):
+    config = HOSTILE["fixed-radius-2**31-1"][1]
+    proc = run_cli(["encode", *write_inputs(tmp_path, config, "x,y\n")], cap=CAP,
+                   stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, ""), proc.stderr
+    assert all(line.startswith("warning: ") for line in proc.stderr.splitlines())
 
 
 ALL_LEAVES = ["encode", "--config", str(GOLDEN / "all_leaves.json"),

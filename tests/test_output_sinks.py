@@ -12,7 +12,7 @@ gets each block as ASCII text, in one write.
 * A dense line wider than `cli._CHUNK_BYTES` is one chunk of its own, and
   lines that fill the cap, or fall one byte short of it, are
   `_CHUNK_BYTES // (n + 1)` rows a chunk; each gives the per-row path's
-  lines.
+  lines, from one bit matrix allocated for the run.
 """
 
 import io
@@ -26,7 +26,8 @@ import pytest
 from sdrkit import cli
 
 from test_dense_chunks import (
-    WriteRecorder, csv_text, encode_counting_chunks, expected_chunks, per_row_dense,
+    WriteRecorder, counting_matrices, csv_text, encode_counting_chunks, expected_chunks,
+    per_row_dense,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "encode"
@@ -118,8 +119,9 @@ ROWS = [[str(v)] for v in (0, 9, 4.5, 2, 7, 1, 8, 3, 6)]
 def test_dense_chunks_at_the_byte_cap_equal_the_per_row_path(n, per_chunk):
     assert max(1, cli._CHUNK_BYTES // (n + 1)) == per_chunk
     rows = ROWS[:4] if per_chunk == 1 else ROWS
-    (code, out, _), sizes = encode_counting_chunks(scalar_config(n), csv_text(["v"], rows),
-                                                   "dense", "_dense_lines")
-    assert code == cli.EXIT_OK
+    with counting_matrices() as matrices:
+        (code, out, _), sizes = encode_counting_chunks(scalar_config(n), csv_text(["v"], rows),
+                                                       "dense", "_dense_lines")
+    assert code == cli.EXIT_OK and matrices.call_count == 1
     assert sizes == expected_chunks(len(rows), per_chunk)
     assert out == per_row_dense(scalar_config(n), ["v"], rows)

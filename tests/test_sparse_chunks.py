@@ -33,6 +33,9 @@ row reading and error report.
   halving writes the oracle's rows before it and reports the oracle's
   error, with delta state and hashes crossing each split, in at most
   2 * ceil(log2(37)) + 1 column steps, not one step per row.
+* Lines of more than `_CHUNK_CELLS` bit indices are one row a chunk,
+  written from one bit matrix allocated for the run, with the oracle's
+  bytes.
 * A column step that refuses a row which the per-row path takes makes
   `encode` raise that step's exception, with that row not written: it is
   a bug, not a slow path.
@@ -55,7 +58,7 @@ from sdrkit.sdr import to_sparse_string
 
 from test_dense_chunks import (
     ERROR_PARTS, FAILING, FAILING_ROWS, HEADER, VALUE_ERROR_FIRST, WRITE_CASES,
-    WriteRecorder, check_each_chunk_is_one_write, csv_text, encode,
+    WriteRecorder, check_each_chunk_is_one_write, counting_matrices, csv_text, encode,
     encode_counting_chunks, expected_chunks, per_row_run, pipelines,
     value_error_message,
 )
@@ -82,6 +85,18 @@ def test_chunked_sparse_equals_the_per_row_path(case, fmt):
     assert result == per_row_run(config, text, fmt == "sparse-n")
     assert result[0] == 0
     assert sizes == expected_chunks(len(rows), per_chunk)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lines_past_the_cells_cap_equal_the_per_row_path(fmt):
+    config = {"encoder": {"type": "scalar", "min": 0, "max": 9, "n": 40_000,
+                          "w": CHUNK_CELLS + 1}, "field": "v"}
+    text = csv_text(["v"], [["0"], ["9"], ["4.5"], ["-1"], ["2"]])
+    with counting_matrices() as matrices:
+        result, sizes = encode_counting_chunks(config, text, fmt, "_sparse_lines")
+    assert result == per_row_run(config, text, fmt == "sparse-n")
+    assert result[0] == cli.EXIT_OK
+    assert sizes == [1] * 5 and matrices.call_count == 1
 
 
 # --- data errors inside a chunk ------------------------------------------------------
