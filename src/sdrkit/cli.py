@@ -17,11 +17,10 @@ into a bit matrix, uint64 or Python ints past 2**64 bits, so every n takes
 the same column step: each part writes its columns of one matrix in place
 (`MultiEncoder._bits`).  `encode` allocates one bit matrix and one text
 buffer once per run, when the first row keys, whatever the line size, and
-writes every chunk into their first rows; `evaluate` keeps every chunk's
-matrix, so each gets a new one, and frees the blocks once it has joined
-them into the samples' matrix.  A chunk with a data error is halved, and
-each half keyed the same way, until the failing row stands alone: the rows
-before it are still used, and the per-row path
+writes every chunk into their first rows; `evaluate` reads all its samples
+as one chunk and keys it into one matrix, the samples'.  A chunk with a
+data error is halved, and each half keyed the same way, until the failing
+row stands alone: the rows before it are still used, and the per-row path
 (`PipelineConfig.encode_row`) words that row's error.
 Validation warnings go to stderr so stdout stays machine-parseable.
 
@@ -35,11 +34,12 @@ pipe sees rows arrive a block at a time, up to 1 MiB, sparse rows too,
 and a data error is reported when its block fills or the input ends.
 `evaluate` checks the configured distance's axioms and the encoder's
 overlap-vs-distance consistency on the input column; `--quadruples` must be
-a non-negative integer (a usage error, exit 2, otherwise).  Its chunks hold
-as many bit indices as `encode`'s, so no sample's SDR is built and a sample
-that fails to encode is named by row with `encode`'s line, as the input is
-read.  Reading stops before it keys the first chunk that takes the sample
-count past `MAX_EVALUATE_SAMPLES`, a data error.  `selftest-hash` prints
+a non-negative integer (a usage error, exit 2, otherwise).  It reads every
+sample, or stops at one more than `MAX_EVALUATE_SAMPLES`, and refuses more
+samples than that, or more than `MAX_EVALUATE_CELLS` bits (m x w), as a
+data error before any sample is keyed; otherwise it keys them all in one
+step, so no sample's SDR is built and a sample that fails to encode is
+named by row with `encode`'s line.  `selftest-hash` prints
 the deterministic hash golden vectors for cross-platform verification,
 computed by the numpy hash path the encoders run.
 
@@ -75,7 +75,7 @@ from .config import OUTPUT_FORMATS, parse_pipeline_config
 from .errors import ConfigError, InputError, SdrError
 from .geospatial import _CHUNK_CELLS, _neighborhood_keys
 from .hashing import bit_indices, mix64_array, order_keys_array
-from .quality import MAX_EVALUATE_SAMPLES, _evaluate
+from .quality import MAX_EVALUATE_CELLS, MAX_EVALUATE_SAMPLES, _evaluate
 from .sdr import MAX_DENSE_N
 
 EXIT_OK = 0
@@ -413,24 +413,24 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
             raise ConfigError("evaluate requires a 'distance' in the config")
         _emit_warnings(cfg, stderr)
 
-        samples, blocks = [], []
-        started = time.perf_counter()
-        with _open_input(args.input) as lines:  # chunks of as many bits as encode's
-            for header, first, rows in _chunks(lines, cfg, max(1, _CHUNK_CELLS // cfg.multi.w)):
-                if len(samples) + len(rows) > MAX_EVALUATE_SAMPLES:
+        # the samples' bit matrix, in a list that `_evaluate` pops, and their values
+        bits, samples, started = [], [], time.perf_counter()
+        with _open_input(args.input) as lines:  # one chunk of every sample, or one too many
+            for header, first, rows in _chunks(lines, cfg, MAX_EVALUATE_SAMPLES + 1):
+                if len(rows) > MAX_EVALUATE_SAMPLES:
                     raise InputError(f"the input has more than MAX_EVALUATE_SAMPLES "
                                      f"({MAX_EVALUATE_SAMPLES}) samples, which bounds the "
                                      "memory of the m x m matrices")
-                for count, keys in _keyed_runs(cfg, header, rows, first):
-                    blocks.append(cfg.multi._bits(keys, cfg.multi._matrix(count)))
-                samples.extend(_each_value(header, rows, first, cfg.bound[0].value_from_row))
-
-        def joined():  # the samples' matrix; the blocks go once they are copied into it
-            matrix = np.concatenate(blocks)
-            blocks.clear()
-            return matrix
-
-        report = _evaluate(joined, cfg.distance, samples, args.quadruples, args.seed)
+                if len(rows) * cfg.multi.w > MAX_EVALUATE_CELLS:
+                    raise InputError(f"the input has {len(rows)} samples of w = {cfg.multi.w} "
+                                     f"bits, more than MAX_EVALUATE_CELLS ({MAX_EVALUATE_CELLS}) "
+                                     "cells, which bounds the memory of the m x w bit matrix")
+                # to its end: one run of every row, or the first failing row's error
+                (m, keys), = list(_keyed_runs(cfg, header, rows, first))
+                bits.append(cfg.multi._bits(keys, cfg.multi._matrix(m)))
+                samples = list(_each_value(header, rows, first, cfg.bound[0].value_from_row))
+                del rows, keys  # the row texts and keys go before the m x m steps
+        report = _evaluate(bits.pop, cfg.distance, samples, args.quadruples, args.seed)
         elapsed = time.perf_counter() - started
 
         print("# encoder evaluation", file=stdout)

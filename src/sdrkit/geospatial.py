@@ -55,8 +55,9 @@ from .sdr import SDR
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 
-# Most cells a chunk step holds at once: `sdrkit encode` and `sdrkit evaluate`
-# put at most this many bit indices in a chunk, and ``_bits`` packs at most
+# Most cells a chunk step holds at once: `sdrkit encode` puts at most this
+# many bit indices in a chunk (`sdrkit evaluate` keys all its samples as
+# one, bounded by `quality.MAX_EVALUATE_CELLS`), and ``_bits`` packs at most
 # this many cells (or one neighborhood, when that is larger) per `_cells` call.
 _CHUNK_CELLS = 1 << 15
 

@@ -16,14 +16,17 @@ pass/fail -- a perfect ordering is not attainable for most input spaces.
 Everything is read off two m x m matrices over the m samples, each built
 once: the distance matrix and the overlap matrix.  The overlaps are counted
 from an m x w matrix of the encodings' bit indices, which `evaluate_encoder`
-builds from each sample's SDR and `sdrkit evaluate` keys a chunk of rows at
-a time: among the distinct encodings only, by `np.bincount` over the pairs
-of encodings that hold each bit, and gathered from there.  The symmetry
-axiom is checked a block of rows at a time; the pair distances are ranked
-by one sort.  Memory is therefore O(m**2): the two matrices plus vectors
-over the m(m-1)/2 pairs i < j, or, for the exact count over all m**4
-quadruples, over the m**2 cells.  More than `MAX_EVALUATE_SAMPLES` samples
-raise InputError before any of it is allocated.
+builds from each sample's SDR and `sdrkit evaluate` keys from all its rows
+in one step: among the distinct encodings only, by `np.bincount` over the
+pairs of encodings that hold each bit, and gathered from there.  The
+symmetry axiom is checked a block of rows at a time; the pair distances are
+ranked by one sort.  Memory is therefore O(m**2 + m*w): the two matrices
+plus vectors over the m(m-1)/2 pairs i < j, or, for the exact count over
+all m**4 quadruples, over the m**2 cells, and the bit matrix with the
+overlap count's temporaries.  More than `MAX_EVALUATE_SAMPLES` samples
+raise InputError before any of it is allocated; `sdrkit evaluate` also
+refuses more than `MAX_EVALUATE_CELLS` bits (m x w) before it keys a
+sample.
 A distance expression (`ExpressionDistance`, every built-in among them)
 fills the distance matrix with numpy where that is exact; otherwise the
 distance is called once per ordered pair, m**2 calls in all.
@@ -54,11 +57,20 @@ _PAIR_BLOCK = 1 << 20  # most overlap holder pairs per bincount; bounds its temp
 AXIOMS = ("non_negativity", "symmetry", "identity")
 
 # Most samples an evaluation takes.  Its m x m matrices and pair vectors
-# took about 40 bytes per cell at m = 3,000, so m = 10,000 needs about
-# 4.0 GB (extrapolated).  A larger m is an InputError before anything is
-# allocated; a smaller one may still not fit in the memory there is, a
-# MemoryError, which `sdrkit` reports as a data error.
+# take about 38 bytes per cell: `sdrkit evaluate` of m = 10,000 scalar
+# samples peaked at 3.8 GB of resident memory.  A larger m is an InputError
+# before anything is allocated (`sdrkit evaluate` reads one row past the
+# bound, no more, and keys none); a smaller one may still not fit in the
+# memory there is, a MemoryError, which `sdrkit` reports as a data error.
 MAX_EVALUATE_SAMPLES = 10_000
+
+# Most cells, m samples times w bits, that `sdrkit evaluate` keys into the
+# samples' bit matrix.  The command's traced peak (tracemalloc) was about 65
+# bytes per cell at m = 1,000 and w = 20,000, the overlap count's
+# temporaries included, so 2**25 cells need about 2.2 GB, less than the
+# m x m side at MAX_EVALUATE_SAMPLES.  `sdrkit evaluate` refuses a larger m x w as a data
+# error once the input is read, before any sample is keyed.
+MAX_EVALUATE_CELLS = 1 << 25
 
 
 @dataclass
@@ -405,6 +417,7 @@ discrete_distance = ExpressionDistance("0.0 if a == b else 1.0")
 __all__ = [
     "AXIOM_TOLERANCE",
     "MAX_EVALUATE_SAMPLES",
+    "MAX_EVALUATE_CELLS",
     "AxiomCheck",
     "EvaluationReport",
     "check_distance_axioms",

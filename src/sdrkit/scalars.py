@@ -147,7 +147,7 @@ class _Encoder:
       bits), so each part writes its own columns in place.  ``sdrkit
       encode`` allocates one such matrix once per run, when the first row
       keys, whatever the line size, and reuses it for every chunk;
-      ``evaluate`` gets a new one per chunk and frees them once joined.
+      ``evaluate`` keys all its samples into one.
     """
 
     def encode(self, value) -> SDR:

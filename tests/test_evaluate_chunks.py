@@ -1,22 +1,27 @@
-"""`sdrkit evaluate` keyed by chunk, pinned to the library path.
+"""`sdrkit evaluate` keyed in one step, pinned to the library path.
 
-`sdrkit evaluate` reads its samples in chunks, keys each a column at a time
-through `cli._keyed_runs`, the step that `encode` writes from, and counts
-the overlaps from the bit matrix of the keys; the library's
+`sdrkit evaluate` reads all its samples as one chunk and keys it a column
+at a time through one `cli._keyed_runs` call, the step that `encode` writes
+from, into one bit matrix, from which it counts the overlaps; the library's
 `evaluate_encoder` counts them from each sample's SDR.
 
-* For every single-encoder type, the CLI's report, read in chunks of 3
-  rows so that delta state crosses chunk edges, is the one
+* For every single-encoder type, the CLI's report is the one
   ``evaluate_encoder(binding.encoder.encode, …)`` gives on the samples that
-  ``value_from_row`` reads, and the CLI builds no `SDR` on the way.
-* The matrix the overlaps are counted from holds each sample's encoding:
-  every chunk keys into a matrix of its own, which no later chunk writes.
-* No chunk's matrix is alive once they are joined into the samples'
-  matrix, so the evaluator never holds the samples' bits twice.
+  ``value_from_row`` reads; the CLI keys all 40 rows in one `_keyed_runs`
+  call and builds no `SDR` on the way.
+* The matrix the overlaps are counted from holds each sample's encoding.
+* The samples' matrix is not alive once `_overlap_matrix` has returned, so
+  the m x m steps after it do not hold it.
+* `_keyed_runs`, which evaluate's one matrix rests on, yields exactly one
+  run of a chunk whose rows all key, and otherwise ends by raising its
+  first failing row's error, after the runs of the rows before it.
 * A sample that fails to encode gives the line `encode` prints for it,
   naming the row.
-* Reading stops at the first chunk that takes the sample count past
-  `MAX_EVALUATE_SAMPLES`.
+* Reading stops at `MAX_EVALUATE_SAMPLES` + 1 rows, before any row is
+  keyed, so such an input gets the bound's error even where an early row
+  would fail to encode.
+* m x w past `MAX_EVALUATE_CELLS` is refused before any row is keyed;
+  exactly at the bound, the input is evaluated.
 """
 
 import csv
@@ -28,15 +33,19 @@ import weakref
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdrkit import cli, quality
 from sdrkit.composite import MultiEncoder
 from sdrkit.config import parse_pipeline_config
+from sdrkit.errors import InputError
 from sdrkit.quality import evaluate_encoder
 from sdrkit.sdr import SDR
 
+from test_dense_chunks import HEADER, I32_MAX
+from test_sparse_chunks import ERROR_CONFIG
+
 ROWS = 40
-PER_CHUNK = 3
 
 
 def numbers(lo, hi):
@@ -104,20 +113,18 @@ def library_report(config, text):
 
 
 def evaluate(config, text, tmp_path, capsys):
-    """(exit code, stdout, stderr, SDRs built, chunk sizes keyed) of
-    ``sdrkit evaluate`` in chunks of PER_CHUNK rows."""
+    """(exit code, stdout, stderr, SDRs built, row counts keyed) of
+    ``sdrkit evaluate``, one count per `_keyed_runs` call."""
     (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
     (tmp_path / "in.csv").write_text(text, encoding="utf-8")
-    w = parse_pipeline_config(config).multi.w
-    with mock.patch.object(cli, "_CHUNK_CELLS", PER_CHUNK * w), \
-         mock.patch.object(SDR, "_trusted", side_effect=SDR._trusted) as trusted, \
+    with mock.patch.object(SDR, "_trusted", side_effect=SDR._trusted) as trusted, \
          mock.patch.object(SDR, "__post_init__", autospec=True,
                            side_effect=SDR.__post_init__) as checked, \
-         mock.patch.object(cli, "_keyed_runs", wraps=cli._keyed_runs) as chunks:
+         mock.patch.object(cli, "_keyed_runs", wraps=cli._keyed_runs) as keyed:
         code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"),
                          "--input", str(tmp_path / "in.csv")])
     out, err = capsys.readouterr()
-    sizes = [len(call.args[2]) for call in chunks.call_args_list]
+    sizes = [len(call.args[2]) for call in keyed.call_args_list]
     return code, out, err, trusted.call_count + checked.call_count, sizes
 
 
@@ -130,7 +137,100 @@ def test_the_cli_report_is_the_library_report(name, seed, tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert out.split("quadruple_seed: 0\n")[1] == library_report(config, text) + "\n"
     assert sdrs == 0
-    assert sizes == [PER_CHUNK] * (ROWS // PER_CHUNK) + [ROWS % PER_CHUNK]
+    assert sizes == [ROWS]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_chunk_keeps_its_own_matrix(name, tmp_path, capsys, monkeypatch):
+    """The one chunk's matrix, which the overlaps are counted from, holds
+    each sample's encoding."""
+    config, draws = CASES[name]
+    text = csv_text(draws, 0)
+    real, counted = quality._overlap_matrix, []
+
+    def counting(bits):
+        counted.append(bits.tolist())
+        return real(bits)
+
+    monkeypatch.setattr(quality, "_overlap_matrix", counting)
+    code, _, _, _, sizes = evaluate(config, text, tmp_path, capsys)
+    assert code == cli.EXIT_OK and sizes == [ROWS] and len(counted) == 1
+    binding = parse_pipeline_config(config).bound[0]
+    sdrs = [binding.encoder.encode(binding.value_from_row(row))
+            for row in csv.DictReader(io.StringIO(text))]
+    assert [sorted(set(row)) for row in counted[0]] == [list(sdr.active) for sdr in sdrs]
+
+
+@pytest.mark.parametrize("name", ["scalar", "unbounded-n-2**70", "geospatial-fixed"])
+def test_no_matrix_outlives_the_overlap_count(name, tmp_path, capsys, monkeypatch):
+    """Weak references to the matrix the samples are keyed into and to the
+    one the overlaps are counted from, read at the step after the count."""
+    config, draws = CASES[name]
+    real_matrix, real_overlap, real_rank = (MultiEncoder._matrix, quality._overlap_matrix,
+                                            quality._rank_correlation)
+    held, alive = [], []
+
+    def allocating(self, rows):
+        matrix = real_matrix(self, rows)
+        held.append(weakref.ref(matrix))
+        return matrix
+
+    def counting(bits):
+        held.append(weakref.ref(bits))
+        return real_overlap(bits)
+
+    def ranking(*args):  # the step after `_overlap_matrix` has returned
+        alive.extend(ref() is not None for ref in held)
+        return real_rank(*args)
+
+    monkeypatch.setattr(MultiEncoder, "_matrix", allocating)
+    monkeypatch.setattr(quality, "_overlap_matrix", counting)
+    monkeypatch.setattr(quality, "_rank_correlation", ranking)
+    code, _, _, _, sizes = evaluate(config, csv_text(draws, 0), tmp_path, capsys)
+    assert code == cli.EXIT_OK and sizes == [ROWS]
+    assert alive == [False, False]
+
+
+# Values that the column step refuses, from the failing rows of `test_dense_chunks`.
+BAD_VALUES = [("label", "c"), ("temp", "inf"), ("temp", "nan"), ("temp", "warm"),
+              ("x", str(I32_MAX)), ("speed", "-1")]
+
+
+def error_rows(count, bad):
+    """``count`` rows of `ERROR_CONFIG`, drawn as `test_dense_chunks`' rows
+    are, with the value ``bad[i]`` = (column, text) in row index i."""
+    rows = [[repr(0.7 * i - 2), "ab"[i % 2], str(4 * i), str(i), str(-i), str(i // 2), "3",
+             repr(i / 3), "0"] for i in range(count)]
+    for i, (column, text) in bad.items():
+        rows[i][HEADER.index(column)] = text
+    return rows
+
+
+chunks = st.integers(1, 40).flatmap(lambda count: st.tuples(
+    st.just(count),
+    st.dictionaries(st.integers(0, count - 1), st.sampled_from(BAD_VALUES), max_size=3)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chunks, st.integers(1, 50))
+def test_a_chunk_keys_as_one_run_or_raises_its_first_error(chunk, first):
+    count, bad = chunk
+    rows, runs = error_rows(count, bad), []
+    cfg, reference = parse_pipeline_config(ERROR_CONFIG), parse_pipeline_config(ERROR_CONFIG)
+    if not bad:
+        runs.extend(cli._keyed_runs(cfg, HEADER, rows, first))
+        assert [size for size, _ in runs] == [count]
+        multi, keys = cfg.multi, reference._chunk_keys(HEADER, rows)
+        assert (multi._bits(runs[0][1], multi._matrix(count)).tolist()
+                == multi._bits(keys, multi._matrix(count)).tolist())
+        return
+    with pytest.raises(InputError) as raised:
+        runs.extend(cli._keyed_runs(cfg, HEADER, rows, first))
+    with pytest.raises(InputError) as per_row:  # the per-row path's first error
+        list(cli._each_value(HEADER, rows, first, reference.encode_row))
+    assert str(raised.value) == str(per_row.value)
+    assert str(raised.value).startswith(f"row {first + min(bad)}: ")
+    assert sum(size for size, _ in runs) == min(bad)  # the rows before it, in its runs
 
 
 def test_a_sample_that_fails_to_encode_is_named_as_encode_names_it(tmp_path, capsys):
@@ -146,65 +246,74 @@ def test_a_sample_that_fails_to_encode_is_named_as_encode_names_it(tmp_path, cap
         "data error: row 4: field 'k': unknown category 'zz'; known: ['a', 'b']")
 
 
-def test_reading_stops_at_the_sample_bound(tmp_path, capsys, monkeypatch):
-    bound = quality.MAX_EVALUATE_SAMPLES
-    config = CASES["scalar"][0]
-    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+SAMPLE_BOUND_ERROR = (f"data error: the input has more than MAX_EVALUATE_SAMPLES "
+                      f"({quality.MAX_EVALUATE_SAMPLES}) samples, which bounds the memory of "
+                      "the m x m matrices")
+
+
+def evaluate_stdin(texts, tmp_path, capsys, monkeypatch):
+    """(exit code, stdout, stderr, rows read, `_keyed_runs` calls) of
+    ``sdrkit evaluate`` of the scalar case on the header "v" and then
+    ``texts``, one a row, read from stdin as it asks for them."""
+    (tmp_path / "cfg.json").write_text(json.dumps(CASES["scalar"][0]), encoding="utf-8")
     read = []
 
     def lines():  # stdin as text, with no buffer: the CLI reads it as is
         yield "v\n"
-        for i in range(3 * bound):
-            read.append(i)
-            yield f"{i % 45}\n"
+        for text in texts:
+            read.append(text)
+            yield f"{text}\n"
 
     monkeypatch.setattr(sys, "stdin", lines())
-    code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"), "--input", "-"])
+    with mock.patch.object(cli, "_keyed_runs", wraps=cli._keyed_runs) as keyed:
+        code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"), "--input", "-"])
     out, err = capsys.readouterr()
+    return code, out, err, len(read), keyed.call_count
+
+
+def test_reading_stops_at_the_sample_bound(tmp_path, capsys, monkeypatch):
+    bound = quality.MAX_EVALUATE_SAMPLES
+    texts = (str(i % 45) for i in range(3 * bound))
+    code, out, err, read, keyed = evaluate_stdin(texts, tmp_path, capsys, monkeypatch)
     assert (code, out) == (cli.EXIT_DATA, "")
+    assert err.splitlines()[-1] == SAMPLE_BOUND_ERROR
+    assert (read, keyed) == (bound + 1, 0)
+
+
+def test_past_the_sample_bound_an_early_bad_row_gets_the_bound_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    texts = ["warm" if i == 4 else str(i % 45) for i in range(quality.MAX_EVALUATE_SAMPLES + 1)]
+    code, out, err, _, keyed = evaluate_stdin(texts, tmp_path, capsys, monkeypatch)
+    assert (code, out, keyed) == (cli.EXIT_DATA, "", 0)
+    assert err.splitlines()[-1] == SAMPLE_BOUND_ERROR  # not row 5's own error
+
+
+def test_the_cells_bound_takes_exactly_its_cells(tmp_path, capsys, monkeypatch):
+    w = CASES["scalar"][0]["encoder"]["w"]
+    monkeypatch.setattr(cli, "MAX_EVALUATE_CELLS", ROWS * w)
+    texts = [str(i % 45) for i in range(ROWS + 1)]
+    code, out, _, _, keyed = evaluate_stdin(texts[:ROWS], tmp_path, capsys, monkeypatch)
+    assert (code, keyed) == (cli.EXIT_OK, 1) and out.startswith("# encoder evaluation\n")
+    code, out, err, _, keyed = evaluate_stdin(texts, tmp_path, capsys, monkeypatch)
+    assert (code, out, keyed) == (cli.EXIT_DATA, "", 0)
     assert err.splitlines()[-1] == (
-        f"data error: the input has more than MAX_EVALUATE_SAMPLES ({bound}) samples, "
-        "which bounds the memory of the m x m matrices")
-    per_chunk = cli._CHUNK_CELLS // parse_pipeline_config(config).multi.w
-    assert bound < len(read) <= bound + per_chunk
+        f"data error: the input has {ROWS + 1} samples of w = {w} bits, more than "
+        f"MAX_EVALUATE_CELLS ({ROWS * w}) cells, which bounds the memory of the m x w bit "
+        "matrix")
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_each_chunk_keeps_its_own_matrix(name, tmp_path, capsys):
-    config, draws = CASES[name]
-    text = csv_text(draws, 0)
-    real, matrices = cli._evaluate, []
-
-    def recording(bits, *args):  # the matrix that the overlaps are counted from
-        matrices.append(bits())  # once: joining frees the chunks' matrices
-        return real(lambda: matrices[-1], *args)
-
-    with mock.patch.object(cli, "_evaluate", recording):
-        code, _, _, _, sizes = evaluate(config, text, tmp_path, capsys)
-    assert code == cli.EXIT_OK and len(sizes) >= 3
-    binding = parse_pipeline_config(config).bound[0]
-    sdrs = [binding.encoder.encode(binding.value_from_row(row))
-            for row in csv.DictReader(io.StringIO(text))]
-    assert [sorted(set(row)) for row in matrices[0].tolist()] == [list(sdr.active) for sdr in sdrs]
-
-
-@pytest.mark.parametrize("name", ["scalar", "unbounded-n-2**70", "geospatial-fixed"])
-def test_no_chunk_matrix_outlives_the_join(name, tmp_path, capsys, monkeypatch):
-    config, draws = CASES[name]
-    real_matrix, real_evaluate, blocks, alive = MultiEncoder._matrix, cli._evaluate, [], []
-
-    def allocating(self, rows):  # each chunk's matrix, as weakly held
-        block = real_matrix(self, rows)
-        blocks.append(weakref.ref(block))
-        return block
-
-    def joining(bits, *args):
-        matrix = bits()
-        alive.extend(block() is not None for block in blocks)
-        return real_evaluate(lambda: matrix, *args)
-
-    monkeypatch.setattr(MultiEncoder, "_matrix", allocating)
-    with mock.patch.object(cli, "_evaluate", joining):
-        code, _, _, _, sizes = evaluate(config, csv_text(draws, 0), tmp_path, capsys)
-    assert code == cli.EXIT_OK and len(sizes) >= 3
-    assert alive == [False] * len(sizes)
+def test_a_wide_encoder_is_refused_before_a_row_is_keyed(tmp_path, capsys):
+    """Radius 200 (w = 401**2) over 1,000 samples, 4.8 times the bound: a
+    1.2 GiB matrix, so a call to `_keyed_runs` fails the test instead."""
+    config = {"encoder": {"type": "geospatial", "n": 100_000, "radius": 200},
+              "field": ["x", "y"], "distance": "chebyshev"}
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "in.csv").write_text("x,y\n" + "".join(f"{i},{-i}\n" for i in range(1000)),
+                                     encoding="utf-8")
+    with mock.patch.object(cli, "_keyed_runs", side_effect=AssertionError("keyed")) as keyed:
+        code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"),
+                         "--input", str(tmp_path / "in.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out, keyed.call_count) == (cli.EXIT_DATA, "", 0)
+    assert err.splitlines()[-1].startswith(
+        "data error: the input has 1000 samples of w = 160801 bits, more than MAX_EVALUATE_CELLS ")

@@ -8,6 +8,8 @@ code and one error line on stderr, never a traceback.
   `MemoryError` traceback, not in an allocation that swaps the machine.
   An input the CLI accepts but that needs more memory than the cap (m =
   `MAX_EVALUATE_SAMPLES` samples to evaluate) is a data error, exit 3.
+  So is an evaluate input of more than `MAX_EVALUATE_CELLS` bits (m x w),
+  refused before any sample is keyed.
   A header-only input to a pipeline whose line is past every cap encodes
   nothing and exits 0: `encode` allocates nothing before a row keys.
 * An output that cannot be written (a full device, as `--output` or as
@@ -96,6 +98,13 @@ HOSTILE = {
                      "field": "temp", "distance": "absolute"},
         "temp\n" + "".join(f"{i % 45}\n" for i in range(quality.MAX_EVALUATE_SAMPLES)), [],
         cli.EXIT_DATA, "data error: not enough memory: "),
+    # 1,000 samples of w = 401**2 bits: a 1.2 GiB bit matrix, refused before any is keyed
+    "evaluate-cells-past-the-bound": (
+        "evaluate", {"encoder": {"type": "geospatial", "n": 100_000, "radius": 200},
+                     "field": ["x", "y"], "distance": "chebyshev"},
+        "x,y\n" + "".join(f"{i},{-i}\n" for i in range(1000)), [],
+        cli.EXIT_DATA, "data error: the input has 1000 samples of w = 160801 bits, more than "
+                       f"MAX_EVALUATE_CELLS ({quality.MAX_EVALUATE_CELLS}) cells"),
     "fixed-radius-2**31-1": (
         "encode", {"encoder": {"type": "geospatial", "n": 2**70, "radius": WIDEST_RADIUS},
                    "field": ["x", "y"], "output_format": "sparse"},
