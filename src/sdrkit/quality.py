@@ -13,20 +13,26 @@ against distinct distances are unavoidable for any encoder and are treated
 as neutral.  The discordance rate is a heuristic quality signal, not a hard
 pass/fail -- a perfect ordering is not attainable for most input spaces.
 
-Everything is read off two m x m matrices over the m samples, each built
-once: the distance matrix and the overlap matrix.  The overlaps are counted
-from an m x w matrix of the encodings' bit indices, which `evaluate_encoder`
+Everything is read off the m x m distance matrix and the overlap counts
+of the distinct encodings, each built once.  The overlaps are counted from
+an m x w matrix of the encodings' bit indices, which `evaluate_encoder`
 builds from each sample's SDR and `sdrkit evaluate` keys from all its rows
-in one step: among the distinct encodings only, by `np.bincount` over the
-pairs of encodings that hold each bit, and gathered from there.  The
-symmetry axiom is checked a block of rows at a time; the pair distances are
-ranked by one sort.  Memory is therefore O(m**2 + m*w): the two matrices
-plus vectors over the m(m-1)/2 pairs i < j, or, for the exact count over
-all m**4 quadruples, over the m**2 cells, and the bit matrix with the
-overlap count's temporaries.  More than `MAX_EVALUATE_SAMPLES` samples
-raise InputError before any of it is allocated; `sdrkit evaluate` also
-refuses more than `MAX_EVALUATE_CELLS` bits (m x w) before it keys a
-sample.
+in one step: among the k distinct encodings only, by `np.bincount` over
+the pairs of encodings that hold each bit, into a k x k matrix that each
+sample's overlaps are read from through its distinct encoding.  The
+symmetry axiom is checked a block of rows at a time.  The sampled
+quadruples and the pairs i < j, row by row, read the distance matrix,
+which is then freed; the pair distances are ranked by one sort, into the
+2 x (pairs) array that `np.corrcoef` reads.  Memory is therefore
+O(m**2 + m*w): at its peak about 16 bytes per m x m cell (the distance
+matrix and the two pair vectors; the ranks, the pair distances and their
+sort order; or the ranks and `np.corrcoef`'s copy of them), up to about 24
+where every pair distance differs, plus, for the exact count over all m**4
+quadruples, the m x m overlap matrix and vectors over the m**2 cells, and
+the bit matrix with the overlap count's temporaries.  More than
+`MAX_EVALUATE_SAMPLES` samples raise InputError before any of it is
+allocated; `sdrkit evaluate` also refuses more than `MAX_EVALUATE_CELLS`
+bits (m x w) before it keys a sample.
 A distance expression (`ExpressionDistance`, every built-in among them)
 fills the distance matrix with numpy where that is exact; otherwise the
 distance is called once per ordered pair, m**2 calls in all.
@@ -56,9 +62,10 @@ _PAIR_BLOCK = 1 << 20  # most overlap holder pairs per bincount; bounds its temp
 
 AXIOMS = ("non_negativity", "symmetry", "identity")
 
-# Most samples an evaluation takes.  Its m x m matrices and pair vectors
-# take about 38 bytes per cell: `sdrkit evaluate` of m = 10,000 scalar
-# samples peaked at 3.8 GB of resident memory.  A larger m is an InputError
+# Most samples an evaluation takes.  Its m x m matrix, pair vectors and
+# ranks peak at about 16 bytes per cell (24 where every pair distance
+# differs): `sdrkit evaluate` of m = 10,000 scalar samples peaked at 1.58 GB
+# of resident memory, m = 6,000 at 0.62 GB.  A larger m is an InputError
 # before anything is allocated (`sdrkit evaluate` reads one row past the
 # bound, no more, and keys none); a smaller one may still not fit in the
 # memory there is, a MemoryError, which `sdrkit` reports as a data error.
@@ -67,9 +74,9 @@ MAX_EVALUATE_SAMPLES = 10_000
 # Most cells, m samples times w bits, that `sdrkit evaluate` keys into the
 # samples' bit matrix.  The command's traced peak (tracemalloc) was about 65
 # bytes per cell at m = 1,000 and w = 20,000, the overlap count's
-# temporaries included, so 2**25 cells need about 2.2 GB, less than the
-# m x m side at MAX_EVALUATE_SAMPLES.  `sdrkit evaluate` refuses a larger m x w as a data
-# error once the input is read, before any sample is keyed.
+# temporaries included, so 2**25 cells need about 2.2 GB, against the m x m
+# side's 1.6 GB at MAX_EVALUATE_SAMPLES.  `sdrkit evaluate` refuses a larger
+# m x w as a data error once the input is read, before any sample is keyed.
 MAX_EVALUATE_CELLS = 1 << 25
 
 
@@ -168,12 +175,11 @@ def _distance_matrix(distance: Callable, samples: Sequence) -> np.ndarray:
     return D
 
 
-def _axiom_check(distance: Callable, samples: Sequence
-                 ) -> tuple[EvaluationReport, np.ndarray, np.ndarray]:
-    """The axiom report, the distance matrix ``D`` it reads and the mask
-    ``upper`` of the pairs i < j (in row-major order).  The kept examples
-    follow a pair-by-pair check, (i, i), then (i, j) and (j, i) for j > i,
-    and call the distance again, so they show its own return values."""
+def _axiom_check(distance: Callable, samples: Sequence) -> tuple[EvaluationReport, np.ndarray]:
+    """The axiom report and the distance matrix ``D`` it reads.  The kept
+    examples follow a pair-by-pair check, (i, i), then (i, j) and (j, i)
+    for j > i, and call the distance again, so they show its own return
+    values."""
     if len(samples) < 2:
         raise InputError("axiom checks need at least 2 samples")
     if len(samples) > MAX_EVALUATE_SAMPLES:
@@ -182,16 +188,15 @@ def _axiom_check(distance: Callable, samples: Sequence
                          "matrices")
     D = _distance_matrix(distance, samples)
     m = len(samples)
-    upper = np.arange(m)[:, None] < np.arange(m)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan: no violation
         identity = np.abs(np.diagonal(D)) > AXIOM_TOLERANCE
         negative = D < -AXIOM_TOLERANCE
         asymmetric = np.zeros((m, m), dtype=bool)
         for i in range(0, m, _AXIOM_BLOCK):  # rows i.. i+B-1 by columns i.. hold each i < j
             rows = slice(i, i + _AXIOM_BLOCK)
-            asymmetric[rows, i:] = np.abs(D[rows, i:] - D[i:, rows].T) > AXIOM_TOLERANCE
+            flags = np.abs(D[rows, i:] - D[i:, rows].T) > AXIOM_TOLERANCE
+            asymmetric[rows, i:] = np.triu(flags, 1)  # the block's pairs i < j
     np.fill_diagonal(negative, False)
-    asymmetric &= upper
     negatives, asymmetries = int(np.count_nonzero(negative)), int(np.count_nonzero(asymmetric))
 
     def call(i: int, j: int):
@@ -202,7 +207,7 @@ def _axiom_check(distance: Callable, samples: Sequence
 
     negative_pairs = []
     if negatives:  # example pairs are looked for only where some flag is set
-        negative_pairs = [(a, b) for i, j in first_pairs((negative | negative.T) & upper)
+        negative_pairs = [(a, b) for i, j in first_pairs(np.triu(negative | negative.T, 1))
                           for a, b in ((i, j), (j, i)) if negative[a, b]][:_EXAMPLE_CAP]
     checks = {
         "non_negativity": AxiomCheck(
@@ -215,7 +220,7 @@ def _axiom_check(distance: Callable, samples: Sequence
             [(samples[i], samples[i], call(i, i))
              for i in np.flatnonzero(identity)[:_EXAMPLE_CAP].tolist()]),
     }
-    return EvaluationReport(samples_checked=len(samples), axiom_violations=checks), D, upper
+    return EvaluationReport(samples_checked=len(samples), axiom_violations=checks), D
 
 
 def check_distance_axioms(distance: Callable, samples: Sequence) -> EvaluationReport:
@@ -238,18 +243,19 @@ def _active_rows(encode: Callable[[object], SDR], samples: Sequence) -> np.ndarr
                     dtype=np.int64 if lengths.pop() <= 1 << 63 else object)
 
 
-def _overlap_matrix(bits: np.ndarray) -> np.ndarray:
-    """``O[i, j]`` = distinct bits that rows i and j of ``bits`` share, an
-    m x w matrix of bit indices: uint64, int64 with -1 padding a row, or
-    Python ints; a bit repeated in a row (a hash collision) counts once.
+def _overlap_matrix(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, which)`` with ``U[which[i], which[j]]`` the distinct bits that
+    rows i and j of ``bits`` share, an m x w matrix of bit indices: uint64,
+    int64 with -1 padding a row, or Python ints; a bit repeated in a row (a
+    hash collision) counts once.
 
     Each bit becomes a small id (``np.unique``), each row its sorted ids,
-    and the k distinct rows are counted against each other: every bit adds
-    1 to ``U[a, b]`` for each pair of distinct rows (a, b) holding it, one
-    ``np.bincount`` over those holder pairs per block of rows a, which
-    costs sum(holders**2), never an m x n dense array, and leaves each
-    row's active count on ``U``'s diagonal; ``O`` gathers ``U`` by each
-    row's distinct row."""
+    and the k distinct rows are counted against each other into the k x k
+    int32 ``U``: every bit adds 1 to ``U[a, b]`` for each pair of distinct
+    rows (a, b) holding it, one ``np.bincount`` over those holder pairs per
+    block of rows a, which costs sum(holders**2), never an m x n dense
+    array, and leaves each row's active count on ``U``'s diagonal.
+    ``which[i]`` is row i's distinct row."""
     values, ids = np.unique(bits, return_inverse=True)
     rows, which = np.unique(np.sort(ids.reshape(bits.shape), axis=1), axis=0,
                             return_inverse=True)
@@ -271,42 +277,73 @@ def _overlap_matrix(bits: np.ndarray) -> np.ndarray:
         at = np.repeat(start[bit[lo:hi]] - np.cumsum(c) + c, c) + np.arange(c.sum())
         U[a:a + step] = np.bincount(np.repeat((holder[lo:hi] - a) * k, c) + holders[at],
                                     minlength=len(U[a:a + step]) * k).reshape(-1, k)
-    return U[which.ravel()][:, which.ravel()]  # which is 2-D on some numpy versions
+    return U, which.ravel()  # which is 2-D on some numpy versions
 
 
-def _average_ranks(codes: np.ndarray) -> np.ndarray:
+def _upper_pairs(row: Callable[[int], np.ndarray], m: int, dtype) -> np.ndarray:
+    """The cells i < j of an m x m matrix in row-major order, ``row(i)``
+    being cells (i, i + 1..m - 1), written row by row into one vector."""
+    pairs = np.empty(m * (m - 1) // 2, dtype)
+    at = 0
+    for i in range(m - 1):
+        pairs[at:at + m - 1 - i] = row(i)
+        at += m - 1 - i
+    return pairs
+
+
+def _average_ranks(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """1-based ranks of non-negative integer codes, ties sharing their
-    average rank (``scipy.stats.rankdata``'s default), by counting."""
+    average rank (``scipy.stats.rankdata``'s default), by counting, into
+    ``out``."""
     counts = np.bincount(codes)
     ends = np.cumsum(counts)
-    return (0.5 * (2 * ends - counts + 1))[codes]
+    # "clip" takes straight into out (every code is in range); "raise" buffers it
+    return np.take(0.5 * (2 * ends - counts + 1), codes, out=out, mode="clip")
 
 
 def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
-    """The same ranks of any non-NaN values, by one sort: a run of equal
-    sorted values (-0.0 equals 0.0, inf equals inf) at sorted positions
-    first..end - 1 shares the rank (first + end + 1) / 2."""
+    """The same ranks of any non-NaN values, by one sort (`_ranked_in_place`)."""
     order = np.argsort(values)
-    ordered = values[order]
+    return _ranked_in_place(values[order], order)
+
+
+def _ranked_in_place(ordered: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``ordered``, some non-NaN values sorted by ``order``, overwritten by
+    their average ranks in the values' own order: a run of equal sorted
+    values (-0.0 equals 0.0, inf equals inf) at sorted positions
+    first..first + count - 1 shares the rank first + (count + 1) / 2.  Where
+    every value differs, each run array is as long as the values, so the
+    ranks are built with one temporary at a time."""
     first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    del ordered  # before the ranks are built, which lowers the peak
-    end = np.append(first[1:], len(values))
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat((first + end + 1) / 2, end - first)
-    return ranks
+    count = np.diff(first, append=len(ordered))
+    rank = count + 1.0
+    rank /= 2
+    rank += first
+    del first
+    ordered[order] = np.repeat(rank, count)
+    return ordered
 
 
-def _rank_correlation(overlaps: np.ndarray, dists: np.ndarray) -> tuple[float, bool]:
+def _rank_correlation(pairs: list) -> tuple[float, bool]:
     """Spearman's rho of the pair overlaps against the pair distances,
-    computed as ``scipy.stats.spearmanr`` does: the Pearson correlation of
-    the average ranks.  0.0 where rho is undefined (a constant side or a NaN
-    distance)."""
+    ``pairs = [overlaps, dists]``, computed as ``scipy.stats.spearmanr``
+    does: the Pearson correlation of the average ranks.  0.0 where rho is
+    undefined (a constant side or a NaN distance).  It empties ``pairs``,
+    so that each vector is freed once its ranks are written."""
+    dists, overlaps = pairs.pop(), pairs.pop()
     uninformative = bool(overlaps.min() == overlaps.max())
     if uninformative or np.isnan(dists).any() or dists.min() == dists.max():
         return 0.0, uninformative
-    dist_ranks = _sorted_average_ranks(dists)  # before the overlap ranks: the larger peak
-    rho = np.corrcoef(_average_ranks(overlaps), dist_ranks)[1, 0]
-    return float(rho), uninformative
+    # The 2 x P array that np.corrcoef(overlap_ranks, dist_ranks) would stack.
+    ranks = np.empty((2, len(dists)))
+    _average_ranks(overlaps, ranks[0])
+    del overlaps
+    order = np.argsort(dists)
+    np.take(dists, order, out=ranks[1], mode="clip")  # sorted; ranked in place below
+    del dists
+    _ranked_in_place(ranks[1], order)
+    del order
+    return float(np.corrcoef(ranks)[1, 0]), uninformative
 
 
 def _is_discordant(o1, o2, d1, d2):
@@ -315,16 +352,19 @@ def _is_discordant(o1, o2, d1, d2):
     return ((o1 > o2) & (d1 > d2)) | ((o1 < o2) & (d1 < d2))
 
 
-def _sampled_discordance(O: np.ndarray, D: np.ndarray, quadruple_count: int, seed: int) -> int:
+def _sampled_discordance(U: np.ndarray, which: np.ndarray, D: np.ndarray,
+                         quadruple_count: int, seed: int) -> int:
     """Quadruple q is samples ``counter_stream(seed, 4q + j) % m``, j = 0..3;
-    quadruples are drawn in chunks so memory stays bounded at any count."""
-    m = np.uint64(O.shape[0])
+    quadruples are drawn in chunks so memory stays bounded at any count.
+    Sample i's overlaps are row ``which[i]`` of ``U``."""
+    m = np.uint64(len(which))
     discordant = 0
     for start in range(0, quadruple_count, _QUADRUPLE_CHUNK):
         stop = min(start + _QUADRUPLE_CHUNK, quadruple_count)
         ks = np.arange(4 * start, 4 * stop, dtype=np.uint64)
         w, x, y, z = (counter_stream_array(seed, ks) % m).astype(np.intp).reshape(-1, 4).T
-        discordant += int(np.count_nonzero(_is_discordant(O[w, x], O[y, z], D[w, x], D[y, z])))
+        discordant += int(np.count_nonzero(_is_discordant(
+            U[which[w], which[x]], U[which[y], which[z]], D[w, x], D[y, z])))
     return discordant
 
 
@@ -372,19 +412,27 @@ def evaluate_encoder(
 def _evaluate(bits, distance, samples, quadruple_count, seed, exhaustive=False):
     """`evaluate_encoder`, with ``bits()`` the m x w matrix of the samples'
     encodings that `_overlap_matrix` counts, called once the samples pass
-    the checks."""
-    report, D, upper = _axiom_check(distance, samples)
+    the checks.  The discordance and the pair vectors are read off ``D``
+    and the overlap counts before they are freed, so that no m x m matrix
+    is alive while the pairs are ranked."""
+    report, D = _axiom_check(distance, samples)
     if len(samples) < 4:
         raise InputError("consistency evaluation needs at least 4 samples")
     if quadruple_count < 0:
         raise InputError(f"quadruple_count must be >= 0, got {quadruple_count}")
-    O = _overlap_matrix(bits())
-    report.rank_correlation, report.overlap_uninformative = _rank_correlation(
-        O[upper], D[upper])
+    U, which = _overlap_matrix(bits())
+    m = len(samples)
     if exhaustive:
-        discordant, total = _exhaustive_discordance(O, D), O.size ** 2
+        discordant, total = _exhaustive_discordance(U[which][:, which], D), m ** 4
     else:
-        discordant, total = _sampled_discordance(O, D, quadruple_count, seed), quadruple_count
+        discordant = _sampled_discordance(U, which, D, quadruple_count, seed)
+        total = quadruple_count
+    # intp overlaps, which the overlap ranks' np.bincount counts without a copy
+    pairs = [_upper_pairs(lambda i: U[which[i], which[i + 1:]], m, np.intp)]
+    del U  # m x m too where every encoding differs
+    pairs.append(_upper_pairs(lambda i: D[i, i + 1:], m, D.dtype))
+    del D
+    report.rank_correlation, report.overlap_uninformative = _rank_correlation(pairs)
     report.quadruples_sampled, report.discordant = total, discordant
     report.discordance_rate = discordant / total if total else 0.0
     return report

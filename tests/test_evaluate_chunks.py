@@ -12,6 +12,9 @@ from, into one bit matrix, from which it counts the overlaps; the library's
 * The matrix the overlaps are counted from holds each sample's encoding.
 * The samples' matrix is not alive once `_overlap_matrix` has returned, so
   the m x m steps after it do not hold it.
+* On the evaluate-scalar bench's shape (m = 1,500), the command's traced
+  peak is at most 24 bytes per m x m cell: it holds no m x m overlap
+  matrix and no mask, and frees the distance matrix before the ranks.
 * `_keyed_runs`, which evaluate's one matrix rests on, yields exactly one
   run of a chunk whose rows all key, and otherwise ends by raising its
   first failing row's error, after the runs of the rows before it.
@@ -29,6 +32,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -189,6 +193,30 @@ def test_no_matrix_outlives_the_overlap_count(name, tmp_path, capsys, monkeypatc
     code, _, _, _, sizes = evaluate(config, csv_text(draws, 0), tmp_path, capsys)
     assert code == cli.EXIT_OK and sizes == [ROWS]
     assert alive == [False, False]
+
+
+def test_evaluate_peaks_within_24_bytes_per_cell(tmp_path, capsys):
+    """m = 1,500 distinct scalar samples, n = 400 and w = 21: the peak that
+    tracemalloc sees above the memory traced at entry.  The distance matrix
+    is 8 bytes per cell; the 2 x P ranks are 8 more, the pair distances and
+    their sort order 4 each, and np.corrcoef's copy of the ranks 8."""
+    m = 1500
+    config = {"encoder": {"type": "scalar", "min": 0, "max": 100, "n": 400, "w": 21},
+              "field": "v", "distance": "absolute"}
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "in.csv").write_text("v\n" + "".join(f"{100 * i / m:.6f}\n" for i in range(m)),
+                                     encoding="utf-8")
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["evaluate", "--config", str(tmp_path / "cfg.json"),
+                         "--input", str(tmp_path / "in.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert f"samples_checked: {m}\n" in capsys.readouterr().out
+    assert peak - entry <= 24 * m * m
 
 
 # Values that the column step refuses, from the failing rows of `test_dense_chunks`.

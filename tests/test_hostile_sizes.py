@@ -7,7 +7,8 @@ code and one error line on stderr, never a traceback.
   space.  A size that the CLI failed to bound would end there in a
   `MemoryError` traceback, not in an allocation that swaps the machine.
   An input the CLI accepts but that needs more memory than the cap (m =
-  `MAX_EVALUATE_SAMPLES` samples to evaluate) is a data error, exit 3.
+  `MAX_EVALUATE_SAMPLES` samples to evaluate) is a data error, exit 3;
+  m = 6,000 samples fit under it and give their full report.
   So is an evaluate input of more than `MAX_EVALUATE_CELLS` bits (m x w),
   refused before any sample is keyed.
   A header-only input to a pipeline whose line is past every cap encodes
@@ -139,6 +140,29 @@ def test_a_hostile_input_under_a_memory_cap(tmp_path, command, config, text, mor
     proc = run_cli([command, *write_inputs(tmp_path, config, text), *more], cap=CAP,
                    stdout=subprocess.DEVNULL)
     the_error(proc, exit_code, start)
+
+
+# (config, CSV text, the report on stdout): inputs that fit under the cap
+FITTING = {
+    "evaluate-m-6000": (
+        HOSTILE["evaluate-m-at-the-bound"][1],
+        "temp\n" + "".join(f"{i % 45}\n" for i in range(6000)),
+        "# encoder evaluation\n"
+        'config: {"csv": {"delimiter": ","}, "distance": "absolute", "encoder": {"max": 45.0, '
+        '"min": 0.0, "n": 400, "type": "scalar", "w": 21}, "field": "temp", '
+        '"output_format": "dense"}\n'
+        "quadruple_seed: 0\nsamples_checked: 6000\naxioms:\n"
+        "  non_negativity: 0 violation(s)\n  symmetry: 0 violation(s)\n"
+        "  identity: 0 violation(s)\nquadruples_sampled: 10000\ndiscordant: 0\n"
+        "discordance_rate: 0.000000\nrank_correlation: -0.538766\n"),
+}
+
+
+@pytest.mark.parametrize("config, text, report", list(FITTING.values()), ids=list(FITTING))
+def test_an_input_that_fits_under_the_memory_cap(tmp_path, config, text, report):
+    proc = run_cli(["evaluate", *write_inputs(tmp_path, config, text)], cap=CAP,
+                   stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, report), proc.stderr
 
 
 def test_a_header_only_input_past_every_cap_exits_0(tmp_path):

@@ -28,7 +28,7 @@ from sdrkit import cli, quality
 from sdrkit.errors import EvaluationError, InputError
 from sdrkit.expressions import ExpressionDistance
 from sdrkit.geospatial import GridCoordinate
-from sdrkit.hashing import counter_stream, mix64
+from sdrkit.hashing import counter_stream, counter_stream_array, mix64
 from sdrkit.quality import (
     AXIOM_TOLERANCE,
     AXIOMS,
@@ -886,12 +886,14 @@ def test_overlap_matrix_equals_the_pairwise_intersections(pool, n, block, data):
     """Heavy repeats (m samples over at most 6 distinct encodings), the
     empty encoding, bits past 2**63 (int64 rows) and past 2**64 (Python
     ints), and holder-pair blocks of one pair up: O[i, j] is |A_i & A_j|
-    on the library's rows, each SDR's active indices padded with -1."""
+    on the library's rows, each SDR's active indices padded with -1, read
+    as U[which[i], which[j]] off the distinct rows' counts."""
     pool = [frozenset(bit for bit in bits if bit < n) for bits in pool]
     which = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     encodings = [SDR(n, tuple(sorted(bits))) for bits in pool]
     with mock.patch.object(quality, "_PAIR_BLOCK", block):
-        O = quality._overlap_matrix(quality._active_rows(encodings.__getitem__, which))
+        U, rows = quality._overlap_matrix(quality._active_rows(encodings.__getitem__, which))
+    O = U[rows][:, rows]
     assert O.shape == (len(which), len(which))
     assert O.tolist() == [[len(pool[i] & pool[j]) for j in which] for i in which]
 
@@ -908,8 +910,66 @@ def test_overlap_matrix_counts_a_repeated_bit_once(w, past_2_64, block, data):
                                        min_size=w, max_size=w), min_size=1, max_size=30))
     matrix = np.array(rows, dtype=object if past_2_64 else np.uint64)
     with mock.patch.object(quality, "_PAIR_BLOCK", block):
-        O = quality._overlap_matrix(matrix)
+        U, which = quality._overlap_matrix(matrix)
+    O = U[which][:, which]
     assert O.tolist() == [[len(set(a) & set(b)) for b in rows] for a in rows]
+
+
+def matrix_discordance(O, D, quadruple_count, seed):
+    """The sampled count over whole m x m matrices, in one numpy pass."""
+    ks = np.arange(4 * quadruple_count, dtype=np.uint64)
+    samples = counter_stream_array(seed, ks) % np.uint64(len(O))
+    w, x, y, z = samples.astype(np.intp).reshape(-1, 4).T
+    return int(np.count_nonzero(quality._is_discordant(O[w, x], O[y, z], D[w, x], D[y, z])))
+
+
+PAIR_DISTANCES = [0.0, 0.5, 1.0, 2.0, 3.0, math.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(OVERLAP_BITS[:5])), min_size=1, max_size=5),
+       st.integers(4, 60), st.integers(1, 9), st.integers(0, 300), st.integers(0, 1 << 32),
+       st.floats(0.0, 0.05), st.sampled_from([64, 1 << 70]), st.data())
+def test_the_pair_reads_equal_the_m_x_m_matrices(pool, m, chunk, quadruple_count, seed,
+                                                 nan_share, n, data):
+    """m samples over at most 5 distinct encodings and a distance matrix of
+    few levels, inf and a share of NaN: the pair vectors that `_evaluate`
+    ranks are ``O[upper]`` and ``D[upper]`` of the whole overlap and
+    distance matrices, its sampled count, in chunks of a few quadruples,
+    is the same formula over ``O`` and ``D``, and its exhaustive count is
+    `_exhaustive_discordance` of ``O`` and ``D``."""
+    which = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    encodings = [SDR(n, tuple(sorted(bits))) for bits in pool]  # int64 or Python int rows
+    O = np.array([[len(pool[a] & pool[b]) for b in which] for a in which])
+    rng = np.random.default_rng(seed)
+    D = np.array(PAIR_DISTANCES)[rng.integers(0, len(PAIR_DISTANCES), (m, m))]
+    D[rng.random((m, m)) < nan_share] = math.nan
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    real_rank, ranked = quality._rank_correlation, []
+
+    def ranking(pairs):
+        ranked.append([vector.copy() for vector in pairs])
+        return real_rank(pairs)
+
+    def evaluate(exhaustive):
+        return quality._evaluate(
+            lambda: quality._active_rows(lambda i: encodings[which[i]], range(m)),
+            lambda i, j: float(D[i, j]), list(range(m)), quadruple_count, seed, exhaustive)
+
+    with mock.patch.object(quality, "_distance_matrix", return_value=D), \
+         mock.patch.object(quality, "_rank_correlation", ranking), \
+         mock.patch.object(quality, "_QUADRUPLE_CHUNK", chunk):
+        sampled, exhaustive = evaluate(False), evaluate(True)
+    assert len(ranked) == 2
+    for overlaps, dists in ranked:
+        assert overlaps.tolist() == O[upper].tolist()
+        assert np.array_equal(dists, D[upper], equal_nan=True)
+    assert sampled.discordant == matrix_discordance(O, D, quadruple_count, seed)
+    assert exhaustive.discordant == quality._exhaustive_discordance(O, D)
+    assert exhaustive.quadruples_sampled == m ** 4
+    rho = oracle_rank_correlation(O[upper].tolist(), D[upper].tolist())
+    assert (sampled.rank_correlation, sampled.overlap_uninformative) == rho
+    assert (exhaustive.rank_correlation, exhaustive.overlap_uninformative) == rho
 
 
 B = quality._AXIOM_BLOCK
@@ -949,8 +1009,8 @@ def test_blocked_axiom_flags_equal_the_whole_matrix_formula(m, seed, share, data
         return float(D[i, j])
 
     with mock.patch.object(quality, "_distance_matrix", return_value=D):
-        report, got_D, got_upper = quality._axiom_check(matrix_distance, list(range(m)))
-    assert got_D is D and np.array_equal(got_upper, upper)
+        report, got_D = quality._axiom_check(matrix_distance, list(range(m)))
+    assert got_D is D
     checks = report.axiom_violations
     assert checks["symmetry"].violations == np.count_nonzero(asymmetric)
     assert checks["symmetry"].examples == [(i, j, D[i, j], D[j, i])
@@ -998,15 +1058,16 @@ def test_rank_correlation_equals_spearmanr_on_ties(size, overlap_levels, dist_le
     dists = rng.integers(0, dist_levels, size) * 0.1 + rng.choice([0.0, 1e-3], size)
     odd = rng.random(size) < special
     dists[odd] = rng.choice([-0.0, 0.0, math.inf, -math.inf], int(odd.sum()))
-    rho, uninformative = quality._rank_correlation(overlaps, dists)
+    rho, uninformative = quality._rank_correlation([overlaps, dists])
     assert (rho, uninformative) == oracle_rank_correlation(overlaps.tolist(), dists.tolist())
 
 
 def test_rank_correlation_constant_and_nan_sides_are_zero():
     overlaps = np.array([0, 1, 2, 3])
-    assert quality._rank_correlation(overlaps, np.full(4, 2.0)) == (0.0, False)
-    assert quality._rank_correlation(overlaps, np.array([0.0, math.nan, 1.0, 2.0])) == (0.0, False)
-    assert quality._rank_correlation(np.full(4, 3), np.arange(4.0)) == (0.0, True)
+    assert quality._rank_correlation([overlaps, np.full(4, 2.0)]) == (0.0, False)
+    assert quality._rank_correlation([overlaps, np.array([0.0, math.nan, 1.0, 2.0])]) == (0.0,
+                                                                                         False)
+    assert quality._rank_correlation([np.full(4, 3), np.arange(4.0)]) == (0.0, True)
 
 
 # --- negative quadruple counts ----------------------------------------------------
