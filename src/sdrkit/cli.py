@@ -413,8 +413,7 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
             raise ConfigError("evaluate requires a 'distance' in the config")
         _emit_warnings(cfg, stderr)
 
-        # the samples' bit matrix, in a list that `_evaluate` pops, and their values
-        bits, samples, started = [], [], time.perf_counter()
+        samples, started = [], time.perf_counter()
         with _open_input(args.input) as lines:  # one chunk of every sample, or one too many
             for header, first, rows in _chunks(lines, cfg, MAX_EVALUATE_SAMPLES + 1):
                 if len(rows) > MAX_EVALUATE_SAMPLES:
@@ -427,10 +426,11 @@ def cmd_evaluate(args, stdout=None, stderr=None) -> int:
                                      "cells, which bounds the memory of the m x w bit matrix")
                 # to its end: one run of every row, or the first failing row's error
                 (m, keys), = list(_keyed_runs(cfg, header, rows, first))
-                bits.append(cfg.multi._bits(keys, cfg.multi._matrix(m)))
                 samples = list(_each_value(header, rows, first, cfg.bound[0].value_from_row))
-                del rows, keys  # the row texts and keys go before the m x m steps
-        report = _evaluate(bits.pop, cfg.distance, samples, args.quadruples, args.seed)
+                del rows  # the row texts go before the m x m steps
+        # the samples' bit matrix is built once they pass the axiom checks
+        report = _evaluate(lambda: cfg.multi._bits(keys, cfg.multi._matrix(m)), cfg.distance,
+                           samples, args.quadruples, args.seed)
         elapsed = time.perf_counter() - started
 
         print("# encoder evaluation", file=stdout)

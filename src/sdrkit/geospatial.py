@@ -26,8 +26,8 @@ of the bits.  `GeospatialEncoder._cells`, the one cell step of both
 variants, computes the same values in one numpy pass over the packed keys
 of one neighborhood or of a block of neighborhoods of one radius, and keeps
 the cells that set bits; ``_sdr`` and ``_bits`` hash a bit index only for
-those.  Top-w ranks one neighborhood by a stable sort and a block by a
-threshold at each row's w-th order key, which keeps the same cells.
+those.  Top-w ranks every neighborhood by a threshold at its w-th order key,
+ties going to the earlier cells.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ from .sdr import SDR
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 
-# Most cells a chunk step holds at once: `sdrkit encode` puts at most this
-# many bit indices in a chunk (`sdrkit evaluate` keys all its samples as
-# one, bounded by `quality.MAX_EVALUATE_CELLS`), and ``_bits`` packs at most
-# this many cells (or one neighborhood, when that is larger) per `_cells` call.
+# Most cells a chunk step holds at once: ``_bits`` packs at most this many
+# cells (or one neighborhood, when that is larger) per `_cells` call.
 _CHUNK_CELLS = 1 << 15
 
 # Most cells a neighborhood an encoder hashes may have: every encode builds
@@ -302,21 +300,18 @@ class GeospatialEncoder(_Encoder):
         keys = _neighborhood_keys(cx, cy, r)
         if self.variant == "fixed":
             return keys
-        # Ascending ~order is descending order key; among ties the first in
-        # enumeration order, which is ascending (x, y), goes first.
+        # Ascending ~order is descending order key.  Each neighborhood keeps its
+        # cells below its w-th smallest rank, then as many of the cells at that
+        # rank as are still wanted, first to last in enumeration order, which
+        # is ascending (x, y); one value is ranked as a block of one.
         ranks = ~order_keys_array(keys, self.seed)
-        if keys.ndim == 1:  # one value: the stable sort is the faster
-            return keys[np.argsort(ranks, kind="stable")[: self.w]]
-        # A block: each row's cells below its w-th smallest rank, then as many
-        # of the cells at that rank as are still wanted, first to last.  The
-        # row holds the same cells as the stable sort's w, in their own order.
-        kth = np.partition(ranks, self.w - 1, axis=1)[:, self.w - 1:self.w]
+        kth = np.partition(ranks, self.w - 1, axis=-1)[..., self.w - 1:self.w]
         keep = ranks <= kth
-        if np.count_nonzero(keep) > len(keep) * self.w:  # some row ties at its kth
+        if np.count_nonzero(keep) > kth.size * self.w:  # some row ties at its kth
             ties = ranks == kth
-            wanted = self.w - np.count_nonzero(keep & ~ties, axis=1)[:, None]
-            keep &= ~ties | (np.cumsum(ties, axis=1) <= wanted)
-        return keys[keep].reshape(-1, self.w)
+            wanted = self.w - np.count_nonzero(keep & ~ties, axis=-1)[..., None]
+            keep &= ~ties | (np.cumsum(ties, axis=-1) <= wanted)
+        return keys[keep].reshape(keys.shape[:-1] + (self.w,))
 
     def _sdr(self, key) -> SDR:
         """Hash every cell of the neighborhood, or topw's w cells with the

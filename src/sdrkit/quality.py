@@ -27,9 +27,11 @@ which is then freed; the pair distances are ranked by one sort, into the
 O(m**2 + m*w): at its peak about 16 bytes per m x m cell (the distance
 matrix and the two pair vectors; the ranks, the pair distances and their
 sort order; or the ranks and `np.corrcoef`'s copy of them), up to about 24
-where every pair distance differs, plus, for the exact count over all m**4
-quadruples, the m x m overlap matrix and vectors over the m**2 cells, and
-the bit matrix with the overlap count's temporaries.  More than
+where every pair distance differs, plus the bit matrix with the overlap
+count's temporaries.  The exact count over all m**4 quadruples peaks at
+about 68 bytes per cell instead (tracemalloc, m = 1,000 and 2,000): the m x
+m overlap matrix and the cells' sort order, overlaps and distances beside
+the distance matrix.  More than
 `MAX_EVALUATE_SAMPLES` samples raise InputError before any of it is
 allocated; `sdrkit evaluate` also refuses more than `MAX_EVALUATE_CELLS`
 bits (m x w) before it keys a sample.
@@ -301,12 +303,6 @@ def _average_ranks(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.take(0.5 * (2 * ends - counts + 1), codes, out=out, mode="clip")
 
 
-def _sorted_average_ranks(values: np.ndarray) -> np.ndarray:
-    """The same ranks of any non-NaN values, by one sort (`_ranked_in_place`)."""
-    order = np.argsort(values)
-    return _ranked_in_place(values[order], order)
-
-
 def _ranked_in_place(ordered: np.ndarray, order: np.ndarray) -> np.ndarray:
     """``ordered``, some non-NaN values sorted by ``order``, overwritten by
     their average ranks in the values' own order: a run of equal sorted
@@ -329,7 +325,10 @@ def _rank_correlation(pairs: list) -> tuple[float, bool]:
     ``pairs = [overlaps, dists]``, computed as ``scipy.stats.spearmanr``
     does: the Pearson correlation of the average ranks.  0.0 where rho is
     undefined (a constant side or a NaN distance).  It empties ``pairs``,
-    so that each vector is freed once its ranks are written."""
+    so that each vector is freed once its ranks are written: on Python 3.10
+    the caller's frame holds every positional argument until the call
+    returns, so a ``del`` of an argument here would free nothing (3.11
+    hands the reference over)."""
     dists, overlaps = pairs.pop(), pairs.pop()
     uninformative = bool(overlaps.min() == overlaps.max())
     if uninformative or np.isnan(dists).any() or dists.min() == dists.max():
@@ -403,7 +402,8 @@ def evaluate_encoder(
     counter-based generator keyed by (seed, ordinal), so reports are
     reproducible and independent of any partitioning of the loop.  With
     ``exhaustive=True`` all m**4 ordered quadruples are counted exactly, at
-    any m, by overlap level in O(m**2) memory.
+    any m, by overlap level in O(m**2) memory: about 68 bytes per m x m
+    cell at its peak, against about 16 on the sampled path.
     """
     return _evaluate(lambda: _active_rows(encode, samples), distance, samples,
                      quadruple_count, seed, exhaustive)
@@ -414,7 +414,9 @@ def _evaluate(bits, distance, samples, quadruple_count, seed, exhaustive=False):
     encodings that `_overlap_matrix` counts, called once the samples pass
     the checks.  The discordance and the pair vectors are read off ``D``
     and the overlap counts before they are freed, so that no m x m matrix
-    is alive while the pairs are ranked."""
+    is alive while the pairs are ranked.  They go to `_rank_correlation` in
+    a list that it empties, not as two arguments: on Python 3.10 this frame
+    would hold both until the call returns."""
     report, D = _axiom_check(distance, samples)
     if len(samples) < 4:
         raise InputError("consistency evaluation needs at least 4 samples")

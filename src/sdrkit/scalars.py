@@ -144,10 +144,7 @@ class _Encoder:
       row, each below n before the offset; a hash collision repeats an
       index there.  ``out`` is the encoder's column slice of a
       `MultiEncoder`'s (rows, w) bit matrix, uint64 (Python ints past 2**64
-      bits), so each part writes its own columns in place.  ``sdrkit
-      encode`` allocates one such matrix once per run, when the first row
-      keys, whatever the line size, and reuses it for every chunk;
-      ``evaluate`` keys all its samples into one.
+      bits), so each part writes its own columns in place.
     """
 
     def encode(self, value) -> SDR:

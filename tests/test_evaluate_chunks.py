@@ -25,6 +25,8 @@ from, into one bit matrix, from which it counts the overlaps; the library's
   would fail to encode.
 * m x w past `MAX_EVALUATE_CELLS` is refused before any row is keyed;
   exactly at the bound, the input is evaluated.
+* The samples' bit matrix is allocated only once the distance has passed
+  the axiom checks: a distance that fails on a pair allocates none.
 """
 
 import csv
@@ -328,6 +330,17 @@ def test_the_cells_bound_takes_exactly_its_cells(tmp_path, capsys, monkeypatch):
         f"data error: the input has {ROWS + 1} samples of w = {w} bits, more than "
         f"MAX_EVALUATE_CELLS ({ROWS * w}) cells, which bounds the memory of the m x w bit "
         "matrix")
+
+
+def test_a_failing_distance_allocates_no_bit_matrix(tmp_path, capsys):
+    raising = "1 / (a - b)"  # a ZeroDivisionError on the first pair, (a, a)
+    config = dict(CASES["scalar"][0], distance={"expression": raising})
+    with mock.patch.object(MultiEncoder, "_matrix",
+                           side_effect=AssertionError("allocated")) as allocated:
+        code, out, err, _, sizes = evaluate(config, csv_text(CASES["scalar"][1], 0),
+                                            tmp_path, capsys)
+    assert (code, out, sizes, allocated.call_count) == (cli.EXIT_DATA, "", [ROWS], 0)
+    assert err.splitlines()[-1].startswith("data error: distance failed on pair (")
 
 
 def test_a_wide_encoder_is_refused_before_a_row_is_keyed(tmp_path, capsys):

@@ -7,11 +7,11 @@
   the band edges and at ±0.0.  Where any value of a column fails
   `gps_to_grid`, the twin refuses the column, and `sdrkit encode` runs the
   chunk row by row and reports `gps_to_grid`'s error for that row.
-* ``GeospatialEncoder._bits`` takes each top-w block's cells by a threshold
-  on the order keys; ``_sdr(_key(v))``, one value at a time, by a stable
-  sort.  They keep the same cells where order keys tie, which real 64-bit
-  keys almost never do: `order_keys_array` is patched to a stand-in of
-  three values.
+* ``GeospatialEncoder._bits`` and `encode` of one value take each top-w
+  neighborhood's cells by a threshold on the order keys.  They keep the w
+  cells of largest order key, the earlier cell first where keys tie, which
+  real 64-bit keys almost never do: `order_keys_array` is patched to a
+  stand-in of three values, and each pool is ranked in Python as well.
 """
 
 import math
@@ -31,7 +31,9 @@ from sdrkit.geospatial import (
     GeospatialEncoder,
     _gps_to_grid_columns,
     gps_to_grid,
+    neighborhood,
 )
+from sdrkit.hashing import bit_indices, pack_coordinate
 from sdrkit.scalars import _Unkeyed
 
 from test_column_keys import cell_column, key_rows, leaf_bits
@@ -157,6 +159,18 @@ def tied_order_keys(keys, seed, real=geospatial.order_keys_array):
     return real(keys, seed) % np.uint64(3)
 
 
+def stable_top_w(enc, key) -> list:
+    """The sorted bits of the w cells of ``key``'s pool with the largest
+    `tied_order_keys`, by Python's stable sort: among ties, the earlier cell
+    in `neighborhood` order."""
+    cx, cy, r = key
+    packed = np.array([pack_coordinate(*cell) for cell in neighborhood((cx, cy), r)],
+                      dtype=np.uint64)
+    order = tied_order_keys(packed, enc.seed).tolist()
+    kept = sorted(range(len(order)), key=lambda i: -order[i])[:enc.w]
+    return list(bit_indices(packed[kept], enc.seed, enc.n))
+
+
 @st.composite
 def tied_chunks(draw):
     """A top-w encoder and a chunk of (cell, speed) pairs whose radii, from
@@ -182,8 +196,10 @@ def test_threshold_selection_equals_the_stable_sort_when_keys_tie(case):
         assert key_rows(enc, keys) == [enc._key(value) for value in values]
         bits = leaf_bits(enc, keys, len(values))
         assert bits.shape == (len(values), enc.w)
-        for row, key in zip(bits.tolist(), key_rows(enc, keys)):
-            assert sorted(set(row)) == list(enc._sdr(key).active)
+        for row, key, value in zip(bits.tolist(), key_rows(enc, keys), values):
+            expected = stable_top_w(enc, key)
+            assert sorted(set(row)) == expected
+            assert list(enc.encode(value).active) == expected
 
 
 def test_a_radius_of_many_rows_is_split_into_blocks(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,25 @@ def test_more_than_max_evaluate_samples_raises_before_any_distance(evaluate):
     assert str(exc.value) == ("m = 10001 samples is more than MAX_EVALUATE_SAMPLES (10000), "
                               "which bounds the memory of the m x m matrices")
     assert calls == []
+
+
+def test_the_exhaustive_count_peaks_within_80_bytes_per_cell():
+    """m = 1,000 distinct scalar samples, n = 400 and w = 21: the exact
+    count over all m**4 quadruples holds the m x m overlap matrix and the
+    cells' sort order, overlaps and distances beside the distance matrix,
+    about 68 bytes per cell at its peak (the sampled path about 16)."""
+    m = 1000
+    enc = ScalarEncoder(0, 100, 400, 21)
+    samples = [100 * i / m for i in range(m)]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = evaluate_encoder(enc.encode, absolute_difference, samples, exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.quadruples_sampled == m ** 4
+    assert peak - entry <= 80 * m * m
 
 
 class TestBuiltinDistances:
