@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -509,6 +510,19 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The entry of the `sdrkit` console script and of `python -m sdrkit.cli`.
+
+    It first freezes the heap: every object that exists by now, about
+    22,000 containers that the imports of numpy, the standard library and
+    sdrkit made and almost none of them garbage, moves to the permanent
+    generation, which no collection scans.  The full collections of the
+    interpreter's exit then skip them: from the end of `main` to the exit
+    took 21-27 ms without the freeze and 5-7 ms with it (Python 3.11,
+    numpy 2.4, a 2-vCPU x86 VM).  The freeze is here and not in `main`,
+    so that tests and library callers that call `main` in process never
+    get a frozen heap, and their cyclic garbage is still collected.
+    """
+    gc.freeze()
     raise SystemExit(main())
 
 

@@ -287,7 +287,9 @@ class TestConfigParsing:
 
     def test_expressions_in_use_parse_and_keep_their_values(self):
         """Every expression in the README, the benchmark workloads and the
-        tests passes the whitelist and evaluates as plain Python does."""
+        tests passes the whitelist and evaluates as plain Python does: to
+        the same value, or to the same exception type on a pair where plain
+        Python raises (a test's failing distance, such as `1 / (a - b)`)."""
         sources = [ROOT / "README.md", ROOT / "bench" / "workloads.py",
                    *sorted((ROOT / "tests").glob("*.py"))]
         found = {e for path in sources if path.name != Path(__file__).name
@@ -304,7 +306,13 @@ class TestConfigParsing:
             values = cells if "[" in expr else numbers
             for a in values:
                 for b in values:
-                    want = eval(expr, {"__builtins__": {}}, {**env, "a": a, "b": b})
+                    try:
+                        want = eval(expr, {"__builtins__": {}}, {**env, "a": a, "b": b})
+                    except Exception as error:
+                        with pytest.raises(type(error)) as raised:
+                            distance(a, b)
+                        assert type(raised.value) is type(error)
+                        continue
                     assert distance(a, b) == want
 
     @pytest.mark.parametrize("expr", [

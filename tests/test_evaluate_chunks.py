@@ -333,8 +333,8 @@ def test_the_cells_bound_takes_exactly_its_cells(tmp_path, capsys, monkeypatch):
 
 
 def test_a_failing_distance_allocates_no_bit_matrix(tmp_path, capsys):
-    raising = "1 / (a - b)"  # a ZeroDivisionError on the first pair, (a, a)
-    config = dict(CASES["scalar"][0], distance={"expression": raising})
+    # a ZeroDivisionError on the first pair, (a, a)
+    config = dict(CASES["scalar"][0], distance={"expression": "1 / (a - b)"})
     with mock.patch.object(MultiEncoder, "_matrix",
                            side_effect=AssertionError("allocated")) as allocated:
         code, out, err, _, sizes = evaluate(config, csv_text(CASES["scalar"][1], 0),

@@ -13,8 +13,12 @@ gets each block as ASCII text, in one write.
   lines that fill the cap, or fall one byte short of it, are
   `_CHUNK_BYTES // (n + 1)` rows a chunk; each gives the per-row path's
   lines, from one bit matrix allocated for the run.
+* `cli.run`, the entry of the console script and of `python -m sdrkit.cli`,
+  freezes the heap before `main`, so the exit's collections skip what the
+  imports made; `cli.main` called in process freezes nothing.
 """
 
+import gc
 import io
 import subprocess
 import sys
@@ -30,7 +34,8 @@ from test_dense_chunks import (
     per_row_dense,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "encode"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "encode"
 FORMATS = ["dense", "sparse", "sparse-n"]
 
 
@@ -125,3 +130,27 @@ def test_dense_chunks_at_the_byte_cap_equal_the_per_row_path(n, per_chunk):
     assert code == cli.EXIT_OK and matrices.call_count == 1
     assert sizes == expected_chunks(len(rows), per_chunk)
     assert out == per_row_dense(scalar_config(n), ["v"], rows)
+
+
+def test_the_cli_entry_freezes_the_heap():
+    """`selftest-hash` through `cli.run` in a child process: the golden
+    output, and a frozen heap when the interpreter exits."""
+    script = ("import atexit, gc, sys\n"
+              "from sdrkit import cli\n"
+              "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+              "sys.argv = ['sdrkit', 'selftest-hash']\n"
+              "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout == (DATA / "golden_hash_vectors.txt").read_bytes()
+    assert int(proc.stderr) > 0
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    evaluate = DATA / "evaluate"
+    before = gc.get_freeze_count()
+    assert cli.main([*golden_args("sparse"), "--output", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--config", str(evaluate / "absolute.json"),
+                     "--input", str(evaluate / "absolute.csv")]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("# encoder evaluation\n")
+    assert gc.get_freeze_count() == before
